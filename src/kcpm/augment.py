@@ -13,7 +13,6 @@ always a subsequence of the repaired one.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -283,8 +282,3 @@ def merge_reports(a: AugmentationReport, b: AugmentationReport) -> AugmentationR
         a.inserted + b.inserted,
         {**(a.thresholds or {}), **(b.thresholds or {})},
     )
-
-
-def dump_report(report: AugmentationReport, stream) -> None:
-    json.dump(report_to_json(report), stream, indent=2, sort_keys=True)
-    stream.write("\n")

@@ -37,14 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _threads_default() -> int:
-    env = os.environ.get("KCPM_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def read_log(path: str, context: str | None = None) -> EventLog:
     if path.endswith(".xes"):
         log = logio.parse_xes(path)
@@ -107,8 +99,6 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
         "alias": lambda: p.add_argument("--alias",
                                         help="activity-to-entity alias CSV"),
         "seed": lambda: p.add_argument("--seed", type=int),
-        "threads": lambda: p.add_argument("--threads", type=int,
-                                          default=_threads_default()),
     }
     for name in names:
         opts[name]()
@@ -142,7 +132,7 @@ def build_parser() -> _Parser:
     p.add_argument("--long-distance", action="store_true")
 
     p = sub.add_parser("filter", help="filter a dependency graph against rules")
-    _add_common(p, "config", "out", "kg", "alias", "threads")
+    _add_common(p, "config", "out", "kg", "alias")
     p.add_argument("--dfg", required=True, help="dependency graph JSON")
     p.add_argument("--rules", required=True, help="rule base JSONL")
     p.add_argument("--mode", choices=("strict", "permissive"),
@@ -185,8 +175,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="ingest, mine rules, repair, mine DFG, "
                                         "filter, and compare raw vs augmented")
-    _add_common(p, "config", "out", "log", "context", "kg", "alias", "seed",
-                "threads")
+    _add_common(p, "config", "out", "log", "context", "kg", "alias", "seed")
     p.add_argument("--model", help="reference model JSON for conformance")
     p.add_argument("--theta-aug", type=float, dest="theta_aug")
     p.add_argument("--strict-ordering", action="store_const", const=True,
@@ -310,7 +299,7 @@ def _cmd_filter(cfg: PipelineConfig, args) -> int:
         rb = read_rules_jsonl(fh)
     alias = read_alias(cfg.alias)
     filtered, report = dfgmod.filter_dependency_graph(
-        dg, rb, kg, alias, cfg.filter_mode, threads=args.threads)
+        dg, rb, kg, alias, cfg.filter_mode)
     _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(filtered))
     _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(filtered, fh))
     _json_out(cfg.out, "filter_report.json",
@@ -443,7 +432,7 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
                                  cfg.all_tasks_connected)
     dg_aug = dfgmod.mine_dependency_graph(augmented, th)
     dg_filtered, filter_report = dfgmod.filter_dependency_graph(
-        dg_aug, rb, kg, alias, cfg.filter_mode, threads=args.threads)
+        dg_aug, rb, kg, alias, cfg.filter_mode)
     _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(dg_filtered))
     _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(dg_filtered, fh))
     _json_out(cfg.out, "filter_report.json",

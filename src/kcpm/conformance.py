@@ -9,7 +9,6 @@ model's directed behavior the log exhibits.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 from .dfg import DependencyGraph
@@ -169,8 +168,3 @@ def comparison_table(rows: list[tuple[str, ConformanceReport]]) -> str:
         lines.append(f"{label:<24} {rep.fitness:>8.3f} {rep.precision:>10.3f} "
                      f"{rep.f_score:>8.3f}")
     return "\n".join(lines) + "\n"
-
-
-def dump_report(report: ConformanceReport, stream) -> None:
-    json.dump(report_to_json(report), stream, indent=2, sort_keys=True)
-    stream.write("\n")

@@ -181,7 +181,6 @@ def filter_dependency_graph(
     kg: KnowledgeGraph,
     alias: dict[str, str] | None = None,
     mode: str = "permissive",
-    threads: int = 1,
 ) -> tuple[DependencyGraph, FilterReport]:
     """Drop mined edges that conflict with the rule base.
 
@@ -218,23 +217,13 @@ def filter_dependency_graph(
         return None
 
     pairs = sorted(dg.edges)
-    verdicts = _map_ordered(verdict, pairs, threads)
-    removed = tuple(v for v in verdicts if v is not None)
+    removed = tuple(v for v in map(verdict, pairs) if v is not None)
     removed_pairs = {(r.source, r.target) for r in removed}
     kept = {p: e for p, e in dg.edges.items() if p not in removed_pairs}
     out = DependencyGraph(dg.activities, kept, dg.l1_loops, dg.l2_loops,
                           dg.start_activities, dg.end_activities, dg.df_counts,
                           dg.long_deps)
     return out, FilterReport(removed, len(kept), mode)
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
+from .errors import DataError
+
 Scalar = str | int | float | bool | datetime
 
 
@@ -44,7 +46,15 @@ class Trace:
                 raise ValueError(
                     f"trace {self.case_id!r} contains event of case {e.case_id!r}"
                 )
-        ordered = tuple(sorted(self.events, key=lambda e: e.timestamp))
+        try:
+            ordered = tuple(sorted(self.events, key=lambda e: e.timestamp))
+        except TypeError:
+            # a sort compares every pair that ends up adjacent, so a trace
+            # mixing naive and offset-aware timestamps always lands here
+            if len({e.timestamp.utcoffset() is None for e in self.events}) > 1:
+                raise DataError(f"trace {self.case_id!r} mixes naive and "
+                                "offset-aware timestamps") from None
+            raise
         object.__setattr__(self, "events", ordered)
 
     def __len__(self) -> int:
@@ -109,41 +119,26 @@ def make_log(
     return EventLog(traces, dict(meta or {}))
 
 
-def directly_follows_counts(
-    log: EventLog, threads: int = 1
-) -> dict[tuple[str, str], int]:
+def directly_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:
     """Count (a, b) pairs where b immediately follows a within a trace."""
-
-    def count_trace(t: Trace) -> Counter:
-        acts = t.activities
-        return Counter(zip(acts, acts[1:]))
-
     counts: Counter = Counter()
-    for part in _map_traces(count_trace, log.traces, threads):
-        counts.update(part)
+    for t in log.traces:
+        acts = t.activities
+        counts.update(zip(acts, acts[1:]))
     return dict(counts)
 
 
-def eventually_follows_counts(
-    log: EventLog, threads: int = 1
-) -> dict[tuple[str, str], int]:
+def eventually_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:
     """Count ordered position pairs i < j within a trace with activities (a, b).
 
     Uses a suffix-occurrence counter per trace, O(len * |alphabet|)."""
-
-    def count_trace(t: Trace) -> Counter:
-        acts = t.activities
-        counts: Counter = Counter()
+    counts: Counter = Counter()
+    for t in log.traces:
         suffix: Counter = Counter()
-        for a in reversed(acts):
+        for a in reversed(t.activities):
             for b, n in suffix.items():
                 counts[(a, b)] += n
             suffix[a] += 1
-        return counts
-
-    counts = Counter()
-    for part in _map_traces(count_trace, log.traces, threads):
-        counts.update(part)
     return dict(counts)
 
 
@@ -205,13 +200,3 @@ def log_statistics(log: EventLog) -> dict:
         },
     }
 
-
-def _map_traces(fn, traces, threads: int):
-    if threads <= 1 or len(traces) < 2:
-        return [fn(t) for t in traces]
-    from concurrent.futures import ThreadPoolExecutor
-
-    # executor.map preserves input order, so the commutative merge above
-    # is bit-identical to the sequential scan
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, traces))

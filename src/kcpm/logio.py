@@ -300,7 +300,11 @@ def parse_csv_auto(source) -> EventLog:
             and cell != "" and cell is not None
         }
         resource = row.get("resource") or None
-        events.append(Event(row["case_id"], row["activity"], ts, resource, attrs))
+        try:
+            events.append(Event(row["case_id"], row["activity"], ts, resource,
+                                attrs))
+        except ValueError as exc:
+            raise ParseError(f"row {rownum}: {exc}") from None
     return make_log(events)
 
 

@@ -14,12 +14,12 @@ are bit-reproducible for a fixed seed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
 
+from ._training import descend, read_checkpoint, scatter_rows, write_checkpoint
 from .errors import DataError
 from .eventlog import EventLog
 from .kg import DIRECTLY_FOLLOWS, KnowledgeGraph
@@ -43,6 +43,8 @@ class ScorerParams:
             raise ValueError("dim must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.negatives < 1:
+            raise ValueError("negatives must be >= 1")
         if not 1 <= self.time_buckets <= 1440:
             raise ValueError("time_buckets must be in 1..1440")
 
@@ -101,51 +103,73 @@ def _distances(E, r, T, heads, tails, buckets):
     return u, np.linalg.norm(u, axis=1)
 
 
-def _scatter_rows(target, idx, rows):
-    # bincount per dimension: equivalent to np.add.at but much faster,
-    # and deterministic (bincount sums in index order)
-    n = target.shape[0]
-    for d in range(rows.shape[1]):
-        target[:, d] += np.bincount(idx, weights=rows[:, d], minlength=n)
+@dataclass(frozen=True)
+class _Batch:
+    """The training rows collapsed to distinct work: positives as
+    distinct (head, tail, bucket), and (positive, corrupted tail) pairs
+    as distinct (positive, negative) with their integer multiplicity.
+    Losses and gradients are count-weighted sums over these, divided by
+    the original number of pairs."""
+    heads: np.ndarray       # (P,) per distinct positive
+    tails: np.ndarray
+    buckets: np.ndarray
+    pair_pos: np.ndarray    # (Q,) index into the distinct positives
+    pair_neg: np.ndarray    # (Q,) corrupted tail
+    pair_count: np.ndarray  # (Q,) multiplicity among the original pairs
+    n_pairs: int            # rows * negatives
 
 
-def _hinge_loss(E, r, T, heads, tails, buckets, neg_tails, margin) -> float:
-    """Mean margin violation over every (positive, corrupted-tail) pair;
-    neg_tails has one row of corrupted tails per positive."""
+def _distinct_batch(heads, tails, buckets, neg_tails) -> _Batch:
+    """neg_tails has one row of corrupted tails per positive row."""
     k = neg_tails.shape[1]
-    _, d_pos = _distances(E, r, T, heads, tails, buckets)
-    _, d_neg = _distances(E, r, T, np.repeat(heads, k),
-                          neg_tails.reshape(-1), np.repeat(buckets, k))
-    viol = margin + np.repeat(d_pos, k) - d_neg
-    return float(np.mean(np.maximum(0.0, viol)))
+    pos, pos_of_row = np.unique(np.stack([heads, tails, buckets], axis=1),
+                                axis=0, return_inverse=True)
+    pos_of_row = pos_of_row.reshape(-1)
+    pairs, counts = np.unique(
+        np.stack([np.repeat(pos_of_row, k), neg_tails.reshape(-1)], axis=1),
+        axis=0, return_counts=True)
+    return _Batch(pos[:, 0], pos[:, 1], pos[:, 2], pairs[:, 0], pairs[:, 1],
+                  counts, len(heads) * k)
 
 
-def _hinge_grads(E, r, T, heads, tails, buckets, neg_tails, margin):
-    k = neg_tails.shape[1]
-    nh = np.repeat(heads, k)
-    nb = np.repeat(buckets, k)
-    nt = neg_tails.reshape(-1)
-    u_pos, d_pos = _distances(E, r, T, heads, tails, buckets)
-    u_neg, d_neg = _distances(E, r, T, nh, nt, nb)
-    active = (margin + np.repeat(d_pos, k) - d_neg) > 0
-    scale = 1.0 / len(nt)
+def _pair_distances(E, r, T, b: _Batch):
+    u_pos, d_pos = _distances(E, r, T, b.heads, b.tails, b.buckets)
+    u_neg, d_neg = _distances(E, r, T, b.heads[b.pair_pos], b.pair_neg,
+                              b.buckets[b.pair_pos])
+    return u_pos, d_pos, u_neg, d_neg
+
+
+def _hinge_loss(E, r, T, b: _Batch, margin) -> float:
+    """Mean margin violation over every (positive, corrupted-tail) pair."""
+    _, d_pos, _, d_neg = _pair_distances(E, r, T, b)
+    viol = np.maximum(0.0, margin + d_pos[b.pair_pos] - d_neg)
+    return float(b.pair_count @ viol / b.n_pairs)
+
+
+def _hinge_grads(E, r, T, b: _Batch, margin):
+    u_pos, d_pos, u_neg, d_neg = _pair_distances(E, r, T, b)
+    active = (margin + d_pos[b.pair_pos] - d_neg) > 0
+    # weight of each pair: its multiplicity if it violates the margin
+    w = np.where(active, b.pair_count, 0) / b.n_pairs
     # each positive contributes once per active pairing with its negatives
-    n_active = active.reshape(-1, k).sum(axis=1)
+    w_pos = np.bincount(b.pair_pos, weights=w, minlength=len(d_pos))
     unit_pos = np.where((d_pos > 0)[:, None],
                         u_pos / np.maximum(d_pos, 1e-12)[:, None], 0.0)
-    gp = scale * n_active[:, None] * unit_pos
+    gp = w_pos[:, None] * unit_pos
     gn = np.where((active & (d_neg > 0))[:, None],
-                  -scale * u_neg / np.maximum(d_neg, 1e-12)[:, None], 0.0)
-    gE = np.zeros_like(E)
-    _scatter_rows(gE, heads, gp)
-    _scatter_rows(gE, nh, gn)
-    _scatter_rows(gE, tails, -gp)
-    _scatter_rows(gE, nt, -gn)
-    gT = np.zeros_like(T)
-    _scatter_rows(gT, buckets, gp)
-    _scatter_rows(gT, nb, gn)
+                  -w[:, None] * u_neg / np.maximum(d_neg, 1e-12)[:, None], 0.0)
+    nh = b.heads[b.pair_pos]
+    gE = scatter_rows(len(E), np.concatenate([b.heads, nh, b.tails, b.pair_neg]),
+                      np.concatenate([gp, gn, -gp, -gn]))
+    gT = scatter_rows(len(T), np.concatenate([b.buckets, b.buckets[b.pair_pos]]),
+                      np.concatenate([gp, gn]))
     gr = gp.sum(axis=0) + gn.sum(axis=0)
     return gE, gr, gT
+
+
+def _clip_entities(params):
+    E, r, T = params
+    return E / np.maximum(1.0, np.linalg.norm(E, axis=1, keepdims=True)), r, T
 
 
 def train_temporal_scorer(
@@ -184,29 +208,13 @@ def train_temporal_scorer(
     k = params.negatives
     raw = rng.integers(0, n - 1, size=(len(triples), k))
     neg_tails = raw + (raw >= tails[:, None])
+    batch = _distinct_batch(heads, tails, buckets, neg_tails)
 
-    lr = params.learning_rate
-    prev = _hinge_loss(E, r, T, heads, tails, buckets, neg_tails, params.margin)
-    history = []
-    for _ in range(params.epochs):
-        gE, gr, gT = _hinge_grads(E, r, T, heads, tails, buckets, neg_tails,
-                                  params.margin)
-        accepted = prev
-        for _attempt in range(20):
-            cand_E = E - lr * gE
-            cand_E /= np.maximum(1.0, np.linalg.norm(cand_E, axis=1, keepdims=True))
-            cand_r = r - lr * gr
-            cand_T = T - lr * gT
-            cand_loss = _hinge_loss(cand_E, cand_r, cand_T, heads, tails,
-                                    buckets, neg_tails, params.margin)
-            if cand_loss <= prev:
-                E, r, T = cand_E, cand_r, cand_T
-                accepted = cand_loss
-                lr = min(lr * 1.1, params.learning_rate)
-                break
-            lr *= 0.5
-        history.append(accepted)
-        prev = accepted
+    (E, r, T), history = descend(
+        (E, r, T),
+        lambda p: _hinge_loss(*p, batch, params.margin),
+        lambda p: _hinge_grads(*p, batch, params.margin),
+        params.learning_rate, params.epochs, _clip_entities)
     return TemporalScorer(tuple(vocab), E, r, T, params, tuple(history))
 
 
@@ -235,9 +243,7 @@ def successor_scores(scorer: TemporalScorer, a: str, t: datetime) -> dict[str, f
 
 
 def save_scorer(scorer: TemporalScorer, stream) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    write_checkpoint(stream, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "activities": list(scorer.activities),
         "entity_vecs": scorer.entity_vecs.tolist(),
         "relation_vec": scorer.relation_vec.tolist(),
@@ -252,21 +258,12 @@ def save_scorer(scorer: TemporalScorer, stream) -> None:
             "seed": scorer.params.seed,
         },
         "loss_history": list(scorer.loss_history),
-    }
-    json.dump(payload, stream, sort_keys=True)
-    stream.write("\n")
+    })
 
 
 def load_scorer(source) -> TemporalScorer:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(source)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"not a temporal scorer checkpoint: {payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
+    payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                              "temporal scorer")
     return TemporalScorer(
         tuple(payload["activities"]),
         np.array(payload["entity_vecs"]),

@@ -14,11 +14,11 @@ nonincreasing and seeded runs reproduce exactly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._training import descend, read_checkpoint, scatter_rows, write_checkpoint
 from .errors import DataError
 from .eventlog import EventLog
 from .lpg import LabeledPropertyGraph
@@ -125,25 +125,29 @@ def _attention_forward(V, mask, U, A):
     return alpha, diff, p
 
 
-def _proj_dist(E, Ep, R, Rp, hi, ri, ti):
-    """Projected translation residual and squared distance per edge row."""
-    h, hp = E[hi], Ep[hi]
-    t, tp = E[ti], Ep[ti]
-    r, rp = R[ri], Rp[ri]
+def _proj_dist(E, Ep, R, Rp, hi, ri, ti, k=1):
+    """Projected translation residual and squared distance per row; edge
+    i of (hi, ri) is paired with the k tails ti[i*k:(i+1)*k]."""
+    h, hp, r, rp = E[hi], Ep[hi], R[ri], Rp[ri]
     ch = (hp * h).sum(axis=1, keepdims=True)
+    head, rp, ch = (np.repeat(x, k, axis=0) for x in (h + ch * rp + r, rp, ch))
+    t, tp = E[ti], Ep[ti]
     ct = (tp * t).sum(axis=1, keepdims=True)
-    u = h + ch * rp + r - t - ct * rp
+    u = head - t - ct * rp
     return u, (u ** 2).sum(axis=1), ch, ct
 
 
 def _joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l) -> float:
-    ph, pr, pt, nt = edges
+    heads, rels, tails, neg_tails = edges
     idx, mask, labels, _ = ce_data
     total = 0.0
-    if len(ph):
-        _, d_pos, _, _ = _proj_dist(E, Ep, R, Rp, ph, pr, pt)
-        _, d_neg, _, _ = _proj_dist(E, Ep, R, Rp, ph, pr, nt)
-        total += w_s * float(np.mean(np.maximum(0.0, margin + d_pos - d_neg)))
+    if neg_tails.size:
+        k = neg_tails.shape[1]
+        _, d_pos, _, _ = _proj_dist(E, Ep, R, Rp, heads, rels, tails)
+        _, d_neg, _, _ = _proj_dist(E, Ep, R, Rp, heads, rels,
+                                    neg_tails.reshape(-1), k)
+        viol = margin + np.repeat(d_pos, k) - d_neg
+        total += w_s * float(np.mean(np.maximum(0.0, viol)))
     V = E[idx] * mask[:, :, None]
     _, _, p = _attention_forward(V, mask, U, A)
     ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
@@ -151,34 +155,44 @@ def _joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l) -> float:
 
 
 def _joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
-    ph, pr, pt, nt = edges
+    """Gradients of _joint_loss. Each parameter's row contributions are
+    gathered in a fixed order (positive heads, positive tails, negative
+    heads, negative tails, then event rows) and summed by one scatter."""
+    heads, rels, tails, neg_tails = edges
     idx, mask, labels, Y = ce_data
     dim = E.shape[1]
-    gE = np.zeros_like(E)
-    gEp = np.zeros_like(Ep)
-    gR = np.zeros_like(R)
-    gRp = np.zeros_like(Rp)
     gU = np.zeros_like(U)
     gA = np.zeros_like(A)
+    e_idx, e_rows, ep_idx, ep_rows, r_idx, r_rows, rp_rows = ([] for _ in range(7))
 
-    if len(ph):
-        scale = w_s / len(ph)
-        u_pos, d_pos, ch_pos, ct_pos = _proj_dist(E, Ep, R, Rp, ph, pr, pt)
-        u_neg, d_neg, ch_neg, ct_neg = _proj_dist(E, Ep, R, Rp, ph, pr, nt)
-        active = (margin + d_pos - d_neg) > 0
+    if neg_tails.size:
+        k = neg_tails.shape[1]
+        scale = w_s / neg_tails.size
+        pos = _proj_dist(E, Ep, R, Rp, heads, rels, tails)
+        u_neg, d_neg, ch_neg, ct_neg = _proj_dist(
+            E, Ep, R, Rp, heads, rels, neg_tails.reshape(-1), k)
+        active = (margin + np.repeat(pos[1], k) - d_neg) > 0
+        # only margin-violating rows: the others add exact zeros, which
+        # leave every sum (started at +0.0) unchanged
+        rows = np.flatnonzero(active)
+        edge = rows // k
+        ph, pr = heads[edge], rels[edge]
+        u_pos, ch_pos, ct_pos = pos[0][edge], pos[2][edge], pos[3][edge]
+        rp = Rp[pr]
         for sign, u, ti, ch, ct in (
-            (1.0, u_pos, pt, ch_pos, ct_pos),
-            (-1.0, u_neg, nt, ch_neg, ct_neg),
+            (1.0, u_pos, tails[edge], ch_pos, ct_pos),
+            (-1.0, u_neg[rows], neg_tails.reshape(-1)[rows], ch_neg[rows],
+             ct_neg[rows]),
         ):
-            gu = np.where(active[:, None], sign * scale * 2.0 * u, 0.0)
-            rp = Rp[pr]
+            gu = sign * scale * 2.0 * u
             s_r = (gu * rp).sum(axis=1, keepdims=True)  # gu . r_p per row
-            np.add.at(gE, ph, gu + s_r * Ep[ph])
-            np.add.at(gEp, ph, s_r * E[ph])
-            np.add.at(gE, ti, -(gu + s_r * Ep[ti]))
-            np.add.at(gEp, ti, -s_r * E[ti])
-            np.add.at(gR, pr, gu)
-            np.add.at(gRp, pr, (ch - ct) * gu)
+            e_idx += [ph, ti]
+            e_rows += [gu + s_r * Ep[ph], -(gu + s_r * Ep[ti])]
+            ep_idx += [ph, ti]
+            ep_rows += [s_r * E[ph], -s_r * E[ti]]
+            r_idx.append(pr)
+            r_rows.append(gu)
+            rp_rows.append((ch - ct) * gu)
 
     V = E[idx] * mask[:, :, None]
     alpha, diff, p = _attention_forward(V, mask, U, A)
@@ -194,7 +208,19 @@ def _joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     gU += np.einsum("mkc,mke->ce", dz, V @ A)
     dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
     dV *= mask[:, :, None]
-    np.add.at(gE, idx.reshape(-1), dV.reshape(-1, dim))
+    e_idx.append(idx.reshape(-1))
+    e_rows.append(dV.reshape(-1, dim))
+
+    def scatter(n, idx_parts, row_parts):
+        if not row_parts:
+            return np.zeros((n, dim))
+        return scatter_rows(n, np.concatenate(idx_parts),
+                            np.concatenate(row_parts))
+
+    gE = scatter(len(E), e_idx, e_rows)
+    gEp = scatter(len(Ep), ep_idx, ep_rows)
+    gR = scatter(len(R), r_idx, r_rows)
+    gRp = scatter(len(Rp), r_idx, rp_rows)
     return gE, gEp, gR, gRp, gU, gA
 
 
@@ -262,46 +288,26 @@ def train_variant_model(
         np.zeros((len(triples), k), dtype=int)
     neg_tails = (raw + (raw >= tails[:, None])) % n
 
-    ph = np.repeat(heads, k)
-    pr = np.repeat(rels, k)
-    pt = np.repeat(tails, k)
-    nt = neg_tails.reshape(-1)
-
     idx, mask = _event_matrix(case_nodes)
     labels_arr = np.array(labels)
     Y = np.zeros((len(labels), len(classes)))
     Y[np.arange(len(labels)), labels] = 1.0
-    edges = (ph, pr, pt, nt)
+    edges = (heads, rels, tails, neg_tails)
     ce_data = (idx, mask, labels_arr, Y)
 
-    def project(E, U):
+    def project(p):
+        E, Ep, R, Rp, U, A = p
         E = E / np.maximum(1.0, np.linalg.norm(E, axis=1, keepdims=True))
         U = U / np.maximum(1.0, np.linalg.norm(U, axis=1, keepdims=True))
-        return E, U
+        return E, Ep, R, Rp, U, A
 
-    def loss_of(*arrays):
-        return _joint_loss(*arrays, edges, ce_data, params.margin,
-                           params.structure_weight, params.label_weight)
-
-    lr = params.learning_rate
-    prev = loss_of(E, Ep, R, Rp, U, A)
-    history = []
-    for _ in range(params.epochs):
-        grads = _joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, params.margin,
-                             params.structure_weight, params.label_weight)
-        accepted = prev
-        for _attempt in range(20):
-            cand = [p_ - lr * g for p_, g in zip((E, Ep, R, Rp, U, A), grads)]
-            cand[0], cand[4] = project(cand[0], cand[4])
-            cand_loss = loss_of(*cand)
-            if cand_loss <= prev:
-                E, Ep, R, Rp, U, A = cand
-                accepted = cand_loss
-                lr = min(lr * 1.1, params.learning_rate)
-                break
-            lr *= 0.5
-        history.append(accepted)
-        prev = accepted
+    objective = (edges, ce_data, params.margin, params.structure_weight,
+                 params.label_weight)
+    (E, Ep, R, Rp, U, A), history = descend(
+        (E, Ep, R, Rp, U, A),
+        lambda p: _joint_loss(*p, *objective),
+        lambda p: _joint_grads(*p, *objective),
+        params.learning_rate, params.epochs, project)
 
     counts: dict[str, int] = {}
     for c in labels:
@@ -430,9 +436,7 @@ def classify_log(model: VariantModel, lpg: LabeledPropertyGraph,
 # ---------------------------------------------------------------------------
 
 def save_model(model: VariantModel, stream) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    write_checkpoint(stream, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "nodes": list(model.nodes),
         "entity_vecs": model.entity_vecs.tolist(),
         "entity_proj": model.entity_proj.tolist(),
@@ -455,21 +459,12 @@ def save_model(model: VariantModel, stream) -> None:
             "seed": model.params.seed,
         },
         "loss_history": list(model.loss_history),
-    }
-    json.dump(payload, stream, sort_keys=True)
-    stream.write("\n")
+    })
 
 
 def load_model(source) -> VariantModel:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(source)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"not a variant model checkpoint: {payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
+    payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                              "variant model")
     return VariantModel(
         tuple(payload["nodes"]),
         np.array(payload["entity_vecs"]),

@@ -7,6 +7,8 @@ the raw triple list, so agreement with the library is meaningful.
 from collections import Counter
 from itertools import product
 
+import numpy as np
+
 
 def naive_df_counts(traces):
     """traces: list of activity-label lists."""
@@ -125,3 +127,115 @@ def naive_footprint(traces):
             rel[(a, b)] = "||" if (ab and ba) else "->" if ab else \
                 "<-" if ba else "#"
     return rel
+
+
+# ---------------------------------------------------------------------------
+# Embedding training: per-row references
+# ---------------------------------------------------------------------------
+# The trainers collapse repeated rows and sum all of a parameter's row
+# contributions in one scatter. These are the direct per-row forms, one
+# np.add.at per contribution, that those must agree with.
+
+def add_at_scatter(n, idx, rows):
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, np.asarray(idx, dtype=np.intp), rows)
+    return out
+
+
+def _hinge_distances(E, r, T, heads, tails, buckets):
+    u = E[heads] + r + T[buckets] - E[tails]
+    return u, np.linalg.norm(u, axis=1)
+
+
+def per_row_hinge_loss(E, r, T, heads, tails, buckets, neg_tails, margin):
+    """Mean margin violation over every (row, corrupted tail) pair;
+    neg_tails has one row of k corrupted tails per training row."""
+    k = neg_tails.shape[1]
+    _, d_pos = _hinge_distances(E, r, T, heads, tails, buckets)
+    _, d_neg = _hinge_distances(E, r, T, np.repeat(heads, k),
+                                neg_tails.reshape(-1), np.repeat(buckets, k))
+    viol = margin + np.repeat(d_pos, k) - d_neg
+    return float(np.mean(np.maximum(0.0, viol)))
+
+
+def per_row_hinge_grads(E, r, T, heads, tails, buckets, neg_tails, margin):
+    k = neg_tails.shape[1]
+    nh, nb, nt = np.repeat(heads, k), np.repeat(buckets, k), neg_tails.reshape(-1)
+    u_pos, d_pos = _hinge_distances(E, r, T, heads, tails, buckets)
+    u_neg, d_neg = _hinge_distances(E, r, T, nh, nt, nb)
+    active = (margin + np.repeat(d_pos, k) - d_neg) > 0
+    scale = 1.0 / len(nt)
+    n_active = active.reshape(-1, k).sum(axis=1)
+    unit_pos = np.where((d_pos > 0)[:, None],
+                        u_pos / np.maximum(d_pos, 1e-12)[:, None], 0.0)
+    gp = scale * n_active[:, None] * unit_pos
+    gn = np.where((active & (d_neg > 0))[:, None],
+                  -scale * u_neg / np.maximum(d_neg, 1e-12)[:, None], 0.0)
+    gE = np.zeros_like(E)
+    np.add.at(gE, heads, gp)
+    np.add.at(gE, nh, gn)
+    np.add.at(gE, tails, -gp)
+    np.add.at(gE, nt, -gn)
+    gT = np.zeros_like(T)
+    np.add.at(gT, buckets, gp)
+    np.add.at(gT, nb, gn)
+    gr = gp.sum(axis=0) + gn.sum(axis=0)
+    return gE, gr, gT
+
+
+def _per_row_proj_dist(E, Ep, R, Rp, hi, ri, ti):
+    h, hp = E[hi], Ep[hi]
+    t, tp = E[ti], Ep[ti]
+    r, rp = R[ri], Rp[ri]
+    ch = (hp * h).sum(axis=1, keepdims=True)
+    ct = (tp * t).sum(axis=1, keepdims=True)
+    u = h + ch * rp + r - t - ct * rp
+    return u, (u ** 2).sum(axis=1), ch, ct
+
+
+def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
+    """Gradients of the variant trainer's joint loss with every
+    (edge, negative) row materialized and one np.add.at per term; edges
+    is (heads, rels, tails, neg_tails) as the trainer takes it. The
+    attention part reuses the trainer's forward pass."""
+    from kcpm.variants import _attention_forward
+
+    heads, rels, tails, neg_tails = edges
+    k = neg_tails.shape[1]
+    ph, pr, pt = np.repeat(heads, k), np.repeat(rels, k), np.repeat(tails, k)
+    nt = neg_tails.reshape(-1)
+    idx, mask, labels, Y = ce_data
+    dim = E.shape[1]
+    gE, gEp, gR, gRp = (np.zeros_like(x) for x in (E, Ep, R, Rp))
+    gU, gA = np.zeros_like(U), np.zeros_like(A)
+    if len(ph):
+        scale = w_s / len(ph)
+        u_pos, d_pos, ch_pos, ct_pos = _per_row_proj_dist(E, Ep, R, Rp, ph, pr, pt)
+        u_neg, d_neg, ch_neg, ct_neg = _per_row_proj_dist(E, Ep, R, Rp, ph, pr, nt)
+        active = (margin + d_pos - d_neg) > 0
+        for sign, u, ti, ch, ct in ((1.0, u_pos, pt, ch_pos, ct_pos),
+                                    (-1.0, u_neg, nt, ch_neg, ct_neg)):
+            gu = np.where(active[:, None], sign * scale * 2.0 * u, 0.0)
+            rp = Rp[pr]
+            s_r = (gu * rp).sum(axis=1, keepdims=True)
+            np.add.at(gE, ph, gu + s_r * Ep[ph])
+            np.add.at(gEp, ph, s_r * E[ph])
+            np.add.at(gE, ti, -(gu + s_r * Ep[ti]))
+            np.add.at(gEp, ti, -s_r * E[ti])
+            np.add.at(gR, pr, gu)
+            np.add.at(gRp, pr, (ch - ct) * gu)
+    V = E[idx] * mask[:, :, None]
+    alpha, diff, p = _attention_forward(V, mask, U, A)
+    G = (p - Y) * (w_l / len(labels))
+    dDiff = G[:, :, None] * (-2.0 * diff)
+    gU += -dDiff.sum(axis=0)
+    dAlpha = np.einsum("mcd,mkd->mkc", dDiff, V)
+    dV = np.einsum("mkc,mcd->mkd", alpha, dDiff)
+    dz = alpha * (dAlpha - (alpha * dAlpha).sum(axis=1, keepdims=True))
+    dz = np.where(mask[:, :, None], dz, 0.0)
+    gA += np.einsum("mkd,mkc,ce->de", V, dz, U)
+    gU += np.einsum("mkc,mke->ce", dz, V @ A)
+    dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
+    dV *= mask[:, :, None]
+    np.add.at(gE, idx.reshape(-1), dV.reshape(-1, dim))
+    return gE, gEp, gR, gRp, gU, gA

@@ -259,13 +259,36 @@ def test_config_file_supplies_values(workdir):
     assert dfg["edges"]
 
 
-def test_env_var_threads_fallback(workdir, monkeypatch):
-    monkeypatch.setenv("KCPM_THREADS", "3")
+def test_threads_option_is_gone(workdir, monkeypatch, capsys):
     kg = workdir / "pipe_kg.tsv"
     kg.write_text("a\tmust_precede\tb\n")
-    out = workdir / "envrun"
     assert run("pipeline", "--log", workdir / "log.csv", "--kg", kg,
-               "--out", out, "--no-embedding") == 0
+               "--out", workdir / "flagrun", "--no-embedding",
+               "--threads", 2) == 1
+    assert "--threads" in capsys.readouterr().err
+    monkeypatch.setenv("KCPM_THREADS", "3")
+    assert run("pipeline", "--log", workdir / "log.csv", "--kg", kg,
+               "--out", workdir / "envrun", "--no-embedding") == 0
+
+
+def test_blank_activity_is_data_error(workdir, capsys):
+    log = workdir / "blank.csv"
+    log.write_text("case_id,activity,timestamp\n"
+                   "c1,A,2024-03-01T09:00:00\n"
+                   "c1, ,2024-03-01T10:00:00\n")
+    assert run("stats", "--log", log, "--out", workdir / "blank_out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: row 3: event activity must be nonempty"]
+
+
+def test_mixed_timezone_awareness_is_data_error(workdir, capsys):
+    log = workdir / "mixed.csv"
+    log.write_text("case_id,activity,timestamp\n"
+                   "c1,A,2024-03-01T09:00:00\n"
+                   "c1,B,2024-03-01T10:00:00+00:00\n")
+    assert run("stats", "--log", log, "--out", workdir / "mixed_out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: trace 'c1' mixes naive and offset-aware timestamps"]
 
 
 def test_filter_with_alias_map(workdir):

@@ -74,14 +74,6 @@ def test_counts_match_bruteforce_on_random_logs():
         assert eventually_follows_counts(log) == naive_ef_counts(seqs)
 
 
-def test_counts_threaded_equal_sequential():
-    rng = random.Random(11)
-    seqs = random_sequences(rng, 40, 12, list("abcd"))
-    log = log_from_sequences(seqs)
-    assert directly_follows_counts(log, threads=4) == directly_follows_counts(log)
-    assert eventually_follows_counts(log, threads=4) == eventually_follows_counts(log)
-
-
 def test_df_row_sums_property():
     # sum_b df(a,b) + (#traces ending in a) == total occurrences of a
     rng = random.Random(13)

@@ -6,8 +6,8 @@ import pytest
 
 from kcpm.errors import DataError
 from kcpm.kg import KnowledgeGraph, TemporalTriple, Triple
-from kcpm.temporal import (ScorerParams, TemporalScorer, _hinge_grads,
-                           _hinge_loss, df_training_triples,
+from kcpm.temporal import (ScorerParams, TemporalScorer, _distinct_batch,
+                           _hinge_grads, _hinge_loss, df_training_triples,
                            directly_follows_degree, load_scorer, save_scorer,
                            successor_scores, time_bucket,
                            train_temporal_scorer)
@@ -42,6 +42,11 @@ def test_training_triples_include_log_and_kg():
 def test_degenerate_single_activity_log_is_error():
     with pytest.raises(DataError, match="negatives"):
         train_temporal_scorer(log_from_sequences([["a", "a", "a"]]), None, FAST)
+
+
+def test_zero_negatives_rejected():
+    with pytest.raises(ValueError, match="negatives"):
+        ScorerParams(negatives=0)
 
 
 def test_dominant_pattern_scores_higher():
@@ -140,8 +145,8 @@ def test_hinge_gradients_match_finite_differences():
     neg_tails = rng.integers(0, n, size=(rows, 3))
     buckets_idx = rng.integers(0, buckets, rows)
     margin = 1.0
-    gE, gr, gT = _hinge_grads(E, r, T, heads, tails, buckets_idx, neg_tails,
-                              margin)
+    batch = _distinct_batch(heads, tails, buckets_idx, neg_tails)
+    gE, gr, gT = _hinge_grads(E, r, T, batch, margin)
     eps = 1e-6
 
     def fd(array, grad):
@@ -149,11 +154,9 @@ def test_hinge_gradients_match_finite_differences():
         for k in rng.choice(flat.size, size=min(20, flat.size), replace=False):
             orig = flat[k]
             flat[k] = orig + eps
-            up = _hinge_loss(E, r, T, heads, tails, buckets_idx, neg_tails,
-                             margin)
+            up = _hinge_loss(E, r, T, batch, margin)
             flat[k] = orig - eps
-            down = _hinge_loss(E, r, T, heads, tails, buckets_idx, neg_tails,
-                               margin)
+            down = _hinge_loss(E, r, T, batch, margin)
             flat[k] = orig
             numeric = (up - down) / (2 * eps)
             assert grad.reshape(-1)[k] == pytest.approx(numeric, abs=1e-4)

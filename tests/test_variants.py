@@ -184,7 +184,7 @@ def test_joint_gradients_match_finite_differences():
     A = rng.normal(size=(dim, dim)) * 0.3
     rows = 9
     edges = (rng.integers(0, n, rows), rng.integers(0, n_rel, rows),
-             rng.integers(0, n, rows), rng.integers(0, n, rows))
+             rng.integers(0, n, rows), rng.integers(0, n, size=(rows, 2)))
     m, k = 4, 3
     idx = rng.integers(0, n, size=(m, k))
     mask = np.ones((m, k), dtype=bool)
