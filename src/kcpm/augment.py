@@ -13,12 +13,13 @@ always a subsequence of the repaired one.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .eventlog import Event, EventLog, Trace
-from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph
-from .rules import Closure, RuleBase
+from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
+from .rules import Closure
 from .temporal import TemporalScorer, directly_follows_degree
 
 
@@ -61,61 +62,59 @@ def _entity(alias: dict[str, str] | None, activity: str) -> str | None:
 
 def filter_chaotic_events(
     log: EventLog,
-    rb: RuleBase,
-    kg: KnowledgeGraph,
+    closure: Closure,
     alias: dict[str, str] | None = None,
     strict_ordering: bool = False,
 ) -> tuple[EventLog, AugmentationReport]:
-    """Remove events whose position the rule base rules out.
+    """Remove events whose position the closure rules out.
 
     Per trace, the leftmost violating event is removed and the trace
     re-spliced, repeating until stable, which makes the operation
     idempotent. Events whose activity has no entity mapping are never
     touched. Reported indices refer to the input trace.
     """
-    closure = Closure(rb, kg)
     forbidden: dict[str, dict[str, str | None]] = {}
-    for t in closure.facts_with(FORBIDDEN_BEFORE):
-        forbidden.setdefault(t.subject, {})[t.object] = closure.entails(t).via_rule
+    for s, o, _, via in closure.facts(FORBIDDEN_BEFORE):
+        forbidden.setdefault(s, {})[o] = via
     prereqs: dict[str, dict[str, str | None]] = {}
-    for t in closure.facts_with(MUST_PRECEDE):
-        prereqs.setdefault(t.object, {})[t.subject] = closure.entails(t).via_rule
-
-    def violation(events, i) -> tuple[str | None] | None:
-        """1-tuple with the triggering rule id if events[i] must go."""
-        ent = _entity(alias, events[i].activity)
-        if ent is None:
-            return None
-        if i + 1 < len(events):
-            nxt = _entity(alias, events[i + 1].activity)
-            if nxt is not None and nxt in forbidden.get(ent, {}):
-                return (forbidden[ent][nxt],)
-        if strict_ordering:
-            seen = {_entity(alias, e.activity) for e in events[:i]}
-            for p in sorted(prereqs.get(ent, {})):
-                if p not in seen:
-                    return (prereqs[ent][p],)
-        return None
+    if strict_ordering:
+        for s, o, _, via in closure.facts(MUST_PRECEDE):
+            prereqs.setdefault(o, {})[s] = via
 
     removed: list[RemovedEvent] = []
     traces = []
     for t in log.traces:
         work = list(t.events)
         positions = list(range(len(work)))
-        while True:
-            hit = None
-            for i in range(len(work)):
-                verdict = violation(work, i)
-                if verdict is not None:
-                    hit = (i, verdict[0])
-                    break
-            if hit is None:
-                break
-            i, rule_id = hit
+        ents = [_entity(alias, e.activity) for e in work]
+        seen: Counter = Counter()  # entities of work[:i], strict ordering only
+        i = 0
+        while i < len(work):
+            # 1-tuple with the triggering rule id if work[i] must go
+            verdict = None
+            ent = ents[i]
+            if ent is not None:
+                if i + 1 < len(work) and ents[i + 1] in forbidden.get(ent, ()):
+                    verdict = (forbidden[ent][ents[i + 1]],)
+                elif strict_ordering:
+                    for p in sorted(prereqs.get(ent, ())):
+                        if not seen[p]:
+                            verdict = (prereqs[ent][p],)
+                            break
+            if verdict is None:
+                if strict_ordering:
+                    seen[ent] += 1
+                i += 1
+                continue
             removed.append(RemovedEvent(t.case_id, positions[i],
-                                        work[i].activity, rule_id))
-            del work[i]
-            del positions[i]
+                                        work[i].activity, verdict[0]))
+            del work[i], positions[i], ents[i]
+            # only work[i-1] has a new successor; work[:i-1] keeps its
+            # successors and prefixes, so the scan resumes there
+            if i > 0:
+                i -= 1
+                if strict_ordering:
+                    seen[ents[i]] -= 1
         if work:
             traces.append(Trace(t.case_id, tuple(work)))
     report = AugmentationReport(
@@ -127,8 +126,7 @@ def filter_chaotic_events(
 
 def infer_missing_events(
     log: EventLog,
-    rb: RuleBase,
-    kg: KnowledgeGraph,
+    closure: Closure,
     scorer: TemporalScorer | None = None,
     theta: float = 0.5,
     alias: dict[str, str] | None = None,
@@ -146,12 +144,9 @@ def infer_missing_events(
     neighbors' timestamps (one second before the first event at trace
     start) and the attribute synthetic=true.
     """
-    closure = Closure(rb, kg)
     prereq_facts: dict[str, dict[str, tuple[float, str | None]]] = {}
-    for t in closure.facts_with(MUST_PRECEDE):
-        res = closure.entails(t)
-        prereq_facts.setdefault(t.object, {})[t.subject] = (res.confidence,
-                                                            res.via_rule)
+    for s, o, conf, via in closure.facts(MUST_PRECEDE):
+        prereq_facts.setdefault(o, {})[s] = (conf, via)
     reverse_alias: dict[str, str] = {}
     if alias:
         for act, ent in alias.items():
@@ -167,18 +162,15 @@ def infer_missing_events(
     for t in log.traces:
         work = list(t.events)
         inserted_here: set[str] = set()  # one insertion per entity per trace
+        seen: set[str | None] = set()  # entities of work[:i]
         i = 0
         while i < len(work):
             ent = _entity(alias, work[i].activity)
-            if ent is None or ent not in prereq_facts:
-                i += 1
-                continue
-            seen = {_entity(alias, e.activity) for e in work[:i]}
-            missing = {p: stats for p, stats in prereq_facts[ent].items()
-                       if p not in seen and p not in inserted_here}
+            prereqs = prereq_facts.get(ent)
+            missing = prereqs.keys() - seen - inserted_here if prereqs else ()
             insert_at = i
             for p in _order_by_precedence(missing, prereq_facts):
-                conf, rule_id = missing[p]
+                conf, rule_id = prereqs[p]
                 accepted = None
                 if conf >= theta:
                     accepted = CandidateInsertion(
@@ -202,16 +194,18 @@ def infer_missing_events(
                 inserted_here.add(p)
                 insert_at += 1
             if insert_at == i:
+                seen.add(ent)
                 i += 1
             # otherwise stay at the first inserted event so its own
-            # prerequisites are checked before the scan moves on
+            # prerequisites are checked before the scan moves on; every
+            # insertion lands at i or later, so seen stays valid
         traces.append(Trace(t.case_id, tuple(work)))
     report = AugmentationReport(inserted=tuple(inserted),
                                 thresholds={"theta": theta})
     return EventLog(tuple(traces), dict(log.meta)), report
 
 
-def _order_by_precedence(missing: dict, prereq_facts: dict) -> list[str]:
+def _order_by_precedence(missing, prereq_facts: dict) -> list[str]:
     """Topological order of the missing prerequisites by their own
     must-precede entailments, alphabetical among unordered ones."""
     pending = sorted(missing)

@@ -65,6 +65,10 @@ class PipelineConfig:
             raise ConfigError("filter_mode must be 'strict' or 'permissive'")
         if self.dim < 2 or self.epochs < 1:
             raise ConfigError("dim must be >= 2 and epochs >= 1")
+        if self.negatives < 1:
+            raise ConfigError("negatives must be >= 1")
+        if not 1 <= self.time_buckets <= 1440:
+            raise ConfigError("time_buckets must be in 1..1440")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

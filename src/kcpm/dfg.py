@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .errors import DataError
 from .eventlog import (EventLog, directly_follows_counts, end_activity_counts,
                        eventually_follows_counts, start_activity_counts)
-from .kg import DIRECTLY_FOLLOWS, FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
-from .rules import Closure, RuleBase
+from .kg import DIRECTLY_FOLLOWS, FORBIDDEN_BEFORE, MUST_PRECEDE, Triple
+from .rules import Closure
 
 
 def dependency_measure(ab: int, ba: int) -> float:
@@ -177,12 +177,11 @@ class FilterReport:
 
 def filter_dependency_graph(
     dg: DependencyGraph,
-    rb: RuleBase,
-    kg: KnowledgeGraph,
+    closure: Closure,
     alias: dict[str, str] | None = None,
     mode: str = "permissive",
 ) -> tuple[DependencyGraph, FilterReport]:
-    """Drop mined edges that conflict with the rule base.
+    """Drop mined edges that conflict with the closure of the rule base.
 
     strict mode keeps a mapped edge (a, b) only when directly_follows
     between the aliased entities is entailed; permissive mode removes an
@@ -193,7 +192,6 @@ def filter_dependency_graph(
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"mode must be 'strict' or 'permissive', got {mode!r}")
-    closure = Closure(rb, kg)
 
     def entity(act: str) -> str | None:
         return act if alias is None else alias.get(act)

@@ -25,9 +25,11 @@ class Event:
     attributes: dict[str, Scalar] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.activity.strip():
+        activity = self.activity.strip()
+        if not activity:
             raise ValueError("event activity must be nonempty")
-        object.__setattr__(self, "activity", self.activity.strip())
+        if activity != self.activity:
+            object.__setattr__(self, "activity", activity)
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,20 @@ def _parse_ts(text: str, fmt: str) -> datetime:
     return datetime.strptime(text, fmt)
 
 
+def _data_rows(reader: csv.DictReader):
+    """(row number, row) of each data row, the header being row 1. A row
+    with more or fewer fields than the header is a ParseError."""
+    width = len(reader.fieldnames or ())
+    for rownum, row in enumerate(reader, start=2):
+        if None in row:
+            raise ParseError(f"row {rownum}: {width + len(row[None])} fields, "
+                             f"header has {width}")
+        if None in row.values():
+            n = sum(v is not None for v in row.values())
+            raise ParseError(f"row {rownum}: {n} fields, header has {width}")
+        yield rownum, row
+
+
 def parse_csv(source, mapping: CsvMapping) -> EventLog:
     """Parse a CSV event log with the given column-role mapping.
 
@@ -252,7 +266,7 @@ def parse_csv(source, mapping: CsvMapping) -> EventLog:
         raise ConfigError(f"mapped columns missing from CSV header: {missing}")
 
     events: list[Event] = []
-    for rownum, row in enumerate(reader, start=2):  # 1 is the header line
+    for rownum, row in _data_rows(reader):
         try:
             ts = _parse_ts(row[mapping.timestamp], mapping.timestamp_format)
         except (ParseError, ValueError) as exc:
@@ -288,7 +302,7 @@ def parse_csv_auto(source) -> EventLog:
     if missing:
         raise ConfigError(f"canonical columns missing from CSV header: {missing}")
     events = []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in _data_rows(reader):
         try:
             ts = parse_timestamp(row["timestamp"])
         except ParseError as exc:
@@ -297,7 +311,7 @@ def parse_csv_auto(source) -> EventLog:
             col: infer_scalar(cell)
             for col, cell in row.items()
             if col not in ("case_id", "activity", "timestamp", "resource")
-            and cell != "" and cell is not None
+            and cell != ""
         }
         resource = row.get("resource") or None
         try:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
+from .errors import ParseError
 from .kg import KnowledgeGraph, Triple
 
 _EPS = 1e-12
@@ -57,9 +59,17 @@ class ClosedPathRule:
     def __post_init__(self):
         if self.head.subject_var != "x" or self.head.object_var != "y":
             raise ValueError("head must be P(x,y)")
+        if not self.body:
+            raise ValueError("body must have at least one atom")
         expect = chain_body(self.body_predicates)
         if tuple(self.body) != expect:
             raise ValueError("body is not a connected x..z_i..y chain")
+        if self.support < 0:
+            raise ValueError("support must be nonnegative")
+        # the uncapped closure terminates only with confidences in [0, 1]
+        for name in ("std_confidence", "pca_confidence"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.pca_confidence < self.std_confidence - _EPS:
             raise ValueError("PCA confidence cannot be below standard confidence")
 
@@ -100,35 +110,52 @@ class RuleBase:
         return iter(self.rules)
 
 
-def body_pairs(predicates, kg: KnowledgeGraph) -> set[tuple[str, str]]:
-    """Distinct (x, y) with some chain-variable assignment satisfying the
-    body, computed by joining per-predicate successor maps left to right."""
-    first = kg.by_predicate(predicates[0])
-    pairs = {(t.subject, t.object) for t in first}
+def _successors(kg: KnowledgeGraph) -> dict[str, dict[str, set[str]]]:
+    """predicate -> subject -> objects, built in one pass over the KG."""
+    succ: dict[str, dict[str, set[str]]] = {}
+    for t in kg.all_triples():
+        succ.setdefault(t.predicate, {}).setdefault(t.subject, set()).add(t.object)
+    return succ
+
+
+def _body_pairs(predicates, succ) -> dict[str, set[str]]:
+    """x -> the distinct y with some chain-variable assignment satisfying
+    the body, joining successor maps left to right."""
+    pairs = succ.get(predicates[0], {})
     for pred in predicates[1:]:
-        succ: dict[str, set[str]] = {}
-        for t in kg.by_predicate(pred):
-            succ.setdefault(t.subject, set()).add(t.object)
-        pairs = {(x, o) for x, mid in pairs for o in succ.get(mid, ())}
+        rel = succ.get(pred, {})
+        nxt: dict[str, set[str]] = {}
+        for x, mids in pairs.items():
+            ys: set[str] = set()
+            for mid in mids:
+                ys.update(rel.get(mid, ()))
+            if ys:
+                nxt[x] = ys
+        pairs = nxt
         if not pairs:
             break
     return pairs
+
+
+def _stats(pairs: dict[str, set[str]],
+           head: dict[str, set[str]]) -> tuple[int, float, float]:
+    """(support, standard confidence, PCA confidence) of body pairs
+    against the head predicate's successor map."""
+    n_pairs = sum(len(ys) for ys in pairs.values())
+    support = sum(len(ys & head[x]) for x, ys in pairs.items() if x in head)
+    if not support:
+        return 0, 0.0, 0.0
+    pca_den = sum(len(ys) for x, ys in pairs.items() if x in head)
+    return support, support / n_pairs, support / pca_den
 
 
 def rule_stats(
     body_predicates, head_predicate: str, kg: KnowledgeGraph
 ) -> tuple[int, float, float]:
     """(support, standard confidence, PCA confidence) of a candidate rule."""
-    pairs = body_pairs(body_predicates, kg)
-    if not pairs:
-        return 0, 0.0, 0.0
-    head_facts = {(t.subject, t.object) for t in kg.by_predicate(head_predicate)}
-    support = len(pairs & head_facts)
-    std = support / len(pairs)
-    head_subjects = {s for s, _ in head_facts}
-    pca_den = sum(1 for x, _ in pairs if x in head_subjects)
-    pca = support / pca_den if pca_den else 0.0
-    return support, std, pca
+    succ = _successors(kg)
+    return _stats(_body_pairs(body_predicates, succ),
+                  succ.get(head_predicate, {}))
 
 
 def support(rule: ClosedPathRule, kg: KnowledgeGraph) -> int:
@@ -160,26 +187,19 @@ def mine_rules(
         raise ValueError("max_body_len must be 1, 2 or 3")
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    preds = sorted(kg.predicates)
+    succ = _successors(kg)
+    preds = sorted(succ)
     kept: list[ClosedPathRule] = []
     for n in range(1, max_body_len + 1):
         for body_preds in itertools.product(preds, repeat=n):
-            pairs = body_pairs(body_preds, kg)
-            if len(pairs) < min_support:
+            pairs = _body_pairs(body_preds, succ)
+            if sum(len(ys) for ys in pairs.values()) < min_support:
                 continue
             for head in preds:
                 if n == 1 and head == body_preds[0]:
                     continue
-                head_facts = {(t.subject, t.object)
-                              for t in kg.by_predicate(head)}
-                sup = len(pairs & head_facts)
-                if sup < min_support:
-                    continue
-                std = sup / len(pairs)
-                head_subjects = {s for s, _ in head_facts}
-                pca_den = sum(1 for x, _ in pairs if x in head_subjects)
-                pca = sup / pca_den if pca_den else 0.0
-                if pca < min_pca_conf - _EPS:
+                sup, std, pca = _stats(pairs, succ[head])
+                if sup < min_support or pca < min_pca_conf - _EPS:
                     continue
                 kept.append(ClosedPathRule(
                     chain_body(body_preds), Atom(head, "x", "y"),
@@ -206,77 +226,184 @@ class Closure:
 
     Base facts hold with confidence 1.0. A derived fact's confidence is
     the maximum over derivations of the product of the PCA confidences of
-    all rules applied in the derivation tree. Derivation count is capped
-    at |entities|^2 to guarantee termination with recursive rules.
+    all rules applied in the derivation tree, each body multiplied left
+    to right. Rules run in rule-base order, pass after pass, and a rule
+    replaces a fact's confidence only when it beats it by more than
+    _EPS; the closure ends after a pass that changes nothing.
+
+    Evaluation is semi-naive: each rule's first run joins its whole body,
+    and every later run joins only paths through at least one fact that
+    changed since the rule last ran. A path through unchanged facts was
+    already offered to the head at that run and cannot beat it now, so
+    every run makes exactly the updates a full join would.
+
+    There is no derivation cap. Every confidence lies in [0, 1], so a
+    product is never larger than any of its factors, even after
+    floating-point rounding: going round a cycle of rules never raises a
+    confidence, and the best derivation of each fact uses no fact twice
+    on one branch. Each update raises a fact by more than _EPS and no
+    confidence exceeds 1, so every fact changes finitely often and the
+    loop reaches the true fixpoint.
     """
 
     def __init__(self, rb: RuleBase, kg: KnowledgeGraph):
         self.kg = kg
-        self.confidence: dict[Triple, float] = {}
-        self.via_rule: dict[Triple, str | None] = {}
+        # predicate -> subject -> object -> confidence
+        self._index: dict[str, dict[str, dict[str, float]]] = {}
         for t in kg.all_triples():
-            self.confidence[t] = 1.0
-            self.via_rule[t] = None
-        cap = max(1, len(kg.entities)) ** 2
-        derivations = 0
+            self._index.setdefault(t.predicate, {}).setdefault(
+                t.subject, {})[t.object] = 1.0
+        self._via: dict[tuple[str, str, str], str] = {}
+        # predicate -> (subject, object) of every derived update, in order
+        self._changes: dict[str, list[tuple[str, str]]] = {}
+        self.confidence = _ConfidenceView(self._index)
+        # per rule: change-list lengths when it last joined; None before
+        last_seen: list[dict[str, int] | None] = [None] * len(rb.rules)
         changed = True
-        while changed and derivations < cap:
+        while changed:
             changed = False
-            for rule in rb.rules:
-                for (x, y), conf in self._body_pairs_conf(rule).items():
-                    derived = conf * rule.pca_confidence
-                    fact = Triple(x, rule.head.predicate, y)
-                    if derived > self.confidence.get(fact, 0.0) + _EPS:
-                        self.confidence[fact] = derived
-                        self.via_rule[fact] = rule.rule_id
-                        changed = True
-                        derivations += 1
-                        if derivations >= cap:
-                            break
-                if derivations >= cap:
-                    break
+            for k, rule in enumerate(rb.rules):
+                preds = rule.body_predicates
+                now = {p: len(self._changes.get(p, ())) for p in preds}
+                seen = last_seen[k]
+                if seen is None:
+                    pairs = _join(self._index.get(preds[0], {}), preds[1:],
+                                  self._index)
+                else:
+                    delta = {p: self._changes[p][seen[p]:n]
+                             for p, n in now.items() if n > seen[p]}
+                    if not delta:
+                        continue
+                    pairs = self._join_changed(preds, delta)
+                last_seen[k] = now
+                changed |= self._apply(rule, pairs)
 
-    def _facts_by_predicate(self, predicate: str) -> dict[Triple, float]:
-        return {t: c for t, c in self.confidence.items()
-                if t.predicate == predicate}
+    def _join_changed(self, preds, delta) -> dict[str, dict[str, float]]:
+        """Best body product per (x, y) over the paths that use at least
+        one changed fact, as x -> y -> product."""
+        best: dict[str, dict[str, float]] = {}
+        for i, pred in enumerate(preds):
+            if pred not in delta:
+                continue
+            rel = self._index[pred]
+            changed: dict[str, dict[str, float]] = {}
+            for s, o in delta[pred]:
+                changed.setdefault(s, {})[o] = rel[s][o]
+            if i == 0:
+                frontier = changed
+            else:
+                frontier = _step(self._paths_into(preds[:i], changed.keys()),
+                                 changed)
+            for x, ys in _join(frontier, preds[i + 1:], self._index).items():
+                row = best.setdefault(x, {})
+                for y, v in ys.items():
+                    if v > row.get(y, 0.0):
+                        row[y] = v
+        return best
 
-    def _body_pairs_conf(self, rule: ClosedPathRule) -> dict[tuple[str, str], float]:
-        """(x, y) -> best product of body-fact confidences."""
-        frontier: dict[tuple[str, str], float] = {}
-        for t, c in self._facts_by_predicate(rule.body[0].predicate).items():
-            key = (t.subject, t.object)
-            if c > frontier.get(key, 0.0):
-                frontier[key] = c
-        for atom in rule.body[1:]:
-            succ: dict[str, list[tuple[str, float]]] = {}
-            for t, c in self._facts_by_predicate(atom.predicate).items():
-                succ.setdefault(t.subject, []).append((t.object, c))
-            nxt: dict[tuple[str, str], float] = {}
-            for (x, mid), c in frontier.items():
-                for obj, c2 in succ.get(mid, ()):
-                    combined = c * c2
-                    key = (x, obj)
-                    if combined > nxt.get(key, 0.0):
-                        nxt[key] = combined
-            frontier = nxt
-            if not frontier:
-                break
+    def _paths_into(self, preds, targets) -> dict[str, dict[str, float]]:
+        """Best product over the chain preds, as x -> z -> product, for
+        the paths that end in targets. Each predicate is cut back to the
+        facts that can still reach targets, right to left, and the cut
+        relations are then joined left to right."""
+        cut = []
+        for pred in reversed(preds):
+            part = {}
+            for s, objs in self._index.get(pred, {}).items():
+                hit = {o: c for o, c in objs.items() if o in targets}
+                if hit:
+                    part[s] = hit
+            cut.append(part)
+            targets = part.keys()
+        cut.reverse()
+        frontier = cut[0]
+        for part in cut[1:]:
+            frontier = _step(frontier, part)
         return frontier
 
+    def _apply(self, rule: ClosedPathRule, pairs) -> bool:
+        """Offer each body pair's product times the rule's PCA confidence
+        to the head fact; True if any fact was added or improved."""
+        head = rule.head.predicate
+        rel = self._index.setdefault(head, {})
+        log = self._changes.setdefault(head, [])
+        before = len(log)
+        pca = rule.pca_confidence
+        for x, ys in pairs.items():
+            row = rel.get(x)
+            for y, v in ys.items():
+                derived = v * pca
+                if derived > (row.get(y, 0.0) if row else 0.0) + _EPS:
+                    if row is None:
+                        row = rel[x] = {}
+                    row[y] = derived
+                    self._via[(head, x, y)] = rule.rule_id
+                    log.append((x, y))
+        return len(log) > before
+
     def entails(self, fact: Triple) -> EntailmentResult:
-        conf = self.confidence.get(fact)
+        conf = self._index.get(fact.predicate, {}).get(fact.subject, {}).get(
+            fact.object)
         if conf is None:
             return EntailmentResult(False)
-        return EntailmentResult(True, conf, self.via_rule[fact])
+        return EntailmentResult(
+            True, conf,
+            self._via.get((fact.predicate, fact.subject, fact.object)))
 
-    def facts_with(self, predicate: str, *, object: str | None = None,
-                   subject: str | None = None) -> list[Triple]:
-        out = [t for t in self.confidence
-               if t.predicate == predicate
-               and (object is None or t.object == object)
-               and (subject is None or t.subject == subject)]
-        out.sort(key=lambda t: (t.subject, t.object))
-        return out
+    def facts(self, predicate: str):
+        """(subject, object, confidence, via_rule) of every fact of one
+        predicate, in subject then object order."""
+        rel = self._index.get(predicate, {})
+        for s in sorted(rel):
+            for o in sorted(rel[s]):
+                yield s, o, rel[s][o], self._via.get((predicate, s, o))
+
+
+class _ConfidenceView(Mapping):
+    """Read-only Triple -> confidence view of a closure's index."""
+
+    def __init__(self, index: dict[str, dict[str, dict[str, float]]]):
+        self._index = index
+
+    def __getitem__(self, fact: Triple) -> float:
+        return self._index[fact.predicate][fact.subject][fact.object]
+
+    def __iter__(self):
+        for p, rel in self._index.items():
+            for s, objs in rel.items():
+                for o in objs:
+                    yield Triple(s, p, o)
+
+    def __len__(self) -> int:
+        return sum(len(objs) for rel in self._index.values()
+                   for objs in rel.values())
+
+
+def _step(frontier, succ) -> dict[str, dict[str, float]]:
+    """Extend x -> z -> c by one relation z -> o -> c2: the best c * c2
+    per (x, o). Floating-point products are monotone in each factor, so
+    the best prefix times a fact equals the best over whole paths."""
+    out: dict[str, dict[str, float]] = {}
+    for x, zs in frontier.items():
+        acc: dict[str, float] = {}
+        for z, c in zs.items():
+            nxt = succ.get(z)
+            if nxt:
+                for o, c2 in nxt.items():
+                    v = c * c2
+                    if v > acc.get(o, 0.0):
+                        acc[o] = v
+        if acc:
+            out[x] = acc
+    return out
+
+
+def _join(frontier, preds, index) -> dict[str, dict[str, float]]:
+    for pred in preds:
+        if not frontier:
+            break
+        frontier = _step(frontier, index.get(pred, {}))
+    return frontier
 
 
 def entails(rb: RuleBase, kg: KnowledgeGraph, fact: Triple) -> EntailmentResult:
@@ -305,6 +432,8 @@ def rule_to_json(rule: ClosedPathRule) -> dict:
 
 
 def rule_from_json(obj: dict) -> ClosedPathRule:
+    if not isinstance(obj, dict):
+        raise ValueError("a rule must be a JSON object")
     preds = tuple(a["predicate"] for a in obj["body"])
     return ClosedPathRule(
         chain_body(preds),
@@ -324,16 +453,24 @@ def read_rules_jsonl(stream, min_support: int | None = None,
                      min_pca_conf: float | None = None) -> RuleBase:
     """Read a rule base; thresholds default to the loosest values the
     loaded rules still satisfy."""
-    rules = tuple(
-        rule_from_json(json.loads(line))
-        for line in stream if line.strip()
-    )
+    rules = []
+    for lineno, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            rules.append(rule_from_json(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"rules line {lineno}: not JSON: {exc.msg}") from None
+        except KeyError as exc:
+            raise ParseError(f"rules line {lineno}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"rules line {lineno}: {exc}") from None
     if min_support is None:
         min_support = min((r.support for r in rules), default=1)
     if min_pca_conf is None:
         min_pca_conf = min((r.pca_confidence for r in rules), default=0.0)
     max_len = max((len(r.body) for r in rules), default=3)
-    return RuleBase(rules, min_support, min_pca_conf, max_len)
+    return RuleBase(tuple(rules), min_support, min_pca_conf, max_len)
 
 
 def write_rules_text(rb: RuleBase, stream) -> None:

@@ -86,15 +86,17 @@ def model_from_json(obj: dict) -> GroundTruthModel:
 
 def _check_end_reachable(model: GroundTruthModel) -> None:
     # every activity reachable from a start must reach a terminal
-    ends = model.end_activities
-    can_end = set(ends)
-    changed = True
-    while changed:
-        changed = False
-        for a, out in model.transitions.items():
-            if a not in can_end and any(b in can_end for b in out):
+    preds: dict[str, list[str]] = {}
+    for a, out in model.transitions.items():
+        for b in out:
+            preds.setdefault(b, []).append(a)
+    can_end = set(model.end_activities)
+    frontier = list(can_end)
+    while frontier:
+        for a in preds.get(frontier.pop(), ()):
+            if a not in can_end:
                 can_end.add(a)
-                changed = True
+                frontier.append(a)
     reachable = set(model.start_probs)
     frontier = list(reachable)
     while frontier:
@@ -108,16 +110,16 @@ def _check_end_reachable(model: GroundTruthModel) -> None:
         raise DataError(f"activities cannot reach an end: {stuck}")
 
 
-def _pick(rng: random.Random, options: dict[str, float]) -> str:
+def _pick(rng: random.Random, choices: list[tuple[str, float]]) -> str:
+    """choices: (activity, probability) in activity order."""
     roll = rng.random()
     acc = 0.0
-    last = None
-    for act in sorted(options):
-        acc += options[act]
-        last = act
+    act = None
+    for act, p in choices:
+        acc += p
         if roll < acc:
             return act
-    return last  # guard against float round-off at the top end
+    return act  # guard against float round-off at the top end
 
 
 def simulate(model: GroundTruthModel, n_cases: int, seed: int = 0) -> EventLog:
@@ -127,22 +129,25 @@ def simulate(model: GroundTruthModel, n_cases: int, seed: int = 0) -> EventLog:
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
     _check_end_reachable(model)
+    starts = sorted(model.start_probs.items())
+    successors = {a: sorted(out.items())
+                  for a, out in model.transitions.items() if out}
+    minute = timedelta(seconds=60)
     traces = []
     truncated = 0
     for idx in range(n_cases):
         rng = random.Random(seed ^ idx)
         case_id = f"case-{idx:05d}"
-        current = _pick(rng, model.start_probs)
+        current = _pick(rng, starts)
         start = _BASE_TIME + timedelta(hours=idx)
         events = [Event(case_id, current, start)]
         was_truncated = False
-        while model.transitions.get(current):
+        while current in successors:
             if len(events) >= MAX_TRACE_LEN:
                 was_truncated = True
                 break
-            current = _pick(rng, model.transitions[current])
-            events.append(Event(case_id, current,
-                                start + timedelta(seconds=60 * len(events))))
+            current = _pick(rng, successors[current])
+            events.append(Event(case_id, current, start + minute * len(events)))
         if was_truncated:
             truncated += 1
             last = events[-1]

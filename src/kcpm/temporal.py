@@ -120,16 +120,21 @@ class _Batch:
 
 
 def _distinct_batch(heads, tails, buckets, neg_tails) -> _Batch:
-    """neg_tails has one row of corrupted tails per positive row."""
+    """neg_tails has one row of corrupted tails per positive row.
+
+    Rows are packed into one int64 key each in mixed radix, so a 1-D
+    unique sorts them in the same lexicographic order as a row-wise one.
+    """
     k = neg_tails.shape[1]
-    pos, pos_of_row = np.unique(np.stack([heads, tails, buckets], axis=1),
-                                axis=0, return_inverse=True)
-    pos_of_row = pos_of_row.reshape(-1)
+    n_t, n_b = int(tails.max()) + 1, int(buckets.max()) + 1
+    keys, pos_of_row = np.unique((heads.astype(np.int64) * n_t + tails) * n_b
+                                 + buckets, return_inverse=True)
+    n_neg = int(neg_tails.max()) + 1
     pairs, counts = np.unique(
-        np.stack([np.repeat(pos_of_row, k), neg_tails.reshape(-1)], axis=1),
-        axis=0, return_counts=True)
-    return _Batch(pos[:, 0], pos[:, 1], pos[:, 2], pairs[:, 0], pairs[:, 1],
-                  counts, len(heads) * k)
+        np.repeat(pos_of_row.astype(np.int64), k) * n_neg + neg_tails.reshape(-1),
+        return_counts=True)
+    return _Batch(keys // (n_t * n_b), keys // n_b % n_t, keys % n_b,
+                  pairs // n_neg, pairs % n_neg, counts, len(heads) * k)
 
 
 def _pair_distances(E, r, T, b: _Batch):

@@ -112,6 +112,67 @@ def naive_mine(triples, max_len, min_support, min_pca):
     return found
 
 
+def naive_body_confidences(body_predicates, conf):
+    """(x, y) -> best product of body-fact confidences, by enumerating
+    every chain of facts; conf maps (s, p, o) -> confidence and products
+    are taken left to right."""
+    paths = [((s, o), c) for (s, p, o), c in conf.items()
+             if p == body_predicates[0]]
+    for predicate in body_predicates[1:]:
+        paths = [((x, o), c * c2) for (x, mid), c in paths
+                 for (s, p, o), c2 in conf.items()
+                 if p == predicate and s == mid]
+    best = {}
+    for pair, c in paths:
+        best[pair] = max(best.get(pair, 0.0), c)
+    return best
+
+
+def naive_closure(rules, triples, eps=1e-12):
+    """Max-product forward chaining with no cap: every rule re-runs over
+    every body chain until no fact rises by more than eps. rules are
+    (body_predicates, head_predicate, pca_confidence); returns
+    (s, p, o) -> confidence."""
+    conf = {t: 1.0 for t in triples}
+    changed = True
+    while changed:
+        changed = False
+        for body, head, pca in rules:
+            for (x, y), c in naive_body_confidences(body, conf).items():
+                if c * pca > conf.get((x, head, y), 0.0) + eps:
+                    conf[(x, head, y)] = c * pca
+                    changed = True
+    return conf
+
+
+# ---------------------------------------------------------------------------
+# Log repair
+# ---------------------------------------------------------------------------
+
+def naive_remove_chaotic(sequences, forbidden, must_precede, strict):
+    """Remove the leftmost violating event and rescan from the start,
+    until no event violates. forbidden and must_precede are sets of
+    (before, after) activity pairs. Returns the repaired sequences and
+    (trace, input index, activity) of each removal, in order."""
+    out, removed = [], []
+    for n, acts in enumerate(sequences):
+        work = list(enumerate(acts))
+        while True:
+            for i, (_, a) in enumerate(work):
+                nxt = work[i + 1][1] if i + 1 < len(work) else None
+                prefix = {b for _, b in work[:i]}
+                if (a, nxt) in forbidden or (strict and any(
+                        (p, a) in must_precede and p not in prefix
+                        for p, _ in must_precede)):
+                    removed.append((n, work[i][0], a))
+                    del work[i]
+                    break
+            else:
+                break
+        out.append([a for _, a in work])
+    return out, removed
+
+
 # ---------------------------------------------------------------------------
 # Footprints
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from kcpm.eventlog import log_statistics
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
 from kcpm.logio import parse_xes, write_csv
 from kcpm.lpg import build_lpg
-from kcpm.rules import RuleBase, mine_rules
+from kcpm.rules import Closure, RuleBase, mine_rules
 from kcpm.synth import (CorruptionSpec, GroundTruthModel, corrupt,
                         dropped_events, simulate, write_model)
 from kcpm.temporal import ScorerParams, save_scorer, successor_scores, train_temporal_scorer
@@ -360,7 +360,8 @@ def test_criterion_9_invariant_sweep():
             for _ in range(rng.randint(0, 4))}
         kg = KnowledgeGraph(facts)
         for mode in ("strict", "permissive"):
-            out, _ = filter_dependency_graph(dg, RuleBase(()), kg, mode=mode)
+            out, _ = filter_dependency_graph(dg, Closure(RuleBase(()), kg),
+                                             mode=mode)
             assert set(out.edges) <= set(dg.edges)
 
     for _ in range(200):  # repaired traces keep the original as subsequence
@@ -368,8 +369,8 @@ def test_criterion_9_invariant_sweep():
         log = log_from_sequences(seqs)
         facts = {Triple(rng.choice(acts), MUST_PRECEDE, rng.choice(acts))
                  for _ in range(rng.randint(0, 5))}
-        out, _ = infer_missing_events(log, RuleBase(()), KnowledgeGraph(facts),
-                                      theta=0.5)
+        out, _ = infer_missing_events(
+            log, Closure(RuleBase(()), KnowledgeGraph(facts)), theta=0.5)
         for before, after in zip(log.traces, out.traces):
             it = iter(after.activities)
             assert all(a in it for a in before.activities)
@@ -379,8 +380,9 @@ def test_criterion_9_invariant_sweep():
         log = log_from_sequences(seqs)
         facts = {Triple("n", FORBIDDEN_BEFORE, rng.choice(acts))
                  for _ in range(rng.randint(0, 3))}
-        once, _ = filter_chaotic_events(log, RuleBase(()), KnowledgeGraph(facts))
-        twice, _ = filter_chaotic_events(once, RuleBase(()), KnowledgeGraph(facts))
+        closure = Closure(RuleBase(()), KnowledgeGraph(facts))
+        once, _ = filter_chaotic_events(log, closure)
+        twice, _ = filter_chaotic_events(once, closure)
         assert once.n_events <= log.n_events
         assert twice == once
 

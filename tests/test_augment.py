@@ -1,13 +1,17 @@
 import random
 from datetime import timedelta
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kcpm.augment import (check_guideline_latency, filter_chaotic_events,
                           infer_missing_events, merge_reports, report_to_json)
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
-from kcpm.rules import Atom, ClosedPathRule, RuleBase, chain_body
+from kcpm.rules import Atom, ClosedPathRule, Closure, RuleBase, chain_body
 from kcpm.temporal import ScorerParams, train_temporal_scorer
 
 from conftest import log_from_sequences, random_sequences
+from oracles import naive_remove_chaotic
 
 EMPTY_RB = RuleBase(())
 
@@ -22,7 +26,8 @@ def is_subsequence(short, long):
 # ---------------------------------------------------------------------------
 
 def test_empty_rulebase_changes_nothing(tiny_log):
-    out, report = filter_chaotic_events(tiny_log, EMPTY_RB, KnowledgeGraph())
+    out, report = filter_chaotic_events(tiny_log,
+                                        Closure(EMPTY_RB, KnowledgeGraph()))
     assert out == tiny_log
     assert report.removed_events == ()
 
@@ -31,7 +36,7 @@ def test_forbidden_before_removes_event():
     kg = KnowledgeGraph([Triple("Discharge", FORBIDDEN_BEFORE, "IV Antibiotics")])
     log = log_from_sequences(
         [["ER Triage", "Discharge", "IV Antibiotics", "Release"]])
-    out, report = filter_chaotic_events(log, EMPTY_RB, kg)
+    out, report = filter_chaotic_events(log, Closure(EMPTY_RB, kg))
     assert out.traces[0].activities == ("ER Triage", "IV Antibiotics", "Release")
     (removal,) = report.removed_events
     assert removal.activity == "Discharge"
@@ -41,7 +46,7 @@ def test_forbidden_before_removes_event():
 
 def test_rule_about_absent_activity_changes_nothing(tiny_log):
     kg = KnowledgeGraph([Triple("ghost", FORBIDDEN_BEFORE, "phantom")])
-    out, report = filter_chaotic_events(tiny_log, EMPTY_RB, kg)
+    out, report = filter_chaotic_events(tiny_log, Closure(EMPTY_RB, kg))
     assert out == tiny_log
     assert report.removed_events == ()
 
@@ -53,7 +58,7 @@ def test_removal_resplices_and_cascades():
         Triple("n", FORBIDDEN_BEFORE, "n"),
     ])
     log = log_from_sequences([["a", "n", "n", "b"]])
-    out, report = filter_chaotic_events(log, EMPTY_RB, kg)
+    out, report = filter_chaotic_events(log, Closure(EMPTY_RB, kg))
     assert out.traces[0].activities == ("a", "b")
     assert [r.index for r in report.removed_events] == [1, 2]
 
@@ -61,27 +66,50 @@ def test_removal_resplices_and_cascades():
 def test_trailing_event_with_no_successor_survives():
     kg = KnowledgeGraph([Triple("n", FORBIDDEN_BEFORE, "b")])
     log = log_from_sequences([["a", "b", "n"]])
-    out, _ = filter_chaotic_events(log, EMPTY_RB, kg)
+    out, _ = filter_chaotic_events(log, Closure(EMPTY_RB, kg))
     assert out.traces[0].activities == ("a", "b", "n")
 
 
 def test_strict_ordering_removes_premature_event():
     kg = KnowledgeGraph([Triple("reg", MUST_PRECEDE, "triage")])
     log = log_from_sequences([["triage", "reg", "x"]])
-    out, report = filter_chaotic_events(log, EMPTY_RB, kg,
+    out, report = filter_chaotic_events(log, Closure(EMPTY_RB, kg),
                                         strict_ordering=True)
     assert out.traces[0].activities == ("reg", "x")
     assert report.removed_events[0].activity == "triage"
     # without the flag nothing happens
-    out2, _ = filter_chaotic_events(log, EMPTY_RB, kg)
+    out2, _ = filter_chaotic_events(log, Closure(EMPTY_RB, kg))
     assert out2 == log
 
 
 def test_unmapped_activities_never_removed():
     kg = KnowledgeGraph([Triple("n", FORBIDDEN_BEFORE, "b")])
     log = log_from_sequences([["n", "b"]])
-    out, _ = filter_chaotic_events(log, EMPTY_RB, kg, alias={"b": "b"})
+    out, _ = filter_chaotic_events(log, Closure(EMPTY_RB, kg),
+                                   alias={"b": "b"})
     assert out == log  # "n" has no alias entry, so it is untouchable
+
+
+@settings(max_examples=150, deadline=None)
+@given(seqs=st.lists(st.lists(st.sampled_from("abn"), min_size=1, max_size=8),
+                     min_size=1, max_size=4),
+       forbidden=st.sets(st.tuples(st.sampled_from("abn"),
+                                   st.sampled_from("abn")), max_size=4),
+       must_precede=st.sets(st.tuples(st.sampled_from("abn"),
+                                      st.sampled_from("abn")), max_size=3),
+       strict=st.booleans())
+def test_removal_matches_rescan_from_start(seqs, forbidden, must_precede,
+                                           strict):
+    kg = KnowledgeGraph([Triple(a, FORBIDDEN_BEFORE, b) for a, b in forbidden]
+                        + [Triple(a, MUST_PRECEDE, b) for a, b in must_precede])
+    out, report = filter_chaotic_events(log_from_sequences(seqs),
+                                        Closure(EMPTY_RB, kg),
+                                        strict_ordering=strict)
+    expected, removed = naive_remove_chaotic(seqs, forbidden, must_precede,
+                                             strict)
+    assert [list(t.activities) for t in out.traces] == [e for e in expected if e]
+    assert [(int(r.case_id[1:]), r.index, r.activity)
+            for r in report.removed_events] == removed
 
 
 def test_filter_idempotent_and_shrinking_on_random_logs():
@@ -93,10 +121,10 @@ def test_filter_idempotent_and_shrinking_on_random_logs():
         facts = {Triple(rng.choice("nm"), FORBIDDEN_BEFORE, rng.choice(acts + ["n", "m"]))
                  for _ in range(rng.randint(0, 5))}
         kg = KnowledgeGraph(facts)
-        once, report = filter_chaotic_events(log, EMPTY_RB, kg)
+        once, report = filter_chaotic_events(log, Closure(EMPTY_RB, kg))
         assert once.n_events <= log.n_events
         assert once.n_events == log.n_events - len(report.removed_events)
-        twice, report2 = filter_chaotic_events(once, EMPTY_RB, kg)
+        twice, report2 = filter_chaotic_events(once, Closure(EMPTY_RB, kg))
         assert twice == once
         assert report2.removed_events == ()
 
@@ -108,7 +136,7 @@ def test_filter_idempotent_and_shrinking_on_random_logs():
 def test_unreachable_threshold_inserts_nothing():
     kg = KnowledgeGraph([Triple("reg", MUST_PRECEDE, "triage")])
     log = log_from_sequences([["triage", "x"]])
-    out, report = infer_missing_events(log, EMPTY_RB, kg, theta=1.01)
+    out, report = infer_missing_events(log, Closure(EMPTY_RB, kg), theta=1.01)
     assert out == log
     assert report.inserted == ()
 
@@ -116,7 +144,7 @@ def test_unreachable_threshold_inserts_nothing():
 def test_prerequisite_inserted_at_front():
     kg = KnowledgeGraph([Triple("reg", MUST_PRECEDE, "triage")])
     log = log_from_sequences([["triage", "x"]])
-    out, report = infer_missing_events(log, EMPTY_RB, kg, theta=0.9)
+    out, report = infer_missing_events(log, Closure(EMPTY_RB, kg), theta=0.9)
     assert out.traces[0].activities == ("reg", "triage", "x")
     (ins,) = report.inserted
     assert (ins.activity, ins.position, ins.provenance) == ("reg", 0, "rule")
@@ -129,7 +157,7 @@ def test_prerequisite_inserted_at_front():
 def test_midpoint_timestamp_for_interior_insertion():
     kg = KnowledgeGraph([Triple("b", MUST_PRECEDE, "c")])
     log = log_from_sequences([["a", "c"]], step_seconds=120)
-    out, _ = infer_missing_events(log, EMPTY_RB, kg, theta=0.5)
+    out, _ = infer_missing_events(log, Closure(EMPTY_RB, kg), theta=0.5)
     a, b, c = out.traces[0].events
     assert b.activity == "b"
     assert b.timestamp - a.timestamp == timedelta(seconds=60)
@@ -139,7 +167,7 @@ def test_midpoint_timestamp_for_interior_insertion():
 def test_prerequisite_present_means_no_insertion():
     kg = KnowledgeGraph([Triple("a", MUST_PRECEDE, "b")])
     log = log_from_sequences([["a", "b"]])
-    out, report = infer_missing_events(log, EMPTY_RB, kg, theta=0.5)
+    out, report = infer_missing_events(log, Closure(EMPTY_RB, kg), theta=0.5)
     assert out == log
     assert report.inserted == ()
 
@@ -150,7 +178,7 @@ def test_chained_obligations_cascade_in_order():
         Triple("b", MUST_PRECEDE, "c"),
     ])
     log = log_from_sequences([["c"]])
-    out, report = infer_missing_events(log, EMPTY_RB, kg, theta=0.5)
+    out, report = infer_missing_events(log, Closure(EMPTY_RB, kg), theta=0.5)
     assert out.traces[0].activities == ("a", "b", "c")
     assert {i.activity for i in report.inserted} == {"a", "b"}
 
@@ -162,7 +190,7 @@ def test_multiple_obligations_topologically_ordered():
         Triple("a", MUST_PRECEDE, "b"),
     ])
     log = log_from_sequences([["c"]])
-    out, _ = infer_missing_events(log, EMPTY_RB, kg, theta=0.5)
+    out, _ = infer_missing_events(log, Closure(EMPTY_RB, kg), theta=0.5)
     assert out.traces[0].activities == ("a", "b", "c")
 
 
@@ -177,13 +205,13 @@ def test_embedding_acceptance_path():
     log = log_from_sequences([["x", "b"]] + [["x", "a", "b"]] * 30)
     scorer = train_temporal_scorer(log, None, ScorerParams(dim=8, epochs=60,
                                                            seed=3))
-    out, report = infer_missing_events(log, rb, kg, scorer, theta=0.4)
+    out, report = infer_missing_events(log, Closure(rb, kg), scorer, theta=0.4)
     assert out.traces[0].activities == ("x", "a", "b")
     (ins,) = report.inserted
     assert ins.provenance == "embedding"
     assert 0.4 <= ins.score <= 0.5
     # without the scorer the candidate fails (0.2 < 0.4)
-    out2, report2 = infer_missing_events(log, rb, kg, None, theta=0.4)
+    out2, report2 = infer_missing_events(log, Closure(rb, kg), None, theta=0.4)
     assert report2.inserted == ()
     assert out2 == log
 
@@ -196,8 +224,8 @@ def test_subsequence_property_on_random_logs():
         log = log_from_sequences(seqs)
         facts = {Triple(rng.choice(acts), MUST_PRECEDE, rng.choice(acts))
                  for _ in range(rng.randint(0, 5))}
-        out, report = infer_missing_events(log, EMPTY_RB,
-                                           KnowledgeGraph(facts), theta=0.5)
+        out, report = infer_missing_events(
+            log, Closure(EMPTY_RB, KnowledgeGraph(facts)), theta=0.5)
         assert len(out.traces) == len(log.traces)
         for before, after in zip(log.traces, out.traces):
             assert is_subsequence(before.activities, after.activities)
@@ -212,8 +240,9 @@ def test_merge_reports_and_json():
     kg = KnowledgeGraph([Triple("reg", MUST_PRECEDE, "triage"),
                          Triple("n", FORBIDDEN_BEFORE, "triage")])
     log = log_from_sequences([["n", "triage"]])
-    filtered, rep1 = filter_chaotic_events(log, EMPTY_RB, kg)
-    out, rep2 = infer_missing_events(filtered, EMPTY_RB, kg, theta=0.5)
+    filtered, rep1 = filter_chaotic_events(log, Closure(EMPTY_RB, kg))
+    out, rep2 = infer_missing_events(filtered, Closure(EMPTY_RB, kg),
+                                     theta=0.5)
     merged = merge_reports(rep1, rep2)
     payload = report_to_json(merged)
     assert len(payload["removed_events"]) == 1

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from kcpm import rules
 from kcpm.cli import main
 from kcpm.logio import write_csv
 from kcpm.synth import GroundTruthModel, write_model
@@ -313,3 +314,79 @@ def test_filter_with_alias_map(workdir):
     report = load_json(out / "filter_report.json")
     assert [r["source"] for r in report["removed_edges"]] == ["B"]
     assert load_json(out / "dfg.json")["edges"] == []
+
+
+def test_pipeline_builds_one_closure(workdir, monkeypatch):
+    built = []
+    init = rules.Closure.__init__
+
+    def counting_init(self, rb, kg):
+        built.append(kg)
+        init(self, rb, kg)
+
+    monkeypatch.setattr(rules.Closure, "__init__", counting_init)
+    kg = workdir / "pipe_kg.tsv"
+    kg.write_text("a\tmust_precede\tb\nb\tmust_precede\tc\n")
+    assert run("pipeline", "--log", workdir / "log.csv", "--kg", kg,
+               "--model", workdir / "model.json", "--out", workdir / "one",
+               "--no-embedding") == 0
+    assert len(built) == 1
+
+
+_RULE = {"body": [{"predicate": "worksAt", "subject": "x", "object": "z1"},
+                  {"predicate": "locatedIn", "subject": "z1", "object": "y"}],
+         "head": {"predicate": "livesIn", "subject": "x", "object": "y"},
+         "support": 1, "std_confidence": 0.5, "pca_confidence": 1.0}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "error: rules line 1: not JSON: "),
+    (json.dumps({k: v for k, v in _RULE.items() if k != "support"}),
+     "error: rules line 1: missing key 'support'"),
+    (json.dumps(dict(_RULE, support=-1)),
+     "error: rules line 1: support must be nonnegative"),
+    (json.dumps(dict(_RULE, pca_confidence=1.5)),
+     "error: rules line 1: pca_confidence must be in [0, 1]"),
+    (json.dumps(dict(_RULE, std_confidence=-0.1)),
+     "error: rules line 1: std_confidence must be in [0, 1]"),
+    (json.dumps(dict(_RULE, body=[])),
+     "error: rules line 1: body must have at least one atom"),
+    ("[1, 2]", "error: rules line 1: a rule must be a JSON object"),
+])
+def test_bad_rules_file_is_data_error(workdir, capsys, line, message):
+    dfg_dir = workdir / "dfg"
+    assert run("mine-dfg", "--log", workdir / "log.csv", "--out", dfg_dir) == 0
+    bad = workdir / "bad_rules.jsonl"
+    bad.write_text(line + "\n")
+    capsys.readouterr()
+    assert run("filter", "--dfg", dfg_dir / "dfg.json", "--rules", bad,
+               "--kg", workdir / "kg.tsv", "--out", workdir / "f") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+
+
+def test_short_csv_row_is_data_error(workdir, capsys):
+    log = workdir / "short.csv"
+    log.write_text("case_id,activity,timestamp\n"
+                   "c1,A,2024-03-01T09:00:00\n"
+                   "c1\n")
+    assert run("stats", "--log", log, "--out", workdir / "short_out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: row 3: 1 fields, header has 3"]
+
+
+@pytest.mark.parametrize("key, message", [
+    ("time_buckets", "error: time_buckets must be in 1..1440"),
+    ("negatives", "error: negatives must be >= 1"),
+])
+def test_bad_hyperparameter_fails_before_any_artifact(workdir, capsys, key,
+                                                      message):
+    cfgfile = workdir / "hp.ini"
+    cfgfile.write_text(f"[hyperparameters]\n{key} = 0\n")
+    kg = workdir / "pipe_kg.tsv"
+    kg.write_text("a\tmust_precede\tb\n")
+    out = workdir / "hp_out"
+    assert run("pipeline", "--config", cfgfile, "--log", workdir / "log.csv",
+               "--kg", kg, "--out", out) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not (out / "rules.jsonl").exists()

@@ -10,7 +10,7 @@ from kcpm.dfg import (MiningThresholds, dependency_measure, dfg_from_json,
 from kcpm.errors import DataError
 from kcpm.eventlog import EventLog
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
-from kcpm.rules import RuleBase, mine_rules
+from kcpm.rules import Closure, RuleBase, mine_rules
 
 from conftest import log_from_sequences, random_sequences
 from oracles import (naive_dependency, naive_df_counts, naive_edges,
@@ -122,7 +122,8 @@ def _mined(log):
 
 def test_permissive_empty_rulebase_keeps_all():
     dg = _mined(log_from_sequences([["a", "b", "c"]] * 3))
-    out, report = filter_dependency_graph(dg, RuleBase(()), KnowledgeGraph())
+    out, report = filter_dependency_graph(
+        dg, Closure(RuleBase(()), KnowledgeGraph()))
     assert set(out.edges) == set(dg.edges)
     assert report.removed_edges == ()
     assert report.kept_edges == len(dg.edges)
@@ -130,16 +131,16 @@ def test_permissive_empty_rulebase_keeps_all():
 
 def test_strict_empty_rulebase_removes_all_mapped():
     dg = _mined(log_from_sequences([["a", "b", "c"]] * 3))
-    out, report = filter_dependency_graph(dg, RuleBase(()), KnowledgeGraph(),
-                                          mode="strict")
+    out, report = filter_dependency_graph(
+        dg, Closure(RuleBase(()), KnowledgeGraph()), mode="strict")
     assert out.edges == {}
     assert {r.reason for r in report.removed_edges} == {"not_entailed"}
 
 
 def test_strict_keeps_unmapped_edges():
     dg = _mined(log_from_sequences([["a", "b"]] * 3))
-    out, _ = filter_dependency_graph(dg, RuleBase(()), KnowledgeGraph(),
-                                     alias={}, mode="strict")
+    out, _ = filter_dependency_graph(
+        dg, Closure(RuleBase(()), KnowledgeGraph()), alias={}, mode="strict")
     assert set(out.edges) == set(dg.edges)  # nothing mapped, all pass
 
 
@@ -149,7 +150,7 @@ def test_permissive_removes_contradicted_edge():
     dg = _mined(log)
     kg = KnowledgeGraph([Triple("reg", MUST_PRECEDE, "triage")])
     alias = {"ER Registration": "reg", "ER Triage": "triage"}
-    out, report = filter_dependency_graph(dg, RuleBase(()), kg, alias)
+    out, report = filter_dependency_graph(dg, Closure(RuleBase(()), kg), alias)
     assert ("ER Triage", "ER Registration") not in out.edges
     assert report.removed_edges[0].reason == "contradicted"
 
@@ -157,7 +158,8 @@ def test_permissive_removes_contradicted_edge():
 def test_permissive_removes_forbidden_edge():
     log = log_from_sequences([["x", "y"]] * 2)
     kg = KnowledgeGraph([Triple("x", FORBIDDEN_BEFORE, "y")])
-    out, report = filter_dependency_graph(_mined(log), RuleBase(()), kg)
+    out, report = filter_dependency_graph(_mined(log),
+                                          Closure(RuleBase(()), kg))
     assert out.edges == {}
     assert report.removed_edges[0].rule_id is None  # contradicted by a fact
 
@@ -173,7 +175,7 @@ def test_filter_via_mined_rule_reports_rule_id():
     ])
     rb = mine_rules(kg, 2, 1, 0.5)
     log = log_from_sequences([["other", "c"]] * 2)
-    out, report = filter_dependency_graph(_mined(log), rb, kg)
+    out, report = filter_dependency_graph(_mined(log), Closure(rb, kg))
     assert out.edges == {}
     assert report.removed_edges[0].rule_id == "category,covers=>forbidden_before"
 
@@ -188,8 +190,8 @@ def test_filter_shrinks_only():
                  for _ in range(rng.randint(0, 4))}
         kg = KnowledgeGraph(facts)
         for mode in ("strict", "permissive"):
-            out, report = filter_dependency_graph(dg, RuleBase(()), kg,
-                                                  mode=mode)
+            out, report = filter_dependency_graph(
+                dg, Closure(RuleBase(()), kg), mode=mode)
             assert set(out.edges) <= set(dg.edges)
             assert report.kept_edges + len(report.removed_edges) == len(dg.edges)
 
@@ -218,7 +220,7 @@ def test_filter_report_table_lists_removals():
     from kcpm.dfg import filter_report_table
     log = log_from_sequences([["x", "y"]] * 2)
     kg = KnowledgeGraph([Triple("x", FORBIDDEN_BEFORE, "y")])
-    _, report = filter_dependency_graph(_mined(log), RuleBase(()), kg)
+    _, report = filter_dependency_graph(_mined(log), Closure(RuleBase(()), kg))
     table = filter_report_table(report)
     assert "kept: 0" in table and "removed: 1" in table
     assert "contradicted" in table

@@ -2,13 +2,15 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
 from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
                         entails, mine_rules, pca_confidence, read_rules_jsonl,
                         rule_stats, std_confidence, support, write_rules_jsonl)
 
-from oracles import naive_mine
+from oracles import naive_body_confidences, naive_closure, naive_mine
 
 WORK_KG = KnowledgeGraph([
     Triple("al", "worksAt", "uow"),
@@ -219,9 +221,67 @@ def test_entailment_monotone_in_kg():
 
 
 def test_recursive_rules_terminate():
-    # transitive closure over a cycle must hit the derivation cap, not hang
+    # transitive closure over a cycle reaches its fixpoint, not a loop
     r = ClosedPathRule(chain_body(("p", "p")), Atom("p", "x", "y"), 1, 1.0, 1.0)
     kg = KnowledgeGraph([Triple("a", "p", "b"), Triple("b", "p", "c"),
                          Triple("c", "p", "a")])
     closure = Closure(RuleBase((r,), min_pca_conf=0.0), kg)
     assert closure.entails(Triple("a", "p", "c")).entailed
+
+
+def _rule(body, head, pca=1.0):
+    return ClosedPathRule(chain_body(body), Atom(head, "x", "y"), 1, 0.0, pca)
+
+
+def test_chain_closure_is_complete():
+    # p and q both link n0 -> n1 -> ... -> n30, so r holds for all
+    # 31*30/2 ordered pairs: 1,335 derivations in all, more than
+    # |entities|^2 = 961
+    nodes = [f"n{i}" for i in range(31)]
+    kg = KnowledgeGraph([Triple(a, p, b) for a, b in zip(nodes, nodes[1:])
+                         for p in ("p", "q")])
+    rb = RuleBase((_rule(("p", "p"), "p"), _rule(("q", "q"), "q"),
+                   _rule(("p",), "r"), _rule(("q",), "r")))
+    closure = Closure(rb, kg)
+    r_facts = [t for t in closure.confidence if t.predicate == "r"]
+    assert len(r_facts) == 465
+    assert [(s, o) for s, o, _, _ in closure.facts("r")] == sorted(
+        (t.subject, t.object) for t in r_facts)
+
+
+_ENTITIES = st.sampled_from("abcde")
+_PREDICATES = st.sampled_from("pqr")
+_CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                         st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples=st.sets(st.tuples(_ENTITIES, _PREDICATES, _ENTITIES),
+                       max_size=12),
+       rules=st.lists(st.tuples(st.lists(_PREDICATES, min_size=1, max_size=3),
+                                _PREDICATES, _CONFIDENCES),
+                      max_size=5))
+def test_closure_matches_naive_fixpoint(triples, rules):
+    # random bodies over three predicates make recursive rules and
+    # cyclic facts common
+    rb = RuleBase(tuple(_rule(tuple(b), h, c) for b, h, c in rules))
+    closure = Closure(rb, KnowledgeGraph(Triple(*t) for t in triples))
+    got = {(t.subject, t.predicate, t.object): c
+           for t, c in closure.confidence.items()}
+    expected = naive_closure([(tuple(b), h, c) for b, h, c in rules], triples)
+    assert got.keys() == expected.keys()
+    for fact, c in expected.items():
+        assert got[fact] == pytest.approx(c, abs=1e-12)
+    for (s, p, o), c in got.items():
+        res = closure.entails(Triple(s, p, o))
+        if (s, p, o) in triples:
+            assert res.via_rule is None and c == 1.0
+            continue
+        # a rule with the named id, applied once to the final closure,
+        # reaches c (two rules may share an id and differ in confidence)
+        reached = [
+            naive_body_confidences(r.body_predicates, got).get((s, o), 0.0)
+            * r.pca_confidence
+            for r in rb if r.rule_id == res.via_rule]
+        assert res.via_rule.endswith("=>" + p)
+        assert any(v == pytest.approx(c, abs=1e-12) for v in reached)
