@@ -24,7 +24,7 @@ def scatter_rows(n: int, idx, rows: np.ndarray) -> np.ndarray:
                        minlength=n * dim).reshape(n, dim)
 
 
-def descend(params, loss, grads, learning_rate: float, epochs: int,
+def descend(params, forward, backward, learning_rate: float, epochs: int,
             project=None):
     """Full-batch gradient descent with backtracking.
 
@@ -34,35 +34,36 @@ def descend(params, loss, grads, learning_rate: float, epochs: int,
     candidate is passed through project (if given) before its loss is
     taken. The recorded per-epoch loss is therefore nonincreasing.
 
-    params is a tuple of arrays, loss(params) -> float and
-    grads(params) -> one array per parameter. Returns the final params
-    and the per-epoch loss history."""
+    params is a tuple of arrays. forward(params) -> (loss, cache) takes
+    the loss and keeps what the gradient needs; backward(params, cache)
+    -> one array per parameter. The cache of the accepted candidate
+    serves the next epoch's gradient, so every candidate costs one
+    forward pass. Returns the final params and the per-epoch loss
+    history."""
     lr = learning_rate
-    prev = loss(params)
+    prev, cache = forward(params)
     history = []
     for _ in range(epochs):
-        g = grads(params)
-        accepted = prev
+        g = backward(params, cache)
         for _attempt in range(20):
             cand = tuple(p - lr * gp for p, gp in zip(params, g))
             if project is not None:
                 cand = project(cand)
-            cand_loss = loss(cand)
+            cand_loss, cand_cache = forward(cand)
             if cand_loss <= prev:
-                params = cand
-                accepted = cand_loss
+                params, prev, cache = cand, cand_loss, cand_cache
                 lr = min(lr * 1.1, learning_rate)
                 break
             lr *= 0.5
-        history.append(accepted)
-        prev = accepted
+        history.append(prev)
     return params, history
 
 
 def write_checkpoint(stream, fmt: str, version: int, body: dict) -> None:
     """body plus the format/version header, as one sorted-key JSON line."""
-    json.dump({"format": fmt, "version": version, **body}, stream,
-              sort_keys=True)
+    # json.dumps runs the C encoder; json.dump to a stream does not
+    stream.write(json.dumps({"format": fmt, "version": version, **body},
+                            sort_keys=True))
     stream.write("\n")
 
 

@@ -124,6 +124,19 @@ def filter_chaotic_events(
     return EventLog(tuple(traces), dict(log.meta)), report
 
 
+def _rule_accepts(conf: float, theta: float) -> bool:
+    """Whether a must_precede fact's confidence alone accepts the
+    insertion it implies, without consulting the scorer."""
+    return conf >= theta
+
+
+def needs_scorer(closure: Closure, theta: float) -> bool:
+    """Whether infer_missing_events can consult a scorer at this theta:
+    only for a must_precede fact the rule alone does not accept."""
+    return not all(_rule_accepts(conf, theta)
+                   for _, _, conf, _ in closure.facts(MUST_PRECEDE))
+
+
 def infer_missing_events(
     log: EventLog,
     closure: Closure,
@@ -172,7 +185,7 @@ def infer_missing_events(
             for p in _order_by_precedence(missing, prereq_facts):
                 conf, rule_id = prereqs[p]
                 accepted = None
-                if conf >= theta:
+                if _rule_accepts(conf, theta):
                     accepted = CandidateInsertion(
                         t.case_id, activity_of(p), insert_at, conf, "rule",
                         rule_id)

@@ -217,8 +217,10 @@ def _load_rules(cfg: PipelineConfig, args, kg: KnowledgeGraph) -> RuleBase:
 
 
 def _train_scorer_or_none(cfg: PipelineConfig, log: EventLog,
-                          kg: KnowledgeGraph):
-    if not cfg.use_embedding:
+                          kg: KnowledgeGraph, closure):
+    """The temporal scorer, or None where it cannot change the repair
+    (no must_precede fact leaves the rule unsure at theta_aug)."""
+    if not (cfg.use_embedding and aug.needs_scorer(closure, cfg.theta_aug)):
         return None
     params = temporal.ScorerParams(
         dim=cfg.dim, margin=cfg.margin, learning_rate=cfg.learning_rate,
@@ -228,6 +230,15 @@ def _train_scorer_or_none(cfg: PipelineConfig, log: EventLog,
         return temporal.train_temporal_scorer(log, kg, params)
     except DataError:
         return None  # single-activity or pairless logs proceed rule-only
+
+
+def _read_repair_log(cfg: PipelineConfig) -> EventLog:
+    """The log to repair; one without traces is rejected before any
+    artifact is written."""
+    log = read_log(cfg.log, cfg.context)
+    if not log.traces:
+        raise DataError(f"{cfg.log}: the log has no traces")
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +325,7 @@ def _augment_log(cfg: PipelineConfig, args, log: EventLog,
                  kg: KnowledgeGraph, closure, alias):
     filtered, removal_report = aug.filter_chaotic_events(
         log, closure, alias, strict_ordering=cfg.strict_ordering)
-    scorer = _train_scorer_or_none(cfg, filtered, kg)
+    scorer = _train_scorer_or_none(cfg, filtered, kg, closure)
     augmented, insert_report = aug.infer_missing_events(
         filtered, closure, scorer, cfg.theta_aug, alias)
     return augmented, aug.merge_reports(removal_report, insert_report), scorer
@@ -322,7 +333,7 @@ def _augment_log(cfg: PipelineConfig, args, log: EventLog,
 
 def _cmd_augment(cfg: PipelineConfig, args) -> int:
     _require(cfg, "log", "kg", "out")
-    log = read_log(cfg.log, cfg.context)
+    log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     rb = _load_rules(cfg, args, kg)
     alias = read_alias(cfg.alias)
@@ -414,7 +425,7 @@ def _cmd_synth(cfg: PipelineConfig, args) -> int:
 
 def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
     _require(cfg, "log", "kg", "out")
-    log = read_log(cfg.log, cfg.context)
+    log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     alias = read_alias(cfg.alias)
 

@@ -137,23 +137,21 @@ def _distinct_batch(heads, tails, buckets, neg_tails) -> _Batch:
                   pairs // n_neg, pairs % n_neg, counts, len(heads) * k)
 
 
-def _pair_distances(E, r, T, b: _Batch):
+def _hinge_forward(E, r, T, b: _Batch, margin):
+    """Mean margin violation over every (positive, corrupted-tail) pair,
+    and the residuals, distances and pre-max margin terms the gradient
+    reuses."""
     u_pos, d_pos = _distances(E, r, T, b.heads, b.tails, b.buckets)
     u_neg, d_neg = _distances(E, r, T, b.heads[b.pair_pos], b.pair_neg,
                               b.buckets[b.pair_pos])
-    return u_pos, d_pos, u_neg, d_neg
+    terms = margin + d_pos[b.pair_pos] - d_neg
+    loss = float(b.pair_count @ np.maximum(0.0, terms) / b.n_pairs)
+    return loss, (u_pos, d_pos, u_neg, d_neg, terms)
 
 
-def _hinge_loss(E, r, T, b: _Batch, margin) -> float:
-    """Mean margin violation over every (positive, corrupted-tail) pair."""
-    _, d_pos, _, d_neg = _pair_distances(E, r, T, b)
-    viol = np.maximum(0.0, margin + d_pos[b.pair_pos] - d_neg)
-    return float(b.pair_count @ viol / b.n_pairs)
-
-
-def _hinge_grads(E, r, T, b: _Batch, margin):
-    u_pos, d_pos, u_neg, d_neg = _pair_distances(E, r, T, b)
-    active = (margin + d_pos[b.pair_pos] - d_neg) > 0
+def _hinge_backward(E, r, T, b: _Batch, cache):
+    u_pos, d_pos, u_neg, d_neg, terms = cache
+    active = terms > 0
     # weight of each pair: its multiplicity if it violates the margin
     w = np.where(active, b.pair_count, 0) / b.n_pairs
     # each positive contributes once per active pairing with its negatives
@@ -217,8 +215,8 @@ def train_temporal_scorer(
 
     (E, r, T), history = descend(
         (E, r, T),
-        lambda p: _hinge_loss(*p, batch, params.margin),
-        lambda p: _hinge_grads(*p, batch, params.margin),
+        lambda p: _hinge_forward(*p, batch, params.margin),
+        lambda p, cache: _hinge_backward(*p, batch, cache),
         params.learning_rate, params.epochs, _clip_entities)
     return TemporalScorer(tuple(vocab), E, r, T, params, tuple(history))
 

@@ -125,77 +125,47 @@ def _attention_forward(V, mask, U, A):
     return alpha, diff, p
 
 
-def _proj_dist(E, Ep, R, Rp, hi, ri, ti, k=1):
-    """Projected translation residual and squared distance per row; edge
-    i of (hi, ri) is paired with the k tails ti[i*k:(i+1)*k]."""
-    h, hp, r, rp = E[hi], Ep[hi], R[ri], Rp[ri]
-    ch = (hp * h).sum(axis=1, keepdims=True)
-    head, rp, ch = (np.repeat(x, k, axis=0) for x in (h + ch * rp + r, rp, ch))
-    t, tp = E[ti], Ep[ti]
-    ct = (tp * t).sum(axis=1, keepdims=True)
-    u = head - t - ct * rp
-    return u, (u ** 2).sum(axis=1), ch, ct
+def _residuals(E, R, Rp, c, heads, rels, tails):
+    """Projected translation residual u = h + c_h r_p + r - t - c_t r_p
+    and its squared norm, of each edge (heads[i], rels[i]) against each
+    of its tails tails[i, j]; c[n] = n_p . n is the node's projection
+    coefficient."""
+    rp = Rp[rels]
+    head = E[heads] + c[heads, None] * rp + R[rels]
+    u = head[:, None, :] - E[tails] - c[tails][:, :, None] * rp[:, None, :]
+    return u, (u ** 2).sum(axis=2)
 
 
-def _joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l) -> float:
+def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
+    """Joint loss, and the intermediates _joint_backward reuses."""
     heads, rels, tails, neg_tails = edges
     idx, mask, labels, _ = ce_data
     total = 0.0
+    c = (Ep * E).sum(axis=1)
+    # column 0 is each edge's true tail, the rest its corrupted tails
+    u, d = _residuals(E, R, Rp, c, heads, rels,
+                      np.concatenate([tails[:, None], neg_tails], axis=1))
+    terms = margin + d[:, :1] - d[:, 1:]
     if neg_tails.size:
-        k = neg_tails.shape[1]
-        _, d_pos, _, _ = _proj_dist(E, Ep, R, Rp, heads, rels, tails)
-        _, d_neg, _, _ = _proj_dist(E, Ep, R, Rp, heads, rels,
-                                    neg_tails.reshape(-1), k)
-        viol = margin + np.repeat(d_pos, k) - d_neg
-        total += w_s * float(np.mean(np.maximum(0.0, viol)))
-    V = E[idx] * mask[:, :, None]
-    _, _, p = _attention_forward(V, mask, U, A)
-    ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
-    return total + w_l * float(ce)
-
-
-def _joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
-    """Gradients of _joint_loss. Each parameter's row contributions are
-    gathered in a fixed order (positive heads, positive tails, negative
-    heads, negative tails, then event rows) and summed by one scatter."""
-    heads, rels, tails, neg_tails = edges
-    idx, mask, labels, Y = ce_data
-    dim = E.shape[1]
-    gU = np.zeros_like(U)
-    gA = np.zeros_like(A)
-    e_idx, e_rows, ep_idx, ep_rows, r_idx, r_rows, rp_rows = ([] for _ in range(7))
-
-    if neg_tails.size:
-        k = neg_tails.shape[1]
-        scale = w_s / neg_tails.size
-        pos = _proj_dist(E, Ep, R, Rp, heads, rels, tails)
-        u_neg, d_neg, ch_neg, ct_neg = _proj_dist(
-            E, Ep, R, Rp, heads, rels, neg_tails.reshape(-1), k)
-        active = (margin + np.repeat(pos[1], k) - d_neg) > 0
-        # only margin-violating rows: the others add exact zeros, which
-        # leave every sum (started at +0.0) unchanged
-        rows = np.flatnonzero(active)
-        edge = rows // k
-        ph, pr = heads[edge], rels[edge]
-        u_pos, ch_pos, ct_pos = pos[0][edge], pos[2][edge], pos[3][edge]
-        rp = Rp[pr]
-        for sign, u, ti, ch, ct in (
-            (1.0, u_pos, tails[edge], ch_pos, ct_pos),
-            (-1.0, u_neg[rows], neg_tails.reshape(-1)[rows], ch_neg[rows],
-             ct_neg[rows]),
-        ):
-            gu = sign * scale * 2.0 * u
-            s_r = (gu * rp).sum(axis=1, keepdims=True)  # gu . r_p per row
-            e_idx += [ph, ti]
-            e_rows += [gu + s_r * Ep[ph], -(gu + s_r * Ep[ti])]
-            ep_idx += [ph, ti]
-            ep_rows += [s_r * E[ph], -s_r * E[ti]]
-            r_idx.append(pr)
-            r_rows.append(gu)
-            rp_rows.append((ch - ct) * gu)
-
+        total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
     V = E[idx] * mask[:, :, None]
     alpha, diff, p = _attention_forward(V, mask, U, A)
+    ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
+    return total + w_l * float(ce), (c, u, terms > 0, V, alpha, diff, p)
+
+
+def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, w_s, w_l):
+    """Gradients of the joint loss from _joint_forward's cache. Each
+    parameter's row contributions are gathered in a fixed order (positive
+    heads, positive tails, negative heads, negative tails, then event
+    rows) and summed by one scatter."""
+    heads, rels, tails, neg_tails = edges
+    idx, mask, labels, Y = ce_data
+    c, u, active, V, alpha, diff, p = cache
+    n, dim = E.shape
+
+    gU = np.zeros_like(U)
+    gA = np.zeros_like(A)
     m = len(labels)
     G = (p - Y) * (w_l / m)                      # dL/ds
     dDiff = G[:, :, None] * (-2.0 * diff)        # (m,c,d)
@@ -208,19 +178,31 @@ def _joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     gU += np.einsum("mkc,mke->ce", dz, V @ A)
     dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
     dV *= mask[:, :, None]
-    e_idx.append(idx.reshape(-1))
-    e_rows.append(dV.reshape(-1, dim))
 
-    def scatter(n, idx_parts, row_parts):
-        if not row_parts:
-            return np.zeros((n, dim))
-        return scatter_rows(n, np.concatenate(idx_parts),
-                            np.concatenate(row_parts))
+    # only margin-violating (edge, negative) rows: the others add exact
+    # zeros, which leave every sum (started at +0.0) unchanged
+    edge, neg = np.nonzero(active)
+    ph, pr = heads[edge], rels[edge]
+    rp = Rp[pr]
+    # axis 0 from here on: the positive, then the negative side of each
+    # row; axis 1 of the row blocks: the head, then the tail
+    ti = np.stack([tails[edge], neg_tails[edge, neg]])
+    pair_idx = np.stack([np.broadcast_to(ph, ti.shape), ti], axis=1).reshape(-1)
+    scale = w_s / neg_tails.size if neg_tails.size else 0.0  # else no rows
+    gu = ((np.array([1.0, -1.0]) * scale * 2.0)[:, None, None]
+          * u[edge, np.stack([np.zeros_like(neg), neg + 1])])
+    s_r = (gu * rp).sum(axis=2, keepdims=True)  # gu . r_p per row
+    e_rows = np.stack([gu + s_r * Ep[ph], -(gu + s_r * Ep[ti])], axis=1)
+    ep_rows = np.stack([s_r * E[ph], -s_r * E[ti]], axis=1)
 
-    gE = scatter(len(E), e_idx, e_rows)
-    gEp = scatter(len(Ep), ep_idx, ep_rows)
-    gR = scatter(len(R), r_idx, r_rows)
-    gRp = scatter(len(Rp), r_idx, rp_rows)
+    gE = scatter_rows(n, np.concatenate([pair_idx, idx.reshape(-1)]),
+                      np.concatenate([e_rows.reshape(-1, dim),
+                                      dV.reshape(-1, dim)]))
+    gEp = scatter_rows(n, pair_idx, ep_rows.reshape(-1, dim))
+    r_idx = np.concatenate([pr, pr])
+    gR = scatter_rows(len(R), r_idx, gu.reshape(-1, dim))
+    gRp = scatter_rows(len(Rp), r_idx,
+                       ((c[ph] - c[ti])[:, :, None] * gu).reshape(-1, dim))
     return gE, gEp, gR, gRp, gU, gA
 
 
@@ -301,12 +283,11 @@ def train_variant_model(
         U = U / np.maximum(1.0, np.linalg.norm(U, axis=1, keepdims=True))
         return E, Ep, R, Rp, U, A
 
-    objective = (edges, ce_data, params.margin, params.structure_weight,
-                 params.label_weight)
+    w_s, w_l = params.structure_weight, params.label_weight
     (E, Ep, R, Rp, U, A), history = descend(
         (E, Ep, R, Rp, U, A),
-        lambda p: _joint_loss(*p, *objective),
-        lambda p: _joint_grads(*p, *objective),
+        lambda p: _joint_forward(*p, edges, ce_data, params.margin, w_s, w_l),
+        lambda p, cache: _joint_backward(*p, edges, ce_data, cache, w_s, w_l),
         params.learning_rate, params.epochs, project)
 
     counts: dict[str, int] = {}
@@ -335,42 +316,55 @@ def _instance_of_targets(lpg: LabeledPropertyGraph) -> dict[str, str]:
     return out
 
 
-def _case_vectors(model: VariantModel, lpg: LabeledPropertyGraph,
-                  event_nodes: list[str],
-                  instance_of: dict[str, str]) -> np.ndarray:
-    """Embeddings of a case's events; events unknown to the model fall
-    back to their activity node, unknown activities are skipped."""
-    rows = []
-    for node in event_nodes:
-        if model.knows_node(node):
-            rows.append(model.node_vec(node))
-            continue
-        act_node = instance_of.get(node)
-        if act_node is not None and model.knows_node(act_node):
-            rows.append(model.node_vec(act_node))
-    if not rows:
-        return np.zeros((0, model.params.dim))
-    return np.stack(rows)
+_SCORE_BATCH = 64  # cases per padded attention pass in _class_scores
 
 
-def _score_vectors(model: VariantModel, V: np.ndarray) -> dict[str, float]:
-    mask = np.ones((1, len(V)), dtype=bool)
-    _, _, p = _attention_forward(V[None, :, :], mask, model.class_vecs,
-                                 model.attention)
-    return {cid: float(x) for cid, x in zip(model.class_ids(), p[0])}
+def _class_scores(model: VariantModel, by_case: dict[str, list[str]],
+                  instance_of: dict[str, str],
+                  case_ids: list[str]) -> list[dict[str, float] | None]:
+    """Per-class probabilities of each case, from padded attention passes
+    over batches of _SCORE_BATCH cases taken in order of length, so that
+    a batch pads only to its own longest case. An event unknown to the
+    model falls back to its activity node, and an unknown activity is
+    skipped; a case left with no events (or absent from the graph) gets
+    None."""
+    index = model._node_index
+    case_nodes = []
+    for case_id in case_ids:
+        rows = []
+        for node in by_case.get(case_id, ()):
+            i = index.get(node)
+            if i is None:
+                i = index.get(instance_of.get(node))
+            if i is not None:
+                rows.append(i)
+        case_nodes.append(rows)
+    out: list[dict[str, float] | None] = [None] * len(case_ids)
+    scored = sorted((i for i, rows in enumerate(case_nodes) if rows),
+                    key=lambda i: len(case_nodes[i]))
+    class_ids = model.class_ids()
+    for start in range(0, len(scored), _SCORE_BATCH):
+        batch = scored[start:start + _SCORE_BATCH]
+        idx, mask = _event_matrix([case_nodes[i] for i in batch])
+        V = model.entity_vecs[idx] * mask[:, :, None]
+        _, _, p = _attention_forward(V, mask, model.class_vecs,
+                                     model.attention)
+        for i, row in zip(batch, p.tolist()):
+            out[i] = dict(zip(class_ids, row))
+    return out
 
 
 def edge_score(model: VariantModel, head: str, relation: str,
                tail: str) -> float:
     """Plausibility of a graph edge under the trained embeddings:
     -||h_perp + r - t_perp||^2, higher is more plausible."""
-    hi = model._node_index[head]
-    ti = model._node_index[tail]
-    ri = model.relations.index(relation)
-    u, d, _, _ = _proj_dist(model.entity_vecs, model.entity_proj,
-                            model.relation_vecs, model.relation_proj,
-                            np.array([hi]), np.array([ri]), np.array([ti]))
-    return -float(d[0])
+    ends = [model._node_index[head], model._node_index[tail]]
+    E, Ep = model.entity_vecs[ends], model.entity_proj[ends]
+    _, d = _residuals(E, model.relation_vecs, model.relation_proj,
+                      (Ep * E).sum(axis=1), np.array([0]),
+                      np.array([model.relations.index(relation)]),
+                      np.array([[1]]))
+    return -float(d[0, 0])
 
 
 def score_trace(model: VariantModel, lpg: LabeledPropertyGraph,
@@ -379,10 +373,9 @@ def score_trace(model: VariantModel, lpg: LabeledPropertyGraph,
     by_case = lpg_events_by_case(lpg)
     if case_id not in by_case:
         raise DataError(f"case {case_id!r} is not in the graph")
-    V = _case_vectors(model, lpg, by_case[case_id], _instance_of_targets(lpg))
-    if len(V) == 0:
-        return model.priors()
-    return _score_vectors(model, V)
+    scores, = _class_scores(model, by_case, _instance_of_targets(lpg),
+                            [case_id])
+    return model.priors() if scores is None else scores
 
 
 @dataclass(frozen=True)
@@ -411,22 +404,19 @@ def classify_log(model: VariantModel, lpg: LabeledPropertyGraph,
 
     Cases absent from the graph, or whose events are all unknown to the
     model, fall back to the class prior and are flagged."""
-    by_case = lpg_events_by_case(lpg)
-    instance_of = _instance_of_targets(lpg)
+    case_ids = [t.case_id for t in log.traces]
     assignment: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
     fallback: set[str] = set()
-    for t in log.traces:
-        nodes = by_case.get(t.case_id, [])
-        V = _case_vectors(model, lpg, nodes, instance_of)
-        if len(V) == 0:
+    for case_id, case_scores in zip(case_ids, _class_scores(
+            model, lpg_events_by_case(lpg), _instance_of_targets(lpg),
+            case_ids)):
+        if case_scores is None:
             case_scores = model.priors()
-            fallback.add(t.case_id)
-        else:
-            case_scores = _score_vectors(model, V)
-        scores[t.case_id] = case_scores
+            fallback.add(case_id)
+        scores[case_id] = case_scores
         best = max(case_scores.values())
-        assignment[t.case_id] = sorted(
+        assignment[case_id] = sorted(
             c for c, s in case_scores.items() if s >= best - 1e-12)[0]
     return VariantPartition(assignment, scores, frozenset(fallback))
 

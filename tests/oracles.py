@@ -300,3 +300,69 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     dV *= mask[:, :, None]
     np.add.at(gE, idx.reshape(-1), dV.reshape(-1, dim))
     return gE, gEp, gR, gRp, gU, gA
+
+
+def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
+    """The descent loop with separate loss(params) -> float and
+    grads(params) -> arrays, so every gradient runs its own forward
+    pass; the fused descend must take the same steps."""
+    lr = learning_rate
+    prev = loss(params)
+    history = []
+    for _ in range(epochs):
+        g = grads(params)
+        accepted = prev
+        for _attempt in range(20):
+            cand = tuple(p - lr * gp for p, gp in zip(params, g))
+            if project is not None:
+                cand = project(cand)
+            cand_loss = loss(cand)
+            if cand_loss <= prev:
+                params = cand
+                accepted = cand_loss
+                lr = min(lr * 1.1, learning_rate)
+                break
+            lr *= 0.5
+        history.append(accepted)
+        prev = accepted
+    return params, history
+
+
+# ---------------------------------------------------------------------------
+# Variant classification: one attention call per case
+# ---------------------------------------------------------------------------
+
+def per_case_classify(model, lpg, log):
+    """(assignment, scores, prior_assigned) with each case scored by an
+    attention call of its own over its event embeddings. An event unknown
+    to the model falls back to its activity node, an unknown activity is
+    skipped, and a case left with no events gets the class prior."""
+    from kcpm.variants import (_attention_forward, _instance_of_targets,
+                               lpg_events_by_case)
+
+    by_case = lpg_events_by_case(lpg)
+    instance_of = _instance_of_targets(lpg)
+    assignment, scores, prior = {}, {}, set()
+    for t in log.traces:
+        rows = []
+        for node in by_case.get(t.case_id, []):
+            if model.knows_node(node):
+                rows.append(model.node_vec(node))
+                continue
+            act_node = instance_of.get(node)
+            if act_node is not None and model.knows_node(act_node):
+                rows.append(model.node_vec(act_node))
+        if rows:
+            V = np.stack(rows)[None, :, :]
+            _, _, p = _attention_forward(V, np.ones((1, len(rows)), dtype=bool),
+                                         model.class_vecs, model.attention)
+            case_scores = {cid: float(x)
+                           for cid, x in zip(model.class_ids(), p[0])}
+        else:
+            case_scores = model.priors()
+            prior.add(t.case_id)
+        scores[t.case_id] = case_scores
+        best = max(case_scores.values())
+        assignment[t.case_id] = sorted(
+            c for c, s in case_scores.items() if s >= best - 1e-12)[0]
+    return assignment, scores, frozenset(prior)

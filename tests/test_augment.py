@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.augment import (check_guideline_latency, filter_chaotic_events,
-                          infer_missing_events, merge_reports, report_to_json)
+                          infer_missing_events, merge_reports, needs_scorer,
+                          report_to_json)
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
 from kcpm.rules import Atom, ClosedPathRule, Closure, RuleBase, chain_body
 from kcpm.temporal import ScorerParams, train_temporal_scorer
@@ -214,6 +215,21 @@ def test_embedding_acceptance_path():
     out2, report2 = infer_missing_events(log, Closure(rb, kg), None, theta=0.4)
     assert report2.inserted == ()
     assert out2 == log
+
+
+def test_scorer_is_needed_only_where_the_rule_is_unsure():
+    rule = ClosedPathRule(chain_body(("hint",)), Atom(MUST_PRECEDE, "x", "y"),
+                          1, 0.2, 0.2)
+    closure = Closure(RuleBase((rule,), min_pca_conf=0.0),
+                      KnowledgeGraph([Triple("a", "hint", "b")]))
+    (conf,) = {c for _, _, c, _ in closure.facts(MUST_PRECEDE)}
+    assert needs_scorer(closure, conf + 0.01)
+    assert not needs_scorer(closure, conf)
+    # at theta == conf the rule alone inserts, with no scorer to consult
+    log = log_from_sequences([["x", "b"]])
+    _, report = infer_missing_events(log, closure, None, theta=conf)
+    assert [i.provenance for i in report.inserted] == ["rule"]
+    assert not needs_scorer(Closure(EMPTY_RB, KnowledgeGraph()), 1.5)
 
 
 def test_subsequence_property_on_random_logs():

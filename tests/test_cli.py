@@ -390,3 +390,51 @@ def test_bad_hyperparameter_fails_before_any_artifact(workdir, capsys, key,
                "--kg", kg, "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [message]
     assert not (out / "rules.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "augment"])
+def test_log_without_traces_fails_before_any_artifact(workdir, capsys, command):
+    log = workdir / "header_only.csv"
+    log.write_text("case_id,activity,timestamp\n")
+    out = workdir / "empty_out"
+    assert run(command, "--log", log, "--kg", workdir / "kg.tsv",
+               "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith("the log has no traces")
+    assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def ward_inputs(tmp_path_factory):
+    from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model
+
+    from kcpm.synth import CorruptionSpec, corrupt, simulate
+
+    work = tmp_path_factory.mktemp("ward")
+    (work / "kg.tsv").write_text("\n".join(precedence_kb_lines()) + "\n")
+    corrupted = corrupt(simulate(ward_model(), 150, seed=3),
+                        CorruptionSpec(0.10, 0.20, frozenset(NOISE_LABELS), seed=4))
+    with open(work / "log.csv", "w", newline="") as fh:
+        write_csv(corrupted, fh)
+    return work
+
+
+@pytest.mark.parametrize("command", ["pipeline", "augment"])
+def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs, command):
+    """Every must_precede confidence of the ward KB is 1.0: at the default
+    theta_aug of 0.5, or at 1.0, no insertion can ask the scorer, so none
+    is trained and the run equals one with --no-embedding; at 1.5 it is
+    trained."""
+    def artifacts(name, *flags):
+        out = ward_inputs / command / name
+        assert run(command, "--log", ward_inputs / "log.csv",
+                   "--kg", ward_inputs / "kg.tsv", "--out", out,
+                   "--seed", 17, *flags) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "manifest.json"}
+
+    default = artifacts("default")
+    assert "scorer.json" not in default
+    assert default == artifacts("no_embedding", "--no-embedding")
+    assert "scorer.json" not in artifacts("theta_1.0", "--theta-aug", 1.0)
+    assert "scorer.json" in artifacts("theta_1.5", "--theta-aug", 1.5)

@@ -7,7 +7,7 @@ import pytest
 from kcpm.errors import DataError
 from kcpm.kg import KnowledgeGraph, TemporalTriple, Triple
 from kcpm.temporal import (ScorerParams, TemporalScorer, _distinct_batch,
-                           _hinge_grads, _hinge_loss, df_training_triples,
+                           _hinge_backward, _hinge_forward, df_training_triples,
                            directly_follows_degree, load_scorer, save_scorer,
                            successor_scores, time_bucket,
                            train_temporal_scorer)
@@ -146,7 +146,8 @@ def test_hinge_gradients_match_finite_differences():
     buckets_idx = rng.integers(0, buckets, rows)
     margin = 1.0
     batch = _distinct_batch(heads, tails, buckets_idx, neg_tails)
-    gE, gr, gT = _hinge_grads(E, r, T, batch, margin)
+    gE, gr, gT = _hinge_backward(E, r, T, batch,
+                                 _hinge_forward(E, r, T, batch, margin)[1])
     eps = 1e-6
 
     def fd(array, grad):
@@ -154,9 +155,9 @@ def test_hinge_gradients_match_finite_differences():
         for k in rng.choice(flat.size, size=min(20, flat.size), replace=False):
             orig = flat[k]
             flat[k] = orig + eps
-            up = _hinge_loss(E, r, T, batch, margin)
+            up = _hinge_forward(E, r, T, batch, margin)[0]
             flat[k] = orig - eps
-            down = _hinge_loss(E, r, T, batch, margin)
+            down = _hinge_forward(E, r, T, batch, margin)[0]
             flat[k] = orig
             numeric = (up - down) / (2 * eps)
             assert grad.reshape(-1)[k] == pytest.approx(numeric, abs=1e-4)

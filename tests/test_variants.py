@@ -10,7 +10,7 @@ from kcpm.eventlog import ContextTable, Event, EventLog, Trace, annotate_context
 from kcpm.kg import KnowledgeGraph
 from kcpm.lpg import build_lpg
 from kcpm.variants import (VariantParams, VariantPartition,
-                           _attention_forward, _joint_grads, _joint_loss,
+                           _attention_forward, _joint_backward, _joint_forward,
                            classify_log, load_model, save_model, score_trace,
                            train_variant_model)
 
@@ -195,7 +195,8 @@ def test_joint_gradients_match_finite_differences():
     ce_data = (idx, mask, labels, Y)
     args = (edges, ce_data, 1.0, 1.0, 1.0)
 
-    grads = _joint_grads(E, Ep, R, Rp, U, A, *args)
+    _, cache = _joint_forward(E, Ep, R, Rp, U, A, *args)
+    grads = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, 1.0, 1.0)
     arrays = (E, Ep, R, Rp, U, A)
     eps = 1e-6
     for array, grad in zip(arrays, grads):
@@ -204,9 +205,9 @@ def test_joint_gradients_match_finite_differences():
         for j in rng.choice(flat.size, size=min(15, flat.size), replace=False):
             orig = flat[j]
             flat[j] = orig + eps
-            up = _joint_loss(E, Ep, R, Rp, U, A, *args)
+            up = _joint_forward(E, Ep, R, Rp, U, A, *args)[0]
             flat[j] = orig - eps
-            down = _joint_loss(E, Ep, R, Rp, U, A, *args)
+            down = _joint_forward(E, Ep, R, Rp, U, A, *args)[0]
             flat[j] = orig
             numeric = (up - down) / (2 * eps)
             assert gflat[j] == pytest.approx(numeric, abs=2e-4), \
