@@ -27,8 +27,7 @@ from .logio import (CsvMapping, mapping_for_log, parse_csv, parse_xes,
                     read_context_csv, write_csv, write_xes)
 from .lpg import LabeledPropertyGraph, build_lpg
 from .rules import (Atom, ClosedPathRule, Closure, EntailmentResult, RuleBase,
-                    entails, mine_rules, pca_confidence, std_confidence,
-                    support)
+                    entails, mine_rules)
 from .synth import CorruptionSpec, GroundTruthModel, corrupt, dropped_events, simulate
 from .temporal import (ScorerParams, TemporalScorer, directly_follows_degree,
                        train_temporal_scorer)

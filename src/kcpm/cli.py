@@ -20,7 +20,7 @@ from .conformance import (comparison_table, conformance, footprint_of_log,
                           footprint_of_model)
 from .conformance import report_to_json as conformance_report_json
 from .config import PipelineConfig, load_config
-from .errors import DataError, KcpmError
+from .errors import DataError, KcpmError, ParseError
 from .eventlog import EventLog, annotate_context, log_statistics
 from .kg import KnowledgeGraph, load_triples
 from .lpg import build_lpg
@@ -199,9 +199,22 @@ def _require(cfg: PipelineConfig, *keys) -> None:
         raise _UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
-def _reference_model(path: str) -> dfgmod.DependencyGraph:
+def _read_json(path: str, decode):
+    """decode() applied to the JSON in path; a file that is not JSON or
+    does not decode is a ParseError naming the path."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            return decode(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not JSON: {exc.msg}") from None
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
+def _reference_graph(obj) -> dfgmod.DependencyGraph:
+    """A dependency graph, or a ground-truth model as its dependency graph."""
     if "transitions" in obj:
         return synth.model_from_json(obj).to_dependency_graph()
     return dfgmod.dfg_from_json(obj)
@@ -303,8 +316,7 @@ def _cmd_mine_dfg(cfg: PipelineConfig, args) -> int:
 
 def _cmd_filter(cfg: PipelineConfig, args) -> int:
     _require(cfg, "kg", "out")
-    with open(args.dfg, encoding="utf-8") as fh:
-        dg = dfgmod.dfg_from_json(json.load(fh))
+    dg = _read_json(args.dfg, dfgmod.dfg_from_json)
     kg = load_triples(cfg.kg)
     with open(args.rules, encoding="utf-8") as fh:
         rb = read_rules_jsonl(fh)
@@ -395,7 +407,7 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> int:
 def _cmd_conform(cfg: PipelineConfig, args) -> int:
     _require(cfg, "log", "out")
     log = read_log(cfg.log, cfg.context)
-    model = _reference_model(cfg.model)
+    model = _read_json(cfg.model, _reference_graph)
     report = conformance(footprint_of_log(log), footprint_of_model(model))
     _json_out(cfg.out, "report.json", conformance_report_json(report))
     table = comparison_table([(os.path.basename(cfg.log), report)])
@@ -408,7 +420,7 @@ def _cmd_conform(cfg: PipelineConfig, args) -> int:
 
 def _cmd_synth(cfg: PipelineConfig, args) -> int:
     _require(cfg, "out")
-    model = synth.read_model(cfg.model)
+    model = _read_json(cfg.model, synth.model_from_json)
     log = synth.simulate(model, args.cases, cfg.seed)
     _write(cfg.out, "log.csv", lambda fh: logio.write_csv(log, fh))
     if args.drop > 0 or args.noise > 0:
@@ -428,6 +440,8 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
     log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     alias = read_alias(cfg.alias)
+    reference = (_read_json(cfg.model, _reference_graph) if cfg.model
+                 else None)
 
     rb = mine_rules(kg, max_body_len=2, min_support=cfg.min_support,
                     min_pca_conf=cfg.min_pca_conf)
@@ -460,8 +474,7 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
         "inserted": len(report.inserted),
     }}
     table = ""
-    if cfg.model:
-        reference = _reference_model(cfg.model)
+    if reference is not None:
         model_fp = footprint_of_model(reference)
         raw_rep = conformance(footprint_of_log(log), model_fp)
         aug_rep = conformance(footprint_of_log(augmented), model_fp)

@@ -1,6 +1,7 @@
-"""Footprint matrices and footprint-overlap fitness/precision/F-score.
+"""Footprints and footprint-overlap fitness/precision/F-score.
 
-Every ordered activity pair gets one of four relations: causal (a
+A footprint is the set of directly-follows pairs over an alphabet. From
+it every ordered activity pair gets one of four relations: causal (a
 directly precedes b but never the reverse), its mirror, parallel (both
 directions observed) or unrelated. Fitness is the fraction of the log's
 directed behavior the model permits; precision is the fraction of the
@@ -25,53 +26,36 @@ class Relation(enum.Enum):
 
 @dataclass(frozen=True)
 class FootprintMatrix:
+    """The directly-follows pairs observed over an alphabet; every
+    relation is derived from them, so it is symmetric by construction."""
     activities: tuple[str, ...]
-    relation: dict[tuple[str, str], Relation]
+    pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        for a in self.activities:
-            for b in self.activities:
-                rel = self.relation.get((a, b))
-                if rel is None:
-                    raise ValueError(f"relation undefined for ({a!r}, {b!r})")
-                mirror = self.relation.get((b, a))
-                expect = {
-                    Relation.CAUSAL: Relation.REVERSE,
-                    Relation.REVERSE: Relation.CAUSAL,
-                    Relation.PARALLEL: Relation.PARALLEL,
-                    Relation.UNRELATED: Relation.UNRELATED,
-                }[rel]
-                if mirror is not expect:
-                    raise ValueError(
-                        f"asymmetric footprint at ({a!r}, {b!r}): {rel} vs {mirror}")
+        known = set(self.activities)
+        for a, b in self.pairs:
+            if a not in known or b not in known:
+                raise ValueError(f"pair ({a!r}, {b!r}) uses unknown activity")
 
-
-def _footprint_from_pairs(activities, present: set[tuple[str, str]]) -> FootprintMatrix:
-    acts = tuple(sorted(activities))
-    relation = {}
-    for a in acts:
-        for b in acts:
-            ab, ba = (a, b) in present, (b, a) in present
-            if ab and ba:
-                relation[(a, b)] = Relation.PARALLEL
-            elif ab:
-                relation[(a, b)] = Relation.CAUSAL
-            elif ba:
-                relation[(a, b)] = Relation.REVERSE
-            else:
-                relation[(a, b)] = Relation.UNRELATED
-    return FootprintMatrix(acts, relation)
+    def relation(self, a: str, b: str) -> Relation:
+        ab, ba = (a, b) in self.pairs, (b, a) in self.pairs
+        if ab and ba:
+            return Relation.PARALLEL
+        if ab:
+            return Relation.CAUSAL
+        return Relation.REVERSE if ba else Relation.UNRELATED
 
 
 def footprint_of_log(log: EventLog) -> FootprintMatrix:
     if not log.traces:
         raise DataError("cannot compute the footprint of an empty log")
     df = directly_follows_counts(log)
-    return _footprint_from_pairs(log.alphabet, {p for p, n in df.items() if n > 0})
+    return FootprintMatrix(tuple(sorted(log.alphabet)),
+                           frozenset(p for p, n in df.items() if n > 0))
 
 
 def footprint_of_model(dg: DependencyGraph) -> FootprintMatrix:
-    return _footprint_from_pairs(dg.activities, set(dg.edges))
+    return FootprintMatrix(tuple(sorted(dg.activities)), frozenset(dg.edges))
 
 
 def f_score(fitness: float, precision: float) -> float:
@@ -95,29 +79,17 @@ class ConformanceReport:
     deviations: tuple[Deviation, ...]
 
 
-def _directed(fp: FootprintMatrix) -> set[tuple[str, str]]:
-    return {p for p, r in fp.relation.items()
-            if r in (Relation.CAUSAL, Relation.PARALLEL)}
-
-
 def conformance(log_fp: FootprintMatrix, model_fp: FootprintMatrix) -> ConformanceReport:
     """Compare two footprints over the union of their alphabets; pairs
-    absent from one side count as unrelated there."""
-    alphabet = tuple(sorted(set(log_fp.activities) | set(model_fp.activities)))
-
-    def rel(fp: FootprintMatrix, pair) -> Relation:
-        return fp.relation.get(pair, Relation.UNRELATED)
-
-    df_log = _directed(log_fp)
-    df_model = _directed(model_fp)
-    both = df_log & df_model
-    fitness = len(both) / len(df_log) if df_log else 1.0
-    precision = len(both) / len(df_model) if df_model else 1.0
+    absent from one side count as unrelated there. A relation differs
+    exactly where a pair or its mirror is on one side only."""
+    both = log_fp.pairs & model_fp.pairs
+    fitness = len(both) / len(log_fp.pairs) if log_fp.pairs else 1.0
+    precision = len(both) / len(model_fp.pairs) if model_fp.pairs else 1.0
+    differ = log_fp.pairs ^ model_fp.pairs
     deviations = tuple(
-        Deviation((a, b), rel(log_fp, (a, b)), rel(model_fp, (a, b)))
-        for a in alphabet for b in alphabet
-        if rel(log_fp, (a, b)) is not rel(model_fp, (a, b))
-    )
+        Deviation((a, b), log_fp.relation(a, b), model_fp.relation(a, b))
+        for a, b in sorted(differ | {(b, a) for a, b in differ}))
     return ConformanceReport(fitness, precision, f_score(fitness, precision),
                              deviations)
 
@@ -125,26 +97,6 @@ def conformance(log_fp: FootprintMatrix, model_fp: FootprintMatrix) -> Conforman
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-def footprint_table(fp: FootprintMatrix) -> str:
-    width = max([len(a) for a in fp.activities] + [2])
-    head = " " * (width + 1) + " ".join(f"{a:<{width}}" for a in fp.activities)
-    lines = [head]
-    for a in fp.activities:
-        cells = " ".join(f"{fp.relation[(a, b)].value:<{width}}"
-                         for b in fp.activities)
-        lines.append(f"{a:<{width}} {cells}")
-    return "\n".join(lines) + "\n"
-
-
-def footprint_csv(fp: FootprintMatrix, stream) -> None:
-    import csv
-
-    w = csv.writer(stream)
-    w.writerow(["", *fp.activities])
-    for a in fp.activities:
-        w.writerow([a, *(fp.relation[(a, b)].value for b in fp.activities)])
-
 
 def report_to_json(report: ConformanceReport) -> dict:
     return {

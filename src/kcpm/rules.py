@@ -158,18 +158,6 @@ def rule_stats(
                   succ.get(head_predicate, {}))
 
 
-def support(rule: ClosedPathRule, kg: KnowledgeGraph) -> int:
-    return rule_stats(rule.body_predicates, rule.head.predicate, kg)[0]
-
-
-def std_confidence(rule: ClosedPathRule, kg: KnowledgeGraph) -> float:
-    return rule_stats(rule.body_predicates, rule.head.predicate, kg)[1]
-
-
-def pca_confidence(rule: ClosedPathRule, kg: KnowledgeGraph) -> float:
-    return rule_stats(rule.body_predicates, rule.head.predicate, kg)[2]
-
-
 def mine_rules(
     kg: KnowledgeGraph,
     max_body_len: int = 2,

@@ -177,17 +177,45 @@ def naive_remove_chaotic(sequences, forbidden, must_precede, strict):
 # Footprints
 # ---------------------------------------------------------------------------
 
-def naive_footprint(traces):
-    df = naive_df_counts(traces)
-    alphabet = sorted({a for acts in traces for a in acts})
+def dense_relations(alphabet, present):
+    """Every ordered pair of the alphabet mapped to its relation symbol,
+    from the set of directly-follows pairs present."""
     rel = {}
-    for a in alphabet:
-        for b in alphabet:
-            ab = df.get((a, b), 0) > 0
-            ba = df.get((b, a), 0) > 0
+    for a in sorted(alphabet):
+        for b in sorted(alphabet):
+            ab, ba = (a, b) in present, (b, a) in present
             rel[(a, b)] = "||" if (ab and ba) else "->" if ab else \
                 "<-" if ba else "#"
     return rel
+
+
+def naive_footprint(traces):
+    df = naive_df_counts(traces)
+    return dense_relations({a for acts in traces for a in acts},
+                           {p for p, n in df.items() if n > 0})
+
+
+def dense_conformance(log_side, model_side):
+    """The all-pairs footprint comparison over the union alphabet, with
+    pairs outside a side's alphabet counted as '#' there; each side is
+    (alphabet, directly-follows pairs). Returns the report's JSON form."""
+    log_rel, model_rel = dense_relations(*log_side), dense_relations(*model_side)
+    alphabet = sorted(set(log_side[0]) | set(model_side[0]))
+    directed = [{p for p, r in rel.items() if r in ("->", "||")}
+                for rel in (log_rel, model_rel)]
+    both = directed[0] & directed[1]
+    fitness = len(both) / len(directed[0]) if directed[0] else 1.0
+    precision = len(both) / len(directed[1]) if directed[1] else 1.0
+    f = (2 * fitness * precision / (fitness + precision)
+         if fitness > 0 and precision > 0 else 0.0)
+    deviations = []
+    for a in alphabet:
+        for b in alphabet:
+            lr, mr = log_rel.get((a, b), "#"), model_rel.get((a, b), "#")
+            if lr != mr:
+                deviations.append({"a": a, "b": b, "log": lr, "model": mr})
+    return {"fitness": fitness, "precision": precision, "f_score": f,
+            "deviations": deviations}
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +248,9 @@ def per_row_hinge_loss(E, r, T, heads, tails, buckets, neg_tails, margin):
 
 
 def per_row_hinge_grads(E, r, T, heads, tails, buckets, neg_tails, margin):
+    """(gE, gr, gT), and the same scatter taken over the absolute row
+    terms: the size of what is summed, which bounds its rounding error
+    where the terms cancel."""
     k = neg_tails.shape[1]
     nh, nb, nt = np.repeat(heads, k), np.repeat(buckets, k), neg_tails.reshape(-1)
     u_pos, d_pos = _hinge_distances(E, r, T, heads, tails, buckets)
@@ -232,16 +263,19 @@ def per_row_hinge_grads(E, r, T, heads, tails, buckets, neg_tails, margin):
     gp = scale * n_active[:, None] * unit_pos
     gn = np.where((active & (d_neg > 0))[:, None],
                   -scale * u_neg / np.maximum(d_neg, 1e-12)[:, None], 0.0)
-    gE = np.zeros_like(E)
-    np.add.at(gE, heads, gp)
-    np.add.at(gE, nh, gn)
-    np.add.at(gE, tails, -gp)
-    np.add.at(gE, nt, -gn)
-    gT = np.zeros_like(T)
-    np.add.at(gT, buckets, gp)
-    np.add.at(gT, nb, gn)
-    gr = gp.sum(axis=0) + gn.sum(axis=0)
-    return gE, gr, gT
+
+    def scatter(gp, gn, sign):
+        gE = np.zeros_like(E)
+        np.add.at(gE, heads, gp)
+        np.add.at(gE, nh, gn)
+        np.add.at(gE, tails, sign * gp)
+        np.add.at(gE, nt, sign * gn)
+        gT = np.zeros_like(T)
+        np.add.at(gT, buckets, gp)
+        np.add.at(gT, nb, gn)
+        return gE, gp.sum(axis=0) + gn.sum(axis=0), gT
+
+    return scatter(gp, gn, -1), scatter(np.abs(gp), np.abs(gn), 1)
 
 
 def _per_row_proj_dist(E, Ep, R, Rp, hi, ri, ti):

@@ -389,9 +389,11 @@ def test_criterion_9_invariant_sweep():
     for _ in range(200):  # footprint symmetry on random logs
         seqs = random_sequences(rng, rng.randint(1, 10), 9, acts)
         fp = footprint_of_log(log_from_sequences(seqs))
-        for (a, b), rel in fp.relation.items():
-            mirror = fp.relation[(b, a)]
-            assert {rel.value, mirror.value} in ({"->", "<-"}, {"||"}, {"#"})
+        for a in fp.activities:
+            for b in fp.activities:
+                rel, mirror = fp.relation(a, b), fp.relation(b, a)
+                assert {rel.value, mirror.value} in ({"->", "<-"}, {"||"},
+                                                     {"#"})
 
     # trace scores are a probability distribution over classes
     log, labels = cohort_log(n_per_class=4, seed=3)

@@ -404,6 +404,58 @@ def test_log_without_traces_fails_before_any_artifact(workdir, capsys, command):
     assert list(out.iterdir()) == []
 
 
+_UNKNOWN_EDGE = {"activities": ["a"], "edges": [
+    {"source": "a", "target": "z", "df_count": 1, "dependency": 0.5}]}
+
+
+@pytest.mark.parametrize("command", ["conform", "filter", "pipeline"])
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not JSON: "),
+    (json.dumps({"foo": 1}), "missing key 'edges'"),
+    # a --model file with "transitions" is read as a ground-truth model;
+    # a --dfg file is always a dependency graph
+    (json.dumps({"transitions": 5}), "missing key 'activities'"),
+    (json.dumps(_UNKNOWN_EDGE), "edge ('a', 'z') uses unknown activity"),
+], ids=["not-json", "no-edges", "transitions-without-activities",
+        "unknown-activity"])
+def test_bad_graph_file_fails_before_any_artifact(workdir, capsys, command,
+                                                  text, message):
+    if command == "filter" and "transitions" in text:
+        message = "missing key 'edges'"
+    bad = workdir / "bad_graph.json"
+    bad.write_text(text)
+    rules_file = workdir / "one_rule.jsonl"
+    rules_file.write_text(json.dumps(_RULE) + "\n")
+    out = workdir / "bad_graph_out"
+    inputs = {
+        "conform": ["--log", workdir / "log.csv", "--model", bad],
+        "filter": ["--dfg", bad, "--rules", rules_file,
+                   "--kg", workdir / "kg.tsv"],
+        "pipeline": ["--log", workdir / "log.csv", "--kg", workdir / "kg.tsv",
+                     "--model", bad],
+    }[command]
+    assert run(command, *inputs, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not JSON: "),
+    (json.dumps({"foo": 1}), "missing key 'activities'"),
+    (json.dumps({"activities": ["a"], "start_probs": {"a": 0.5},
+                 "transitions": {}}), "start probabilities must sum to 1"),
+], ids=["not-json", "no-activities", "bad-start-probabilities"])
+def test_bad_synth_model_is_data_error(workdir, capsys, text, message):
+    bad = workdir / "bad_model.json"
+    bad.write_text(text)
+    out = workdir / "bad_synth_out"
+    assert run("synth", "--model", bad, "--cases", 2, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+    assert list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def ward_inputs(tmp_path_factory):
     from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model

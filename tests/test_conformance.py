@@ -1,30 +1,31 @@
-import io
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcpm.conformance import (FootprintMatrix, Relation, comparison_table,
-                              conformance, f_score, footprint_csv,
-                              footprint_of_log, footprint_of_model,
-                              footprint_table, report_to_json)
+                              conformance, f_score, footprint_of_log,
+                              footprint_of_model, report_to_json)
 from kcpm.dfg import MiningThresholds, mine_dependency_graph
 from kcpm.errors import DataError
 from kcpm.eventlog import EventLog
 
 from conftest import log_from_sequences, random_sequences
-from oracles import naive_footprint
+from oracles import dense_conformance, naive_df_counts, naive_footprint
 
 
 def test_footprint_simple_causality():
     fp = footprint_of_log(log_from_sequences([["a", "b"]]))
-    assert fp.relation[("a", "b")] is Relation.CAUSAL
-    assert fp.relation[("b", "a")] is Relation.REVERSE
+    assert fp.relation("a", "b") is Relation.CAUSAL
+    assert fp.relation("b", "a") is Relation.REVERSE
 
 
 def test_footprint_parallel():
     fp = footprint_of_log(log_from_sequences([["a", "b"], ["b", "a"]]))
-    assert fp.relation[("a", "b")] is Relation.PARALLEL
-    assert fp.relation[("b", "a")] is Relation.PARALLEL
+    assert fp.relation("a", "b") is Relation.PARALLEL
+    assert fp.relation("b", "a") is Relation.PARALLEL
 
 
 def test_footprint_empty_log_is_error():
@@ -38,10 +39,11 @@ def test_footprint_matches_bruteforce_and_symmetry():
         seqs = random_sequences(rng, rng.randint(1, 12), 10, list("abcde"))
         fp = footprint_of_log(log_from_sequences(seqs))
         naive = naive_footprint(seqs)
-        assert {p: r.value for p, r in fp.relation.items()} == naive
+        assert {(a, b): fp.relation(a, b).value
+                for a in fp.activities for b in fp.activities} == naive
         for a in fp.activities:
             for b in fp.activities:
-                rel, mirror = fp.relation[(a, b)], fp.relation[(b, a)]
+                rel, mirror = fp.relation(a, b), fp.relation(b, a)
                 if rel is Relation.CAUSAL:
                     assert mirror is Relation.REVERSE
                 elif rel in (Relation.PARALLEL, Relation.UNRELATED):
@@ -52,10 +54,11 @@ def test_model_footprint_cases():
     log = log_from_sequences([["a", "b"]] * 3)
     dg = mine_dependency_graph(log, MiningThresholds(0.5, 1))
     fp = footprint_of_model(dg)
-    assert fp.relation[("a", "b")] is Relation.CAUSAL
+    assert fp.relation("a", "b") is Relation.CAUSAL
     empty = mine_dependency_graph(log, MiningThresholds(0.99, 99))
     fp2 = footprint_of_model(empty)
-    assert all(r is Relation.UNRELATED for r in fp2.relation.values())
+    assert all(fp2.relation(a, b) is Relation.UNRELATED
+               for a in fp2.activities for b in fp2.activities)
 
 
 def test_conformance_identity():
@@ -89,22 +92,14 @@ def test_adding_log_edge_to_model_never_decreases_fitness():
         dg = mine_dependency_graph(log, MiningThresholds(0.7, 2))
         model_fp = footprint_of_model(dg)
         before = conformance(log_fp, model_fp).fitness
-        log_pairs = [p for p, r in log_fp.relation.items()
-                     if r in (Relation.CAUSAL, Relation.PARALLEL)
-                     and p not in dg.edges]
+        log_pairs = [p for p in log_fp.pairs if p not in dg.edges]
         if not log_pairs:
             continue
         extra = sorted(log_pairs)[0]
         pairs = set(dg.edges) | {extra}
         acts = tuple(sorted(dg.activities))
-        rel = {}
-        for a in acts:
-            for b in acts:
-                ab, ba = (a, b) in pairs, (b, a) in pairs
-                rel[(a, b)] = (Relation.PARALLEL if ab and ba else
-                               Relation.CAUSAL if ab else
-                               Relation.REVERSE if ba else Relation.UNRELATED)
-        after = conformance(log_fp, FootprintMatrix(acts, rel)).fitness
+        after = conformance(log_fp,
+                            FootprintMatrix(acts, frozenset(pairs))).fitness
         assert after >= before
 
 
@@ -125,21 +120,46 @@ def test_union_alphabet_fills_unrelated():
     assert report.precision == 0.0
 
 
-def test_matrix_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        FootprintMatrix(("a", "b"), {
-            ("a", "a"): Relation.UNRELATED, ("b", "b"): Relation.UNRELATED,
-            ("a", "b"): Relation.CAUSAL, ("b", "a"): Relation.PARALLEL,
-        })
+def test_matrix_rejects_pair_outside_alphabet():
+    with pytest.raises(ValueError, match="unknown activity"):
+        FootprintMatrix(("a",), frozenset({("a", "b")}))
+
+
+SEQS = st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=7),
+                min_size=1, max_size=6)
+
+
+def _log_side(seqs):
+    return {a for seq in seqs for a in seq}, set(naive_df_counts(seqs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_seqs=SEQS, other_seqs=SEQS,
+       shift=st.sampled_from([0, 2, 4]), as_model=st.booleans(),
+       dependency=st.sampled_from([0.0, 0.5, 0.9]),
+       frequency=st.sampled_from([1, 2, 99]))
+def test_pair_set_report_equals_dense_comparison(log_seqs, other_seqs, shift,
+                                                 as_model, dependency,
+                                                 frequency):
+    # the other side's alphabet is abcd, cdef or efgh: the same as the
+    # log's, overlapping it or disjoint from it; frequency 99 mines a
+    # model with no edges
+    other_seqs = [[chr(ord(a) + shift) for a in seq] for seq in other_seqs]
+    other = log_from_sequences(other_seqs)
+    if as_model:
+        dg = mine_dependency_graph(other,
+                                   MiningThresholds(dependency, frequency))
+        other_fp = footprint_of_model(dg)
+        other_side = (dg.activities, set(dg.edges))
+    else:
+        other_fp, other_side = footprint_of_log(other), _log_side(other_seqs)
+    got = conformance(footprint_of_log(log_from_sequences(log_seqs)), other_fp)
+    expected = dense_conformance(_log_side(log_seqs), other_side)
+    assert json.dumps(report_to_json(got)) == json.dumps(expected)
 
 
 def test_rendering():
     fp = footprint_of_log(log_from_sequences([["a", "b"]]))
-    text = footprint_table(fp)
-    assert "->" in text and "<-" in text
-    buf = io.StringIO()
-    footprint_csv(fp, buf)
-    assert buf.getvalue().splitlines()[0] == ",a,b"
     rep = conformance(fp, fp)
     table = comparison_table([("raw", rep)])
     assert "Event Log Type" in table and "1.000" in table

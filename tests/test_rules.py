@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
 from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
-                        entails, mine_rules, pca_confidence, read_rules_jsonl,
-                        rule_stats, std_confidence, support, write_rules_jsonl)
+                        entails, mine_rules, read_rules_jsonl, rule_stats,
+                        write_rules_jsonl)
 
 from oracles import naive_body_confidences, naive_closure, naive_mine
 
@@ -23,6 +23,7 @@ WORK_KG = KnowledgeGraph([
 WORK_RULE = ClosedPathRule(
     chain_body(("worksAt", "locatedIn")), Atom("livesIn", "x", "y"),
     support=1, std_confidence=0.5, pca_confidence=1.0)
+WORK_SHAPE = (WORK_RULE.body_predicates, WORK_RULE.head.predicate)
 
 
 def test_rule_validates_chain_shape():
@@ -36,29 +37,29 @@ def test_rule_validates_chain_shape():
 
 
 def test_support_on_worked_example():
-    assert support(WORK_RULE, WORK_KG) == 1
+    assert rule_stats(*WORK_SHAPE, WORK_KG)[0] == 1
 
 
 def test_support_empty_kg_and_absent_head():
-    assert support(WORK_RULE, KnowledgeGraph()) == 0
+    assert rule_stats(*WORK_SHAPE, KnowledgeGraph())[0] == 0
     kg = KnowledgeGraph([Triple("a", "worksAt", "b"),
                          Triple("b", "locatedIn", "c")])
-    assert support(WORK_RULE, kg) == 0  # head predicate absent
+    assert rule_stats(*WORK_SHAPE, kg)[0] == 0  # head predicate absent
 
 
 def test_confidences_on_worked_example():
     # body pairs: (al,wgg), (bo,rno); only al has a livesIn fact, so the
     # PCA denominator drops (bo,rno)
-    assert std_confidence(WORK_RULE, WORK_KG) == 0.5
-    assert pca_confidence(WORK_RULE, WORK_KG) == 1.0
+    assert rule_stats(*WORK_SHAPE, WORK_KG)[1] == 0.5
+    assert rule_stats(*WORK_SHAPE, WORK_KG)[2] == 1.0
 
 
 def test_confidence_zero_support():
     kg = KnowledgeGraph([Triple("a", "worksAt", "b"),
                          Triple("b", "locatedIn", "c"),
                          Triple("z", "livesIn", "w")])
-    assert support(WORK_RULE, kg) == 0
-    assert pca_confidence(WORK_RULE, kg) == 0.0
+    assert rule_stats(*WORK_SHAPE, kg)[0] == 0
+    assert rule_stats(*WORK_SHAPE, kg)[2] == 0.0
 
 
 def test_confidence_one_when_head_always_present():
