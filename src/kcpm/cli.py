@@ -37,9 +37,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def read_log(path: str, context: str | None = None) -> EventLog:
+def read_log(path: str, context: str | None = None,
+             xes_on_malformed: str = "fail") -> EventLog:
     if path.endswith(".xes"):
-        log = logio.parse_xes(path)
+        log = logio.parse_xes(path, on_malformed=xes_on_malformed)
     else:
         log = logio.parse_csv_auto(path)
     if context:
@@ -51,14 +52,9 @@ def read_log(path: str, context: str | None = None) -> EventLog:
 def read_alias(path: str | None) -> dict[str, str] | None:
     if path is None:
         return None
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = [header] if header and header[0] != "activity" else []
-        rows += list(reader)
-    return {row[0]: row[1] for row in rows if len(row) >= 2}
+    with logio.csv_rows(path, ("activity", "entity")) as (columns, rows):
+        activity, entity = columns["activity"], columns["entity"]
+        return {row[activity]: row[entity] for _, row in rows}
 
 
 def _write(out_dir: str, name: str, writer) -> str:
@@ -260,12 +256,7 @@ def _read_repair_log(cfg: PipelineConfig) -> EventLog:
 
 def _cmd_ingest(cfg: PipelineConfig, args) -> int:
     _require(cfg, "log", "out")
-    if cfg.log.endswith(".xes"):
-        log = logio.parse_xes(cfg.log, on_malformed=args.xes_on_malformed)
-        if cfg.context:
-            log, _ = annotate_context(log, logio.read_context_csv(cfg.context))
-    else:
-        log = read_log(cfg.log, cfg.context)
+    log = read_log(cfg.log, cfg.context, args.xes_on_malformed)
     _write(cfg.out, "log.csv", lambda fh: logio.write_csv(log, fh))
     _json_out(cfg.out, "stats.json", log_statistics(log))
     write_manifest(os.path.join(cfg.out, "manifest.json"), args.command,
@@ -520,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (KcpmError, FileNotFoundError) as exc:
+    except (KcpmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

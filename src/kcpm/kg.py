@@ -6,14 +6,12 @@ control flow: ``directly_follows``, ``must_precede`` and
 """
 from __future__ import annotations
 
-import io
-import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import ParseError
-from .logio import parse_timestamp
+from .logio import _open_text, parse_timestamp
 
 DIRECTLY_FOLLOWS = "directly_follows"
 MUST_PRECEDE = "must_precede"
@@ -125,40 +123,40 @@ def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
     """Load a knowledge graph from TSV (3 columns, or 4 with an ISO-8601
     timestamp) or an N-Triples subset (IRIs and plain literals, no blank
     nodes). Duplicates collapse under set semantics."""
-    stream = _as_text(source)
     triples: list[Triple] = []
     temporal: list[TemporalTriple] = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if format == "tsv":
-            cols = line.split("\t")
-            if len(cols) not in (3, 4):
-                raise ParseError(
-                    f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}"
-                )
-            try:
-                triple = Triple(cols[0].strip(), cols[1].strip(), cols[2].strip())
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if len(cols) == 4:
+    with _open_text(source) as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            if format == "tsv":
+                cols = line.split("\t")
+                if len(cols) not in (3, 4):
+                    raise ParseError(
+                        f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}"
+                    )
                 try:
-                    ts = parse_timestamp(cols[3])
-                except ParseError as exc:
+                    triple = Triple(cols[0].strip(), cols[1].strip(), cols[2].strip())
+                except ValueError as exc:
                     raise ParseError(f"line {lineno}: {exc}") from None
-                temporal.append(TemporalTriple(triple, ts))
+                if len(cols) == 4:
+                    try:
+                        ts = parse_timestamp(cols[3])
+                    except ParseError as exc:
+                        raise ParseError(f"line {lineno}: {exc}") from None
+                    temporal.append(TemporalTriple(triple, ts))
+                else:
+                    triples.append(triple)
+            elif format == "ntriples":
+                m = _NT_LINE.match(line)
+                if m is None:
+                    raise ParseError(f"line {lineno}: not a supported N-Triples statement")
+                if any(g.startswith("_:") for g in m.groups()):
+                    raise ParseError(f"line {lineno}: blank nodes are not supported")
+                triples.append(Triple(*(_strip_term(g) for g in m.groups())))
             else:
-                triples.append(triple)
-        elif format == "ntriples":
-            m = _NT_LINE.match(line)
-            if m is None:
-                raise ParseError(f"line {lineno}: not a supported N-Triples statement")
-            if any(g.startswith("_:") for g in m.groups()):
-                raise ParseError(f"line {lineno}: blank nodes are not supported")
-            triples.append(Triple(*(_strip_term(g) for g in m.groups())))
-        else:
-            raise ParseError(f"unknown triple format {format!r}")
+                raise ParseError(f"unknown triple format {format!r}")
     return KnowledgeGraph(triples, temporal)
 
 
@@ -171,11 +169,3 @@ def write_triples(kg: KnowledgeGraph, stream) -> None:
                                     x.triple.object, x.timestamp)):
         t = tt.triple
         stream.write(f"{t.subject}\t{t.predicate}\t{t.object}\t{tt.timestamp.isoformat()}\n")
-
-
-def _as_text(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    return source

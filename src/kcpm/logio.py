@@ -6,6 +6,7 @@ The CSV layer is round-trip safe: ``write_csv`` + ``mapping_for_log`` +
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -17,6 +18,7 @@ from xml.sax.saxutils import quoteattr
 from .errors import ConfigError, ParseError
 from .eventlog import ContextTable, Event, EventLog, Scalar, Trace, make_log
 
+# "string" first; the others in the order _column_kinds tries them
 _KIND_NAMES = ("string", "int", "float", "bool", "timestamp")
 
 
@@ -67,17 +69,6 @@ def kind_of(value: Scalar) -> str:
     return "string"
 
 
-def infer_scalar(text: str) -> Scalar:
-    """Best-effort typing for self-describing CSVs: int, float, bool,
-    ISO timestamp, else string."""
-    for kind in ("int", "float", "bool", "timestamp"):
-        try:
-            return parse_scalar(text, kind)
-        except (ParseError, ValueError):
-            continue
-    return text
-
-
 # ---------------------------------------------------------------------------
 # XES
 # ---------------------------------------------------------------------------
@@ -123,8 +114,10 @@ def parse_xes(source, on_malformed: str = "fail") -> EventLog:
     """
     if on_malformed not in ("fail", "skip"):
         raise ConfigError(f"on_malformed must be 'fail' or 'skip', got {on_malformed!r}")
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
     try:
-        tree = ET.parse(_as_stream(source))
+        tree = ET.parse(source)
     except ET.ParseError as exc:
         line, col = exc.position
         raise ParseError(f"malformed XML at line {line}, column {col}: {exc.msg}") from None
@@ -235,18 +228,100 @@ def _parse_ts(text: str, fmt: str) -> datetime:
     return datetime.strptime(text, fmt)
 
 
-def _data_rows(reader: csv.DictReader):
-    """(row number, row) of each data row, the header being row 1. A row
-    with more or fewer fields than the header is a ParseError."""
-    width = len(reader.fieldnames or ())
+@contextlib.contextmanager
+def _open_text(source):
+    """A text stream over a path, bytes, a BytesIO or a text stream, with
+    line endings left to the reader; closes only a file it opened."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, newline="", encoding="utf-8") as fh:
+            yield fh
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"), newline="")
+    elif isinstance(source, io.BytesIO):
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield text
+        finally:
+            text.detach()  # the caller's buffer stays open
+    else:
+        yield source
+
+
+@contextlib.contextmanager
+def csv_rows(source, required):
+    """(columns, rows) of a CSV: columns maps each header name to its
+    position (the last one if repeated), and rows yields (row number,
+    fields) for each data row, the header being row 1. Blank lines are
+    skipped. A required column missing from the header is a ConfigError,
+    and a row whose width differs from the header's a ParseError."""
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ConfigError(f"columns missing from CSV header: {missing}")
+        yield {name: i for i, name in enumerate(header)}, _sized_rows(
+            reader, len(header))
+
+
+def _sized_rows(reader, width: int):
     for rownum, row in enumerate(reader, start=2):
-        if None in row:
-            raise ParseError(f"row {rownum}: {width + len(row[None])} fields, "
-                             f"header has {width}")
-        if None in row.values():
-            n = sum(v is not None for v in row.values())
-            raise ParseError(f"row {rownum}: {n} fields, header has {width}")
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"row {rownum}: {len(row)} fields, header has {width}")
         yield rownum, row
+
+
+def _parses(cells, kind: str) -> bool:
+    try:
+        for cell in cells:
+            parse_scalar(cell, kind)
+    except (ParseError, ValueError):
+        return False
+    return True
+
+
+def _column_kinds(columns: dict[str, int], rows, skip) -> dict[str, str]:
+    """Kind of each column not in skip: the first of int, float, bool and
+    timestamp that parses all its non-empty cells, else string."""
+    kinds = {}
+    for name, i in columns.items():
+        if name not in skip:
+            cells = {row[i] for _, row in rows} - {""}
+            kinds[name] = next((k for k in _KIND_NAMES[1:]
+                                if _parses(cells, k)), "string")
+    return kinds
+
+
+def _events(columns: dict[str, int], rows, mapping: CsvMapping) -> EventLog:
+    case = columns[mapping.case]
+    activity = columns[mapping.activity]
+    when = columns[mapping.timestamp]
+    resource = None if mapping.resource is None else columns[mapping.resource]
+    attributes = [(name, columns[name], kind)
+                  for name, kind in mapping.attributes.items()]
+    events: list[Event] = []
+    for rownum, row in rows:
+        try:
+            ts = _parse_ts(row[when], mapping.timestamp_format)
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"row {rownum}: {exc}") from None
+        attrs: dict[str, Scalar] = {}
+        for name, i, kind in attributes:
+            if row[i] == "":
+                continue
+            try:
+                attrs[name] = parse_scalar(row[i], kind)
+            except (ParseError, ValueError) as exc:
+                raise ParseError(f"row {rownum}, column {name!r}: {exc}") from None
+        try:
+            events.append(Event(row[case], row[activity], ts,
+                                (row[resource] or None) if resource is not None
+                                else None, attrs))
+        except ValueError as exc:
+            raise ParseError(f"row {rownum}: {exc}") from None
+    return make_log(events)
 
 
 def parse_csv(source, mapping: CsvMapping) -> EventLog:
@@ -255,71 +330,27 @@ def parse_csv(source, mapping: CsvMapping) -> EventLog:
     Traces are keyed by case in order of first appearance and internally
     time-sorted (stable in file order on timestamp ties).
     """
-    reader = csv.DictReader(_as_text_stream(source))
-    header = reader.fieldnames or []
-    required = [mapping.case, mapping.activity, mapping.timestamp]
-    required += list(mapping.attributes)
+    required = [mapping.case, mapping.activity, mapping.timestamp,
+                *mapping.attributes]
     if mapping.resource is not None:
         required.append(mapping.resource)
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ConfigError(f"mapped columns missing from CSV header: {missing}")
+    with csv_rows(source, required) as (columns, rows):
+        return _events(columns, rows, mapping)
 
-    events: list[Event] = []
-    for rownum, row in _data_rows(reader):
-        try:
-            ts = _parse_ts(row[mapping.timestamp], mapping.timestamp_format)
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
-        resource = None
-        if mapping.resource is not None and row[mapping.resource]:
-            resource = row[mapping.resource]
-        attrs: dict[str, Scalar] = {}
-        for col, kind in mapping.attributes.items():
-            cell = row[col]
-            if cell == "":
-                continue
-            try:
-                attrs[col] = parse_scalar(cell, kind)
-            except (ParseError, ValueError) as exc:
-                raise ParseError(f"row {rownum}, column {col!r}: {exc}") from None
-        try:
-            events.append(Event(row[mapping.case], row[mapping.activity], ts,
-                                resource, attrs))
-        except ValueError as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
-    return make_log(events)
+
+_CANONICAL = ("case_id", "activity", "timestamp", "resource")
 
 
 def parse_csv_auto(source) -> EventLog:
-    """Parse a CSV written by write_csv without an explicit mapping;
-    extra-column types are inferred per cell (int, float, bool, ISO
-    timestamp, else string)."""
-    reader = csv.DictReader(_as_text_stream(source))
-    header = reader.fieldnames or []
-    required = ["case_id", "activity", "timestamp"]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ConfigError(f"canonical columns missing from CSV header: {missing}")
-    events = []
-    for rownum, row in _data_rows(reader):
-        try:
-            ts = parse_timestamp(row["timestamp"])
-        except ParseError as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
-        attrs = {
-            col: infer_scalar(cell)
-            for col, cell in row.items()
-            if col not in ("case_id", "activity", "timestamp", "resource")
-            and cell != ""
-        }
-        resource = row.get("resource") or None
-        try:
-            events.append(Event(row["case_id"], row["activity"], ts, resource,
-                                attrs))
-        except ValueError as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
-    return make_log(events)
+    """Parse a CSV written by write_csv without an explicit mapping: ISO
+    timestamps, a resource column if there is one, and every other
+    column typed by _column_kinds."""
+    with csv_rows(source, _CANONICAL[:3]) as (columns, rows):
+        rows = list(rows)
+    mapping = CsvMapping(
+        resource="resource" if "resource" in columns else None,
+        attributes=_column_kinds(columns, rows, _CANONICAL))
+    return _events(columns, rows, mapping)
 
 
 def write_csv(log: EventLog, stream) -> None:
@@ -350,32 +381,16 @@ def mapping_for_log(log: EventLog) -> CsvMapping:
 
 def read_context_csv(source) -> ContextTable:
     """Context table: one row per case; a `case_id` column is required,
-    remaining columns become typed attributes (inferred per cell)."""
-    reader = csv.DictReader(_as_text_stream(source))
-    if not reader.fieldnames or "case_id" not in reader.fieldnames:
-        raise ConfigError("context CSV needs a case_id column")
-    rows: dict[str, dict[str, Scalar]] = {}
-    for row in reader:
-        case_id = row.pop("case_id")
-        rows[case_id] = {
-            k: infer_scalar(v) for k, v in row.items() if v not in ("", None)
-        }
-    return ContextTable(rows)
-
-
-def _as_stream(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "rb")
-    if isinstance(source, bytes):
-        return io.BytesIO(source)
-    return source
-
-
-def _as_text_stream(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, newline="", encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.BytesIO):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
-    return source
+    the other columns become attributes typed by _column_kinds."""
+    with csv_rows(source, ("case_id",)) as (columns, rows):
+        rows = list(rows)
+    case = columns["case_id"]
+    typed = [(name, columns[name], kind) for name, kind
+             in _column_kinds(columns, rows, ("case_id",)).items()]
+    table: dict[str, dict[str, Scalar]] = {}
+    for rownum, row in rows:
+        if not row[case]:
+            raise ParseError(f"row {rownum}: empty case_id")
+        table[row[case]] = {name: parse_scalar(row[i], kind)
+                            for name, i, kind in typed if row[i] != ""}
+    return ContextTable(table)

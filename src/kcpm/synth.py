@@ -52,9 +52,11 @@ class GroundTruthModel:
     def to_dependency_graph(self) -> DependencyGraph:
         """The model as a dependency graph with unit counts, usable as the
         reference model in footprint conformance."""
+        pairs = self.edge_set()
         edges = {
-            (a, b): DependencyEdge(a, b, 1, dependency_measure(1, 0))
-            for (a, b) in sorted(self.edge_set())
+            (a, b): DependencyEdge(a, b, 1,
+                                   dependency_measure(1, int((b, a) in pairs)))
+            for (a, b) in sorted(pairs)
         }
         df_counts = {pair: 1 for pair in edges}
         return DependencyGraph(

@@ -21,6 +21,7 @@ import numpy as np
 from ._training import descend, read_checkpoint, scatter_rows, write_checkpoint
 from .errors import DataError
 from .eventlog import EventLog
+from .logio import csv_rows
 from .lpg import LabeledPropertyGraph
 
 CHECKPOINT_FORMAT = "kcpm-variant-model"
@@ -495,17 +496,6 @@ def partition_to_csv(p: VariantPartition, stream) -> None:
 
 def read_labels_csv(source) -> dict[str, str]:
     """labels CSV: case_id, class columns."""
-    import csv
-    import io
-    import os
-
-    if isinstance(source, (str, os.PathLike)):
-        fh = open(source, newline="", encoding="utf-8")
-    elif isinstance(source, bytes):
-        fh = io.StringIO(source.decode("utf-8"))
-    else:
-        fh = source
-    reader = csv.DictReader(fh)
-    if not reader.fieldnames or not {"case_id", "class"} <= set(reader.fieldnames):
-        raise DataError("labels CSV needs case_id and class columns")
-    return {row["case_id"]: row["class"] for row in reader}
+    with csv_rows(source, ("case_id", "class")) as (columns, rows):
+        case, label = columns["case_id"], columns["class"]
+        return {row[case]: row[label] for _, row in rows}

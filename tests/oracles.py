@@ -4,7 +4,10 @@ These deliberately avoid the package's own code paths: counting is done
 with naive index loops, rule statistics by exhaustive enumeration over
 the raw triple list, so agreement with the library is meaningful.
 """
+import csv
+import io
 from collections import Counter
+from datetime import datetime
 from itertools import product
 
 import numpy as np
@@ -400,3 +403,41 @@ def per_case_classify(model, lpg, log):
         assignment[t.case_id] = sorted(
             c for c, s in case_scores.items() if s >= best - 1e-12)[0]
     return assignment, scores, frozenset(prior)
+
+
+def _iso_timestamp(text):
+    t = text.strip()
+    return datetime.fromisoformat(t[:-1] + "+00:00" if t.endswith("Z") else t)
+
+
+def _infer_cell(text):
+    """One cell typed on its own: int, float, bool, ISO timestamp, else
+    string."""
+    def as_bool(t):
+        if t.lower() not in ("true", "false"):
+            raise ValueError(t)
+        return t.lower() == "true"
+
+    for parse in (int, float, as_bool, _iso_timestamp):
+        try:
+            return parse(text)
+        except ValueError:
+            continue
+    return text
+
+
+def per_cell_parse_csv_auto(text):
+    """The former logio.parse_csv_auto on CSV text: a DictReader pass that
+    types every extra cell on its own, so one column may hold several
+    kinds."""
+    from kcpm.eventlog import Event, make_log
+
+    canonical = ("case_id", "activity", "timestamp", "resource")
+    events = []
+    for row in csv.DictReader(io.StringIO(text, newline="")):
+        attrs = {col: _infer_cell(cell) for col, cell in row.items()
+                 if col not in canonical and cell != ""}
+        events.append(Event(row["case_id"], row["activity"],
+                            _iso_timestamp(row["timestamp"]),
+                            row.get("resource") or None, attrs))
+    return make_log(events)

@@ -490,3 +490,80 @@ def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs, command):
     assert default == artifacts("no_embedding", "--no-embedding")
     assert "scorer.json" not in artifacts("theta_1.0", "--theta-aug", 1.0)
     assert "scorer.json" in artifacts("theta_1.5", "--theta-aug", 1.5)
+
+
+_HEADER = "case_id,activity,timestamp\n"
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("stats", "--context", "case_id,age\nc0,1,2\n",
+     "error: row 2: 3 fields, header has 2"),
+    ("stats", "--context", "case_id,age\nc0,1\n,2\n",
+     "error: row 3: empty case_id"),
+    ("variants-train", "--labels", "case_id,class\nc0,fast\nc001\n",
+     "error: row 3: 1 fields, header has 2"),
+    ("stats", "--log", _HEADER + "c1,A,2024-03-01T09:00:00,x\n",
+     "error: row 2: 4 fields, header has 3"),
+    ("pipeline", "--alias", "activity,entity\na,ent_a\nb,ent_b,x\n",
+     "error: row 3: 3 fields, header has 2"),
+    ("pipeline", "--alias", "a,ent_a\nb,ent_b\n",
+     "error: columns missing from CSV header: ['activity', 'entity']"),
+], ids=["context-extra-field", "context-empty-case", "labels-short-row",
+        "log-extra-field", "alias-extra-field", "alias-no-header"])
+def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
+                                                  name, text, message):
+    bad = workdir / "bad.csv"
+    bad.write_text(text)
+    inputs = {"--log": workdir / "log.csv"}
+    if command != "stats":
+        inputs["--kg"] = workdir / "kg.tsv"
+    inputs[name] = bad
+    out = workdir / "bad_out"
+    args = [a for pair in inputs.items() for a in pair]
+    assert run(command, *args, "--out", out) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [("conform", "--model"),
+                                           ("stats", "--log")])
+def test_directory_as_input_file_is_data_error(workdir, capsys, command, flag):
+    a_dir = workdir / "a_dir"
+    a_dir.mkdir()
+    inputs = {"--log": workdir / "log.csv"}
+    if command == "conform":
+        inputs["--model"] = workdir / "model.json"
+    inputs[flag] = a_dir
+    args = [a for pair in inputs.items() for a in pair]
+    assert run(command, *args, "--out", workdir / "dir_out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(a_dir) in err[0]
+
+
+@pytest.mark.parametrize("transitions", [
+    {"a": {"b": 1.0}, "b": {"a": 0.5, "c": 0.5}},
+    {"a": {"a": 0.5, "b": 0.5}, "b": {"c": 1.0}},
+], ids=["two-cycle", "self-loop"])
+def test_cyclic_simulated_model_is_a_reference(workdir, capsys, transitions):
+    model = workdir / "cyclic.json"
+    with open(model, "w") as fh:
+        write_model(GroundTruthModel(frozenset("abc"), {"a": 1.0},
+                                     transitions), fh)
+    sim = workdir / "sim"
+    assert run("synth", "--model", model, "--cases", 20, "--seed", 1,
+               "--out", sim) == 0
+    out = workdir / "cyclic_conf"
+    assert run("conform", "--log", sim / "log.csv", "--model", model,
+               "--out", out) == 0
+    assert load_json(out / "report.json")["fitness"] == 1.0
+
+
+def test_ingest_reads_xes_through_the_skip_option(workdir):
+    xes = workdir / "malformed.xes"
+    xes.write_text(XES.replace('<string key="concept:name" value="A"/>', ""))
+    assert run("ingest", "--log", xes, "--out", workdir / "fail") == 2
+    out = workdir / "skip"
+    assert run("ingest", "--log", xes, "--out", out,
+               "--xes-on-malformed", "skip") == 0
+    assert load_json(out / "stats.json")["n_events"] == 1

@@ -98,3 +98,18 @@ def test_tsv_round_trip():
     again = load_triples(io.StringIO(buf.getvalue()))
     assert again.triples == kg.triples
     assert again.temporal == kg.temporal
+
+
+@pytest.mark.parametrize("format, text", [
+    ("tsv", "# comment\nA\tp\tB\nB\tq\tC\t2014-10-22T11:15:41Z\n\nC\tr\tD\n"),
+    ("ntriples", '<http://x/a> <http://x/p> "literal" .\n'
+                 "<http://x/a> <http://x/q> <http://x/b> .\n"),
+])
+def test_crlf_file_loads_as_lf_text(tmp_path, format, text):
+    path = tmp_path / "kg.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf = load_triples(io.StringIO(text), format=format)
+    for source in (path, str(path), path.read_bytes()):
+        crlf = load_triples(source, format=format)
+        assert (crlf.triples, crlf.temporal) == (lf.triples, lf.temporal)
+    assert len(lf) == (3 if format == "tsv" else 2)

@@ -3,14 +3,17 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcpm.errors import ConfigError, ParseError
-from kcpm.eventlog import Event, EventLog, Trace
+from kcpm.eventlog import Event, EventLog, Trace, make_log
 from kcpm.logio import (CsvMapping, mapping_for_log, parse_csv, parse_csv_auto,
                         parse_timestamp, parse_xes, read_context_csv,
                         write_csv, write_xes)
 
 from conftest import T0, log_from_sequences
+from oracles import per_cell_parse_csv_auto
 
 XES_MINIMAL = b"""<?xml version="1.0" encoding="UTF-8"?>
 <log xes.version="1.0">
@@ -231,3 +234,80 @@ def test_xes_boolean_case_insensitive():
     </trace></log>"""
     log = parse_xes(xml)
     assert log.traces[0].events[0].attributes["SIRSCritTachypnea"] is True
+
+
+_KIND_VALUES = {
+    "int": st.integers(-10**9, 10**9),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "timestamp": st.datetimes(
+        min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+        timezones=st.sampled_from([timezone.utc,
+                                   timezone(timedelta(hours=5, minutes=30)),
+                                   timezone(-timedelta(hours=8))])),
+    # the prefix keeps every other kind from parsing a string cell
+    "string": st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="\x00"),
+                      max_size=8).map(lambda s: "s_" + s),
+}
+
+
+@st.composite
+def single_kind_logs(draw):
+    """Logs whose every attribute column holds values of one kind."""
+    kinds = draw(st.dictionaries(st.sampled_from(["p", "q", "r s", "t,u"]),
+                                 st.sampled_from(sorted(_KIND_VALUES)),
+                                 max_size=4))
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        attrs = {col: draw(_KIND_VALUES[kind]) for col, kind in kinds.items()
+                 if draw(st.booleans())}
+        events.append(Event(
+            draw(st.sampled_from(["c0", "c,1", 'c"2'])),
+            draw(st.sampled_from(["a", "b c", "d"])),
+            T0 + timedelta(seconds=draw(st.integers(0, 10**6))),
+            draw(st.sampled_from([None, "r1", "r 2"])), attrs))
+    return make_log(events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_kind_logs())
+def test_parse_csv_auto_round_trips_single_kind_columns(log):
+    buf = io.StringIO()
+    write_csv(log, buf)
+    text = buf.getvalue()
+    assert parse_csv_auto(io.StringIO(text, newline="")) == log
+    assert parse_csv_auto(text.encode("utf-8")) == per_cell_parse_csv_auto(text)
+
+
+def test_parse_csv_auto_types_mixed_columns_per_column():
+    text = ("case_id,activity,timestamp,m,n\n"
+            "c1,A,2024-03-01T09:00:00,1,1\n"
+            "c1,B,2024-03-01T09:05:00,x,1.5\n")
+    a, b = parse_csv_auto(io.StringIO(text)).traces[0].events
+    # "1" and "x": both strings; "1" and "1.5": both floats
+    assert (a.attributes, b.attributes) == ({"m": "1", "n": 1.0},
+                                            {"m": "x", "n": 1.5})
+    # typed per cell, the same column held an int beside a string
+    a, b = per_cell_parse_csv_auto(text).traces[0].events
+    assert (a.attributes, b.attributes) == ({"m": 1, "n": 1},
+                                            {"m": "x", "n": 1.5})
+
+
+def test_blank_lines_are_skipped_and_rows_keep_their_file_number():
+    text = ("case_id,activity,timestamp\n"
+            "c1,A,2024-03-01T09:00:00\n"
+            "\n"
+            "c1,B\n")
+    with pytest.raises(ParseError, match=r"^row 4: 2 fields, header has 3$"):
+        parse_csv_auto(io.StringIO(text))
+    fixed = text.replace("c1,B\n", "c1,B,2024-03-01T09:01:00\n")
+    assert parse_csv_auto(io.StringIO(fixed)).traces[0].activities == ("A", "B")
+
+
+def test_read_context_csv_rejects_empty_case_id_and_ragged_rows():
+    with pytest.raises(ParseError, match=r"^row 3: empty case_id$"):
+        read_context_csv(io.StringIO("case_id,age\nc1,5\n,6\n"))
+    with pytest.raises(ParseError, match=r"^row 2: 3 fields, header has 2$"):
+        read_context_csv(io.StringIO("case_id,age\nc1,5,6\n"))
+
