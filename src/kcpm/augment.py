@@ -13,14 +13,20 @@ always a subsequence of the repaired one.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from typing import TYPE_CHECKING
 
 from .eventlog import Event, EventLog, Trace
 from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
 from .rules import Closure
-from .temporal import TemporalScorer, directly_follows_degree
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    from .temporal import TemporalScorer
 
 
 @dataclass(frozen=True)
@@ -124,23 +130,10 @@ def filter_chaotic_events(
     return EventLog(tuple(traces), dict(log.meta)), report
 
 
-def _rule_accepts(conf: float, theta: float) -> bool:
-    """Whether a must_precede fact's confidence alone accepts the
-    insertion it implies, without consulting the scorer."""
-    return conf >= theta
-
-
-def needs_scorer(closure: Closure, theta: float) -> bool:
-    """Whether infer_missing_events can consult a scorer at this theta:
-    only for a must_precede fact the rule alone does not accept."""
-    return not all(_rule_accepts(conf, theta)
-                   for _, _, conf, _ in closure.facts(MUST_PRECEDE))
-
-
 def infer_missing_events(
     log: EventLog,
     closure: Closure,
-    scorer: TemporalScorer | None = None,
+    make_scorer: Callable[[], TemporalScorer | None] | None = None,
     theta: float = 0.5,
     alias: dict[str, str] | None = None,
 ) -> tuple[EventLog, AugmentationReport]:
@@ -153,10 +146,14 @@ def infer_missing_events(
     entailments. A candidate is accepted when the obligation's
     derivation confidence reaches theta, or failing that when the
     embedding scorer rates the (predecessor, candidate) successor degree
-    at least theta. Inserted events take the midpoint of their
-    neighbors' timestamps (one second before the first event at trace
-    start) and the attribute synthetic=true.
+    at least theta. The scorer comes from make_scorer, called at most
+    once: when the first candidate the rule alone does not accept has a
+    predecessor. Inserted events take the midpoint of their neighbors'
+    timestamps (one second before the first event at trace start) and
+    the attribute synthetic=true.
     """
+    if make_scorer is not None:
+        make_scorer = functools.cache(make_scorer)
     prereq_facts: dict[str, dict[str, tuple[float, str | None]]] = {}
     for s, o, conf, via in closure.facts(MUST_PRECEDE):
         prereq_facts.setdefault(o, {})[s] = (conf, via)
@@ -185,15 +182,17 @@ def infer_missing_events(
             for p in _order_by_precedence(missing, prereq_facts):
                 conf, rule_id = prereqs[p]
                 accepted = None
-                if _rule_accepts(conf, theta):
+                if conf >= theta:
                     accepted = CandidateInsertion(
                         t.case_id, activity_of(p), insert_at, conf, "rule",
                         rule_id)
-                elif scorer is not None and insert_at > 0:
+                elif make_scorer is not None and insert_at > 0:
+                    scorer = make_scorer()
                     pred = work[insert_at - 1]
-                    if scorer.knows(pred.activity) and scorer.knows(activity_of(p)):
-                        degree = directly_follows_degree(
-                            scorer, pred.activity, activity_of(p), pred.timestamp)
+                    if (scorer is not None and scorer.knows(pred.activity)
+                            and scorer.knows(activity_of(p))):
+                        degree = scorer.directly_follows_degree(
+                            pred.activity, activity_of(p), pred.timestamp)
                         if degree >= theta:
                             accepted = CandidateInsertion(
                                 t.case_id, activity_of(p), insert_at, degree,

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from . import augment as aug
 from . import dfg as dfgmod
-from . import logio, synth, temporal, variants
+from . import logio, synth
 from .conformance import (comparison_table, conformance, footprint_of_log,
                           footprint_of_model)
 from .conformance import report_to_json as conformance_report_json
@@ -226,10 +226,12 @@ def _load_rules(cfg: PipelineConfig, args, kg: KnowledgeGraph) -> RuleBase:
 
 
 def _train_scorer_or_none(cfg: PipelineConfig, log: EventLog,
-                          kg: KnowledgeGraph, closure):
-    """The temporal scorer, or None where it cannot change the repair
-    (no must_precede fact leaves the rule unsure at theta_aug)."""
-    if not (cfg.use_embedding and aug.needs_scorer(closure, cfg.theta_aug)):
+                          kg: KnowledgeGraph):
+    """The temporal scorer, or None where no degree it gives can reach
+    theta_aug."""
+    from . import temporal
+
+    if cfg.theta_aug > temporal.TemporalScorer.MAX_DEGREE:
         return None
     params = temporal.ScorerParams(
         dim=cfg.dim, margin=cfg.margin, learning_rate=cfg.learning_rate,
@@ -328,10 +330,25 @@ def _augment_log(cfg: PipelineConfig, args, log: EventLog,
                  kg: KnowledgeGraph, closure, alias):
     filtered, removal_report = aug.filter_chaotic_events(
         log, closure, alias, strict_ordering=cfg.strict_ordering)
-    scorer = _train_scorer_or_none(cfg, filtered, kg, closure)
+    scorer = None  # trained only if an insertion asks for it
+
+    def make_scorer():
+        nonlocal scorer
+        scorer = _train_scorer_or_none(cfg, filtered, kg)
+        return scorer
+
     augmented, insert_report = aug.infer_missing_events(
-        filtered, closure, scorer, cfg.theta_aug, alias)
+        filtered, closure, make_scorer if cfg.use_embedding else None,
+        cfg.theta_aug, alias)
     return augmented, aug.merge_reports(removal_report, insert_report), scorer
+
+
+def _write_scorer(out_dir: str, scorer) -> None:
+    if scorer is not None:
+        from . import temporal
+
+        _write(out_dir, "scorer.json",
+               lambda fh: temporal.save_scorer(scorer, fh))
 
 
 def _cmd_augment(cfg: PipelineConfig, args) -> int:
@@ -345,8 +362,7 @@ def _cmd_augment(cfg: PipelineConfig, args) -> int:
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _write(cfg.out, "augmented.xes", lambda fh: logio.write_xes(augmented, fh))
     _json_out(cfg.out, "augment_report.json", aug.report_to_json(report))
-    if scorer is not None:
-        _write(cfg.out, "scorer.json", lambda fh: temporal.save_scorer(scorer, fh))
+    _write_scorer(cfg.out, scorer)
     write_manifest(os.path.join(cfg.out, "manifest.json"), "augment",
                    cfg.as_dict(),
                    [cfg.log, cfg.kg, cfg.context or "", cfg.alias or ""],
@@ -357,6 +373,8 @@ def _cmd_augment(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_variants_train(cfg: PipelineConfig, args) -> int:
+    from . import variants
+
     _require(cfg, "log", "kg", "out")
     log = read_log(cfg.log, cfg.context)
     kg = load_triples(cfg.kg)
@@ -378,6 +396,8 @@ def _cmd_variants_train(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_variants_classify(cfg: PipelineConfig, args) -> int:
+    from . import variants
+
     _require(cfg, "log", "kg", "out")
     log = read_log(cfg.log, cfg.context)
     kg = load_triples(cfg.kg)
@@ -446,8 +466,7 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
                                              alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _json_out(cfg.out, "augment_report.json", aug.report_to_json(report))
-    if scorer is not None:
-        _write(cfg.out, "scorer.json", lambda fh: temporal.save_scorer(scorer, fh))
+    _write_scorer(cfg.out, scorer)
 
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
                                  cfg.frequency_threshold,

@@ -13,9 +13,8 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime
-from xml.sax.saxutils import quoteattr
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, KcpmError, ParseError
 from .eventlog import ContextTable, Event, EventLog, Scalar, Trace, make_log
 
 # "string" first; the others in the order _column_kinds tries them
@@ -172,6 +171,8 @@ _XES_TAGS = {"string": "string", "int": "int", "float": "float",
 
 def write_xes(log: EventLog, stream) -> None:
     """Write an event log as XES XML (text stream)."""
+    from xml.sax.saxutils import quoteattr
+
     w = stream.write
     w('<?xml version="1.0" encoding="UTF-8"?>\n')
     w('<log xes.version="1.0" xes.features="nested-attributes">\n')
@@ -231,10 +232,14 @@ def _parse_ts(text: str, fmt: str) -> datetime:
 @contextlib.contextmanager
 def _open_text(source):
     """A text stream over a path, bytes, a BytesIO or a text stream, with
-    line endings left to the reader; closes only a file it opened."""
+    line endings left to the reader; closes only a file it opened. A
+    file that is not UTF-8 is a ParseError naming it."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="", encoding="utf-8") as fh:
-            yield fh
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
     elif isinstance(source, bytes):
         yield io.StringIO(source.decode("utf-8"), newline="")
     elif isinstance(source, io.BytesIO):
@@ -253,15 +258,22 @@ def csv_rows(source, required):
     position (the last one if repeated), and rows yields (row number,
     fields) for each data row, the header being row 1. Blank lines are
     skipped. A required column missing from the header is a ConfigError,
-    and a row whose width differs from the header's a ParseError."""
+    and a row whose width differs from the header's a ParseError. When
+    source is a path, every KcpmError raised while the rows are read or
+    used names it."""
     with _open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ConfigError(f"columns missing from CSV header: {missing}")
-        yield {name: i for i, name in enumerate(header)}, _sized_rows(
-            reader, len(header))
+        try:
+            reader = csv.reader(stream)
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise ConfigError(f"columns missing from CSV header: {missing}")
+            yield {name: i for i, name in enumerate(header)}, _sized_rows(
+                reader, len(header))
+        except KcpmError as exc:
+            if not isinstance(source, (str, os.PathLike)):
+                raise
+            raise type(exc)(f"{source}: {exc}") from None
 
 
 def _sized_rows(reader, width: int):
@@ -347,10 +359,10 @@ def parse_csv_auto(source) -> EventLog:
     column typed by _column_kinds."""
     with csv_rows(source, _CANONICAL[:3]) as (columns, rows):
         rows = list(rows)
-    mapping = CsvMapping(
-        resource="resource" if "resource" in columns else None,
-        attributes=_column_kinds(columns, rows, _CANONICAL))
-    return _events(columns, rows, mapping)
+        mapping = CsvMapping(
+            resource="resource" if "resource" in columns else None,
+            attributes=_column_kinds(columns, rows, _CANONICAL))
+        return _events(columns, rows, mapping)
 
 
 def write_csv(log: EventLog, stream) -> None:
@@ -384,13 +396,13 @@ def read_context_csv(source) -> ContextTable:
     the other columns become attributes typed by _column_kinds."""
     with csv_rows(source, ("case_id",)) as (columns, rows):
         rows = list(rows)
-    case = columns["case_id"]
-    typed = [(name, columns[name], kind) for name, kind
-             in _column_kinds(columns, rows, ("case_id",)).items()]
-    table: dict[str, dict[str, Scalar]] = {}
-    for rownum, row in rows:
-        if not row[case]:
-            raise ParseError(f"row {rownum}: empty case_id")
-        table[row[case]] = {name: parse_scalar(row[i], kind)
-                            for name, i, kind in typed if row[i] != ""}
+        case = columns["case_id"]
+        typed = [(name, columns[name], kind) for name, kind
+                 in _column_kinds(columns, rows, ("case_id",)).items()]
+        table: dict[str, dict[str, Scalar]] = {}
+        for rownum, row in rows:
+            if not row[case]:
+                raise ParseError(f"row {rownum}: empty case_id")
+            table[row[case]] = {name: parse_scalar(row[i], kind)
+                                for name, i, kind in typed if row[i] != ""}
     return ContextTable(table)

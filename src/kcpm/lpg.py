@@ -10,7 +10,6 @@ entity node and carries both labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape, quoteattr
 
 from .eventlog import EventLog, Scalar
 from .kg import KnowledgeGraph
@@ -24,7 +23,6 @@ class LabeledPropertyGraph:
     edges: dict[str, tuple[str, str]] = field(default_factory=dict)
     edge_labels: dict[str, frozenset[str]] = field(default_factory=dict)
     node_props: dict[str, dict[str, Scalar]] = field(default_factory=dict)
-    edge_props: dict[str, dict[str, Scalar]] = field(default_factory=dict)
 
     def add_node(self, node: str, labels: frozenset[str], props: dict | None = None):
         if not labels:
@@ -39,8 +37,7 @@ class LabeledPropertyGraph:
         if props:
             self.node_props[node] = dict(props)
 
-    def add_edge(self, src: str, dst: str, labels: frozenset[str],
-                 props: dict | None = None) -> str:
+    def add_edge(self, src: str, dst: str, labels: frozenset[str]) -> str:
         if not labels:
             raise ValueError("edge needs at least one label")
         for endpoint in (src, dst):
@@ -49,25 +46,10 @@ class LabeledPropertyGraph:
         eid = f"e{len(self.edges)}"
         self.edges[eid] = (src, dst)
         self.edge_labels[eid] = frozenset(labels)
-        if props:
-            self.edge_props[eid] = dict(props)
         return eid
 
     def nodes_with_label(self, label: str) -> list[str]:
         return sorted(n for n in self.nodes if label in self.node_labels[n])
-
-    def out_edges(self, node: str) -> list[str]:
-        return sorted((e for e, (s, _) in self.edges.items() if s == node),
-                      key=lambda e: int(e[1:]))
-
-    def case_event_nodes(self, case_id: str) -> list[str]:
-        """Event nodes of a case, in trace position order."""
-        case_node = f"case::{case_id}"
-        members = [
-            s for e, (s, d) in self.edges.items()
-            if d == case_node and "BELONGS_TO" in self.edge_labels[e]
-        ]
-        return sorted(members, key=lambda n: self.node_props[n]["position"])
 
 
 def event_node_id(case_id: str, position: int) -> str:
@@ -133,6 +115,8 @@ def build_lpg(
 # ---------------------------------------------------------------------------
 
 def write_graphml(g: LabeledPropertyGraph, stream) -> None:
+    from xml.sax.saxutils import escape, quoteattr
+
     w = stream.write
     w('<?xml version="1.0" encoding="UTF-8"?>\n')
     w('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')

@@ -149,15 +149,6 @@ def _stats(pairs: dict[str, set[str]],
     return support, support / n_pairs, support / pca_den
 
 
-def rule_stats(
-    body_predicates, head_predicate: str, kg: KnowledgeGraph
-) -> tuple[int, float, float]:
-    """(support, standard confidence, PCA confidence) of a candidate rule."""
-    succ = _successors(kg)
-    return _stats(_body_pairs(body_predicates, succ),
-                  succ.get(head_predicate, {}))
-
-
 def mine_rules(
     kg: KnowledgeGraph,
     max_body_len: int = 2,

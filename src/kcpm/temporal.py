@@ -77,6 +77,20 @@ class TemporalScorer:
     def knows(self, activity: str) -> bool:
         return activity in self._index
 
+    # sigmoid(-distance) with distance >= 0: no degree exceeds this
+    MAX_DEGREE = 0.5
+
+    def directly_follows_degree(self, a: str, b: str, t: datetime) -> float:
+        """sigmoid(-distance) in (0, MAX_DEGREE]: the closer e(a)+r+tau
+        lands to e(b), the likelier b directly follows a around that
+        time of day."""
+        i, j = self.index(a), self.index(b)
+        bucket = time_bucket(t, self.params.time_buckets)
+        u = (self.entity_vecs[i] + self.relation_vec
+             + self.time_vecs[bucket] - self.entity_vecs[j])
+        d = float(np.linalg.norm(u))
+        return float(1.0 / (1.0 + np.exp(d)))
+
 
 def df_training_triples(
     log: EventLog, kg: KnowledgeGraph, n_buckets: int
@@ -219,19 +233,6 @@ def train_temporal_scorer(
         lambda p, cache: _hinge_backward(*p, batch, cache),
         params.learning_rate, params.epochs, _clip_entities)
     return TemporalScorer(tuple(vocab), E, r, T, params, tuple(history))
-
-
-def directly_follows_degree(
-    scorer: TemporalScorer, a: str, b: str, t: datetime
-) -> float:
-    """sigmoid(-distance) in (0, 0.5]: the closer e(a)+r+tau lands to
-    e(b), the likelier b directly follows a around that time of day."""
-    i, j = scorer.index(a), scorer.index(b)
-    bucket = time_bucket(t, scorer.params.time_buckets)
-    u = (scorer.entity_vecs[i] + scorer.relation_vec
-         + scorer.time_vecs[bucket] - scorer.entity_vecs[j])
-    d = float(np.linalg.norm(u))
-    return float(1.0 / (1.0 + np.exp(d)))
 
 
 def successor_scores(scorer: TemporalScorer, a: str, t: datetime) -> dict[str, float]:

@@ -176,6 +176,72 @@ def naive_remove_chaotic(sequences, forbidden, must_precede, strict):
     return out, removed
 
 
+def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
+    """Missing-event inference as it was with the scorer trained up
+    front: the same scan, consulting the given scorer (or None) at every
+    candidate the rule alone does not accept that has a predecessor.
+    Returns the log, the report, and how many candidates reached the
+    scorer."""
+    from kcpm.augment import (AugmentationReport, CandidateInsertion,
+                              _entity, _midpoint, _order_by_precedence)
+    from kcpm.eventlog import Event, EventLog, Trace
+    from kcpm.kg import MUST_PRECEDE
+
+    prereq_facts = {}
+    for s, o, conf, via in closure.facts(MUST_PRECEDE):
+        prereq_facts.setdefault(o, {})[s] = (conf, via)
+    reverse_alias = {}
+    for act, ent in (alias or {}).items():
+        reverse_alias.setdefault(ent, act)
+
+    def activity_of(entity):
+        return entity if alias is None else reverse_alias.get(entity, entity)
+
+    inserted, traces, reached = [], [], 0
+    for t in log.traces:
+        work = list(t.events)
+        inserted_here, seen = set(), set()
+        i = 0
+        while i < len(work):
+            ent = _entity(alias, work[i].activity)
+            prereqs = prereq_facts.get(ent)
+            missing = prereqs.keys() - seen - inserted_here if prereqs else ()
+            insert_at = i
+            for p in _order_by_precedence(missing, prereq_facts):
+                conf, rule_id = prereqs[p]
+                accepted = None
+                if conf >= theta:
+                    accepted = CandidateInsertion(
+                        t.case_id, activity_of(p), insert_at, conf, "rule",
+                        rule_id)
+                elif insert_at > 0:
+                    reached += 1
+                    pred = work[insert_at - 1]
+                    if (scorer is not None and scorer.knows(pred.activity)
+                            and scorer.knows(activity_of(p))):
+                        degree = scorer.directly_follows_degree(
+                            pred.activity, activity_of(p), pred.timestamp)
+                        if degree >= theta:
+                            accepted = CandidateInsertion(
+                                t.case_id, activity_of(p), insert_at, degree,
+                                "embedding")
+                if accepted is None:
+                    continue
+                work.insert(insert_at, Event(t.case_id, accepted.activity,
+                                             _midpoint(work, insert_at),
+                                             attributes={"synthetic": True}))
+                inserted.append(accepted)
+                inserted_here.add(p)
+                insert_at += 1
+            if insert_at == i:
+                seen.add(ent)
+                i += 1
+        traces.append(Trace(t.case_id, tuple(work)))
+    report = AugmentationReport(inserted=tuple(inserted),
+                                thresholds={"theta": theta})
+    return EventLog(tuple(traces), dict(log.meta)), report, reached
+
+
 # ---------------------------------------------------------------------------
 # Footprints
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 import random
 from datetime import timedelta
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.augment import (check_guideline_latency, filter_chaotic_events,
-                          infer_missing_events, merge_reports, needs_scorer,
-                          report_to_json)
+                          infer_missing_events, merge_reports, report_to_json)
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
 from kcpm.rules import Atom, ClosedPathRule, Closure, RuleBase, chain_body
-from kcpm.temporal import ScorerParams, train_temporal_scorer
+from kcpm.temporal import ScorerParams, TemporalScorer, train_temporal_scorer
 
 from conftest import log_from_sequences, random_sequences
-from oracles import naive_remove_chaotic
+from oracles import eager_infer_missing_events, naive_remove_chaotic
 
 EMPTY_RB = RuleBase(())
 
@@ -206,7 +206,8 @@ def test_embedding_acceptance_path():
     log = log_from_sequences([["x", "b"]] + [["x", "a", "b"]] * 30)
     scorer = train_temporal_scorer(log, None, ScorerParams(dim=8, epochs=60,
                                                            seed=3))
-    out, report = infer_missing_events(log, Closure(rb, kg), scorer, theta=0.4)
+    out, report = infer_missing_events(log, Closure(rb, kg), lambda: scorer,
+                                       theta=0.4)
     assert out.traces[0].activities == ("x", "a", "b")
     (ins,) = report.inserted
     assert ins.provenance == "embedding"
@@ -223,13 +224,89 @@ def test_scorer_is_needed_only_where_the_rule_is_unsure():
     closure = Closure(RuleBase((rule,), min_pca_conf=0.0),
                       KnowledgeGraph([Triple("a", "hint", "b")]))
     (conf,) = {c for _, _, c, _ in closure.facts(MUST_PRECEDE)}
-    assert needs_scorer(closure, conf + 0.01)
-    assert not needs_scorer(closure, conf)
+    calls = []
+
+    def make_scorer():
+        calls.append(None)
+        return None
+
     # at theta == conf the rule alone inserts, with no scorer to consult
-    log = log_from_sequences([["x", "b"]])
-    _, report = infer_missing_events(log, closure, None, theta=conf)
-    assert [i.provenance for i in report.inserted] == ["rule"]
-    assert not needs_scorer(Closure(EMPTY_RB, KnowledgeGraph()), 1.5)
+    log = log_from_sequences([["x", "b"]] * 3)
+    _, report = infer_missing_events(log, closure, make_scorer, theta=conf)
+    assert [i.provenance for i in report.inserted] == ["rule"] * 3
+    assert calls == []
+    # just above it every trace asks, and the factory is called once
+    out, report = infer_missing_events(log, closure, make_scorer,
+                                       theta=conf + 0.01)
+    assert out == log and report.inserted == ()
+    assert len(calls) == 1
+    # a prerequisite that is present, or missing at the trace start,
+    # asks nothing
+    calls.clear()
+    log = log_from_sequences([["x", "a", "b"], ["b", "x"]])
+    out, _ = infer_missing_events(log, closure, make_scorer, theta=conf + 0.01)
+    assert out == log and calls == []
+
+
+ACTS = "abcde"
+# scorers know every activity but "e", so the knows() check is exercised
+SCORER_ACTS = ACTS[:-1]
+
+
+@st.composite
+def repair_cases(draw):
+    """A log over ACTS, a closure whose must_precede facts hold at
+    confidences 1 (base facts) or 0.2-0.9 (one rule per level), an alias
+    map or None, a theta and a scorer with small random vectors."""
+    seqs = draw(st.lists(st.lists(st.sampled_from(ACTS), min_size=1,
+                                  max_size=7), min_size=1, max_size=5))
+    pairs = st.tuples(st.sampled_from(ACTS), st.sampled_from(ACTS))
+    levels = (0.2, 0.45, 0.5, 0.7, 0.9)
+    triples = [Triple(a, MUST_PRECEDE, b)
+               for a, b in draw(st.lists(pairs, max_size=3))]
+    rules = []
+    for k, conf in enumerate(levels):
+        hint = f"hint{k}"
+        for a, b in draw(st.lists(pairs, max_size=3)):
+            triples.append(Triple(a, hint, b))
+        rules.append(ClosedPathRule(chain_body((hint,)),
+                                    Atom(MUST_PRECEDE, "x", "y"), 1, conf,
+                                    conf))
+    closure = Closure(RuleBase(tuple(rules), min_pca_conf=0.0),
+                      KnowledgeGraph(triples))
+    alias = draw(st.none() | st.dictionaries(st.sampled_from(ACTS),
+                                             st.sampled_from(ACTS)))
+    theta = draw(st.sampled_from((0.1, 0.3, 0.4, 0.44, 0.46, 0.5, 0.6, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from((0.01, 0.1, 0.5)))
+    n = len(SCORER_ACTS)
+    scorer = TemporalScorer(SCORER_ACTS, rng.normal(size=(n, 4)) * scale,
+                            rng.normal(size=4) * scale,
+                            rng.normal(size=(2, 4)) * scale,
+                            ScorerParams(dim=4, time_buckets=2))
+    return (log_from_sequences(seqs), closure, alias, theta,
+            draw(st.sampled_from((scorer, None))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=repair_cases())
+def test_lazy_scorer_equals_eager_scorer(case):
+    """With the scorer built by a factory, inference repairs every log as
+    it did with the scorer trained up front, and calls the factory once
+    exactly when a candidate reaches the scorer."""
+    log, closure, alias, theta, scorer = case
+    calls = []
+
+    def make_scorer():
+        calls.append(None)
+        return scorer
+
+    out, report = infer_missing_events(log, closure, make_scorer, theta, alias)
+    want_out, want_report, reached = eager_infer_missing_events(
+        log, closure, scorer, theta, alias)
+    assert out == want_out
+    assert report == want_report
+    assert len(calls) == (1 if reached else 0)
 
 
 def test_subsequence_property_on_random_logs():

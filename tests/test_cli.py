@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from kcpm import rules
+import kcpm
+from kcpm import cli, rules, temporal
 from kcpm.cli import main
+from kcpm.config import PipelineConfig
 from kcpm.logio import write_csv
+from kcpm.kg import KnowledgeGraph
 from kcpm.synth import GroundTruthModel, write_model
 
 from conftest import log_from_sequences
@@ -279,7 +286,7 @@ def test_blank_activity_is_data_error(workdir, capsys):
                    "c1, ,2024-03-01T10:00:00\n")
     assert run("stats", "--log", log, "--out", workdir / "blank_out") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: row 3: event activity must be nonempty"]
+    assert err == [f"error: {log}: row 3: event activity must be nonempty"]
 
 
 def test_mixed_timezone_awareness_is_data_error(workdir, capsys):
@@ -289,7 +296,8 @@ def test_mixed_timezone_awareness_is_data_error(workdir, capsys):
                    "c1,B,2024-03-01T10:00:00+00:00\n")
     assert run("stats", "--log", log, "--out", workdir / "mixed_out") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: trace 'c1' mixes naive and offset-aware timestamps"]
+    assert err == [
+        f"error: {log}: trace 'c1' mixes naive and offset-aware timestamps"]
 
 
 def test_filter_with_alias_map(workdir):
@@ -372,7 +380,7 @@ def test_short_csv_row_is_data_error(workdir, capsys):
                    "c1\n")
     assert run("stats", "--log", log, "--out", workdir / "short_out") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: row 3: 1 fields, header has 3"]
+    assert err == [f"error: {log}: row 3: 1 fields, header has 3"]
 
 
 @pytest.mark.parametrize("key, message", [
@@ -475,8 +483,9 @@ def ward_inputs(tmp_path_factory):
 def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs, command):
     """Every must_precede confidence of the ward KB is 1.0: at the default
     theta_aug of 0.5, or at 1.0, no insertion can ask the scorer, so none
-    is trained and the run equals one with --no-embedding; at 1.5 it is
-    trained."""
+    is trained and the run equals one with --no-embedding. At 1.5 the
+    rule is unsure, but no degree the scorer gives can reach 1.5, so it
+    is not trained either."""
     def artifacts(name, *flags):
         out = ward_inputs / command / name
         assert run(command, "--log", ward_inputs / "log.csv",
@@ -489,7 +498,81 @@ def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs, command):
     assert "scorer.json" not in default
     assert default == artifacts("no_embedding", "--no-embedding")
     assert "scorer.json" not in artifacts("theta_1.0", "--theta-aug", 1.0)
-    assert "scorer.json" in artifacts("theta_1.5", "--theta-aug", 1.5)
+    assert "scorer.json" not in artifacts("theta_1.5", "--theta-aug", 1.5)
+
+
+def test_scorer_is_trained_only_below_the_degree_ceiling(workdir):
+    """A must_precede fact at confidence 0.2 leaves the rule unsure at
+    theta_aug 0.4 and 0.6. A degree can reach 0.4, so the scorer is
+    trained there; no degree exceeds 0.5, so at 0.6 it is not, and the
+    run equals one with --no-embedding."""
+    (workdir / "hint_kg.tsv").write_text("a\thint\tb\n")
+    rule = {"body": [{"predicate": "hint", "subject": "x", "object": "y"}],
+            "head": {"predicate": "must_precede", "subject": "x",
+                     "object": "y"},
+            "support": 1, "std_confidence": 0.2, "pca_confidence": 0.2}
+    (workdir / "hint_rules.jsonl").write_text(json.dumps(rule) + "\n")
+    log = log_from_sequences([["x", "b"]] + [["x", "a", "b"]] * 30)
+    with open(workdir / "hint_log.csv", "w", newline="") as fh:
+        write_csv(log, fh)
+
+    def artifacts(name, *flags):
+        out = workdir / name
+        assert run("augment", "--log", workdir / "hint_log.csv",
+                   "--kg", workdir / "hint_kg.tsv",
+                   "--rules", workdir / "hint_rules.jsonl", "--out", out,
+                   "--seed", 3, *flags) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "manifest.json"}
+
+    assert "scorer.json" in artifacts("theta_0.4", "--theta-aug", 0.4)
+    above = artifacts("theta_0.6", "--theta-aug", 0.6)
+    assert "scorer.json" not in above
+    assert above == artifacts("theta_0.6_no_embedding", "--theta-aug", 0.6,
+                              "--no-embedding")
+
+
+@pytest.mark.parametrize("theta", [0.5000001, 0.6, 1.0, 1.5])
+def test_cli_scorer_factory_trains_nothing_above_the_ceiling(workdir,
+                                                            monkeypatch,
+                                                            theta):
+    trained = []
+    monkeypatch.setattr(temporal, "train_temporal_scorer",
+                        lambda *a: trained.append(a))
+    log = log_from_sequences([["a", "b"], ["b", "a"]])
+    kg = KnowledgeGraph()
+    assert cli._train_scorer_or_none(PipelineConfig(theta_aug=theta),
+                                     log, kg) is None
+    assert trained == []
+    cli._train_scorer_or_none(PipelineConfig(theta_aug=0.5), log, kg)
+    assert len(trained) == 1
+
+
+def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
+    """Importing the CLI, and full pipeline runs on the ward inputs, with
+    the embedding on (no fact leaves the rule unsure) and off, load no
+    numpy."""
+    from test_acceptance import ward_model
+
+    with open(tmp_path / "model.json", "w") as fh:
+        write_model(ward_model(), fh)
+    script = (
+        "import sys\n"
+        "from kcpm.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import kcpm.cli'\n"
+        "log, kg, model, out = sys.argv[1:]\n"
+        "for flags in ([], ['--no-embedding']):\n"
+        "    assert main(['pipeline', '--log', log, '--kg', kg, '--model',\n"
+        "                 model, '--out', out + str(len(flags)), *flags]) == 0\n"
+        "    assert 'numpy' not in sys.modules, flags\n")
+    src = str(Path(kcpm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ward_inputs / "log.csv"),
+         str(ward_inputs / "kg.tsv"), str(tmp_path / "model.json"),
+         str(tmp_path / "run")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run1" / "table.txt").read_text()
 
 
 _HEADER = "case_id,activity,timestamp\n"
@@ -497,17 +580,17 @@ _HEADER = "case_id,activity,timestamp\n"
 
 @pytest.mark.parametrize("command, name, text, message", [
     ("stats", "--context", "case_id,age\nc0,1,2\n",
-     "error: row 2: 3 fields, header has 2"),
+     "row 2: 3 fields, header has 2"),
     ("stats", "--context", "case_id,age\nc0,1\n,2\n",
-     "error: row 3: empty case_id"),
+     "row 3: empty case_id"),
     ("variants-train", "--labels", "case_id,class\nc0,fast\nc001\n",
-     "error: row 3: 1 fields, header has 2"),
+     "row 3: 1 fields, header has 2"),
     ("stats", "--log", _HEADER + "c1,A,2024-03-01T09:00:00,x\n",
-     "error: row 2: 4 fields, header has 3"),
+     "row 2: 4 fields, header has 3"),
     ("pipeline", "--alias", "activity,entity\na,ent_a\nb,ent_b,x\n",
-     "error: row 3: 3 fields, header has 2"),
+     "row 3: 3 fields, header has 2"),
     ("pipeline", "--alias", "a,ent_a\nb,ent_b\n",
-     "error: columns missing from CSV header: ['activity', 'entity']"),
+     "columns missing from CSV header: ['activity', 'entity']"),
 ], ids=["context-extra-field", "context-empty-case", "labels-short-row",
         "log-extra-field", "alias-extra-field", "alias-no-header"])
 def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
@@ -521,7 +604,31 @@ def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
     out = workdir / "bad_out"
     args = [a for pair in inputs.items() for a in pair]
     assert run(command, *args, "--out", out) == 2
-    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {bad}: {message}"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    ("stats", "--log", "bin.csv"), ("stats", "--context", "bin.csv"),
+    ("variants-train", "--labels", "bin.csv"),
+    ("pipeline", "--alias", "bin.csv"), ("mine-rules", "--kg", "bin.tsv"),
+])
+def test_non_utf8_input_is_one_line_data_error(workdir, capsys, command, flag,
+                                               name):
+    bad = workdir / name
+    bad.write_bytes(b"\xff\xfec\x00a\x00s\x00e\x00\n\x00")
+    inputs = {"--log": workdir / "log.csv", "--kg": workdir / "kg.tsv"}
+    if command == "stats":
+        del inputs["--kg"]
+    if command == "mine-rules":
+        del inputs["--log"]
+    inputs[flag] = bad
+    args = [a for pair in inputs.items() for a in pair]
+    out = workdir / "bin_out"
+    assert run(command, *args, "--out", out) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {bad}: not UTF-8 text (invalid start byte)"]
     assert list(out.iterdir()) == []
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
 from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
-                        entails, mine_rules, read_rules_jsonl, rule_stats,
+                        entails, mine_rules, read_rules_jsonl,
                         write_rules_jsonl)
 
 from oracles import naive_body_confidences, naive_closure, naive_mine
@@ -26,6 +26,16 @@ WORK_RULE = ClosedPathRule(
 WORK_SHAPE = (WORK_RULE.body_predicates, WORK_RULE.head.predicate)
 
 
+def mined(body_predicates, head_predicate, kg):
+    """The rule of this shape that mine_rules keeps with no thresholds,
+    or None (as for a rule without support)."""
+    match = [r for r in mine_rules(kg, max_body_len=len(body_predicates))
+             if r.body_predicates == tuple(body_predicates)
+             and r.head.predicate == head_predicate]
+    assert len(match) <= 1
+    return match[0] if match else None
+
+
 def test_rule_validates_chain_shape():
     with pytest.raises(ValueError):
         ClosedPathRule((Atom("p", "x", "z1"), Atom("q", "z2", "y")),
@@ -37,29 +47,28 @@ def test_rule_validates_chain_shape():
 
 
 def test_support_on_worked_example():
-    assert rule_stats(*WORK_SHAPE, WORK_KG)[0] == 1
+    assert mined(*WORK_SHAPE, WORK_KG).support == 1
 
 
 def test_support_empty_kg_and_absent_head():
-    assert rule_stats(*WORK_SHAPE, KnowledgeGraph())[0] == 0
+    assert mined(*WORK_SHAPE, KnowledgeGraph()) is None
     kg = KnowledgeGraph([Triple("a", "worksAt", "b"),
                          Triple("b", "locatedIn", "c")])
-    assert rule_stats(*WORK_SHAPE, kg)[0] == 0  # head predicate absent
+    assert mined(*WORK_SHAPE, kg) is None  # head predicate absent
 
 
 def test_confidences_on_worked_example():
     # body pairs: (al,wgg), (bo,rno); only al has a livesIn fact, so the
     # PCA denominator drops (bo,rno)
-    assert rule_stats(*WORK_SHAPE, WORK_KG)[1] == 0.5
-    assert rule_stats(*WORK_SHAPE, WORK_KG)[2] == 1.0
+    assert mined(*WORK_SHAPE, WORK_KG).std_confidence == 0.5
+    assert mined(*WORK_SHAPE, WORK_KG).pca_confidence == 1.0
 
 
 def test_confidence_zero_support():
     kg = KnowledgeGraph([Triple("a", "worksAt", "b"),
                          Triple("b", "locatedIn", "c"),
                          Triple("z", "livesIn", "w")])
-    assert rule_stats(*WORK_SHAPE, kg)[0] == 0
-    assert rule_stats(*WORK_SHAPE, kg)[2] == 0.0
+    assert mined(*WORK_SHAPE, kg) is None
 
 
 def test_confidence_one_when_head_always_present():
@@ -67,8 +76,8 @@ def test_confidence_one_when_head_always_present():
         Triple("a", "p", "b"), Triple("b", "q", "c"), Triple("a", "r", "c"),
         Triple("x", "p", "y"), Triple("y", "q", "z"), Triple("x", "r", "z"),
     ])
-    sup, std, pca = rule_stats(("p", "q"), "r", kg)
-    assert (sup, std, pca) == (2, 1.0, 1.0)
+    r = mined(("p", "q"), "r", kg)
+    assert (r.support, r.std_confidence, r.pca_confidence) == (2, 1.0, 1.0)
 
 
 def test_mine_rules_finds_worked_example():

@@ -8,9 +8,8 @@ from kcpm.errors import DataError
 from kcpm.kg import KnowledgeGraph, TemporalTriple, Triple
 from kcpm.temporal import (ScorerParams, TemporalScorer, _distinct_batch,
                            _hinge_backward, _hinge_forward, df_training_triples,
-                           directly_follows_degree, load_scorer, save_scorer,
-                           successor_scores, time_bucket,
-                           train_temporal_scorer)
+                           load_scorer, save_scorer, successor_scores,
+                           time_bucket, train_temporal_scorer)
 
 from conftest import T0, log_from_sequences
 
@@ -52,8 +51,8 @@ def test_zero_negatives_rejected():
 def test_dominant_pattern_scores_higher():
     scorer = train_temporal_scorer(dominated_log(), None, FAST)
     t = T0
-    assert directly_follows_degree(scorer, "a", "b", t) > \
-        directly_follows_degree(scorer, "a", "c", t)
+    assert scorer.directly_follows_degree("a", "b", t) > \
+        scorer.directly_follows_degree("a", "c", t)
 
 
 def test_same_seed_identical_checkpoints():
@@ -83,7 +82,7 @@ def test_degree_is_half_at_zero_distance():
     scorer = TemporalScorer(
         ("a", "b"), np.zeros((2, 4)), np.zeros(4), np.zeros((24, 4)),
         ScorerParams(dim=4))
-    assert directly_follows_degree(scorer, "a", "b", T0) == pytest.approx(0.5)
+    assert scorer.directly_follows_degree("a", "b", T0) == pytest.approx(0.5)
 
 
 def test_degree_always_in_unit_interval_and_monotone():
@@ -92,8 +91,8 @@ def test_degree_always_in_unit_interval_and_monotone():
         E = rng.normal(size=(3, 6))
         scorer = TemporalScorer(("a", "b", "c"), E, rng.normal(size=6),
                                 rng.normal(size=(24, 6)), ScorerParams(dim=6))
-        d_ab = directly_follows_degree(scorer, "a", "b", T0)
-        assert 0.0 < d_ab < 1.0
+        d_ab = scorer.directly_follows_degree("a", "b", T0)
+        assert 0.0 < d_ab <= TemporalScorer.MAX_DEGREE
     # score decreases as the tail moves away from the translated head
     base = np.zeros((2, 4))
     scorer_near = TemporalScorer(("a", "b"), base.copy(), np.zeros(4),
@@ -102,14 +101,14 @@ def test_degree_always_in_unit_interval_and_monotone():
     far[1, 0] = 5.0
     scorer_far = TemporalScorer(("a", "b"), far, np.zeros(4),
                                 np.zeros((24, 4)), ScorerParams(dim=4))
-    assert directly_follows_degree(scorer_near, "a", "b", T0) > \
-        directly_follows_degree(scorer_far, "a", "b", T0)
+    assert scorer_near.directly_follows_degree("a", "b", T0) > \
+        scorer_far.directly_follows_degree("a", "b", T0)
 
 
 def test_unknown_activity_named_in_error():
     scorer = train_temporal_scorer(dominated_log(), None, FAST)
     with pytest.raises(DataError, match="ghost"):
-        directly_follows_degree(scorer, "a", "ghost", T0)
+        scorer.directly_follows_degree("a", "ghost", T0)
 
 
 def test_checkpoint_round_trip():
@@ -131,7 +130,7 @@ def test_successor_scores_cover_vocabulary():
     scores = successor_scores(scorer, "a", T0)
     assert set(scores) == {"a", "b", "c"}
     assert scores["b"] == pytest.approx(
-        directly_follows_degree(scorer, "a", "b", T0))
+        scorer.directly_follows_degree("a", "b", T0))
 
 
 def test_hinge_gradients_match_finite_differences():
