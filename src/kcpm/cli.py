@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from typing import Callable, NamedTuple
 
 from . import augment as aug
 from . import dfg as dfgmod
@@ -20,7 +21,7 @@ from .conformance import (comparison_table, conformance, footprint_of_log,
                           footprint_of_model)
 from .conformance import report_to_json as conformance_report_json
 from .config import PipelineConfig, load_config
-from .errors import DataError, KcpmError, ParseError
+from .errors import ConfigError, DataError, KcpmError, ParseError
 from .eventlog import EventLog, annotate_context, log_statistics
 from .kg import KnowledgeGraph, load_triples
 from .lpg import build_lpg
@@ -70,129 +71,14 @@ def _json_out(out_dir: str, name: str, payload) -> str:
                               fh.write("\n")))
 
 
-def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
+def _config_from_args(args) -> PipelineConfig:
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     for f in fields(cfg):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
-
-
-def _config_from_args(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    return _apply_overrides(cfg, args)
-
-
-def _add_common(p: argparse.ArgumentParser, *names) -> None:
-    opts = {
-        "config": lambda: p.add_argument("--config", help="INI config file"),
-        "out": lambda: p.add_argument("--out", required=True,
-                                      help="output directory"),
-        "log": lambda: p.add_argument("--log", help="event log (.xes or .csv)"),
-        "kg": lambda: p.add_argument("--kg", help="knowledge graph (TSV/N-Triples)"),
-        "context": lambda: p.add_argument("--context", help="context table CSV"),
-        "alias": lambda: p.add_argument("--alias",
-                                        help="activity-to-entity alias CSV"),
-        "seed": lambda: p.add_argument("--seed", type=int),
-    }
-    for name in names:
-        opts[name]()
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kcpm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse a log, write canonical CSV + stats")
-    _add_common(p, "config", "out", "log", "context")
-    p.add_argument("--xes-on-malformed", choices=("fail", "skip"), default="fail")
-
-    p = sub.add_parser("stats", help="log statistics as JSON")
-    _add_common(p, "config", "out", "log", "context")
-
-    p = sub.add_parser("mine-rules", help="mine closed-path rules from a KG")
-    _add_common(p, "config", "out", "kg")
-    p.add_argument("--max-body-len", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--min-support", type=int, dest="min_support")
-    p.add_argument("--min-pca-conf", type=float, dest="min_pca_conf")
-
-    p = sub.add_parser("mine-dfg", help="mine the dependency graph of a log")
-    _add_common(p, "config", "out", "log", "context")
-    p.add_argument("--dependency-threshold", type=float,
-                   dest="dependency_threshold")
-    p.add_argument("--frequency-threshold", type=int,
-                   dest="frequency_threshold")
-    p.add_argument("--all-tasks-connected", action="store_const", const=True,
-                   dest="all_tasks_connected")
-    p.add_argument("--long-distance", action="store_true")
-
-    p = sub.add_parser("filter", help="filter a dependency graph against rules")
-    _add_common(p, "config", "out", "kg", "alias")
-    p.add_argument("--dfg", required=True, help="dependency graph JSON")
-    p.add_argument("--rules", required=True, help="rule base JSONL")
-    p.add_argument("--mode", choices=("strict", "permissive"),
-                   dest="filter_mode")
-
-    p = sub.add_parser("augment", help="repair a log: drop chaotic events, insert missing ones")
-    _add_common(p, "config", "out", "log", "context", "kg", "alias", "seed")
-    p.add_argument("--rules", help="rule base JSONL (default: mine from the KG)")
-    p.add_argument("--theta-aug", type=float, dest="theta_aug")
-    p.add_argument("--strict-ordering", action="store_const", const=True,
-                   dest="strict_ordering")
-    p.add_argument("--no-embedding", action="store_const", const=False,
-                   dest="use_embedding")
-    p.add_argument("--min-support", type=int, dest="min_support")
-    p.add_argument("--min-pca-conf", type=float, dest="min_pca_conf")
-
-    p = sub.add_parser("variants-train", help="train the variant classifier")
-    _add_common(p, "config", "out", "log", "context", "kg", "alias", "seed")
-    p.add_argument("--labels", required=True, help="labels CSV (case_id,class)")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-
-    p = sub.add_parser("variants-classify", help="partition a log into variants")
-    _add_common(p, "config", "out", "log", "context", "kg", "alias")
-    p.add_argument("--model", required=True, help="variant model checkpoint")
-
-    p = sub.add_parser("conform", help="footprint conformance of a log against a model")
-    _add_common(p, "config", "out", "log", "context")
-    p.add_argument("--model", required=True,
-                   help="dependency graph or ground-truth model JSON")
-
-    p = sub.add_parser("synth", help="simulate a ground-truth model, optionally corrupt it")
-    _add_common(p, "config", "out", "seed")
-    p.add_argument("--model", required=True, help="ground-truth model JSON")
-    p.add_argument("--cases", type=int, required=True)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--noise-alphabet", default="",
-                   help="comma-separated noise activity labels")
-
-    p = sub.add_parser("pipeline", help="ingest, mine rules, repair, mine DFG, "
-                                        "filter, and compare raw vs augmented")
-    _add_common(p, "config", "out", "log", "context", "kg", "alias", "seed")
-    p.add_argument("--model", help="reference model JSON for conformance")
-    p.add_argument("--theta-aug", type=float, dest="theta_aug")
-    p.add_argument("--strict-ordering", action="store_const", const=True,
-                   dest="strict_ordering")
-    p.add_argument("--no-embedding", action="store_const", const=False,
-                   dest="use_embedding")
-    p.add_argument("--min-support", type=int, dest="min_support")
-    p.add_argument("--min-pca-conf", type=float, dest="min_pca_conf")
-    p.add_argument("--dependency-threshold", type=float,
-                   dest="dependency_threshold")
-    p.add_argument("--frequency-threshold", type=int,
-                   dest="frequency_threshold")
-    p.add_argument("--mode", choices=("strict", "permissive"),
-                   dest="filter_mode")
-    return parser
-
-
-def _require(cfg: PipelineConfig, *keys) -> None:
-    missing = [k for k in keys if not getattr(cfg, k)]
-    if missing:
-        raise _UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
 def _read_json(path: str, decode):
@@ -216,11 +102,17 @@ def _reference_graph(obj) -> dfgmod.DependencyGraph:
     return dfgmod.dfg_from_json(obj)
 
 
+def _read_rules(path: str) -> RuleBase:
+    with logio._open_text(path) as fh:
+        return read_rules_jsonl(fh)
+
+
 def _load_rules(cfg: PipelineConfig, args, kg: KnowledgeGraph) -> RuleBase:
+    """The --rules file where the subcommand takes one and it was given,
+    else the rules mined from the KG."""
     rules_path = getattr(args, "rules", None)
     if rules_path:
-        with open(rules_path, encoding="utf-8") as fh:
-            return read_rules_jsonl(fh)
+        return _read_rules(rules_path)
     return mine_rules(kg, max_body_len=2, min_support=cfg.min_support,
                       min_pca_conf=cfg.min_pca_conf)
 
@@ -253,66 +145,48 @@ def _read_repair_log(cfg: PipelineConfig) -> EventLog:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each writes its artifacts; main writes the manifest
 # ---------------------------------------------------------------------------
 
-def _cmd_ingest(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "log", "out")
+def _cmd_ingest(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context, args.xes_on_malformed)
     _write(cfg.out, "log.csv", lambda fh: logio.write_csv(log, fh))
     _json_out(cfg.out, "stats.json", log_statistics(log))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), args.command,
-                   cfg.as_dict(), [cfg.log, cfg.context or ""], cfg.seed)
-    return 0
 
 
-def _cmd_stats(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "log", "out")
+def _cmd_stats(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context)
     stats = log_statistics(log)
     _json_out(cfg.out, "stats.json", stats)
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "stats",
-                   cfg.as_dict(), [cfg.log, cfg.context or ""], cfg.seed)
     print(json.dumps(stats, indent=2, sort_keys=True))
-    return 0
 
 
-def _cmd_mine_rules(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "kg", "out")
+def _cmd_mine_rules(cfg: PipelineConfig, args) -> None:
     kg = load_triples(cfg.kg)
     rb = mine_rules(kg, max_body_len=args.max_body_len,
                     min_support=cfg.min_support,
                     min_pca_conf=cfg.min_pca_conf)
     _write(cfg.out, "rules.jsonl", lambda fh: write_rules_jsonl(rb, fh))
     _write(cfg.out, "rules.txt", lambda fh: write_rules_text(rb, fh))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "mine-rules",
-                   cfg.as_dict(), [cfg.kg], cfg.seed)
     print(f"mined {len(rb)} rules")
-    return 0
 
 
-def _cmd_mine_dfg(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "log", "out")
+def _cmd_mine_dfg(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context)
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
                                  cfg.frequency_threshold,
                                  cfg.all_tasks_connected,
-                                 getattr(args, "long_distance", False))
+                                 args.long_distance)
     dg = dfgmod.mine_dependency_graph(log, th)
     _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(dg))
     _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(dg, fh))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "mine-dfg",
-                   cfg.as_dict(), [cfg.log, cfg.context or ""], cfg.seed)
     print(f"{len(dg.edges)} edges over {len(dg.activities)} activities")
-    return 0
 
 
-def _cmd_filter(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "kg", "out")
+def _cmd_filter(cfg: PipelineConfig, args) -> None:
     dg = _read_json(args.dfg, dfgmod.dfg_from_json)
     kg = load_triples(cfg.kg)
-    with open(args.rules, encoding="utf-8") as fh:
-        rb = read_rules_jsonl(fh)
+    rb = _read_rules(args.rules)
     alias = read_alias(cfg.alias)
     filtered, report = dfgmod.filter_dependency_graph(
         dg, dfgmod.Closure(rb, kg), alias, cfg.filter_mode)
@@ -320,14 +194,11 @@ def _cmd_filter(cfg: PipelineConfig, args) -> int:
     _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(filtered, fh))
     _json_out(cfg.out, "filter_report.json",
               dfgmod.filter_report_to_json(report))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "filter",
-                   cfg.as_dict(), [args.dfg, args.rules, cfg.kg], cfg.seed)
     print(dfgmod.filter_report_table(report), end="")
-    return 0
 
 
-def _augment_log(cfg: PipelineConfig, args, log: EventLog,
-                 kg: KnowledgeGraph, closure, alias):
+def _augment_log(cfg: PipelineConfig, log: EventLog, kg: KnowledgeGraph,
+                 closure, alias):
     filtered, removal_report = aug.filter_chaotic_events(
         log, closure, alias, strict_ordering=cfg.strict_ordering)
     scorer = None  # trained only if an insertion asks for it
@@ -351,34 +222,27 @@ def _write_scorer(out_dir: str, scorer) -> None:
                lambda fh: temporal.save_scorer(scorer, fh))
 
 
-def _cmd_augment(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "log", "kg", "out")
+def _cmd_augment(cfg: PipelineConfig, args) -> None:
     log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     rb = _load_rules(cfg, args, kg)
     alias = read_alias(cfg.alias)
-    augmented, report, scorer = _augment_log(cfg, args, log, kg,
+    augmented, report, scorer = _augment_log(cfg, log, kg,
                                              aug.Closure(rb, kg), alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _write(cfg.out, "augmented.xes", lambda fh: logio.write_xes(augmented, fh))
     _json_out(cfg.out, "augment_report.json", aug.report_to_json(report))
     _write_scorer(cfg.out, scorer)
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "augment",
-                   cfg.as_dict(),
-                   [cfg.log, cfg.kg, cfg.context or "", cfg.alias or ""],
-                   cfg.seed)
     print(f"removed {len(report.removed_events)} events, "
           f"inserted {len(report.inserted)}")
-    return 0
 
 
-def _cmd_variants_train(cfg: PipelineConfig, args) -> int:
+def _cmd_variants_train(cfg: PipelineConfig, args) -> None:
     from . import variants
 
-    _require(cfg, "log", "kg", "out")
     log = read_log(cfg.log, cfg.context)
     kg = load_triples(cfg.kg)
-    labels = variants.read_labels_csv(args.labels)
+    labels = variants.read_labels_csv(cfg.labels)
     graph = build_lpg(log, kg, read_alias(cfg.alias))
     params = variants.VariantParams(
         dim=cfg.dim, margin=cfg.margin, learning_rate=cfg.learning_rate,
@@ -386,19 +250,13 @@ def _cmd_variants_train(cfg: PipelineConfig, args) -> int:
     model = variants.train_variant_model(graph, labels, params)
     _write(cfg.out, "variant_model.json",
            lambda fh: variants.save_model(model, fh))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "variants-train",
-                   cfg.as_dict(),
-                   [cfg.log, cfg.kg, args.labels, cfg.context or ""],
-                   cfg.seed)
     print(f"trained on {len(labels)} labeled cases, "
           f"final loss {model.loss_history[-1]:.4f}")
-    return 0
 
 
-def _cmd_variants_classify(cfg: PipelineConfig, args) -> int:
+def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
     from . import variants
 
-    _require(cfg, "log", "kg", "out")
     log = read_log(cfg.log, cfg.context)
     kg = load_triples(cfg.kg)
     model = variants.load_model(cfg.model)
@@ -407,63 +265,53 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> int:
     _json_out(cfg.out, "variants.json", variants.partition_to_json(partition))
     _write(cfg.out, "variants.csv",
            lambda fh: variants.partition_to_csv(partition, fh))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "variants-classify",
-                   cfg.as_dict(),
-                   [cfg.log, cfg.kg, cfg.model, cfg.context or ""], cfg.seed)
     sizes = {cid: len(partition.cases_of(cid)) for cid in model.class_ids()}
     print(json.dumps(sizes, sort_keys=True))
-    return 0
 
 
-def _cmd_conform(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "log", "out")
+def _cmd_conform(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context)
     model = _read_json(cfg.model, _reference_graph)
     report = conformance(footprint_of_log(log), footprint_of_model(model))
     _json_out(cfg.out, "report.json", conformance_report_json(report))
     table = comparison_table([(os.path.basename(cfg.log), report)])
     _write(cfg.out, "table.txt", lambda fh: fh.write(table))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "conform",
-                   cfg.as_dict(), [cfg.log, cfg.model], cfg.seed)
     print(table, end="")
-    return 0
 
 
-def _cmd_synth(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "out")
+def _cmd_synth(cfg: PipelineConfig, args) -> None:
+    if args.cases < 1:
+        raise ConfigError("--cases must be >= 1")
+    alphabet = frozenset(a for a in args.noise_alphabet.split(",") if a)
+    try:
+        spec = synth.CorruptionSpec(args.drop, args.noise, alphabet, cfg.seed)
+    except ValueError as exc:  # a rate outside [0, 1], or noise without labels
+        raise ConfigError(str(exc)) from None
     model = _read_json(cfg.model, synth.model_from_json)
     log = synth.simulate(model, args.cases, cfg.seed)
     _write(cfg.out, "log.csv", lambda fh: logio.write_csv(log, fh))
     if args.drop > 0 or args.noise > 0:
-        alphabet = frozenset(a for a in args.noise_alphabet.split(",") if a)
-        spec = synth.CorruptionSpec(args.drop, args.noise, alphabet, cfg.seed)
         corrupted = synth.corrupt(log, spec)
         _write(cfg.out, "corrupted.csv",
                lambda fh: logio.write_csv(corrupted, fh))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "synth",
-                   cfg.as_dict(), [cfg.model], cfg.seed)
     print(f"simulated {len(log)} cases, {log.n_events} events")
-    return 0
 
 
-def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
-    _require(cfg, "log", "kg", "out")
+def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     alias = read_alias(cfg.alias)
     reference = (_read_json(cfg.model, _reference_graph) if cfg.model
                  else None)
 
-    rb = mine_rules(kg, max_body_len=2, min_support=cfg.min_support,
-                    min_pca_conf=cfg.min_pca_conf)
+    rb = _load_rules(cfg, args, kg)
     _write(cfg.out, "rules.jsonl", lambda fh: write_rules_jsonl(rb, fh))
 
     # one closure serves removal, insertion and edge filtering; building it
     # through the name kcpm.augment imports lets a wrapper there (such as
     # bench/tracing.py installs) time it
     closure = aug.Closure(rb, kg)
-    augmented, report, scorer = _augment_log(cfg, args, log, kg, closure,
-                                             alias)
+    augmented, report, scorer = _augment_log(cfg, log, kg, closure, alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _json_out(cfg.out, "augment_report.json", aug.report_to_json(report))
     _write_scorer(cfg.out, scorer)
@@ -493,39 +341,148 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> int:
         payload["augmented"] = conformance_report_json(aug_rep)
     _json_out(cfg.out, "report.json", payload)
     _write(cfg.out, "table.txt", lambda fh: fh.write(table))
-    write_manifest(os.path.join(cfg.out, "manifest.json"), "pipeline",
-                   cfg.as_dict(),
-                   [cfg.log, cfg.kg, cfg.model or "", cfg.context or "",
-                    cfg.alias or ""],
-                   cfg.seed)
     if table:
         print(table, end="")
-    return 0
 
+
+# ---------------------------------------------------------------------------
+# The subcommand table
+# ---------------------------------------------------------------------------
+
+# Every option, keyed by the PipelineConfig field it sets, or by the
+# argparse dest a body reads where no field holds it.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "config": ("--config", dict(help="INI config file")),
+    "out": ("--out", dict(help="output directory")),
+    # input paths
+    "log": ("--log", dict(help="event log (.xes or .csv)")),
+    "kg": ("--kg", dict(help="knowledge graph (TSV/N-Triples)")),
+    "context": ("--context", dict(help="context table CSV")),
+    "alias": ("--alias", dict(help="activity-to-entity alias CSV")),
+    "labels": ("--labels", dict(help="labels CSV (case_id,class)")),
+    "model": ("--model", dict(help="model JSON: a dependency graph or "
+                              "ground-truth model, or for variants-classify "
+                              "a variant model checkpoint")),
+    "dfg": ("--dfg", dict(help="dependency graph JSON")),
+    "rules": ("--rules", dict(help="rule base JSONL (augment: mined from "
+                              "the KG when absent)")),
+    # tuning
+    "seed": ("--seed", dict(type=int)),
+    "min_support": ("--min-support", dict(type=int)),
+    "min_pca_conf": ("--min-pca-conf", dict(type=float)),
+    "dependency_threshold": ("--dependency-threshold", dict(type=float)),
+    "frequency_threshold": ("--frequency-threshold", dict(type=int)),
+    "all_tasks_connected": ("--all-tasks-connected",
+                            dict(action="store_const", const=True)),
+    "filter_mode": ("--mode", dict(choices=("strict", "permissive"))),
+    "theta_aug": ("--theta-aug", dict(type=float)),
+    "strict_ordering": ("--strict-ordering",
+                        dict(action="store_const", const=True)),
+    "use_embedding": ("--no-embedding",
+                      dict(action="store_const", const=False)),
+    "dim": ("--dim", dict(type=int)),
+    "epochs": ("--epochs", dict(type=int)),
+    "xes_on_malformed": ("--xes-on-malformed",
+                         dict(choices=("fail", "skip"), default="fail")),
+    "max_body_len": ("--max-body-len",
+                     dict(type=int, default=2, choices=(1, 2, 3))),
+    "long_distance": ("--long-distance", dict(action="store_true")),
+    "cases": ("--cases", dict(type=int, required=True)),
+    "drop": ("--drop", dict(type=float, default=0.0)),
+    "noise": ("--noise", dict(type=float, default=0.0)),
+    "noise_alphabet": ("--noise-alphabet",
+                       dict(default="",
+                            help="comma-separated noise activity labels")),
+}
+
+
+class _Command(NamedTuple):
+    run: Callable[[PipelineConfig, argparse.Namespace], None]
+    help: str
+    paths: tuple[str, ...]     # input files; each one given is digested
+    required: tuple[str, ...]  # paths that a flag or --config must give
+    flags: tuple[str, ...] = ()
+
+
+_REPAIR_FLAGS = ("seed", "theta_aug", "strict_ordering", "use_embedding",
+                 "min_support", "min_pca_conf")
 
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "stats": _cmd_stats,
-    "mine-rules": _cmd_mine_rules,
-    "mine-dfg": _cmd_mine_dfg,
-    "filter": _cmd_filter,
-    "augment": _cmd_augment,
-    "variants-train": _cmd_variants_train,
-    "variants-classify": _cmd_variants_classify,
-    "conform": _cmd_conform,
-    "synth": _cmd_synth,
-    "pipeline": _cmd_pipeline,
+    "ingest": _Command(
+        _cmd_ingest, "parse a log, write canonical CSV + stats",
+        ("log", "context"), ("log",), ("xes_on_malformed",)),
+    "stats": _Command(
+        _cmd_stats, "log statistics as JSON", ("log", "context"), ("log",)),
+    "mine-rules": _Command(
+        _cmd_mine_rules, "mine closed-path rules from a KG", ("kg",), ("kg",),
+        ("max_body_len", "min_support", "min_pca_conf")),
+    "mine-dfg": _Command(
+        _cmd_mine_dfg, "mine the dependency graph of a log",
+        ("log", "context"), ("log",),
+        ("dependency_threshold", "frequency_threshold", "all_tasks_connected",
+         "long_distance")),
+    "filter": _Command(
+        _cmd_filter, "filter a dependency graph against rules",
+        ("dfg", "rules", "kg", "alias"), ("dfg", "rules", "kg"),
+        ("filter_mode",)),
+    "augment": _Command(
+        _cmd_augment, "repair a log: drop chaotic events, insert missing ones",
+        ("log", "kg", "context", "alias", "rules"), ("log", "kg"),
+        _REPAIR_FLAGS),
+    "variants-train": _Command(
+        _cmd_variants_train, "train the variant classifier",
+        ("log", "kg", "labels", "context", "alias"), ("log", "kg", "labels"),
+        ("seed", "dim", "epochs")),
+    "variants-classify": _Command(
+        _cmd_variants_classify, "partition a log into variants",
+        ("log", "kg", "model", "context", "alias"), ("log", "kg", "model")),
+    "conform": _Command(
+        _cmd_conform, "footprint conformance of a log against a model",
+        ("log", "model", "context"), ("log", "model")),
+    "synth": _Command(
+        _cmd_synth, "simulate a ground-truth model, optionally corrupt it",
+        ("model",), ("model",),
+        ("seed", "cases", "drop", "noise", "noise_alphabet")),
+    "pipeline": _Command(
+        _cmd_pipeline, "ingest, mine rules, repair, mine DFG, filter, and "
+                       "compare raw vs augmented",
+        ("log", "kg", "model", "context", "alias"), ("log", "kg"),
+        (*_REPAIR_FLAGS, "dependency_threshold", "frequency_threshold",
+         "filter_mode")),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="kcpm", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in ("config", "out", *command.paths, *command.flags):
+            option, kwargs = _FLAGS[dest]
+            p.add_argument(option, dest=dest, **kwargs)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        command = _COMMANDS[args.command]
         cfg = _config_from_args(args)
-        if cfg.out:
-            os.makedirs(cfg.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args)
+        # a path set by its flag or by --config [paths]
+        given = vars(args) | cfg.as_dict()
+        missing = [name for name in (*command.required, "out")
+                   if not given[name]]
+        if missing:
+            raise _UsageError("missing required option(s): "
+                              + ", ".join("--" + m for m in missing))
+        os.makedirs(cfg.out, exist_ok=True)
+        command.run(cfg, args)
+        write_manifest(os.path.join(cfg.out, "manifest.json"), args.command,
+                       cfg.as_dict(),
+                       [given[name] for name in command.paths if given[name]],
+                       cfg.seed)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -122,7 +122,8 @@ def _strip_term(term: str) -> str:
 def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
     """Load a knowledge graph from TSV (3 columns, or 4 with an ISO-8601
     timestamp) or an N-Triples subset (IRIs and plain literals, no blank
-    nodes). Duplicates collapse under set semantics."""
+    nodes). Duplicates collapse under set semantics. When source is a
+    path, every ParseError names it: ``<path>: line N: ...``."""
     triples: list[Triple] = []
     temporal: list[TemporalTriple] = []
     with _open_text(source) as stream:

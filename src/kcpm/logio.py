@@ -232,14 +232,17 @@ def _parse_ts(text: str, fmt: str) -> datetime:
 @contextlib.contextmanager
 def _open_text(source):
     """A text stream over a path, bytes, a BytesIO or a text stream, with
-    line endings left to the reader; closes only a file it opened. A
-    file that is not UTF-8 is a ParseError naming it."""
+    line endings left to the reader; closes only a file it opened. When
+    source is a path, every KcpmError raised while the stream is read or
+    used names it, and so does a ParseError for a file that is not UTF-8."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="", encoding="utf-8") as fh:
             try:
                 yield fh
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
+            except KcpmError as exc:
+                raise type(exc)(f"{source}: {exc}") from None
     elif isinstance(source, bytes):
         yield io.StringIO(source.decode("utf-8"), newline="")
     elif isinstance(source, io.BytesIO):
@@ -258,22 +261,16 @@ def csv_rows(source, required):
     position (the last one if repeated), and rows yields (row number,
     fields) for each data row, the header being row 1. Blank lines are
     skipped. A required column missing from the header is a ConfigError,
-    and a row whose width differs from the header's a ParseError. When
-    source is a path, every KcpmError raised while the rows are read or
-    used names it."""
+    and a row whose width differs from the header's a ParseError. Errors
+    name a source path, as _open_text says."""
     with _open_text(source) as stream:
-        try:
-            reader = csv.reader(stream)
-            header = next(reader, [])
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ConfigError(f"columns missing from CSV header: {missing}")
-            yield {name: i for i, name in enumerate(header)}, _sized_rows(
-                reader, len(header))
-        except KcpmError as exc:
-            if not isinstance(source, (str, os.PathLike)):
-                raise
-            raise type(exc)(f"{source}: {exc}") from None
+        reader = csv.reader(stream)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ConfigError(f"columns missing from CSV header: {missing}")
+        yield {name: i for i, name in enumerate(header)}, _sized_rows(
+            reader, len(header))
 
 
 def _sized_rows(reader, width: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -370,7 +371,8 @@ def test_bad_rules_file_is_data_error(workdir, capsys, line, message):
     assert run("filter", "--dfg", dfg_dir / "dfg.json", "--rules", bad,
                "--kg", workdir / "kg.tsv", "--out", workdir / "f") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(message)
+    named = message.replace("error: ", f"error: {bad}: ", 1)
+    assert len(err) == 1 and err[0].startswith(named)
 
 
 def test_short_csv_row_is_data_error(workdir, capsys):
@@ -461,6 +463,21 @@ def test_bad_synth_model_is_data_error(workdir, capsys, text, message):
     assert run("synth", "--model", bad, "--cases", 2, "--out", out) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--cases", 0], "--cases must be >= 1"),
+    (["--cases", 5, "--drop", 1.5], "drop_rate must be in [0, 1]"),
+    (["--cases", 5, "--noise", 0.3],
+     "noise_rate > 0 requires a noise alphabet"),
+], ids=["no-cases", "drop-above-one", "noise-without-alphabet"])
+def test_bad_synth_arguments_fail_before_any_artifact(workdir, capsys, flags,
+                                                      message):
+    out = workdir / "bad_args_out"
+    assert run("synth", "--model", workdir / "model.json", *flags,
+               "--out", out) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
     assert list(out.iterdir()) == []
 
 
@@ -591,8 +608,11 @@ _HEADER = "case_id,activity,timestamp\n"
      "row 3: 3 fields, header has 2"),
     ("pipeline", "--alias", "a,ent_a\nb,ent_b\n",
      "columns missing from CSV header: ['activity', 'entity']"),
+    ("mine-rules", "--kg", "a\tb\n",
+     "line 1: expected 3 or 4 tab-separated columns, got 2"),
 ], ids=["context-extra-field", "context-empty-case", "labels-short-row",
-        "log-extra-field", "alias-extra-field", "alias-no-header"])
+        "log-extra-field", "alias-extra-field", "alias-no-header",
+        "kg-short-line"])
 def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
                                                   name, text, message):
     bad = workdir / "bad.csv"
@@ -600,6 +620,8 @@ def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
     inputs = {"--log": workdir / "log.csv"}
     if command != "stats":
         inputs["--kg"] = workdir / "kg.tsv"
+    if command == "mine-rules":
+        del inputs["--log"]
     inputs[name] = bad
     out = workdir / "bad_out"
     args = [a for pair in inputs.items() for a in pair]
@@ -613,6 +635,7 @@ def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
     ("stats", "--log", "bin.csv"), ("stats", "--context", "bin.csv"),
     ("variants-train", "--labels", "bin.csv"),
     ("pipeline", "--alias", "bin.csv"), ("mine-rules", "--kg", "bin.tsv"),
+    ("augment", "--rules", "bin.jsonl"), ("filter", "--rules", "bin.jsonl"),
 ])
 def test_non_utf8_input_is_one_line_data_error(workdir, capsys, command, flag,
                                                name):
@@ -621,8 +644,12 @@ def test_non_utf8_input_is_one_line_data_error(workdir, capsys, command, flag,
     inputs = {"--log": workdir / "log.csv", "--kg": workdir / "kg.tsv"}
     if command == "stats":
         del inputs["--kg"]
-    if command == "mine-rules":
+    if command in ("mine-rules", "filter"):
         del inputs["--log"]
+    if command == "filter":
+        graph = workdir / "graph.json"
+        graph.write_text(json.dumps({"activities": ["a"], "edges": []}))
+        inputs["--dfg"] = graph
     inputs[flag] = bad
     args = [a for pair in inputs.items() for a in pair]
     out = workdir / "bin_out"
@@ -674,3 +701,83 @@ def test_ingest_reads_xes_through_the_skip_option(workdir):
     assert run("ingest", "--log", xes, "--out", out,
                "--xes-on-malformed", "skip") == 0
     assert load_json(out / "stats.json")["n_events"] == 1
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# every input path option of each subcommand, each given a file of its own
+# basename
+_PATH_OPTIONS = {
+    "ingest": {"--log": "log.csv", "--context": "ctx.csv"},
+    "stats": {"--log": "log.csv", "--context": "ctx.csv"},
+    "mine-rules": {"--kg": "kg.tsv"},
+    "mine-dfg": {"--log": "log.csv", "--context": "ctx.csv"},
+    "filter": {"--dfg": "graph.json", "--rules": "rules.jsonl",
+               "--kg": "kg.tsv", "--alias": "alias.csv"},
+    "augment": {"--log": "log.csv", "--context": "ctx.csv", "--kg": "kg.tsv",
+                "--alias": "alias.csv", "--rules": "rules.jsonl"},
+    "variants-train": {"--log": "log.csv", "--context": "ctx.csv",
+                       "--kg": "kg.tsv", "--alias": "alias.csv",
+                       "--labels": "labels.csv"},
+    "variants-classify": {"--log": "log.csv", "--context": "ctx.csv",
+                          "--kg": "kg.tsv", "--alias": "alias.csv",
+                          "--model": "vt/variant_model.json"},
+    "conform": {"--log": "log.csv", "--context": "ctx.csv",
+                "--model": "model.json"},
+    "synth": {"--model": "model.json"},
+    "pipeline": {"--log": "log.csv", "--context": "ctx.csv", "--kg": "kg.tsv",
+                 "--alias": "alias.csv", "--model": "model.json"},
+}
+_OTHER_OPTIONS = {"synth": ["--cases", 2], "variants-train": ["--epochs", 2]}
+
+
+def test_path_options_cover_every_subcommand():
+    assert sorted(_PATH_OPTIONS) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_OPTIONS))
+def test_manifest_digests_every_input_given(workdir, command):
+    (workdir / "ctx.csv").write_text("case_id,age\nc0,30\nc1,41\nc2,52\n")
+    (workdir / "alias.csv").write_text("activity,entity\na,ent_a\nb,ent_b\n")
+    (workdir / "labels.csv").write_text(
+        "case_id,class\nc0,long\nc1,short\nc2,long\n")
+    (workdir / "rules.jsonl").write_text(json.dumps(_RULE) + "\n")
+    (workdir / "graph.json").write_text(
+        json.dumps({"activities": ["a", "b", "c"], "edges": []}))
+    if command == "variants-classify":
+        assert run("variants-train", "--log", workdir / "log.csv",
+                   "--kg", workdir / "kg.tsv", "--labels", workdir / "labels.csv",
+                   "--epochs", 2, "--out", workdir / "vt") == 0
+    files = {flag: workdir / name for flag, name in _PATH_OPTIONS[command].items()}
+    out = workdir / "digested"
+    assert run(command, *(a for pair in files.items() for a in pair),
+               *_OTHER_OPTIONS.get(command, ()), "--out", out) == 0
+    manifest = load_json(out / "manifest.json")
+    validate("manifest", manifest)
+    assert manifest["inputs"] == {path.name: sha256_of(path)
+                                  for path in files.values()}
+
+
+def test_required_path_may_come_from_the_config(workdir, capsys):
+    out = workdir / "no_model"
+    assert run("conform", "--log", workdir / "log.csv", "--out", out) == 1
+    assert "missing required option(s): --model" in capsys.readouterr().err
+    assert not out.exists()
+    cfgfile = workdir / "paths.ini"
+    cfgfile.write_text(f"[paths]\nmodel = {workdir / 'model.json'}\n")
+    out = workdir / "model_from_config"
+    assert run("conform", "--config", cfgfile, "--log", workdir / "log.csv",
+               "--out", out) == 0
+    assert load_json(out / "manifest.json")["inputs"] == {
+        "log.csv": sha256_of(workdir / "log.csv"),
+        "model.json": sha256_of(workdir / "model.json")}
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_OPTIONS))
+def test_every_subcommand_formats_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out

@@ -42,9 +42,15 @@ def test_empty_file_gives_empty_kg():
     assert kg.query() == frozenset()
 
 
-def test_wrong_column_count_reports_line():
-    with pytest.raises(ParseError, match="line 2"):
+def test_wrong_column_count_reports_line(tmp_path):
+    message = "line 2: expected 3 or 4 tab-separated columns, got 2"
+    with pytest.raises(ParseError, match=f"^{message}$"):
         load_triples(io.StringIO("A\tp\tB\nA\tp\n"))
+    path = tmp_path / "short.tsv"
+    path.write_text("A\tp\tB\nA\tp\n")
+    with pytest.raises(ParseError) as exc:
+        load_triples(str(path))
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_ntriples_subset():
