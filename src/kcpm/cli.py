@@ -480,7 +480,8 @@ def main(argv: list[str] | None = None) -> int:
         command.run(cfg, args)
         write_manifest(os.path.join(cfg.out, "manifest.json"), args.command,
                        cfg.as_dict(),
-                       [given[name] for name in command.paths if given[name]],
+                       {name: given[name] for name in command.paths
+                        if given[name]},
                        cfg.seed)
         return 0
     except _UsageError as exc:

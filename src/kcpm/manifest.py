@@ -22,8 +22,10 @@ def _sha256_file(path: str) -> str:
 _PATH_KEYS = {"log", "kg", "context", "labels", "alias", "model"}
 
 
-def build_manifest(command: str, config: dict, inputs: list[str],
+def build_manifest(command: str, config: dict, inputs: dict[str, str],
                    seed: int) -> dict:
+    """inputs maps each input option given (log, kg, ...) to its path;
+    the manifest keeps one digest per option."""
     from . import __version__
 
     # drop the output directory and keep only basenames of input paths:
@@ -38,14 +40,12 @@ def build_manifest(command: str, config: dict, inputs: list[str],
     blob = json.dumps(recorded, sort_keys=True).encode("utf-8")
     return {
         "format": "kcpm-manifest",
-        "version": 1,
+        "version": 2,
         "command": command,
         "config": recorded,
         "config_hash": hashlib.sha256(blob).hexdigest(),
-        "inputs": {
-            os.path.basename(p): _sha256_file(p)
-            for p in sorted(inputs, key=os.path.basename) if p
-        },
+        "inputs": {name: _sha256_file(path)
+                   for name, path in sorted(inputs.items())},
         "seed": seed,
         "versions": {
             "kcpm": __version__,
@@ -55,7 +55,7 @@ def build_manifest(command: str, config: dict, inputs: list[str],
 
 
 def write_manifest(path: str, command: str, config: dict,
-                   inputs: list[str], seed: int) -> None:
+                   inputs: dict[str, str], seed: int) -> None:
     manifest = build_manifest(command, config, inputs, seed)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

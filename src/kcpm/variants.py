@@ -14,6 +14,7 @@ nonincreasing and seeded runs reproduce exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +113,7 @@ def _event_matrix(case_nodes: list[list[int]]):
 def _attention_forward(V, mask, U, A):
     """V (m,k,dim) masked event embeddings -> attention, pooled reprs,
     class scores and probabilities."""
-    z = np.einsum("mkd,de,ce->mkc", V, A, U)
+    z = V @ (A @ U.T)
     z = np.where(mask[:, :, None], z, -np.inf)
     z_max = z.max(axis=1, keepdims=True)
     expz = np.exp(z - z_max)
@@ -138,16 +139,16 @@ def _residuals(E, R, Rp, c, heads, rels, tails):
 
 
 def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
-    """Joint loss, and the intermediates _joint_backward reuses."""
-    heads, rels, tails, neg_tails = edges
+    """Joint loss, and the intermediates _joint_backward reuses. edges is
+    (heads, rels, tails): column 0 of tails is each edge's true tail, the
+    rest its corrupted tails."""
+    heads, rels, tails = edges
     idx, mask, labels, _ = ce_data
     total = 0.0
     c = (Ep * E).sum(axis=1)
-    # column 0 is each edge's true tail, the rest its corrupted tails
-    u, d = _residuals(E, R, Rp, c, heads, rels,
-                      np.concatenate([tails[:, None], neg_tails], axis=1))
+    u, d = _residuals(E, R, Rp, c, heads, rels, tails)
     terms = margin + d[:, :1] - d[:, 1:]
-    if neg_tails.size:
+    if terms.size:
         total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
     V = E[idx] * mask[:, :, None]
     alpha, diff, p = _attention_forward(V, mask, U, A)
@@ -156,54 +157,58 @@ def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
 
 
 def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, w_s, w_l):
-    """Gradients of the joint loss from _joint_forward's cache. Each
-    parameter's row contributions are gathered in a fixed order (positive
-    heads, positive tails, negative heads, negative tails, then event
-    rows) and summed by one scatter."""
-    heads, rels, tails, neg_tails = edges
+    """Gradients of the joint loss from _joint_forward's cache.
+
+    The margin loss is summed per edge, not per (edge, negative) pair:
+    the true tail's residual gradient is taken once, weighted by the
+    edge's count of margin-violating negatives, and the head gets one row
+    per edge for both sides. A row g landing on node x also adds
+    (g . r_p) Ep[x] to gE[x] and (g . r_p) E[x] to gEp[x]; those scalars
+    are summed per node by one bincount. The gradient equals the per-row
+    sum (one row per pair and term) up to rounding, not bit for bit."""
+    heads, rels, tails = edges
     idx, mask, labels, Y = ce_data
     c, u, active, V, alpha, diff, p = cache
     n, dim = E.shape
 
-    gU = np.zeros_like(U)
-    gA = np.zeros_like(A)
     m = len(labels)
     G = (p - Y) * (w_l / m)                      # dL/ds
     dDiff = G[:, :, None] * (-2.0 * diff)        # (m,c,d)
-    gU += -dDiff.sum(axis=0)
     dAlpha = np.einsum("mcd,mkd->mkc", dDiff, V)
     dV = np.einsum("mkc,mcd->mkd", alpha, dDiff)
     dz = alpha * (dAlpha - (alpha * dAlpha).sum(axis=1, keepdims=True))
     dz = np.where(mask[:, :, None], dz, 0.0)
-    gA += np.einsum("mkd,mkc,ce->de", V, dz, U)
-    gU += np.einsum("mkc,mke->ce", dz, V @ A)
-    dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
+    V2, dz2 = V.reshape(-1, dim), dz.reshape(-1, dz.shape[2])
+    gA = V2.T @ (dz2 @ U)
+    gU = dz2.T @ (V2 @ A) - dDiff.sum(axis=0)
+    dV += dz @ (U @ A.T)
     dV *= mask[:, :, None]
 
-    # only margin-violating (edge, negative) rows: the others add exact
-    # zeros, which leave every sum (started at +0.0) unchanged
-    edge, neg = np.nonzero(active)
-    ph, pr = heads[edge], rels[edge]
-    rp = Rp[pr]
-    # axis 0 from here on: the positive, then the negative side of each
-    # row; axis 1 of the row blocks: the head, then the tail
-    ti = np.stack([tails[edge], neg_tails[edge, neg]])
-    pair_idx = np.stack([np.broadcast_to(ph, ti.shape), ti], axis=1).reshape(-1)
-    scale = w_s / neg_tails.size if neg_tails.size else 0.0  # else no rows
-    gu = ((np.array([1.0, -1.0]) * scale * 2.0)[:, None, None]
-          * u[edge, np.stack([np.zeros_like(neg), neg + 1])])
-    s_r = (gu * rp).sum(axis=2, keepdims=True)  # gu . r_p per row
-    e_rows = np.stack([gu + s_r * Ep[ph], -(gu + s_r * Ep[ti])], axis=1)
-    ep_rows = np.stack([s_r * E[ph], -s_r * E[ti]], axis=1)
+    # only edges with a margin-violating negative carry a gradient
+    e = np.flatnonzero(active.any(axis=1))
+    act = active[e]
+    w = 2.0 * w_s / active.size if active.size else 0.0
+    # dL/du per residual: the true tail's once, weighted by the edge's
+    # count of violating negatives, and each violating negative's
+    coef = w * np.concatenate([act.sum(axis=1, keepdims=True), -1 * act],
+                              axis=1)
+    ue, te, h, r = u[e], tails[e], heads[e], rels[e]
+    rp = Rp[r]
+    g_head = np.einsum("aj,ajd->ad", coef, ue)  # both sides land on h
+    pair, col = np.nonzero(coef)
+    rows = np.concatenate([g_head, -coef[pair, col, None] * ue[pair, col]])
+    targets = np.concatenate([h, te[pair, col]])
+    # rows . r_p, one scalar per row, summed per node
+    s = np.concatenate([np.einsum("ad,ad->a", g_head, rp),
+                        -(coef * np.einsum("ajd,ad->aj", ue, rp))[pair, col]])
+    S = np.bincount(targets, weights=s, minlength=n)[:, None]
 
-    gE = scatter_rows(n, np.concatenate([pair_idx, idx.reshape(-1)]),
-                      np.concatenate([e_rows.reshape(-1, dim),
-                                      dV.reshape(-1, dim)]))
-    gEp = scatter_rows(n, pair_idx, ep_rows.reshape(-1, dim))
-    r_idx = np.concatenate([pr, pr])
-    gR = scatter_rows(len(R), r_idx, gu.reshape(-1, dim))
-    gRp = scatter_rows(len(Rp), r_idx,
-                       ((c[ph] - c[ti])[:, :, None] * gu).reshape(-1, dim))
+    gE = scatter_rows(n, np.concatenate([targets, idx.reshape(-1)]),
+                      np.concatenate([rows, dV.reshape(-1, dim)])) + S * Ep
+    gEp = S * E
+    gR = scatter_rows(len(R), r, g_head)
+    gRp = scatter_rows(len(Rp), r, c[h, None] * g_head
+                       - np.einsum("aj,ajd->ad", c[te] * coef, ue))
     return gE, gEp, gR, gRp, gU, gA
 
 
@@ -275,7 +280,8 @@ def train_variant_model(
     labels_arr = np.array(labels)
     Y = np.zeros((len(labels), len(classes)))
     Y[np.arange(len(labels)), labels] = 1.0
-    edges = (heads, rels, tails, neg_tails)
+    # column 0 is each edge's true tail, the rest its corrupted tails
+    edges = (heads, rels, np.concatenate([tails[:, None], neg_tails], axis=1))
     ce_data = (idx, mask, labels_arr, Y)
 
     def project(p):
@@ -453,24 +459,80 @@ def save_model(model: VariantModel, stream) -> None:
     })
 
 
+def _checkpoint_error(what: str) -> DataError:
+    return DataError(f"variant model checkpoint: {what}")
+
+
+def _checkpoint_matrix(payload: dict, key: str, rows: int,
+                       cols: int) -> np.ndarray:
+    """payload[key] as a finite (rows, cols) float array."""
+    try:
+        arr = np.array(payload[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise _checkpoint_error(f"{key} is not a numeric matrix") from None
+    if arr.size == 0 and rows * cols == 0:  # [] for zero rows
+        arr = arr.reshape(rows, cols)
+    if arr.shape != (rows, cols):
+        raise _checkpoint_error(
+            f"{key} has shape {arr.shape}, expected {(rows, cols)}")
+    if not np.all(np.isfinite(arr)):
+        raise _checkpoint_error(f"{key} holds non-finite values")
+    return arr
+
+
+def _checkpoint_list(payload: dict, key: str, valid) -> list:
+    items = payload.get(key)
+    if not isinstance(items, list) or not all(map(valid, items)):
+        raise _checkpoint_error(f"{key} is malformed")
+    return items
+
+
 def load_model(source) -> VariantModel:
+    """A variant model checkpoint. Every array must be finite and shaped
+    by the node, relation and class lists and the dim it declares; a file
+    that is not raises DataError."""
     payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                               "variant model")
+    params = payload.get("params")
+    known = [f.name for f in dataclasses.fields(VariantParams)]
+    if not isinstance(params, dict) or not set(params) <= set(known):
+        raise _checkpoint_error(f"params must have keys among {known}")
+    try:
+        params = VariantParams(**params)
+    except (TypeError, ValueError) as exc:
+        raise _checkpoint_error(f"params: {exc}") from None
+    nodes = tuple(_checkpoint_list(payload, "nodes",
+                                   lambda x: isinstance(x, str)))
+    relations = tuple(_checkpoint_list(payload, "relations",
+                                       lambda x: isinstance(x, str)))
+    classes = tuple(CohortClass(c["id"], c.get("description", ""))
+                    for c in _checkpoint_list(
+                        payload, "classes",
+                        lambda c: isinstance(c, dict)
+                        and isinstance(c.get("id"), str)
+                        and isinstance(c.get("description", ""), str)))
+    if not classes:
+        raise _checkpoint_error("classes is empty")
+    counts = payload.get("class_counts")
+    if (not isinstance(counts, dict)
+            or not all(type(v) is int and v >= 0 for v in counts.values())
+            or sum(counts.values()) <= 0):
+        raise _checkpoint_error(
+            "class_counts must map class ids to counts with a positive total")
+    history = _checkpoint_list(payload, "loss_history",
+                               lambda x: type(x) in (int, float))
+
+    def matrix(key, rows):
+        return _checkpoint_matrix(payload, key, rows, params.dim)
+
     return VariantModel(
-        tuple(payload["nodes"]),
-        np.array(payload["entity_vecs"]),
-        np.array(payload["entity_proj"]),
-        tuple(payload["relations"]),
-        np.array(payload["relation_vecs"]),
-        np.array(payload["relation_proj"]),
-        tuple(CohortClass(c["id"], c.get("description", ""))
-              for c in payload["classes"]),
-        np.array(payload["class_vecs"]),
-        np.array(payload["attention"]),
-        dict(payload["class_counts"]),
-        VariantParams(**payload["params"]),
-        tuple(payload["loss_history"]),
-    )
+        nodes, matrix("entity_vecs", len(nodes)),
+        matrix("entity_proj", len(nodes)),
+        relations, matrix("relation_vecs", len(relations)),
+        matrix("relation_proj", len(relations)),
+        classes, matrix("class_vecs", len(classes)),
+        matrix("attention", params.dim),
+        counts, params, tuple(history))
 
 
 def partition_to_json(p: VariantPartition) -> dict:

@@ -359,19 +359,27 @@ def _per_row_proj_dist(E, Ep, R, Rp, hi, ri, ti):
 
 def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     """Gradients of the variant trainer's joint loss with every
-    (edge, negative) row materialized and one np.add.at per term; edges
-    is (heads, rels, tails, neg_tails) as the trainer takes it. The
-    attention part reuses the trainer's forward pass."""
+    (edge, negative) row materialized and one np.add.at per row, and the
+    same sums taken over the absolute terms: the size of what is summed,
+    which bounds its rounding error where the terms cancel. edges is
+    (heads, rels, tails) as the trainer takes it: column 0 of tails is
+    the true tail, the rest the corrupted ones. The attention part reuses
+    the trainer's forward pass."""
     from kcpm.variants import _attention_forward
 
-    heads, rels, tails, neg_tails = edges
-    k = neg_tails.shape[1]
-    ph, pr, pt = np.repeat(heads, k), np.repeat(rels, k), np.repeat(tails, k)
-    nt = neg_tails.reshape(-1)
+    heads, rels, all_tails = edges
+    k = all_tails.shape[1] - 1
+    ph, pr = np.repeat(heads, k), np.repeat(rels, k)
+    pt, nt = np.repeat(all_tails[:, 0], k), all_tails[:, 1:].reshape(-1)
     idx, mask, labels, Y = ce_data
     dim = E.shape[1]
-    gE, gEp, gR, gRp = (np.zeros_like(x) for x in (E, Ep, R, Rp))
-    gU, gA = np.zeros_like(U), np.zeros_like(A)
+    grads = [np.zeros_like(x) for x in (E, Ep, R, Rp, U, A)]
+    sizes = [np.zeros_like(x) for x in (E, Ep, R, Rp, U, A)]
+
+    def add(i, at, rows, size):
+        np.add.at(grads[i], at, rows)
+        np.add.at(sizes[i], at, size)
+
     if len(ph):
         scale = w_s / len(ph)
         u_pos, d_pos, ch_pos, ct_pos = _per_row_proj_dist(E, Ep, R, Rp, ph, pr, pt)
@@ -382,12 +390,15 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
             gu = np.where(active[:, None], sign * scale * 2.0 * u, 0.0)
             rp = Rp[pr]
             s_r = (gu * rp).sum(axis=1, keepdims=True)
-            np.add.at(gE, ph, gu + s_r * Ep[ph])
-            np.add.at(gEp, ph, s_r * E[ph])
-            np.add.at(gE, ti, -(gu + s_r * Ep[ti]))
-            np.add.at(gEp, ti, -s_r * E[ti])
-            np.add.at(gR, pr, gu)
-            np.add.at(gRp, pr, (ch - ct) * gu)
+            a_gu = np.abs(gu)
+            a_s = (a_gu * np.abs(rp)).sum(axis=1, keepdims=True)
+            for at, side in ((ph, 1.0), (ti, -1.0)):
+                add(0, at, side * (gu + s_r * Ep[at]),
+                    a_gu + a_s * np.abs(Ep[at]))
+                add(1, at, side * s_r * E[at], a_s * np.abs(E[at]))
+            add(2, pr, gu, a_gu)
+            add(3, pr, (ch - ct) * gu, (np.abs(ch) + np.abs(ct)) * a_gu)
+    gE, _, _, _, gU, gA = grads
     V = E[idx] * mask[:, :, None]
     alpha, diff, p = _attention_forward(V, mask, U, A)
     G = (p - Y) * (w_l / len(labels))
@@ -402,7 +413,16 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
     dV *= mask[:, :, None]
     np.add.at(gE, idx.reshape(-1), dV.reshape(-1, dim))
-    return gE, gEp, gR, gRp, gU, gA
+    # the attention sums over absolute terms; dz, dDiff and alpha are
+    # computed alike by both backward passes, so they count as inputs
+    a_V, a_U, a_A, a_dz, a_dDiff = (np.abs(x) for x in (V, U, A, dz, dDiff))
+    sE, _, _, _, sU, sA = sizes
+    sU += a_dDiff.sum(axis=0) + np.einsum("mkc,mkd,de->ce", a_dz, a_V, a_A)
+    sA += np.einsum("mkd,mkc,ce->de", a_V, a_dz, a_U)
+    s_dV = (np.einsum("mkc,mcd->mkd", np.abs(alpha), a_dDiff)
+            + np.einsum("mkc,ce,de->mkd", a_dz, a_U, a_A))
+    np.add.at(sE, idx.reshape(-1), (s_dV * mask[:, :, None]).reshape(-1, dim))
+    return tuple(grads), tuple(sizes)
 
 
 def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):

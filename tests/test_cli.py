@@ -197,6 +197,56 @@ def test_variants_train_and_classify(workdir, capsys):
     assert (out2 / "variants.csv").read_text().startswith("case_id,class")
 
 
+@pytest.fixture(scope="module")
+def variant_inputs(tmp_path_factory):
+    """A labeled two-class log, an empty KG and the checkpoint trained on
+    them (as parsed JSON)."""
+    work = tmp_path_factory.mktemp("variants")
+    log = log_from_sequences([["a", "b", "c"]] * 3 + [["a", "c"]] * 3)
+    with open(work / "log.csv", "w", newline="") as fh:
+        write_csv(log, fh)
+    (work / "labels.csv").write_text("case_id,class\n" + "".join(
+        f"c{i},{'long' if i < 3 else 'short'}\n" for i in range(6)))
+    (work / "kg.tsv").write_text("")
+    assert run("variants-train", "--log", work / "log.csv", "--kg",
+               work / "kg.tsv", "--labels", work / "labels.csv",
+               "--epochs", 2, "--out", work / "vt") == 0
+    return work, load_json(work / "vt" / "variant_model.json")
+
+
+def _set(key, value):
+    return lambda m: m.update({key: value})
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("attention", [[1.0]]), "attention has shape (1, 1), expected (16, 16)"),
+    (lambda m: m.update(entity_vecs=m["entity_vecs"][:-5]),
+     "entity_vecs has shape"),
+    (lambda m: m["entity_vecs"][1].pop(), "entity_vecs is not a numeric matrix"),
+    (lambda m: m["class_vecs"][0].__setitem__(0, float("nan")),
+     "class_vecs holds non-finite values"),
+    (_set("nodes", 5), "nodes is malformed"),
+    (lambda m: m["params"].update(depth=3), "params must have keys among"),
+    (_set("class_counts", {}), "class_counts must map class ids to counts"),
+], ids=["1x1-attention", "short-entity-vecs", "ragged-entity-vecs",
+        "nan-class-vec", "nodes-not-a-list", "unknown-param",
+        "empty-class-counts"])
+def test_hostile_variant_checkpoint_is_data_error(variant_inputs, tmp_path,
+                                                  capsys, mutate, message):
+    work, checkpoint = variant_inputs
+    checkpoint = json.loads(json.dumps(checkpoint))
+    mutate(checkpoint)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(checkpoint))
+    capsys.readouterr()
+    out = tmp_path / "vc"
+    assert run("variants-classify", "--log", work / "log.csv", "--kg",
+               work / "kg.tsv", "--model", model, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (out / "variants.json").exists()
+
+
 def test_pipeline_end_to_end(workdir, capsys):
     kg = workdir / "pipe_kg.tsv"
     kg.write_text("a\tmust_precede\tb\nb\tmust_precede\tc\n")
@@ -756,8 +806,22 @@ def test_manifest_digests_every_input_given(workdir, command):
                *_OTHER_OPTIONS.get(command, ()), "--out", out) == 0
     manifest = load_json(out / "manifest.json")
     validate("manifest", manifest)
-    assert manifest["inputs"] == {path.name: sha256_of(path)
-                                  for path in files.values()}
+    assert manifest["version"] == 2
+    assert manifest["inputs"] == {flag[2:]: sha256_of(path)
+                                  for flag, path in files.items()}
+
+
+def test_manifest_keeps_inputs_of_one_basename_apart(workdir):
+    for name, text in (("a", (workdir / "log.csv").read_text()),
+                       ("b", "case_id,age\nc0,30\nc1,41\nc2,52\n")):
+        (workdir / name).mkdir()
+        (workdir / name / "data.csv").write_text(text)
+    out = workdir / "same_basename"
+    assert run("stats", "--log", workdir / "a" / "data.csv",
+               "--context", workdir / "b" / "data.csv", "--out", out) == 0
+    assert load_json(out / "manifest.json")["inputs"] == {
+        "log": sha256_of(workdir / "a" / "data.csv"),
+        "context": sha256_of(workdir / "b" / "data.csv")}
 
 
 def test_required_path_may_come_from_the_config(workdir, capsys):
@@ -771,8 +835,8 @@ def test_required_path_may_come_from_the_config(workdir, capsys):
     assert run("conform", "--config", cfgfile, "--log", workdir / "log.csv",
                "--out", out) == 0
     assert load_json(out / "manifest.json")["inputs"] == {
-        "log.csv": sha256_of(workdir / "log.csv"),
-        "model.json": sha256_of(workdir / "model.json")}
+        "log": sha256_of(workdir / "log.csv"),
+        "model": sha256_of(workdir / "model.json")}
 
 
 @pytest.mark.parametrize("command", sorted(_PATH_OPTIONS))

@@ -1,10 +1,12 @@
 import io
 import random
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kcpm import variants
 from kcpm.errors import DataError
 from kcpm.eventlog import ContextTable, Event, EventLog, Trace, annotate_context
 from kcpm.kg import KnowledgeGraph
@@ -15,6 +17,7 @@ from kcpm.variants import (VariantParams, VariantPartition,
                            train_variant_model)
 
 from conftest import T0, log_from_sequences
+from oracles import per_row_joint_grads
 
 FAST = VariantParams(dim=8, epochs=200, seed=0)
 
@@ -173,6 +176,29 @@ def test_checkpoint_round_trip():
     assert buf2.getvalue() == buf.getvalue()
 
 
+def test_per_row_gradients_train_the_same_model():
+    """Training with the per-row reference gradient runs as many epochs,
+    on the same loss curve up to rounding, and classifies every case
+    alike."""
+    log, labels = cohort_log()
+    lpg = build_lpg(log, KnowledgeGraph())
+
+    def per_row(E, Ep, R, Rp, U, A, edges, ce_data, cache, w_s, w_l):
+        grads, _ = per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data,
+                                       FAST.margin, w_s, w_l)
+        return grads
+
+    model = train_variant_model(lpg, labels, FAST)
+    with mock.patch.object(variants, "_joint_backward", per_row):
+        ref = train_variant_model(lpg, labels, FAST)
+    assert len(model.loss_history) == len(ref.loss_history)
+    np.testing.assert_allclose(model.loss_history, ref.loss_history,
+                               rtol=1e-12, atol=0)
+    got, want = classify_log(model, lpg, log), classify_log(ref, lpg, log)
+    assert got.assignment == want.assignment
+    assert got.prior_assigned == want.prior_assigned
+
+
 def test_joint_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     n, dim, n_rel, n_classes = 7, 5, 3, 2
@@ -183,8 +209,10 @@ def test_joint_gradients_match_finite_differences():
     U = rng.normal(size=(n_classes, dim)) * 0.4
     A = rng.normal(size=(dim, dim)) * 0.3
     rows = 9
+    # column 0 of the tails is the true tail, the rest corrupted ones
     edges = (rng.integers(0, n, rows), rng.integers(0, n_rel, rows),
-             rng.integers(0, n, rows), rng.integers(0, n, size=(rows, 2)))
+             np.column_stack([rng.integers(0, n, rows),
+                              rng.integers(0, n, size=(rows, 2))]))
     m, k = 4, 3
     idx = rng.integers(0, n, size=(m, k))
     mask = np.ones((m, k), dtype=bool)
