@@ -11,17 +11,29 @@ import numpy as np
 from .errors import DataError
 
 
-def scatter_rows(n: int, idx, rows: np.ndarray) -> np.ndarray:
-    """(n, dim) array whose row j is the sum of rows[i] over idx[i] == j.
-
-    One bincount over the flattened cells idx*dim + d. bincount adds the
-    weights of each bin in input order, starting from zero, so the result
-    is bit-identical to np.add.at on a zero target."""
-    dim = rows.shape[1]
+def row_cells(idx, dim: int) -> np.ndarray:
+    """The flattened cells idx[i]*dim + d of every row i and column d, in
+    row order: where scatter_cells adds a (len(idx), dim) array of rows.
+    A caller that scatters into the same rows many times builds it once."""
     idx = np.asarray(idx, dtype=np.intp)
-    cells = (idx[:, None] * dim + np.arange(dim)).reshape(-1)
+    return (idx[:, None] * dim + np.arange(dim)).reshape(-1)
+
+
+def scatter_cells(n: int, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, dim) array whose row j is the sum of the rows that row_cells
+    sends to j.
+
+    bincount adds the weights of each bin in input order, starting from
+    zero, so the result is bit-identical to np.add.at on a zero target;
+    and since x + 0.0 == x, a row of zeros changes no sum."""
+    dim = rows.shape[1]
     return np.bincount(cells, weights=rows.reshape(-1),
                        minlength=n * dim).reshape(n, dim)
+
+
+def scatter_rows(n: int, idx, rows: np.ndarray) -> np.ndarray:
+    """(n, dim) array whose row j is the sum of rows[i] over idx[i] == j."""
+    return scatter_cells(n, row_cells(idx, rows.shape[1]), rows)
 
 
 def descend(params, forward, backward, learning_rate: float, epochs: int,

@@ -260,8 +260,8 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context)
     kg = load_triples(cfg.kg)
     model = variants.load_model(cfg.model)
-    graph = build_lpg(log, kg, read_alias(cfg.alias))
-    partition = variants.classify_log(model, graph, log)
+    partition = variants.classify_log(model, log, kg.entities,
+                                      read_alias(cfg.alias))
     _json_out(cfg.out, "variants.json", variants.partition_to_json(partition))
     _write(cfg.out, "variants.csv",
            lambda fh: variants.partition_to_csv(partition, fh))

@@ -56,6 +56,14 @@ def event_node_id(case_id: str, position: int) -> str:
     return f"event::{case_id}::{position}"
 
 
+def activity_node(label: str, entities: frozenset[str],
+                  alias: dict[str, str] | None = None) -> str:
+    """Node of an activity: the KG entity its (aliased) label names, else
+    activity::label."""
+    target = (alias or {}).get(label, label)
+    return target if target in entities else f"activity::{label}"
+
+
 def build_lpg(
     log: EventLog,
     kg: KnowledgeGraph,
@@ -71,18 +79,14 @@ def build_lpg(
     for entity in sorted(entities):
         g.add_node(entity, frozenset({"Entity"}))
 
-    def activity_node(label: str) -> str:
-        target = (alias or {}).get(label, label)
-        if target in entities:
-            return target
-        return f"activity::{label}"
-
     for t in log.traces:
         g.add_node(f"case::{t.case_id}", frozenset({"Case"}))
         prev = None
         for i, e in enumerate(t.events):
             node = event_node_id(t.case_id, i)
+            # an attribute of the same name does not hide these props
             props: dict[str, Scalar] = {
+                **e.attributes,
                 "case_id": e.case_id,
                 "activity": e.activity,
                 "timestamp": e.timestamp,
@@ -90,10 +94,9 @@ def build_lpg(
             }
             if e.resource is not None:
                 props["resource"] = e.resource
-            props.update(e.attributes)
             g.add_node(node, frozenset({"Event"}), props)
             g.add_edge(node, f"case::{t.case_id}", frozenset({"BELONGS_TO"}))
-            act = activity_node(e.activity)
+            act = activity_node(e.activity, entities, alias)
             g.add_node(act, frozenset({"Activity"}))
             g.add_edge(node, act, frozenset({"INSTANCE_OF"}))
             if e.resource is not None:

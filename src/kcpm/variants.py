@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._training import descend, read_checkpoint, scatter_rows, write_checkpoint
+from ._training import (descend, read_checkpoint, row_cells, scatter_cells,
+                        write_checkpoint)
 from .errors import DataError
 from .eventlog import EventLog
 from .logio import csv_rows
-from .lpg import LabeledPropertyGraph
+from .lpg import LabeledPropertyGraph, activity_node, event_node_id
 
 CHECKPOINT_FORMAT = "kcpm-variant-model"
 CHECKPOINT_VERSION = 1
@@ -156,16 +158,39 @@ def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     return total + w_l * float(ce), (c, u, terms > 0, V, alpha, diff, p)
 
 
-def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, w_s, w_l):
-    """Gradients of the joint loss from _joint_forward's cache.
+class _ScatterLayout(NamedTuple):
+    """Where _joint_backward's rows land. Heads, tails and event rows are
+    fixed for a training, so train_variant_model builds this once."""
+    # gE cells of the head rows, the (edge, column) tail rows, the events
+    node_cells: np.ndarray
+    node_rows: np.ndarray  # node of each head row, then of each tail row
+    rel_cells: np.ndarray  # gR and gRp cells, one row per edge
+
+
+def _scatter_layout(dim: int, edges, idx) -> _ScatterLayout:
+    """The scatter layout of training dim-wide vectors on edges (heads,
+    rels, tails) and the (m, k) event matrix idx."""
+    heads, rels, tails = edges
+    node_rows = np.concatenate([heads, tails.reshape(-1)])
+    return _ScatterLayout(
+        row_cells(np.concatenate([node_rows, idx.reshape(-1)]), dim),
+        node_rows, row_cells(rels, dim))
+
+
+def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
+                    w_l):
+    """Gradients of the joint loss from _joint_forward's cache, scattered
+    through layout (_scatter_layout of the same edges and events).
 
     The margin loss is summed per edge, not per (edge, negative) pair:
     the true tail's residual gradient is taken once, weighted by the
     edge's count of margin-violating negatives, and the head gets one row
     per edge for both sides. A row g landing on node x also adds
     (g . r_p) Ep[x] to gE[x] and (g . r_p) E[x] to gEp[x]; those scalars
-    are summed per node by one bincount. The gradient equals the per-row
-    sum (one row per pair and term) up to rounding, not bit for bit."""
+    are summed per node by one bincount. Every edge and pair keeps its
+    row; a pair that does not violate the margin weighs exactly 0, which
+    changes no sum. The gradient equals the per-row sum (one row per pair
+    and term) up to rounding, not bit for bit."""
     heads, rels, tails = edges
     idx, mask, labels, Y = ce_data
     c, u, active, V, alpha, diff, p = cache
@@ -184,31 +209,25 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, w_s, w_l):
     dV += dz @ (U @ A.T)
     dV *= mask[:, :, None]
 
-    # only edges with a margin-violating negative carry a gradient
-    e = np.flatnonzero(active.any(axis=1))
-    act = active[e]
     w = 2.0 * w_s / active.size if active.size else 0.0
     # dL/du per residual: the true tail's once, weighted by the edge's
     # count of violating negatives, and each violating negative's
-    coef = w * np.concatenate([act.sum(axis=1, keepdims=True), -1 * act],
-                              axis=1)
-    ue, te, h, r = u[e], tails[e], heads[e], rels[e]
-    rp = Rp[r]
-    g_head = np.einsum("aj,ajd->ad", coef, ue)  # both sides land on h
-    pair, col = np.nonzero(coef)
-    rows = np.concatenate([g_head, -coef[pair, col, None] * ue[pair, col]])
-    targets = np.concatenate([h, te[pair, col]])
+    coef = w * np.concatenate([active.sum(axis=1, keepdims=True),
+                               -1 * active], axis=1)
+    rp = Rp[rels]
+    g_head = np.einsum("aj,ajd->ad", coef, u)  # both sides land on the head
     # rows . r_p, one scalar per row, summed per node
     s = np.concatenate([np.einsum("ad,ad->a", g_head, rp),
-                        -(coef * np.einsum("ajd,ad->aj", ue, rp))[pair, col]])
-    S = np.bincount(targets, weights=s, minlength=n)[:, None]
+                        -(coef * np.einsum("ajd,ad->aj", u, rp)).reshape(-1)])
+    S = np.bincount(layout.node_rows, weights=s, minlength=n)[:, None]
 
-    gE = scatter_rows(n, np.concatenate([targets, idx.reshape(-1)]),
-                      np.concatenate([rows, dV.reshape(-1, dim)])) + S * Ep
+    gE = scatter_cells(n, layout.node_cells, np.concatenate([
+        g_head, (-coef[:, :, None] * u).reshape(-1, dim),
+        dV.reshape(-1, dim)])) + S * Ep
     gEp = S * E
-    gR = scatter_rows(len(R), r, g_head)
-    gRp = scatter_rows(len(Rp), r, c[h, None] * g_head
-                       - np.einsum("aj,ajd->ad", c[te] * coef, ue))
+    gR = scatter_cells(len(R), layout.rel_cells, g_head)
+    gRp = scatter_cells(len(Rp), layout.rel_cells, c[heads, None] * g_head
+                        - np.einsum("aj,ajd->ad", c[tails] * coef, u))
     return gE, gEp, gR, gRp, gU, gA
 
 
@@ -283,6 +302,7 @@ def train_variant_model(
     # column 0 is each edge's true tail, the rest its corrupted tails
     edges = (heads, rels, np.concatenate([tails[:, None], neg_tails], axis=1))
     ce_data = (idx, mask, labels_arr, Y)
+    layout = _scatter_layout(dim, edges, idx)
 
     def project(p):
         E, Ep, R, Rp, U, A = p
@@ -294,7 +314,8 @@ def train_variant_model(
     (E, Ep, R, Rp, U, A), history = descend(
         (E, Ep, R, Rp, U, A),
         lambda p: _joint_forward(*p, edges, ce_data, params.margin, w_s, w_l),
-        lambda p, cache: _joint_backward(*p, edges, ce_data, cache, w_s, w_l),
+        lambda p, cache: _joint_backward(*p, edges, ce_data, layout, cache,
+                                         w_s, w_l),
         params.learning_rate, params.epochs, project)
 
     counts: dict[str, int] = {}
@@ -305,48 +326,28 @@ def train_variant_model(
 
 
 def lpg_events_by_case(lpg: LabeledPropertyGraph) -> dict[str, list[str]]:
-    """Event nodes per case id, in trace position order."""
-    out: dict[str, list[str]] = {}
-    for eid, (src, dst) in lpg.edges.items():
-        if "BELONGS_TO" in lpg.edge_labels[eid] and dst.startswith("case::"):
-            out.setdefault(dst[len("case::"):], []).append(src)
-    for members in out.values():
-        members.sort(key=lambda n: lpg.node_props[n]["position"])
-    return out
-
-
-def _instance_of_targets(lpg: LabeledPropertyGraph) -> dict[str, str]:
-    out = {}
-    for eid, (src, dst) in lpg.edges.items():
-        if "INSTANCE_OF" in lpg.edge_labels[eid]:
-            out[src] = dst
-    return out
+    """Event nodes per case id, in trace position order: the Event nodes
+    grouped by their case_id property and sorted by their position."""
+    out: dict[str, list[tuple[int, str]]] = {}
+    for node, labels in lpg.node_labels.items():
+        if "Event" in labels:
+            props = lpg.node_props[node]
+            out.setdefault(props["case_id"], []).append(
+                (props["position"], node))
+    return {case_id: [node for _, node in sorted(members)]
+            for case_id, members in out.items()}
 
 
 _SCORE_BATCH = 64  # cases per padded attention pass in _class_scores
 
 
-def _class_scores(model: VariantModel, by_case: dict[str, list[str]],
-                  instance_of: dict[str, str],
-                  case_ids: list[str]) -> list[dict[str, float] | None]:
-    """Per-class probabilities of each case, from padded attention passes
-    over batches of _SCORE_BATCH cases taken in order of length, so that
-    a batch pads only to its own longest case. An event unknown to the
-    model falls back to its activity node, and an unknown activity is
-    skipped; a case left with no events (or absent from the graph) gets
-    None."""
-    index = model._node_index
-    case_nodes = []
-    for case_id in case_ids:
-        rows = []
-        for node in by_case.get(case_id, ()):
-            i = index.get(node)
-            if i is None:
-                i = index.get(instance_of.get(node))
-            if i is not None:
-                rows.append(i)
-        case_nodes.append(rows)
-    out: list[dict[str, float] | None] = [None] * len(case_ids)
+def _class_scores(model: VariantModel, case_nodes: list[list[int]]
+                  ) -> list[dict[str, float] | None]:
+    """Per-class probabilities of each case given the model rows of its
+    events, from padded attention passes over batches of _SCORE_BATCH
+    cases taken in order of length, so that a batch pads only to its own
+    longest case. A case with no rows gets None."""
+    out: list[dict[str, float] | None] = [None] * len(case_nodes)
     scored = sorted((i for i, rows in enumerate(case_nodes) if rows),
                     key=lambda i: len(case_nodes[i]))
     class_ids = model.class_ids()
@@ -374,17 +375,6 @@ def edge_score(model: VariantModel, head: str, relation: str,
     return -float(d[0, 0])
 
 
-def score_trace(model: VariantModel, lpg: LabeledPropertyGraph,
-                case_id: str) -> dict[str, float]:
-    """Per-class membership probabilities for one case; they sum to 1."""
-    by_case = lpg_events_by_case(lpg)
-    if case_id not in by_case:
-        raise DataError(f"case {case_id!r} is not in the graph")
-    scores, = _class_scores(model, by_case, _instance_of_targets(lpg),
-                            [case_id])
-    return model.priors() if scores is None else scores
-
-
 @dataclass(frozen=True)
 class VariantPartition:
     assignment: dict[str, str]
@@ -405,25 +395,37 @@ class VariantPartition:
                          if cls == class_id)
 
 
-def classify_log(model: VariantModel, lpg: LabeledPropertyGraph,
-                 log: EventLog) -> VariantPartition:
+def classify_log(model: VariantModel, log: EventLog,
+                 entities: frozenset[str] = frozenset(),
+                 alias: dict[str, str] | None = None) -> VariantPartition:
     """Assign every case of the log to exactly one cohort class.
 
-    Cases absent from the graph, or whose events are all unknown to the
-    model, fall back to the class prior and are flagged."""
-    case_ids = [t.case_id for t in log.traces]
+    An event is the model's node of that name (lpg.event_node_id); one
+    the model does not know falls back to its activity node, named from
+    the KG entities and the alias map as build_lpg names it, and an
+    unknown activity is skipped. A case left with no known node falls
+    back to the class prior and is flagged."""
+    index = model._node_index
+    case_nodes = []
+    for t in log.traces:
+        rows = []
+        for i, e in enumerate(t.events):
+            j = index.get(event_node_id(t.case_id, i))
+            if j is None:
+                j = index.get(activity_node(e.activity, entities, alias))
+            if j is not None:
+                rows.append(j)
+        case_nodes.append(rows)
     assignment: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
     fallback: set[str] = set()
-    for case_id, case_scores in zip(case_ids, _class_scores(
-            model, lpg_events_by_case(lpg), _instance_of_targets(lpg),
-            case_ids)):
+    for t, case_scores in zip(log.traces, _class_scores(model, case_nodes)):
         if case_scores is None:
             case_scores = model.priors()
-            fallback.add(case_id)
-        scores[case_id] = case_scores
+            fallback.add(t.case_id)
+        scores[t.case_id] = case_scores
         best = max(case_scores.values())
-        assignment[case_id] = sorted(
+        assignment[t.case_id] = sorted(
             c for c, s in case_scores.items() if s >= best - 1e-12)[0]
     return VariantPartition(assignment, scores, frozenset(fallback))
 

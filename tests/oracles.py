@@ -455,26 +455,31 @@ def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
 # Variant classification: one attention call per case
 # ---------------------------------------------------------------------------
 
-def per_case_classify(model, lpg, log):
+def per_case_classify(model, log, kg, alias):
     """(assignment, scores, prior_assigned) with each case scored by an
-    attention call of its own over its event embeddings. An event unknown
-    to the model falls back to its activity node, an unknown activity is
-    skipped, and a case left with no events gets the class prior."""
-    from kcpm.variants import (_attention_forward, _instance_of_targets,
-                               lpg_events_by_case)
+    attention call of its own over its event embeddings. The node names
+    are read back from the graph build_lpg makes of that case alone and
+    kg under alias: an event node unknown to the model falls back to the
+    node its INSTANCE_OF edge points at, an unknown activity is skipped,
+    and a case left with no node the model knows gets the class prior."""
+    from kcpm.eventlog import EventLog
+    from kcpm.lpg import build_lpg
+    from kcpm.variants import _attention_forward
 
-    by_case = lpg_events_by_case(lpg)
-    instance_of = _instance_of_targets(lpg)
     assignment, scores, prior = {}, {}, set()
     for t in log.traces:
+        g = build_lpg(EventLog((t,)), kg, alias)
+        events = sorted((n for n in g.nodes if "Event" in g.node_labels[n]),
+                        key=lambda n: g.node_props[n]["position"])
+        instance_of = {src: dst for eid, (src, dst) in g.edges.items()
+                       if "INSTANCE_OF" in g.edge_labels[eid]
+                       and src in events}
         rows = []
-        for node in by_case.get(t.case_id, []):
-            if model.knows_node(node):
-                rows.append(model.node_vec(node))
-                continue
-            act_node = instance_of.get(node)
-            if act_node is not None and model.knows_node(act_node):
-                rows.append(model.node_vec(act_node))
+        for node in events:
+            for name in (node, instance_of[node]):
+                if model.knows_node(name):
+                    rows.append(model.node_vec(name))
+                    break
         if rows:
             V = np.stack(rows)[None, :, :]
             _, _, p = _attention_forward(V, np.ones((1, len(rows)), dtype=bool),

@@ -327,7 +327,7 @@ def test_criterion_8_variant_classification():
     lpg = build_lpg(log, KnowledgeGraph())
     model = train_variant_model(lpg, train_labels,
                                 VariantParams(dim=16, epochs=200, seed=2))
-    partition = classify_log(model, lpg, log)
+    partition = classify_log(model, log)
 
     accuracy = sum(partition.assignment[c] == labels[c]
                    for c in held) / len(held)
@@ -400,7 +400,7 @@ def test_criterion_9_invariant_sweep():
     lpg = build_lpg(log, KnowledgeGraph())
     model = train_variant_model(lpg, labels,
                                 VariantParams(dim=8, epochs=40, seed=0))
-    partition = classify_log(model, lpg, log)
+    partition = classify_log(model, log)
     for _ in range(200):
         case = rng.choice(sorted(partition.scores))
         scores = partition.scores[case]

@@ -247,6 +247,28 @@ def test_hostile_variant_checkpoint_is_data_error(variant_inputs, tmp_path,
     assert not (out / "variants.json").exists()
 
 
+def test_kg_triple_into_a_case_node_is_plain_knowledge(variant_inputs,
+                                                       tmp_path):
+    """A KG triple labelled BELONGS_TO into a case:: node is knowledge,
+    not a case member: training on it and classifying under it both
+    succeed, and the classification equals the one under the KG without
+    the triples."""
+    work, _ = variant_inputs
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("foo\tBELONGS_TO\tcase::x\nbar\tBELONGS_TO\tcase::c0\n")
+    assert run("variants-train", "--log", work / "log.csv", "--kg", kg,
+               "--labels", work / "labels.csv", "--epochs", 2,
+               "--out", tmp_path / "vt") == 0
+    model = tmp_path / "vt" / "variant_model.json"
+    for out, graph in (("with", kg), ("without", work / "kg.tsv")):
+        assert run("variants-classify", "--log", work / "log.csv",
+                   "--kg", graph, "--model", model,
+                   "--out", tmp_path / out) == 0
+    payload = (tmp_path / "with" / "variants.json").read_text()
+    assert payload == (tmp_path / "without" / "variants.json").read_text()
+    assert json.loads(payload)["prior_assigned"] == []
+
+
 def test_pipeline_end_to_end(workdir, capsys):
     kg = workdir / "pipe_kg.tsv"
     kg.write_text("a\tmust_precede\tb\nb\tmust_precede\tc\n")

@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import random
 
 import pytest
 
+from kcpm.eventlog import EventLog
 from kcpm.kg import KnowledgeGraph, Triple
 from kcpm.lpg import (LabeledPropertyGraph, build_lpg, write_dot,
                       write_graphml, write_node_edge_csv)
@@ -88,6 +90,19 @@ def test_node_count_identity_and_df_edges():
 def test_events_by_case_in_position_order():
     g = build_lpg(log_from_sequences([["a", "b", "c"]]), KnowledgeGraph())
     nodes = lpg_events_by_case(g)["c0"]
+    assert [g.node_props[n]["activity"] for n in nodes] == ["a", "b", "c"]
+
+
+def test_event_attributes_do_not_hide_structural_props():
+    log = log_from_sequences([["a", "b", "c"]])
+    trace = log.traces[0]
+    events = tuple(dataclasses.replace(
+        e, attributes={"position": 9 - i, "case_id": "other"})
+        for i, e in enumerate(trace.events))
+    g = build_lpg(EventLog((dataclasses.replace(trace, events=events),)),
+                  KnowledgeGraph())
+    nodes = lpg_events_by_case(g)["c0"]
+    assert [g.node_props[n]["position"] for n in nodes] == [0, 1, 2]
     assert [g.node_props[n]["activity"] for n in nodes] == ["a", "b", "c"]
 
 

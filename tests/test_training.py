@@ -11,16 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcpm import temporal, variants
-from kcpm._training import scatter_rows
+from kcpm._training import row_cells, scatter_cells, scatter_rows
 from kcpm.errors import DataError
-from kcpm.eventlog import EventLog
-from kcpm.kg import KnowledgeGraph
-from kcpm.lpg import build_lpg
+from kcpm.kg import KnowledgeGraph, Triple
+from kcpm.lpg import build_lpg, event_node_id
 from kcpm.temporal import (_distinct_batch, _hinge_backward, _hinge_forward,
                            df_training_triples, load_scorer)
 from kcpm.variants import (CohortClass, VariantModel, VariantParams,
-                           _joint_backward, _joint_forward, classify_log,
-                           load_model, score_trace)
+                           _joint_backward, _joint_forward, _scatter_layout,
+                           classify_log, load_model)
 
 from conftest import log_from_sequences
 from oracles import (add_at_scatter, per_case_classify, per_row_hinge_grads,
@@ -69,6 +68,21 @@ def test_distinct_rows_match_per_row_hinge(seqs, k, n_buckets, seed, spread):
         assert np.linalg.norm(g - g_ref) <= 1e-9 * np.linalg.norm(g_abs)
 
 
+def scatters(n, idx, rows, zero):
+    """scatter_rows on the rows zero leaves; scatter_cells on every row,
+    through one cell index built beforehand as a training builds it, with
+    each row zero marks multiplied by 0.0, as a non-violating pair's row
+    is; and np.add.at on the rows zero leaves. The zero rows change no
+    sum, so the three agree bit for bit."""
+    idx = np.asarray(idx, dtype=np.intp)
+    zero = np.asarray(zero, dtype=bool)
+    cells = row_cells(idx, rows.shape[1])
+    kept = rows[~zero]
+    return (scatter_rows(n, idx[~zero], kept),
+            scatter_cells(n, cells, rows * np.where(zero, 0.0, 1.0)[:, None]),
+            add_at_scatter(n, idx[~zero], kept))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 6), dim=st.integers(1, 4),
        idx=st.lists(st.integers(0, 5), max_size=40), data=st.data())
@@ -77,20 +91,29 @@ def test_scatter_is_bitwise_add_at(n, dim, idx, data):
     values = data.draw(st.lists(
         st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
         min_size=len(idx) * dim, max_size=len(idx) * dim))
+    zero = data.draw(st.lists(st.booleans(), min_size=len(idx),
+                              max_size=len(idx)))
     rows = np.array(values, dtype=float).reshape(len(idx), dim)
-    out = scatter_rows(n, np.array(idx, dtype=int), rows)
-    assert out.tobytes() == add_at_scatter(n, idx, rows).tobytes()
+    *got, want = scatters(n, idx, rows, zero)
+    for out in got:
+        assert out.tobytes() == want.tobytes()
 
 
 def test_scatter_repeated_and_empty_indices():
-    rows = np.array([[1e16], [1.0], [-1e16], [1.0]])
-    # sequential order matters here: ((1e16 + 1) - 1e16) + 1 == 1.0
-    out = scatter_rows(1, np.zeros(4, dtype=int), rows)
-    assert out.tobytes() == add_at_scatter(1, [0, 0, 0, 0], rows).tobytes()
-    assert out[0, 0] == 1.0
-    empty = scatter_rows(3, np.array([], dtype=int), np.zeros((0, 2)))
-    assert empty.shape == (3, 2) and not empty.any()
-    assert not np.signbit(empty).any()
+    rows = np.array([[1e16], [1.0], [-5.0], [-1e16], [3.0], [1.0]])
+    # sequential order matters here: ((1e16 + 1) - 1e16) + 1 == 1.0, and
+    # the zeroed rows, -0.0 and 0.0, leave it so
+    zero = [False, False, True, False, True, False]
+    *got, want = scatters(1, [0] * 6, rows, zero)
+    assert want[0, 0] == 1.0
+    for out in got:
+        assert out.tobytes() == want.tobytes()
+    empty = scatters(3, [], np.zeros((0, 2)), [])
+    only_zeros = scatters(3, [1, 1], np.array([[-1.0, 2.0], [-3.0, -4.0]]),
+                          [True, True])
+    for out in (*empty, *only_zeros):
+        assert out.shape == (3, 2) and not out.any()
+        assert not np.signbit(out).any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +151,8 @@ def test_variant_grads_equal_add_at_reference(n, dim, n_rel, n_classes, rows, k,
     ce_data = (idx, mask, labels, Y)
     args = (edges, ce_data, margin, 1.0, 1.0)
     _, cache = _joint_forward(E, Ep, R, Rp, U, A, *args)
-    got = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, 1.0, 1.0)
+    got = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data,
+                          _scatter_layout(dim, edges, idx), cache, 1.0, 1.0)
     want, sizes = per_row_joint_grads(E, Ep, R, Rp, U, A, *args)
     for g, g_ref, g_abs in zip(got, want, sizes):
         assert g.shape == g_ref.shape
@@ -188,19 +212,23 @@ def test_fused_descent_takes_the_two_call_steps(seqs, dim, epochs, k, seed):
        batch=st.integers(1, 5), seed=SEEDS)
 def test_batched_scores_equal_per_case_scores(seqs, data, dim, n_classes,
                                               batch, seed):
-    """Activities x and y are unknown to the model, event nodes outside it
-    fall back to their activity node, and the cases not kept are absent
-    from the graph. Small batch sizes split the cases over several
-    padded passes."""
+    """The model knows the activity nodes of a to d, the KG entities a, x
+    and e1, and some event nodes. An event node outside the model falls
+    back to its activity node, which is a KG entity when the activity's
+    alias, or else its own label, is one. So some activities resolve to
+    entity nodes, and a case whose every event resolves to a node the
+    model does not know (activity y, entity e2) gets the prior. Small
+    batch sizes split the cases over several padded passes."""
     log = log_from_sequences(seqs)
-    keep = data.draw(st.lists(st.booleans(), min_size=len(seqs),
-                              max_size=len(seqs)))
-    kept = tuple(t for t, k in zip(log.traces, keep) if k)
-    graph = build_lpg(EventLog(kept), KnowledgeGraph())
-    events = sorted(n for n in graph.nodes if n.startswith("event::"))
-    known_events = data.draw(st.sets(st.sampled_from(events)) if events
-                             else st.just(set()))
-    nodes = tuple(sorted({f"activity::{a}" for a in "abcd"} | known_events))
+    entities = data.draw(st.sets(st.sampled_from(["a", "c", "x", "e1", "e2"])))
+    kg = KnowledgeGraph(Triple(e, "related_to", e) for e in entities)
+    alias = data.draw(st.dictionaries(st.sampled_from("abcdxy"),
+                                      st.sampled_from(["e1", "e2", "zz"])))
+    events = [event_node_id(t.case_id, i)
+              for t in log.traces for i in range(len(t.events))]
+    known_events = data.draw(st.sets(st.sampled_from(events)))
+    nodes = tuple(sorted({f"activity::{a}" for a in "abcd"} | {"a", "x", "e1"}
+                         | known_events))
     rng = np.random.default_rng(seed)
     classes = tuple(CohortClass(f"k{i}") for i in range(n_classes))
     model = VariantModel(
@@ -210,8 +238,8 @@ def test_batched_scores_equal_per_case_scores(seqs, data, dim, n_classes,
         {c.id: i + 1 for i, c in enumerate(classes)}, VariantParams(dim=dim))
 
     with mock.patch.object(variants, "_SCORE_BATCH", batch):
-        got = classify_log(model, graph, log)
-    assignment, scores, prior = per_case_classify(model, graph, log)
+        got = classify_log(model, log, kg.entities, alias)
+    assignment, scores, prior = per_case_classify(model, log, kg, alias)
     assert got.assignment == assignment
     assert got.prior_assigned == prior
     assert list(got.scores) == list(scores)
@@ -219,8 +247,6 @@ def test_batched_scores_equal_per_case_scores(seqs, data, dim, n_classes,
         assert list(got.scores[case_id]) == list(want)
         assert (np.array(list(got.scores[case_id].values())).tobytes()
                 == np.array(list(want.values())).tobytes())
-    for t in kept:
-        assert score_trace(model, graph, t.case_id) == scores[t.case_id]
 
 
 @pytest.mark.parametrize("load, kind", [(load_scorer, "temporal scorer"),

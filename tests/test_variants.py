@@ -13,8 +13,8 @@ from kcpm.kg import KnowledgeGraph
 from kcpm.lpg import build_lpg
 from kcpm.variants import (VariantParams, VariantPartition,
                            _attention_forward, _joint_backward, _joint_forward,
-                           classify_log, load_model, save_model, score_trace,
-                           train_variant_model)
+                           _scatter_layout, classify_log, load_model,
+                           save_model, train_variant_model)
 
 from conftest import T0, log_from_sequences
 from oracles import per_row_joint_grads
@@ -92,9 +92,10 @@ def test_loss_history_nonincreasing():
 
 def test_scores_sum_to_one_and_training_accuracy():
     log, labels, lpg, model = trained()
+    partition = classify_log(model, log)
     correct = 0
     for case_id, want in labels.items():
-        scores = score_trace(model, lpg, case_id)
+        scores = partition.scores[case_id]
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
         if max(scores, key=scores.get) == want:
             correct += 1
@@ -111,15 +112,9 @@ def test_single_event_trace_attention_is_one():
     assert p[0].sum() == pytest.approx(1.0)
 
 
-def test_unknown_case_raises():
-    _, _, lpg, model = trained(4)
-    with pytest.raises(DataError, match="nope"):
-        score_trace(model, lpg, "nope")
-
-
 def test_classify_partitions_log():
     log, labels, lpg, model = trained(8)
-    partition = classify_log(model, lpg, log)
+    partition = classify_log(model, log)
     cases = {t.case_id for t in log.traces}
     assert set(partition.assignment) == cases
     cells = [partition.cases_of(cid) for cid in model.class_ids()]
@@ -132,7 +127,7 @@ def test_classify_partitions_log():
 def test_classify_single_case_log():
     log, labels, lpg, model = trained(4)
     single = EventLog((log.traces[0],))
-    partition = classify_log(model, lpg, single)
+    partition = classify_log(model, single)
     assert len(partition.assignment) == 1
 
 
@@ -140,8 +135,7 @@ def test_unseen_case_falls_back_to_prior_and_is_flagged():
     log, labels, lpg, model = trained(4)
     alien = log_from_sequences([["never_seen_activity"]])
     merged = EventLog(log.traces + alien.traces)
-    big_lpg = build_lpg(merged, KnowledgeGraph())
-    partition = classify_log(model, big_lpg, merged)
+    partition = classify_log(model, merged)
     assert "c0" in partition.prior_assigned  # the alien case id
     assert partition.scores["c0"] == model.priors()
 
@@ -160,8 +154,8 @@ def test_argmax_tie_breaks_lexicographically():
 def test_permuting_trace_order_keeps_scores():
     log, labels, lpg, model = trained(4)
     reversed_log = EventLog(tuple(reversed(log.traces)))
-    p1 = classify_log(model, lpg, log)
-    p2 = classify_log(model, lpg, reversed_log)
+    p1 = classify_log(model, log)
+    p2 = classify_log(model, reversed_log)
     assert p1.scores == p2.scores
     assert p1.assignment == p2.assignment
 
@@ -183,7 +177,7 @@ def test_per_row_gradients_train_the_same_model():
     log, labels = cohort_log()
     lpg = build_lpg(log, KnowledgeGraph())
 
-    def per_row(E, Ep, R, Rp, U, A, edges, ce_data, cache, w_s, w_l):
+    def per_row(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s, w_l):
         grads, _ = per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data,
                                        FAST.margin, w_s, w_l)
         return grads
@@ -194,7 +188,7 @@ def test_per_row_gradients_train_the_same_model():
     assert len(model.loss_history) == len(ref.loss_history)
     np.testing.assert_allclose(model.loss_history, ref.loss_history,
                                rtol=1e-12, atol=0)
-    got, want = classify_log(model, lpg, log), classify_log(ref, lpg, log)
+    got, want = classify_log(model, log), classify_log(ref, log)
     assert got.assignment == want.assignment
     assert got.prior_assigned == want.prior_assigned
 
@@ -224,7 +218,8 @@ def test_joint_gradients_match_finite_differences():
     args = (edges, ce_data, 1.0, 1.0, 1.0)
 
     _, cache = _joint_forward(E, Ep, R, Rp, U, A, *args)
-    grads = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, cache, 1.0, 1.0)
+    grads = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data,
+                            _scatter_layout(dim, edges, idx), cache, 1.0, 1.0)
     arrays = (E, Ep, R, Rp, U, A)
     eps = 1e-6
     for array, grad in zip(arrays, grads):
@@ -268,7 +263,7 @@ def test_held_out_edge_ranking_beats_random():
         g.add_node(f"case::{c}", frozenset({"Case"}))
         for i in range(2):
             ev = f"event::{c}::{i}"
-            g.add_node(ev, frozenset({"Event"}), {"position": i})
+            g.add_node(ev, frozenset({"Event"}), {"case_id": c, "position": i})
             g.add_edge(ev, f"case::{c}", frozenset({"BELONGS_TO"}))
             g.add_edge(ev, teams[i], frozenset({"INSTANCE_OF"}))
     for i, (s, r, t) in enumerate(ward_edges):
