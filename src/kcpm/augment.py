@@ -177,7 +177,12 @@ def infer_missing_events(
         while i < len(work):
             ent = _entity(alias, work[i].activity)
             prereqs = prereq_facts.get(ent)
-            missing = prereqs.keys() - seen - inserted_here if prereqs else ()
+            # the subset test runs in C and stops at the first unseen
+            # prerequisite; most events have every prerequisite seen
+            if not prereqs or prereqs.keys() <= seen:
+                missing = ()
+            else:
+                missing = prereqs.keys() - seen - inserted_here
             insert_at = i
             for p in _order_by_precedence(missing, prereq_facts):
                 conf, rule_id = prereqs[p]

@@ -226,7 +226,6 @@ class Closure:
     """
 
     def __init__(self, rb: RuleBase, kg: KnowledgeGraph):
-        self.kg = kg
         # predicate -> subject -> object -> confidence
         self._index: dict[str, dict[str, dict[str, float]]] = {}
         for t in kg.all_triples():
@@ -361,20 +360,44 @@ class _ConfidenceView(Mapping):
 def _step(frontier, succ) -> dict[str, dict[str, float]]:
     """Extend x -> z -> c by one relation z -> o -> c2: the best c * c2
     per (x, o). Floating-point products are monotone in each factor, so
-    the best prefix times a fact equals the best over whole paths."""
+    the best prefix times a fact equals the best over whole paths.
+
+    The join is set-at-a-time: each successor row is grouped once by
+    confidence, every (x, z) adds whole object sets under their product
+    c * c2, and each object then takes the largest positive product that
+    reaches it. These are the products a per-object loop compares, so
+    the result is the same mapping."""
+    groups: dict[str, list[tuple[float, set[str]]]] = {}
     out: dict[str, dict[str, float]] = {}
     for x, zs in frontier.items():
-        acc: dict[str, float] = {}
+        reach: dict[float, list[set[str]]] = {}
         for z, c in zs.items():
-            nxt = succ.get(z)
-            if nxt:
-                for o, c2 in nxt.items():
-                    v = c * c2
-                    if v > acc.get(o, 0.0):
-                        acc[o] = v
+            row = groups.get(z)
+            if row is None:
+                row = groups[z] = _by_confidence(succ.get(z, {}))
+            for c2, objs in row:
+                reach.setdefault(c * c2, []).append(objs)
+        acc: dict[str, float] = {}
+        for v in sorted(reach, reverse=True):
+            if v <= 0.0:
+                break
+            sets = reach[v]
+            objs = sets[0] if len(sets) == 1 else set().union(*sets)
+            acc.update(dict.fromkeys(objs.difference(acc) if acc else objs, v))
         if acc:
             out[x] = acc
     return out
+
+
+def _by_confidence(row: dict[str, float]) -> list[tuple[float, set[str]]]:
+    """(confidence, the objects holding it) of one successor row."""
+    confidences = set(row.values())
+    if len(confidences) == 1:  # every base fact holds with confidence 1
+        return [(confidences.pop(), set(row))]
+    by_conf: dict[float, set[str]] = {}
+    for o, c in row.items():
+        by_conf.setdefault(c, set()).add(o)
+    return list(by_conf.items())
 
 
 def _join(frontier, preds, index) -> dict[str, dict[str, float]]:

@@ -131,6 +131,22 @@ def naive_body_confidences(body_predicates, conf):
     return best
 
 
+def naive_step(frontier, succ):
+    """One join step, one object at a time: extend x -> z -> c by the
+    relation z -> o -> c2, keeping the best positive c * c2 per (x, o)."""
+    out = {}
+    for x, zs in frontier.items():
+        acc = {}
+        for z, c in zs.items():
+            for o, c2 in succ.get(z, {}).items():
+                v = c * c2
+                if v > acc.get(o, 0.0):
+                    acc[o] = v
+        if acc:
+            out[x] = acc
+    return out
+
+
 def naive_closure(rules, triples, eps=1e-12):
     """Max-product forward chaining with no cap: every rule re-runs over
     every body chain until no fact rises by more than eps. rules are

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -867,3 +869,137 @@ def test_every_subcommand_formats_its_help(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "--out" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_the_collector_state(workdir, monkeypatch, enabled):
+    """main runs the subcommand with the cyclic collector off and leaves
+    it as it found it, on success and on an exit-2 error."""
+    during = []
+    stats = cli._COMMANDS["stats"]
+
+    def spy(cfg, args):
+        during.append(gc.isenabled())
+        stats.run(cfg, args)
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", stats._replace(run=spy))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run("stats", "--log", workdir / "log.csv",
+                   "--out", workdir / "out") == 0
+        assert gc.isenabled() is enabled
+        assert run("stats", "--log", workdir / "absent.csv",
+                   "--out", workdir / "out") == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during == [False, False]
+
+
+def test_pipeline_leaves_no_cycles_per_event(tmp_path):
+    """A pipeline run with the collector off relies on reference counting
+    to free what it made. The cyclic garbage one run leaves must not grow
+    with the log: 400 cases leave about as much as 40."""
+    from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model
+
+    from kcpm.synth import CorruptionSpec, corrupt, simulate
+
+    (tmp_path / "kg.tsv").write_text("\n".join(precedence_kb_lines()) + "\n")
+    with open(tmp_path / "model.json", "w") as fh:
+        write_model(ward_model(), fh)
+    for cases in (40, 400):
+        log = corrupt(simulate(ward_model(), cases, seed=3),
+                      CorruptionSpec(0.10, 0.20, frozenset(NOISE_LABELS), seed=4))
+        with open(tmp_path / f"log{cases}.csv", "w", newline="") as fh:
+            write_csv(log, fh)
+    del log
+
+    was = gc.isenabled()
+    found = {}
+    try:
+        gc.disable()
+        # the first run pays for lazy imports; only later runs are compared
+        for name, cases in (("warm-up", 40), ("small", 40), ("large", 400)):
+            gc.collect()
+            assert run("pipeline", "--log", tmp_path / f"log{cases}.csv",
+                       "--kg", tmp_path / "kg.tsv",
+                       "--model", tmp_path / "model.json",
+                       "--out", tmp_path / name, "--seed", 17) == 0
+            found[name] = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    # 360 more cases hold thousands more events; one cycle per event,
+    # trace or closure fact would add at least that many objects
+    assert abs(found["large"] - found["small"]) < 100, found
+
+
+_INTAKE_CHECKS = ("consent", "id_check", "allergy_check", "weight")
+
+
+def _small_pathway(tmp_path):
+    """A 24-stage pathway with a branch after every 4th stage, its
+    precedence KG (adjacent pairs and a seeded 85% of transitive pairs,
+    so the closure derives facts below confidence 1), the chaos taxonomy,
+    four intake checks that must precede every stage but not one
+    another, and a corrupted 30-case log."""
+    from test_acceptance import NOISE_LABELS
+
+    from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE
+    from kcpm.synth import CorruptionSpec, corrupt, simulate
+
+    stages = [f"s{i:02d}" for i in range(24)]
+    transitions, activities = {}, set(stages)
+    for i, (a, b) in enumerate(zip(stages, stages[1:])):
+        if (i + 1) % 4:
+            transitions[a] = {b: 1.0}
+            continue
+        x, y = f"{a}x", f"{a}y"
+        activities |= {x, y}
+        transitions[a] = {x: 0.5, y: 0.5}
+        transitions[x] = transitions[y] = {b: 1.0}
+    model = GroundTruthModel(frozenset(activities), {stages[0]: 1.0},
+                             transitions)
+    rng = random.Random(0)
+    lines = [f"{a}\t{MUST_PRECEDE}\t{b}"
+             for i, a in enumerate(stages) for j, b in enumerate(stages)
+             if j == i + 1 or (j > i + 1 and rng.random() < 0.85)]
+    lines += [f"{c}\t{MUST_PRECEDE}\t{s}" for c in _INTAKE_CHECKS
+              for s in stages]
+    covered = sorted(activities) + NOISE_LABELS
+    lines += [f"{n}\tcategory\tchaos" for n in NOISE_LABELS]
+    lines += [f"chaos\tcovers\t{c}" for c in covered]
+    lines += [f"glitch_x\t{FORBIDDEN_BEFORE}\t{c}" for c in covered]
+    (tmp_path / "kg.tsv").write_text("\n".join(lines) + "\n")
+    with open(tmp_path / "model.json", "w") as fh:
+        write_model(model, fh)
+    log = corrupt(simulate(model, 30, seed=5),
+                  CorruptionSpec(0.10, 0.20, frozenset(NOISE_LABELS), seed=6))
+    with open(tmp_path / "log.csv", "w", newline="") as fh:
+        write_csv(log, fh)
+
+
+def test_pipeline_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """The closure joins sets of entity names, whose iteration order
+    follows the string hash seed; no artifact may."""
+    _small_pathway(tmp_path)
+    src = str(Path(kcpm.__file__).resolve().parent.parent)
+    artifacts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out{seed}"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kcpm.cli", "pipeline",
+             "--log", str(tmp_path / "log.csv"), "--kg", str(tmp_path / "kg.tsv"),
+             "--model", str(tmp_path / "model.json"), "--out", str(out),
+             "--no-embedding"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert artifacts[0] == artifacts[1]
+    report = json.loads(artifacts[0]["augment_report.json"])
+    # derived precedence below confidence 1 drove insertions, and the
+    # unordered intake checks were inserted together
+    assert any(0.0 < c["score"] < 1.0 for c in report["inserted"])
+    assert {c["activity"] for c in report["inserted"]} >= set(_INTAKE_CHECKS)
+    assert report["removed_events"]

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
-from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
-                        entails, mine_rules, read_rules_jsonl,
+from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, _step,
+                        chain_body, entails, mine_rules, read_rules_jsonl,
                         write_rules_jsonl)
 
-from oracles import naive_body_confidences, naive_closure, naive_mine
+from oracles import (naive_body_confidences, naive_closure, naive_mine,
+                     naive_step)
 
 WORK_KG = KnowledgeGraph([
     Triple("al", "worksAt", "uow"),
@@ -295,3 +296,26 @@ def test_closure_matches_naive_fixpoint(triples, rules):
             for r in rb if r.rule_id == res.via_rule]
         assert res.via_rule.endswith("=>" + p)
         assert any(v == pytest.approx(c, abs=1e-12) for v in reached)
+
+
+# few nodes and a few repeated confidences, so one product often reaches
+# an object along several paths, and rows share their confidence
+_NODES = st.sampled_from("abcdef")
+_STEP_CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                              st.floats(0.0, 1.0))
+_ROWS = st.dictionaries(_NODES, st.dictionaries(_NODES, _STEP_CONFIDENCES,
+                                                max_size=6),
+                        max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier=_ROWS, succ=_ROWS)
+def test_step_equals_per_object_join(frontier, succ):
+    # empty rows and frontier nodes with no successors are drawn too
+    got = _step(frontier, succ)
+    expected = naive_step(frontier, succ)
+    assert got.keys() == expected.keys()
+    for x, row in expected.items():
+        assert got[x].keys() == row.keys()
+        for o, v in row.items():
+            assert got[x][o] == v
