@@ -357,7 +357,8 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "out": ("--out", dict(help="output directory")),
     # input paths
     "log": ("--log", dict(help="event log (.xes or .csv)")),
-    "kg": ("--kg", dict(help="knowledge graph (TSV/N-Triples)")),
+    "kg": ("--kg", dict(help="knowledge graph TSV: subject, predicate, "
+                             "object[, ISO-8601 timestamp]")),
     "context": ("--context", dict(help="context table CSV")),
     "alias": ("--alias", dict(help="activity-to-entity alias CSV")),
     "labels": ("--labels", dict(help="labels CSV (case_id,class)")),

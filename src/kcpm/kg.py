@@ -1,4 +1,5 @@
-"""Knowledge graph: plain and timestamped triples with pattern queries.
+"""Knowledge graph: plain and timestamped triples, held as one
+predicate -> subject -> objects index.
 
 Three relation labels are reserved for bridging domain rules with
 control flow: ``directly_follows``, ``must_precede`` and
@@ -9,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
 from .errors import ParseError
 from .logio import _open_text, parse_timestamp
@@ -16,6 +18,9 @@ from .logio import _open_text, parse_timestamp
 DIRECTLY_FOLLOWS = "directly_follows"
 MUST_PRECEDE = "must_precede"
 FORBIDDEN_BEFORE = "forbidden_before"
+
+# predicate -> subject -> objects
+Index = dict[str, dict[str, set[str]]]
 
 
 @dataclass(frozen=True)
@@ -38,71 +43,73 @@ class TemporalTriple:
     timestamp: datetime
 
 
+def _add(index: Index, subject: str, predicate: str, obj: str) -> None:
+    rel = index.get(predicate)
+    if rel is None:
+        index[predicate] = {subject: {obj}}
+        return
+    objs = rel.get(subject)
+    if objs is None:
+        rel[subject] = {obj}
+    else:
+        objs.add(obj)
+
+
 class KnowledgeGraph:
-    """Immutable after construction; indexed by subject, predicate and
-    object for constant-time pattern lookup."""
+    """Immutable after construction. ``index`` maps predicate -> subject
+    -> objects over the plain triples and the cores of the temporal
+    ones; rule mining and the closure read it, and nothing may change
+    it."""
 
     def __init__(self, triples=(), temporal=()):
-        self.triples: frozenset[Triple] = frozenset(triples)
+        index: Index = {}
+        for t in triples:
+            _add(index, t.subject, t.predicate, t.object)
+        self._fill(index, temporal)
+
+    @classmethod
+    def _from_index(cls, plain: Index, temporal=()) -> KnowledgeGraph:
+        """A KG over the index of its plain triples, which it takes over."""
+        kg = cls.__new__(cls)
+        kg._fill(plain, temporal)
+        return kg
+
+    def _fill(self, plain: Index, temporal) -> None:
         self.temporal: frozenset[TemporalTriple] = frozenset(temporal)
-        self._by_subject: dict[str, set[Triple]] = {}
-        self._by_predicate: dict[str, set[Triple]] = {}
-        self._by_object: dict[str, set[Triple]] = {}
-        for t in self.all_triples():
-            self._by_subject.setdefault(t.subject, set()).add(t)
-            self._by_predicate.setdefault(t.predicate, set()).add(t)
-            self._by_object.setdefault(t.object, set()).add(t)
+        # cores of temporal triples that no plain triple states
+        only = {tt.triple for tt in self.temporal
+                if tt.triple.object not in plain.get(
+                    tt.triple.predicate, {}).get(tt.triple.subject, ())}
+        for t in only:
+            _add(plain, t.subject, t.predicate, t.object)
+        self._temporal_only = frozenset(only)
+        self.index: Index = plain
+        self._len = sum(len(objs) for rel in plain.values()
+                        for objs in rel.values())
 
     def all_triples(self) -> frozenset[Triple]:
-        """Plain triples plus the cores of temporal triples. Rule mining
-        and entailment work over this atemporal view."""
-        return self.triples | frozenset(t.triple for t in self.temporal)
+        """Plain triples plus the cores of temporal triples: every fact
+        of the index, as Triples."""
+        return frozenset(Triple(s, p, o) for p, rel in self.index.items()
+                         for s, objs in rel.items() for o in objs)
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        """The plain triples: a fact stated only with a timestamp is not
+        one."""
+        return self.all_triples() - self._temporal_only
 
     def __len__(self) -> int:
-        return len(self.all_triples())
+        return self._len
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._by_subject.get(triple.subject, ())
-
-    @property
+    @cached_property
     def entities(self) -> frozenset[str]:
-        return frozenset(self._by_subject) | frozenset(self._by_object)
-
-    @property
-    def predicates(self) -> frozenset[str]:
-        return frozenset(self._by_predicate)
-
-    def by_predicate(self, predicate: str) -> frozenset[Triple]:
-        return frozenset(self._by_predicate.get(predicate, ()))
-
-    def query(
-        self,
-        subject: str | None = None,
-        predicate: str | None = None,
-        object: str | None = None,
-    ) -> frozenset[Triple]:
-        """Match a triple pattern; None components are wildcards."""
-        candidates = None
-        for index, key in (
-            (self._by_subject, subject),
-            (self._by_predicate, predicate),
-            (self._by_object, object),
-        ):
-            if key is None:
-                continue
-            found = index.get(key, set())
-            candidates = found if candidates is None else candidates & found
-        if candidates is None:
-            return self.all_triples()
-        return frozenset(candidates)
-
-
-def query(kg: KnowledgeGraph, pattern: Triple | tuple) -> frozenset[Triple]:
-    """Pattern query where "?" marks a wildcard position."""
-    s, p, o = (pattern.subject, pattern.predicate, pattern.object) \
-        if isinstance(pattern, Triple) else pattern
-    wild = lambda x: None if x == "?" else x
-    return kg.query(wild(s), wild(p), wild(o))
+        names: set[str] = set()
+        for rel in self.index.values():
+            names.update(rel)
+            for objs in rel.values():
+                names.update(objs)
+        return frozenset(names)
 
 
 _NT_LINE = re.compile(
@@ -124,49 +131,39 @@ def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
     timestamp) or an N-Triples subset (IRIs and plain literals, no blank
     nodes). Duplicates collapse under set semantics. When source is a
     path, every ParseError names it: ``<path>: line N: ...``."""
-    triples: list[Triple] = []
+    if format not in ("tsv", "ntriples"):
+        raise ParseError(f"unknown triple format {format!r}")
+    index: Index = {}
     temporal: list[TemporalTriple] = []
     with _open_text(source) as stream:
         for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
                 continue
             if format == "tsv":
-                cols = line.split("\t")
+                cols = line.rstrip("\r\n").split("\t")
                 if len(cols) not in (3, 4):
                     raise ParseError(
                         f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}"
                     )
-                try:
-                    triple = Triple(cols[0].strip(), cols[1].strip(), cols[2].strip())
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
-                if len(cols) == 4:
-                    try:
-                        ts = parse_timestamp(cols[3])
-                    except ParseError as exc:
-                        raise ParseError(f"line {lineno}: {exc}") from None
-                    temporal.append(TemporalTriple(triple, ts))
-                else:
-                    triples.append(triple)
-            elif format == "ntriples":
-                m = _NT_LINE.match(line)
+                s, p, o = cols[0].strip(), cols[1].strip(), cols[2].strip()
+            else:
+                m = _NT_LINE.match(line.rstrip("\r\n"))
                 if m is None:
                     raise ParseError(f"line {lineno}: not a supported N-Triples statement")
                 if any(g.startswith("_:") for g in m.groups()):
                     raise ParseError(f"line {lineno}: blank nodes are not supported")
-                triples.append(Triple(*(_strip_term(g) for g in m.groups())))
+                cols = m.groups()
+                s, p, o = (_strip_term(g) for g in cols)
+            if not (s and p and o):
+                raise ParseError(
+                    f"line {lineno}: triple components must be nonempty: {p}({s}, {o})")
+            if len(cols) == 4:
+                try:
+                    ts = parse_timestamp(cols[3])
+                except ParseError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+                temporal.append(TemporalTriple(Triple(s, p, o), ts))
             else:
-                raise ParseError(f"unknown triple format {format!r}")
-    return KnowledgeGraph(triples, temporal)
-
-
-def write_triples(kg: KnowledgeGraph, stream) -> None:
-    """TSV writer; temporal triples get a fourth timestamp column."""
-    for t in sorted(kg.triples, key=lambda t: (t.predicate, t.subject, t.object)):
-        stream.write(f"{t.subject}\t{t.predicate}\t{t.object}\n")
-    for tt in sorted(kg.temporal,
-                     key=lambda x: (x.triple.predicate, x.triple.subject,
-                                    x.triple.object, x.timestamp)):
-        t = tt.triple
-        stream.write(f"{t.subject}\t{t.predicate}\t{t.object}\t{tt.timestamp.isoformat()}\n")
+                _add(index, s, p, o)
+    return KnowledgeGraph._from_index(index, temporal)

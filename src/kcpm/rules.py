@@ -110,14 +110,6 @@ class RuleBase:
         return iter(self.rules)
 
 
-def _successors(kg: KnowledgeGraph) -> dict[str, dict[str, set[str]]]:
-    """predicate -> subject -> objects, built in one pass over the KG."""
-    succ: dict[str, dict[str, set[str]]] = {}
-    for t in kg.all_triples():
-        succ.setdefault(t.predicate, {}).setdefault(t.subject, set()).add(t.object)
-    return succ
-
-
 def _body_pairs(predicates, succ) -> dict[str, set[str]]:
     """x -> the distinct y with some chain-variable assignment satisfying
     the body, joining successor maps left to right."""
@@ -135,6 +127,17 @@ def _body_pairs(predicates, succ) -> dict[str, set[str]]:
         if not pairs:
             break
     return pairs
+
+
+def _joinable(succ) -> dict[str, set[str]]:
+    """predicate -> the predicates whose subjects meet its objects. A
+    body atom followed by any other predicate joins to nothing."""
+    follows = {}
+    for p, rel in succ.items():
+        objects = set().union(*rel.values())
+        follows[p] = {q for q, rel2 in succ.items()
+                      if not objects.isdisjoint(rel2)}
+    return follows
 
 
 def _stats(pairs: dict[str, set[str]],
@@ -166,11 +169,15 @@ def mine_rules(
         raise ValueError("max_body_len must be 1, 2 or 3")
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    succ = _successors(kg)
+    succ = kg.index
     preds = sorted(succ)
+    follows = _joinable(succ)
     kept: list[ClosedPathRule] = []
     for n in range(1, max_body_len + 1):
         for body_preds in itertools.product(preds, repeat=n):
+            if not all(b in follows[a]
+                       for a, b in zip(body_preds, body_preds[1:])):
+                continue  # some join is empty, so the body has no pair
             pairs = _body_pairs(body_preds, succ)
             if sum(len(ys) for ys in pairs.values()) < min_support:
                 continue
@@ -227,10 +234,9 @@ class Closure:
 
     def __init__(self, rb: RuleBase, kg: KnowledgeGraph):
         # predicate -> subject -> object -> confidence
-        self._index: dict[str, dict[str, dict[str, float]]] = {}
-        for t in kg.all_triples():
-            self._index.setdefault(t.predicate, {}).setdefault(
-                t.subject, {})[t.object] = 1.0
+        self._index: dict[str, dict[str, dict[str, float]]] = {
+            p: {s: dict.fromkeys(objs, 1.0) for s, objs in rel.items()}
+            for p, rel in kg.index.items()}
         self._via: dict[tuple[str, str, str], str] = {}
         # predicate -> (subject, object) of every derived update, in order
         self._changes: dict[str, list[tuple[str, str]]] = {}
@@ -406,12 +412,6 @@ def _join(frontier, preds, index) -> dict[str, dict[str, float]]:
             break
         frontier = _step(frontier, index.get(pred, {}))
     return frontier
-
-
-def entails(rb: RuleBase, kg: KnowledgeGraph, fact: Triple) -> EntailmentResult:
-    """One-shot entailment check; builds the closure each call. For bulk
-    queries, build a Closure once and reuse it."""
-    return Closure(rb, kg).entails(fact)
 
 
 # ---------------------------------------------------------------------------

@@ -362,19 +362,6 @@ def _class_scores(model: VariantModel, case_nodes: list[list[int]]
     return out
 
 
-def edge_score(model: VariantModel, head: str, relation: str,
-               tail: str) -> float:
-    """Plausibility of a graph edge under the trained embeddings:
-    -||h_perp + r - t_perp||^2, higher is more plausible."""
-    ends = [model._node_index[head], model._node_index[tail]]
-    E, Ep = model.entity_vecs[ends], model.entity_proj[ends]
-    _, d = _residuals(E, model.relation_vecs, model.relation_proj,
-                      (Ep * E).sum(axis=1), np.array([0]),
-                      np.array([model.relations.index(relation)]),
-                      np.array([[1]]))
-    return -float(d[0, 0])
-
-
 @dataclass(frozen=True)
 class VariantPartition:
     assignment: dict[str, str]

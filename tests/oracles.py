@@ -548,3 +548,38 @@ def per_cell_parse_csv_auto(text):
                             _iso_timestamp(row["timestamp"]),
                             row.get("resource") or None, attrs))
     return make_log(events)
+
+
+# ---------------------------------------------------------------------------
+# Knowledge graph
+# ---------------------------------------------------------------------------
+
+def naive_kg(rows):
+    """What a KG of (subject, predicate, object, timestamp or None) rows
+    holds, as sets of tuples: (distinct facts, entities, plain facts,
+    (fact, timestamp) of the temporal rows)."""
+    facts = {(s, p, o) for s, p, o, _ in rows}
+    plain = {(s, p, o) for s, p, o, ts in rows if ts is None}
+    temporal = {((s, p, o), ts) for s, p, o, ts in rows if ts is not None}
+    entities = {s for s, _, _ in facts} | {o for _, _, o in facts}
+    return facts, entities, plain, temporal
+
+
+# ---------------------------------------------------------------------------
+# Variant embeddings
+# ---------------------------------------------------------------------------
+
+def edge_score(model, head, relation, tail):
+    """Plausibility of a graph edge under a trained variant model:
+    -||h_perp + r - t_perp||^2 with n_perp = n + (n_p . n) r_p, one edge
+    at a time; higher is more plausible."""
+    k = model.relations.index(relation)
+    r, rp = model.relation_vecs[k], model.relation_proj[k]
+
+    def perp(node):
+        i = model.nodes.index(node)
+        n = model.entity_vecs[i]
+        return n + float(model.entity_proj[i] @ n) * rp
+
+    u = perp(head) + r - perp(tail)
+    return -float(u @ u)

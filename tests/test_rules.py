@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
-from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, _step,
-                        chain_body, entails, mine_rules, read_rules_jsonl,
+from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, _joinable,
+                        _step, chain_body, mine_rules, read_rules_jsonl,
                         write_rules_jsonl)
 
 from oracles import (naive_body_confidences, naive_closure, naive_mine,
@@ -128,6 +128,29 @@ def test_mine_rules_matches_exhaustive_enumeration():
         assert got == set(expected)
 
 
+# one predicate family: its facts over its own entities
+_FAMILY = st.sets(st.tuples(st.sampled_from("abcde"), st.sampled_from("pqr"),
+                            st.sampled_from("abcde")), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families=st.lists(_FAMILY, min_size=2, max_size=3),
+       min_support=st.integers(1, 2), min_pca=st.sampled_from([0.0, 0.5]))
+def test_pruned_mining_matches_exhaustive_enumeration(families, min_support,
+                                                      min_pca):
+    # families share no entity, so a body that crosses from one family
+    # to another joins to nothing and is pruned before the join
+    raw = {(f"{s}{i}", f"{p}{i}", f"{o}{i}")
+           for i, family in enumerate(families) for s, p, o in family}
+    kg = KnowledgeGraph(Triple(*t) for t in raw)
+    follows = _joinable(kg.index)
+    assert any(q not in follows[p] for p in follows for q in follows)
+    got = {(r.body_predicates, r.head.predicate,
+            r.support, r.std_confidence, r.pca_confidence)
+           for r in mine_rules(kg, 3, min_support, min_pca)}
+    assert got == set(naive_mine(sorted(raw), 3, min_support, min_pca))
+
+
 def test_mine_rules_monotone_in_thresholds():
     rng = random.Random(9)
     for _ in range(200):
@@ -181,7 +204,7 @@ def test_rule_text_format():
 # ---------------------------------------------------------------------------
 
 def test_entails_fact_in_kg():
-    res = entails(RuleBase(()), WORK_KG, Triple("al", "livesIn", "wgg"))
+    res = Closure(RuleBase(()), WORK_KG).entails(Triple("al", "livesIn", "wgg"))
     assert res.entailed and res.confidence == 1.0 and res.via_rule is None
 
 
@@ -191,14 +214,14 @@ def test_entails_one_step_derivation():
         Triple("uow", "locatedIn", "wgg"),
     ])
     rb = RuleBase((WORK_RULE,))
-    res = entails(rb, kg, Triple("al", "livesIn", "wgg"))
+    res = Closure(rb, kg).entails(Triple("al", "livesIn", "wgg"))
     assert res.entailed
     assert res.confidence == 1.0
     assert res.via_rule == WORK_RULE.rule_id
 
 
 def test_entails_unrelated_fact():
-    res = entails(RuleBase((WORK_RULE,)), WORK_KG, Triple("q", "p", "r"))
+    res = Closure(RuleBase((WORK_RULE,)), WORK_KG).entails(Triple("q", "p", "r"))
     assert not res.entailed
 
 

@@ -17,7 +17,7 @@ from kcpm.variants import (VariantParams, VariantPartition,
                            save_model, train_variant_model)
 
 from conftest import T0, log_from_sequences
-from oracles import per_row_joint_grads
+from oracles import edge_score, per_row_joint_grads
 
 FAST = VariantParams(dim=8, epochs=200, seed=0)
 
@@ -242,7 +242,6 @@ def test_held_out_edge_ranking_beats_random():
     # the team determines the ward; a fifth of the ward edges are hidden
     # from training and must be recovered by ranking
     from kcpm.lpg import LabeledPropertyGraph
-    from kcpm.variants import edge_score
 
     rng = random.Random(0)
     g = LabeledPropertyGraph()
