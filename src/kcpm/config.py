@@ -5,6 +5,7 @@ unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -67,6 +68,10 @@ class PipelineConfig:
             raise ConfigError("dim must be >= 2 and epochs >= 1")
         if self.negatives < 1:
             raise ConfigError("negatives must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not math.isfinite(self.margin):
+            raise ConfigError("margin must be finite")
         if not 1 <= self.time_buckets <= 1440:
             raise ConfigError("time_buckets must be in 1..1440")
 

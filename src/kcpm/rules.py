@@ -140,11 +140,10 @@ def _joinable(succ) -> dict[str, set[str]]:
     return follows
 
 
-def _stats(pairs: dict[str, set[str]],
+def _stats(pairs: dict[str, set[str]], n_pairs: int,
            head: dict[str, set[str]]) -> tuple[int, float, float]:
-    """(support, standard confidence, PCA confidence) of body pairs
-    against the head predicate's successor map."""
-    n_pairs = sum(len(ys) for ys in pairs.values())
+    """(support, standard confidence, PCA confidence) of n_pairs body
+    pairs against the head predicate's successor map."""
     support = sum(len(ys & head[x]) for x, ys in pairs.items() if x in head)
     if not support:
         return 0, 0.0, 0.0
@@ -179,12 +178,16 @@ def mine_rules(
                        for a, b in zip(body_preds, body_preds[1:])):
                 continue  # some join is empty, so the body has no pair
             pairs = _body_pairs(body_preds, succ)
-            if sum(len(ys) for ys in pairs.values()) < min_support:
+            n_pairs = sum(len(ys) for ys in pairs.values())
+            if n_pairs < min_support:
                 continue
             for head in preds:
                 if n == 1 and head == body_preds[0]:
                     continue
-                sup, std, pca = _stats(pairs, succ[head])
+                head_map = succ[head]
+                if pairs.keys().isdisjoint(head_map.keys()):
+                    continue  # no body subject is a head subject: support 0
+                sup, std, pca = _stats(pairs, n_pairs, head_map)
                 if sup < min_support or pca < min_pca_conf - _EPS:
                     continue
                 kept.append(ClosedPathRule(

@@ -14,6 +14,7 @@ are bit-reproducible for a fixed seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -45,6 +46,10 @@ class ScorerParams:
             raise ValueError("epochs must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not math.isfinite(self.margin):
+            raise ValueError("margin must be finite")
         if not 1 <= self.time_buckets <= 1440:
             raise ValueError("time_buckets must be in 1..1440")
 

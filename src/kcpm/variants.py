@@ -15,6 +15,7 @@ nonincreasing and seeded runs reproduce exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,6 +54,12 @@ class VariantParams:
             raise ValueError("dim must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.negatives < 1:
+            raise ValueError("negatives must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not math.isfinite(self.margin):
+            raise ValueError("margin must be finite")
 
 
 @dataclass
@@ -129,52 +136,81 @@ def _attention_forward(V, mask, U, A):
     return alpha, diff, p
 
 
-def _residuals(E, R, Rp, c, heads, rels, tails):
-    """Projected translation residual u = h + c_h r_p + r - t - c_t r_p
-    and its squared norm, of each edge (heads[i], rels[i]) against each
-    of its tails tails[i, j]; c[n] = n_p . n is the node's projection
-    coefficient."""
-    rp = Rp[rels]
-    head = E[heads] + c[heads, None] * rp + R[rels]
-    u = head[:, None, :] - E[tails] - c[tails][:, :, None] * rp[:, None, :]
-    return u, (u ** 2).sum(axis=2)
+class _Pairs(NamedTuple):
+    """_joint_forward's terms of every edge i against each of its tails
+    t = tails[i, j], held column-major: one row per tail column. With
+    head = h + c_h r_p + r and c_t = t_p . t, the residual
+    u = head - E_t - c_t r_p has the squared norm
+    ||u||^2 = ||head||^2 - 2 head.E_t + ||E_t||^2
+              + c_t (c_t ||r_p||^2 - 2 head.r_p + 2 E_t.r_p),
+    so u itself is never formed."""
+    head: np.ndarray   # (a, dim)
+    rp: np.ndarray     # (a, dim) r_p of each edge
+    Et: np.ndarray     # (k+1, a, dim) the tail rows, gathered once
+    ct: np.ndarray     # (k+1, a) c_t
+    hrp: np.ndarray    # (a,) head . r_p
+    ERp: np.ndarray    # (n, n_rel) E_x . r_p of every node and relation
+
+
+def _pairs(E, R, Rp, c, heads, rels, tails):
+    """The _Pairs of edges (heads, rels, tails), and their squared
+    residual norms d (k+1, a); c[n] = n_p . n is the node's projection
+    coefficient. Only the tail gather and head . E_t are dim wide per
+    pair: E_t . r_p is read from one (n, n_rel) product."""
+    cols = tails.T
+    rp = Rp.take(rels, axis=0)
+    head = E.take(heads, axis=0)
+    head += c.take(heads)[:, None] * rp
+    head += R.take(rels, axis=0)
+    Et = E.take(cols, axis=0)
+    ct = c.take(cols)
+    ERp = E @ Rp.T
+    hrp = np.einsum("ad,ad->a", head, rp)
+    d = ct * np.einsum("rd,rd->r", Rp, Rp).take(rels) - 2.0 * hrp
+    d += 2.0 * ERp.take(cols * len(Rp) + rels)
+    d *= ct
+    d -= 2.0 * np.einsum("jad,ad->ja", Et, head)
+    d += np.einsum("nd,nd->n", E, E).take(cols)
+    d += np.einsum("ad,ad->a", head, head)
+    return _Pairs(head, rp, Et, ct, hrp, ERp), d
 
 
 def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     """Joint loss, and the intermediates _joint_backward reuses. edges is
     (heads, rels, tails): column 0 of tails is each edge's true tail, the
-    rest its corrupted tails."""
+    rest its corrupted tails. The squared residuals come from _pairs'
+    expansion, so the loss equals the per-row form (one residual vector
+    per pair) up to rounding, not bit for bit."""
     heads, rels, tails = edges
     idx, mask, labels, _ = ce_data
     total = 0.0
-    c = (Ep * E).sum(axis=1)
-    u, d = _residuals(E, R, Rp, c, heads, rels, tails)
-    terms = margin + d[:, :1] - d[:, 1:]
+    c = np.einsum("nd,nd->n", Ep, E)
+    pairs, d = _pairs(E, R, Rp, c, heads, rels, tails)
+    terms = margin + d[:1] - d[1:]
     if terms.size:
         total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
     V = E[idx] * mask[:, :, None]
     alpha, diff, p = _attention_forward(V, mask, U, A)
     ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
-    return total + w_l * float(ce), (c, u, terms > 0, V, alpha, diff, p)
+    return total + w_l * float(ce), (c, pairs, terms > 0, V, alpha, diff, p)
 
 
 class _ScatterLayout(NamedTuple):
-    """Where _joint_backward's rows land. Heads, tails and event rows are
-    fixed for a training, so train_variant_model builds this once."""
-    # gE cells of the head rows, the (edge, column) tail rows, the events
-    node_cells: np.ndarray
-    node_rows: np.ndarray  # node of each head row, then of each tail row
-    rel_cells: np.ndarray  # gR and gRp cells, one row per edge
+    """Where _joint_backward's gE rows land. Heads, tails and event rows
+    are fixed for a training, so train_variant_model builds this once."""
+    cells: np.ndarray  # gE cells of the head rows, then of the event rows
+    rows: np.ndarray   # the buffer those rows are written to
+    tails: np.ndarray  # the tail of each pair, column-major and flat
+    pair_rels: np.ndarray  # the relation of each pair, likewise
 
 
 def _scatter_layout(dim: int, edges, idx) -> _ScatterLayout:
     """The scatter layout of training dim-wide vectors on edges (heads,
     rels, tails) and the (m, k) event matrix idx."""
     heads, rels, tails = edges
-    node_rows = np.concatenate([heads, tails.reshape(-1)])
-    return _ScatterLayout(
-        row_cells(np.concatenate([node_rows, idx.reshape(-1)]), dim),
-        node_rows, row_cells(rels, dim))
+    rows = np.concatenate([heads, idx.reshape(-1)])
+    return _ScatterLayout(row_cells(rows, dim), np.empty((len(rows), dim)),
+                          tails.T.reshape(-1), np.tile(rels, tails.shape[1]))
 
 
 def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
@@ -182,19 +218,27 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
     """Gradients of the joint loss from _joint_forward's cache, scattered
     through layout (_scatter_layout of the same edges and events).
 
-    The margin loss is summed per edge, not per (edge, negative) pair:
-    the true tail's residual gradient is taken once, weighted by the
-    edge's count of margin-violating negatives, and the head gets one row
-    per edge for both sides. A row g landing on node x also adds
+    The margin loss is summed per edge: dL/du of pair (i, j) is
+    coef_j u[i, j] (coef is held column-major, like the _Pairs terms),
+    where the true tail (j = 0) weighs the edge's count of
+    margin-violating negatives and each violating negative -1. So an
+    edge's weights sum to 0, and its head row sum_j coef_j u_j loses the
+    head vector: -(sum_j coef_j E_t + (sum_j coef_j c_t) r_p), one
+    product of coef with the cached tail rows. Of a tail row
+    -coef u = -coef head + coef E_t + coef c_t r_p, only the first term
+    is scattered per pair, one dimension at a time, skipping pairs whose
+    weight is exactly 0; the other two, and every relation gradient, are
+    sums of coef per (relation, node), taken by small bincounts and
+    applied by (n_rel, n) products. A row g landing on node x also adds
     (g . r_p) Ep[x] to gE[x] and (g . r_p) E[x] to gEp[x]; those scalars
-    are summed per node by one bincount. Every edge and pair keeps its
-    row; a pair that does not violate the margin weighs exactly 0, which
-    changes no sum. The gradient equals the per-row sum (one row per pair
-    and term) up to rounding, not bit for bit."""
+    come from the forward pass's dot products. The gradient equals the
+    per-row sum (one row per pair and term) up to rounding, not bit for
+    bit."""
     heads, rels, tails = edges
     idx, mask, labels, Y = ce_data
-    c, u, active, V, alpha, diff, p = cache
+    c, pairs, active, V, alpha, diff, p = cache
     n, dim = E.shape
+    n_rel = len(Rp)
 
     m = len(labels)
     G = (p - Y) * (w_l / m)                      # dL/ds
@@ -209,25 +253,58 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
     dV += dz @ (U @ A.T)
     dV *= mask[:, :, None]
 
+    a = len(heads)
     w = 2.0 * w_s / active.size if active.size else 0.0
-    # dL/du per residual: the true tail's once, weighted by the edge's
-    # count of violating negatives, and each violating negative's
-    coef = w * np.concatenate([active.sum(axis=1, keepdims=True),
-                               -1 * active], axis=1)
-    rp = Rp[rels]
-    g_head = np.einsum("aj,ajd->ad", coef, u)  # both sides land on the head
-    # rows . r_p, one scalar per row, summed per node
-    s = np.concatenate([np.einsum("ad,ad->a", g_head, rp),
-                        -(coef * np.einsum("ajd,ad->aj", u, rp)).reshape(-1)])
-    S = np.bincount(layout.node_rows, weights=s, minlength=n)[:, None]
+    n_active = active.sum(axis=0)
+    coef = np.empty(pairs.ct.shape)
+    np.multiply(n_active, w, out=coef[0])
+    np.multiply(active, -w, out=coef[1:])
+    flat = coef.reshape(-1)
+    ch = c.take(heads)
+    coef_ct = coef * pairs.ct
+    q = coef_ct.sum(axis=0)
+    # the head rows but for their -q r_p term, which is summed per node below
+    rows = layout.rows
+    head_rows = rows[:a]
+    np.einsum("ja,jad->ad", coef, pairs.Et, out=head_rows)
+    np.negative(head_rows, out=head_rows)
+    rows[a:] = dV.reshape(-1, dim)
 
-    gE = scatter_cells(n, layout.node_cells, np.concatenate([
-        g_head, (-coef[:, :, None] * u).reshape(-1, dim),
-        dV.reshape(-1, dim)])) + S * Ep
-    gEp = S * E
-    gR = scatter_cells(len(R), layout.rel_cells, g_head)
-    gRp = scatter_cells(len(Rp), layout.rel_cells, c[heads, None] * g_head
-                        - np.einsum("aj,ajd->ad", c[tails] * coef, u))
+    # per (relation, node): the weights of the pairs with that tail, the
+    # weights times c_t - c_h, and q of the edges with that head
+    key = layout.pair_rels * n + layout.tails
+    B = np.bincount(key, weights=flat, minlength=n_rel * n).reshape(n_rel, n)
+    Bd = np.bincount(key, weights=(coef_ct - coef * ch).reshape(-1),
+                     minlength=n_rel * n).reshape(n_rel, n)
+    Hq = np.bincount(rels * n + heads, weights=q,
+                     minlength=n_rel * n).reshape(n_rel, n)
+    q_rel = Hq.sum(axis=1)[:, None]
+    q2_rel = np.bincount(rels, weights=(coef_ct * pairs.ct).sum(axis=0)
+                         - 2.0 * ch * q, minlength=n_rel)[:, None]
+    rp2 = np.einsum("rd,rd->r", Rp, Rp)
+
+    # rows . r_p, one scalar per row, summed per node
+    S = (np.bincount(heads, minlength=n,
+                     weights=np.einsum("ad,ad->a", head_rows, pairs.rp))
+         - np.bincount(layout.tails, weights=(coef * pairs.hrp).reshape(-1),
+                       minlength=n)
+         + np.einsum("rn,nr->n", B, pairs.ERp) + (rp2 @ B) * c - rp2 @ Hq)
+
+    # gE's per-node terms, dim-major: -coef head of every pair that weighs
+    # anything, one dimension at a time, then the per-(relation, node) sums
+    keep = np.flatnonzero(np.concatenate([n_active[None] > 0, active]))
+    at = layout.tails.take(keep)
+    tail_rows = np.ascontiguousarray(pairs.head.T).take(keep % a, axis=1)
+    tail_rows *= -flat.take(keep)
+    gE_nodes = np.empty((dim, n))
+    for j, row in enumerate(tail_rows):
+        gE_nodes[j] = np.bincount(at, weights=row, minlength=n)
+    gE_nodes += E.T * B.sum(axis=0) + Rp.T @ (B * c - Hq) + Ep.T * S
+    gE = scatter_cells(n, layout.cells, rows)
+    gE += gE_nodes.T
+    gEp = S[:, None] * E
+    gR = -(B @ E) - q_rel * Rp
+    gRp = (Bd - Hq) @ E + q2_rel * Rp - q_rel * R
     return gE, gEp, gR, gRp, gU, gA
 
 

@@ -9,6 +9,7 @@ import io
 from collections import Counter
 from datetime import datetime
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -439,6 +440,112 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
             + np.einsum("mkc,ce,de->mkd", a_dz, a_U, a_A))
     np.add.at(sE, idx.reshape(-1), (s_dV * mask[:, :, None]).reshape(-1, dim))
     return tuple(grads), tuple(sizes)
+
+
+def per_row_joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
+    """The variant trainer's joint loss with one residual per (edge, tail)
+    row: the mean margin violation over every (edge, negative) pair, plus
+    the cross-entropy of the trainer's attention pass."""
+    from kcpm.variants import _attention_forward
+
+    heads, rels, all_tails = edges
+    k1 = all_tails.shape[1]
+    _, d, _, _ = _per_row_proj_dist(E, Ep, R, Rp, np.repeat(heads, k1),
+                                    np.repeat(rels, k1), all_tails.reshape(-1))
+    d = d.reshape(-1, k1)
+    terms = margin + d[:, :1] - d[:, 1:]
+    total = w_s * float(np.mean(np.maximum(0.0, terms))) if terms.size else 0.0
+    idx, mask, labels, _ = ce_data
+    _, _, p = _attention_forward(E[idx] * mask[:, :, None], mask, U, A)
+    ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
+    return total + w_l * float(ce)
+
+
+# The variant kernel as it was before the forward pass kept per-pair
+# scalars: it materializes every (edge, tail) residual u and scatters one
+# dim-wide row per pair. The trainer must take the same steps with it.
+
+class ReferenceScatterLayout(NamedTuple):
+    node_cells: np.ndarray
+    node_rows: np.ndarray
+    rel_cells: np.ndarray
+
+
+def reference_scatter_layout(dim, edges, idx):
+    from kcpm._training import row_cells
+
+    heads, rels, tails = edges
+    node_rows = np.concatenate([heads, tails.reshape(-1)])
+    return ReferenceScatterLayout(
+        row_cells(np.concatenate([node_rows, idx.reshape(-1)]), dim),
+        node_rows, row_cells(rels, dim))
+
+
+def _reference_residuals(E, R, Rp, c, heads, rels, tails):
+    rp = Rp[rels]
+    head = E[heads] + c[heads, None] * rp + R[rels]
+    u = head[:, None, :] - E[tails] - c[tails][:, :, None] * rp[:, None, :]
+    return u, (u ** 2).sum(axis=2)
+
+
+def reference_joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s,
+                            w_l):
+    from kcpm.variants import _attention_forward
+
+    heads, rels, tails = edges
+    idx, mask, labels, _ = ce_data
+    total = 0.0
+    c = (Ep * E).sum(axis=1)
+    u, d = _reference_residuals(E, R, Rp, c, heads, rels, tails)
+    terms = margin + d[:, :1] - d[:, 1:]
+    if terms.size:
+        total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
+    V = E[idx] * mask[:, :, None]
+    alpha, diff, p = _attention_forward(V, mask, U, A)
+    ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
+    return total + w_l * float(ce), (c, u, terms > 0, V, alpha, diff, p)
+
+
+def reference_joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
+                             w_s, w_l):
+    """layout is reference_scatter_layout of the same edges and events."""
+    from kcpm._training import scatter_cells
+
+    heads, rels, tails = edges
+    idx, mask, labels, Y = ce_data
+    c, u, active, V, alpha, diff, p = cache
+    n, dim = E.shape
+
+    m = len(labels)
+    G = (p - Y) * (w_l / m)                      # dL/ds
+    dDiff = G[:, :, None] * (-2.0 * diff)        # (m,c,d)
+    dAlpha = np.einsum("mcd,mkd->mkc", dDiff, V)
+    dV = np.einsum("mkc,mcd->mkd", alpha, dDiff)
+    dz = alpha * (dAlpha - (alpha * dAlpha).sum(axis=1, keepdims=True))
+    dz = np.where(mask[:, :, None], dz, 0.0)
+    V2, dz2 = V.reshape(-1, dim), dz.reshape(-1, dz.shape[2])
+    gA = V2.T @ (dz2 @ U)
+    gU = dz2.T @ (V2 @ A) - dDiff.sum(axis=0)
+    dV += dz @ (U @ A.T)
+    dV *= mask[:, :, None]
+
+    w = 2.0 * w_s / active.size if active.size else 0.0
+    coef = w * np.concatenate([active.sum(axis=1, keepdims=True),
+                               -1 * active], axis=1)
+    rp = Rp[rels]
+    g_head = np.einsum("aj,ajd->ad", coef, u)
+    s = np.concatenate([np.einsum("ad,ad->a", g_head, rp),
+                        -(coef * np.einsum("ajd,ad->aj", u, rp)).reshape(-1)])
+    S = np.bincount(layout.node_rows, weights=s, minlength=n)[:, None]
+
+    gE = scatter_cells(n, layout.node_cells, np.concatenate([
+        g_head, (-coef[:, :, None] * u).reshape(-1, dim),
+        dV.reshape(-1, dim)])) + S * Ep
+    gEp = S * E
+    gR = scatter_cells(len(R), layout.rel_cells, g_head)
+    gRp = scatter_cells(len(Rp), layout.rel_cells, c[heads, None] * g_head
+                        - np.einsum("aj,ajd->ad", c[tails] * coef, u))
+    return gE, gEp, gR, gRp, gU, gA
 
 
 def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):

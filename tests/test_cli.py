@@ -555,6 +555,30 @@ def test_bad_synth_arguments_fail_before_any_artifact(workdir, capsys, flags,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("learning_rate", "0", "learning_rate must be finite and > 0"),
+    ("learning_rate", "-0.5", "learning_rate must be finite and > 0"),
+    ("learning_rate", "nan", "learning_rate must be finite and > 0"),
+    ("learning_rate", "inf", "learning_rate must be finite and > 0"),
+    ("margin", "nan", "margin must be finite"),
+    ("margin", "-inf", "margin must be finite"),
+    ("negatives", "0", "negatives must be >= 1"),
+], ids=["lr-zero", "lr-negative", "lr-nan", "lr-inf", "margin-nan",
+        "margin-minus-inf", "no-negatives"])
+def test_untrainable_hyperparameter_fails_before_any_artifact(
+        variant_inputs, tmp_path, capsys, key, value, message):
+    work, _ = variant_inputs
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(f"[hyperparameters]\n{key} = {value}\n")
+    out = tmp_path / "vt"
+    capsys.readouterr()
+    assert run("variants-train", "--log", work / "log.csv", "--kg",
+               work / "kg.tsv", "--labels", work / "labels.csv",
+               "--epochs", 2, "--config", cfgfile, "--out", out) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def ward_inputs(tmp_path_factory):
     from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model

@@ -23,7 +23,8 @@ from kcpm.variants import (CohortClass, VariantModel, VariantParams,
 
 from conftest import log_from_sequences
 from oracles import (add_at_scatter, per_case_classify, per_row_hinge_grads,
-                     per_row_hinge_loss, per_row_joint_grads, two_call_descend)
+                     per_row_hinge_loss, per_row_joint_grads,
+                     per_row_joint_loss, two_call_descend)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -159,6 +160,54 @@ def test_variant_grads_equal_add_at_reference(n, dim, n_rel, n_classes, rows, k,
         # the sums are taken in another order: equal up to rounding,
         # relative to the size of the summed terms
         assert np.linalg.norm(g - g_ref) <= 1e-9 * np.linalg.norm(g_abs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), dim=st.integers(2, 5), n_rel=st.integers(1, 3),
+       n_classes=st.integers(2, 3), rows=st.integers(0, 12), k=st.integers(1, 3),
+       m=st.integers(1, 5), width=st.integers(1, 4), seed=SEEDS,
+       margin=st.sampled_from([0.1, 1.0, 5.0]))
+# the examples of test_variant_grads_equal_add_at_reference: no edges;
+# every negative violating the margin; none violating it
+@example(n=3, dim=2, n_rel=1, n_classes=2, rows=0, k=2, m=2, width=2, seed=0,
+         margin=1.0)
+@example(n=6, dim=3, n_rel=2, n_classes=2, rows=10, k=3, m=3, width=3, seed=1,
+         margin=1e6)
+@example(n=6, dim=3, n_rel=2, n_classes=3, rows=10, k=3, m=3, width=3, seed=2,
+         margin=-1e6)
+def test_variant_loss_equals_per_row_loss(n, dim, n_rel, n_classes, rows, k,
+                                          m, width, seed, margin):
+    """The loss from the expanded squared norms equals the loss from one
+    residual vector per (edge, tail) row, up to rounding; the problem is
+    drawn as the gradient test above draws it."""
+    rng = np.random.default_rng(seed)
+    params = tuple(rng.normal(size=shape) * scale for shape, scale in (
+        ((n, dim), 0.4), ((n, dim), 0.2), ((n_rel, dim), 0.4),
+        ((n_rel, dim), 0.2), ((n_classes, dim), 0.4), ((dim, dim), 0.3)))
+    edges = (rng.integers(0, n, rows), rng.integers(0, n_rel, rows),
+             rng.integers(0, n, size=(rows, 1 + k)))
+    idx = rng.integers(0, n, size=(m, width))
+    mask = np.arange(width) < rng.integers(1, width + 1, m)[:, None]
+    labels = rng.integers(0, n_classes, m)
+    ce_data = (idx, mask, labels, np.eye(n_classes)[labels])
+    args = (edges, ce_data, margin, 1.0, 1.0)
+    got, _ = _joint_forward(*params, *args)
+    want = per_row_joint_loss(*params, *args)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("cls", [VariantParams, temporal.ScorerParams])
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", 0.0, "learning_rate must be finite and > 0"),
+    ("learning_rate", float("nan"), "learning_rate must be finite and > 0"),
+    ("learning_rate", float("inf"), "learning_rate must be finite and > 0"),
+    ("margin", float("nan"), "margin must be finite"),
+    ("margin", float("-inf"), "margin must be finite"),
+    ("negatives", 0, "negatives must be >= 1"),
+])
+def test_descent_params_reject_what_cannot_train(cls, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**{field: value})
 
 
 def via_two_call(params, forward, backward, learning_rate, epochs,

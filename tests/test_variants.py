@@ -17,7 +17,8 @@ from kcpm.variants import (VariantParams, VariantPartition,
                            save_model, train_variant_model)
 
 from conftest import T0, log_from_sequences
-from oracles import edge_score, per_row_joint_grads
+from oracles import (edge_score, per_row_joint_grads, reference_joint_backward,
+                     reference_joint_forward, reference_scatter_layout)
 
 FAST = VariantParams(dim=8, epochs=200, seed=0)
 
@@ -184,6 +185,32 @@ def test_per_row_gradients_train_the_same_model():
 
     model = train_variant_model(lpg, labels, FAST)
     with mock.patch.object(variants, "_joint_backward", per_row):
+        ref = train_variant_model(lpg, labels, FAST)
+    assert len(model.loss_history) == len(ref.loss_history)
+    np.testing.assert_allclose(model.loss_history, ref.loss_history,
+                               rtol=1e-12, atol=0)
+    got, want = classify_log(model, log), classify_log(ref, log)
+    assert got.assignment == want.assignment
+    assert got.prior_assigned == want.prior_assigned
+
+
+def test_reference_kernel_trains_the_same_model():
+    """Training with the kernel that forms every residual vector and
+    scatters one row per pair runs as many epochs, on the same loss curve
+    up to rounding, and classifies every case alike."""
+    log, labels = cohort_log()
+    lpg = build_lpg(log, KnowledgeGraph())
+
+    def reference_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
+                           w_s, w_l):
+        layout = reference_scatter_layout(E.shape[1], edges, ce_data[0])
+        return reference_joint_backward(E, Ep, R, Rp, U, A, edges, ce_data,
+                                        layout, cache, w_s, w_l)
+
+    model = train_variant_model(lpg, labels, FAST)
+    with mock.patch.object(variants, "_joint_forward",
+                           reference_joint_forward), \
+            mock.patch.object(variants, "_joint_backward", reference_backward):
         ref = train_variant_model(lpg, labels, FAST)
     assert len(model.loss_history) == len(ref.loss_history)
     np.testing.assert_allclose(model.loss_history, ref.loss_history,
