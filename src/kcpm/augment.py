@@ -82,10 +82,9 @@ def filter_chaotic_events(
     forbidden: dict[str, dict[str, str | None]] = {}
     for s, o, _, via in closure.facts(FORBIDDEN_BEFORE):
         forbidden.setdefault(s, {})[o] = via
-    prereqs: dict[str, dict[str, str | None]] = {}
     if strict_ordering:
-        for s, o, _, via in closure.facts(MUST_PRECEDE):
-            prereqs.setdefault(o, {})[s] = via
+        prec = _Precedence(closure)
+        need, bit = prec.need, prec.bit
 
     removed: list[RemovedEvent] = []
     traces = []
@@ -93,7 +92,10 @@ def filter_chaotic_events(
         work = list(t.events)
         positions = list(range(len(work)))
         ents = [_entity(alias, e.activity) for e in work]
-        seen: Counter = Counter()  # entities of work[:i], strict ordering only
+        # strict ordering only: how often each prerequisite entity occurs
+        # in work[:i], and the mask of those that occur at all
+        seen: Counter = Counter()
+        seen_mask = 0
         i = 0
         while i < len(work):
             # 1-tuple with the triggering rule id if work[i] must go
@@ -103,13 +105,14 @@ def filter_chaotic_events(
                 if i + 1 < len(work) and ents[i + 1] in forbidden.get(ent, ()):
                     verdict = (forbidden[ent][ents[i + 1]],)
                 elif strict_ordering:
-                    for p in sorted(prereqs.get(ent, ())):
-                        if not seen[p]:
-                            verdict = (prereqs[ent][p],)
-                            break
+                    missing = need.get(ent, 0) & ~seen_mask
+                    if missing:  # its alphabetically first unseen one
+                        p = prec.names[(missing & -missing).bit_length() - 1]
+                        verdict = (prec.facts[ent][p][1],)
             if verdict is None:
-                if strict_ordering:
+                if strict_ordering and ent in bit:
                     seen[ent] += 1
+                    seen_mask |= bit[ent]
                 i += 1
                 continue
             removed.append(RemovedEvent(t.case_id, positions[i],
@@ -119,8 +122,10 @@ def filter_chaotic_events(
             # successors and prefixes, so the scan resumes there
             if i > 0:
                 i -= 1
-                if strict_ordering:
+                if strict_ordering and ents[i] in bit:
                     seen[ents[i]] -= 1
+                    if not seen[ents[i]]:
+                        seen_mask &= ~bit[ents[i]]
         if work:
             traces.append(Trace(t.case_id, tuple(work)))
     report = AugmentationReport(
@@ -154,9 +159,8 @@ def infer_missing_events(
     """
     if make_scorer is not None:
         make_scorer = functools.cache(make_scorer)
-    prereq_facts: dict[str, dict[str, tuple[float, str | None]]] = {}
-    for s, o, conf, via in closure.facts(MUST_PRECEDE):
-        prereq_facts.setdefault(o, {})[s] = (conf, via)
+    prec = _Precedence(closure)
+    need, bit = prec.need, prec.bit
     reverse_alias: dict[str, str] = {}
     if alias:
         for act, ent in alias.items():
@@ -171,73 +175,102 @@ def infer_missing_events(
     traces = []
     for t in log.traces:
         work = list(t.events)
-        inserted_here: set[str] = set()  # one insertion per entity per trace
-        seen: set[str | None] = set()  # entities of work[:i]
+        # entities of work[:i] and every entity inserted in this trace
+        # (one insertion per entity per trace)
+        done = 0
         i = 0
         while i < len(work):
             ent = _entity(alias, work[i].activity)
-            prereqs = prereq_facts.get(ent)
-            # the subset test runs in C and stops at the first unseen
-            # prerequisite; most events have every prerequisite seen
-            if not prereqs or prereqs.keys() <= seen:
-                missing = ()
-            else:
-                missing = prereqs.keys() - seen - inserted_here
+            # most events have every prerequisite done: one int test
+            missing = need.get(ent, 0) & ~done
             insert_at = i
-            for p in _order_by_precedence(missing, prereq_facts):
-                conf, rule_id = prereqs[p]
-                accepted = None
-                if conf >= theta:
-                    accepted = CandidateInsertion(
-                        t.case_id, activity_of(p), insert_at, conf, "rule",
-                        rule_id)
-                elif make_scorer is not None and insert_at > 0:
-                    scorer = make_scorer()
-                    pred = work[insert_at - 1]
-                    if (scorer is not None and scorer.knows(pred.activity)
-                            and scorer.knows(activity_of(p))):
-                        degree = scorer.directly_follows_degree(
-                            pred.activity, activity_of(p), pred.timestamp)
-                        if degree >= theta:
-                            accepted = CandidateInsertion(
-                                t.case_id, activity_of(p), insert_at, degree,
-                                "embedding")
-                if accepted is None:
-                    continue
-                work.insert(insert_at, Event(t.case_id, accepted.activity,
-                                             _midpoint(work, insert_at),
-                                             attributes={"synthetic": True}))
-                inserted.append(accepted)
-                inserted_here.add(p)
-                insert_at += 1
+            if missing:
+                prereqs = prec.facts[ent]
+                for p in prec.order(missing):
+                    conf, rule_id = prereqs[p]
+                    accepted = None
+                    if conf >= theta:
+                        accepted = CandidateInsertion(
+                            t.case_id, activity_of(p), insert_at, conf,
+                            "rule", rule_id)
+                    elif make_scorer is not None and insert_at > 0:
+                        scorer = make_scorer()
+                        pred = work[insert_at - 1]
+                        if (scorer is not None and scorer.knows(pred.activity)
+                                and scorer.knows(activity_of(p))):
+                            degree = scorer.directly_follows_degree(
+                                pred.activity, activity_of(p), pred.timestamp)
+                            if degree >= theta:
+                                accepted = CandidateInsertion(
+                                    t.case_id, activity_of(p), insert_at,
+                                    degree, "embedding")
+                    if accepted is None:
+                        continue
+                    work.insert(insert_at, Event(
+                        t.case_id, accepted.activity,
+                        _midpoint(work, insert_at),
+                        attributes={"synthetic": True}))
+                    inserted.append(accepted)
+                    done |= bit[p]
+                    insert_at += 1
             if insert_at == i:
-                seen.add(ent)
+                done |= bit.get(ent, 0)
                 i += 1
             # otherwise stay at the first inserted event so its own
             # prerequisites are checked before the scan moves on; every
-            # insertion lands at i or later, so seen stays valid
+            # insertion lands at i or later, so done stays valid
         traces.append(Trace(t.case_id, tuple(work)))
     report = AugmentationReport(inserted=tuple(inserted),
                                 thresholds={"theta": theta})
     return EventLog(tuple(traces), dict(log.meta)), report
 
 
-def _order_by_precedence(missing, prereq_facts: dict) -> list[str]:
-    """Topological order of the missing prerequisites by their own
-    must-precede entailments, alphabetical among unordered ones."""
-    pending = sorted(missing)
-    ordered: list[str] = []
-    while pending:
-        for p in pending:
-            before = prereq_facts.get(p, {})
-            if not any(q in pending and q != p for q in before):
-                ordered.append(p)
-                pending.remove(p)
+class _Precedence:
+    """The closure's must_precede facts as int masks.
+
+    Bit k stands for the k-th prerequisite entity in sorted order, so
+    reading a mask lowest bit first lists its entities alphabetically.
+    need maps an entity to the mask of its prerequisites, and facts to
+    prerequisite -> (confidence, via_rule)."""
+
+    def __init__(self, closure: Closure):
+        self.facts: dict[str, dict[str, tuple[float, str | None]]] = {}
+        for s, o, conf, via in closure.facts(MUST_PRECEDE):
+            self.facts.setdefault(o, {})[s] = (conf, via)
+        self.names = sorted({s for row in self.facts.values() for s in row})
+        self.bit = {name: 1 << k for k, name in enumerate(self.names)}
+        self.need = {o: sum(self.bit[s] for s in row)
+                     for o, row in self.facts.items()}
+
+    def decode(self, mask: int) -> list[str]:
+        """The entities of a mask, alphabetically."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self.names[low.bit_length() - 1])
+            mask ^= low
+        return names
+
+    def order(self, pending: int) -> list[str]:
+        """Topological order of the pending prerequisites by their own
+        must-precede entailments: repeatedly the alphabetically first
+        one with no other pending prerequisite; on a cycle, the rest
+        alphabetically."""
+        ordered: list[str] = []
+        while pending:
+            rest = pending
+            while rest:
+                low = rest & -rest
+                p = self.names[low.bit_length() - 1]
+                if not self.need.get(p, 0) & pending & ~low:
+                    break
+                rest ^= low
+            else:  # cycle: fall back to alphabetical for the rest
+                ordered.extend(self.decode(pending))
                 break
-        else:  # cycle: fall back to alphabetical for the rest
-            ordered.extend(pending)
-            break
-    return ordered
+            ordered.append(p)
+            pending ^= low
+        return ordered
 
 
 def _midpoint(events, pos: int) -> datetime:

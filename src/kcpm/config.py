@@ -60,8 +60,8 @@ class PipelineConfig:
             raise ConfigError("min_support must be >= 1")
         if not 0.0 <= self.min_pca_conf <= 1.0:
             raise ConfigError("min_pca_conf must be in [0, 1]")
-        if self.theta_aug < 0.0:
-            raise ConfigError("theta_aug must be nonnegative")
+        if not 0.0 <= self.theta_aug < math.inf:
+            raise ConfigError("theta_aug must be finite and >= 0")
         if self.filter_mode not in ("strict", "permissive"):
             raise ConfigError("filter_mode must be 'strict' or 'permissive'")
         if self.dim < 2 or self.epochs < 1:

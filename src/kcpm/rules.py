@@ -118,9 +118,7 @@ def _body_pairs(predicates, succ) -> dict[str, set[str]]:
         rel = succ.get(pred, {})
         nxt: dict[str, set[str]] = {}
         for x, mids in pairs.items():
-            ys: set[str] = set()
-            for mid in mids:
-                ys.update(rel.get(mid, ()))
+            ys = set().union(*[rel.get(mid, ()) for mid in mids])
             if ys:
                 nxt[x] = ys
         pairs = nxt

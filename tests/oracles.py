@@ -197,10 +197,11 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
     """Missing-event inference as it was with the scorer trained up
     front: the same scan, consulting the given scorer (or None) at every
     candidate the rule alone does not accept that has a predecessor.
-    Returns the log, the report, and how many candidates reached the
-    scorer."""
+    Prerequisites are sets of entity names, found missing by set
+    difference and ordered by _order_by_precedence below. Returns the
+    log, the report, and how many candidates reached the scorer."""
     from kcpm.augment import (AugmentationReport, CandidateInsertion,
-                              _entity, _midpoint, _order_by_precedence)
+                              _entity, _midpoint)
     from kcpm.eventlog import Event, EventLog, Trace
     from kcpm.kg import MUST_PRECEDE
 
@@ -257,6 +258,25 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
     report = AugmentationReport(inserted=tuple(inserted),
                                 thresholds={"theta": theta})
     return EventLog(tuple(traces), dict(log.meta)), report, reached
+
+
+def _order_by_precedence(missing, prereq_facts: dict) -> list[str]:
+    """Topological order of the missing prerequisites by their own
+    must-precede entailments, alphabetical among unordered ones: the
+    set-based ordering the int-mask one in kcpm.augment must match."""
+    pending = sorted(missing)
+    ordered: list[str] = []
+    while pending:
+        for p in pending:
+            before = prereq_facts.get(p, {})
+            if not any(q in pending and q != p for q in before):
+                ordered.append(p)
+                pending.remove(p)
+                break
+        else:  # cycle: fall back to alphabetical for the rest
+            ordered.extend(pending)
+            break
+    return ordered
 
 
 # ---------------------------------------------------------------------------

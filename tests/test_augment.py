@@ -1,8 +1,11 @@
+import math
 import random
 from datetime import timedelta
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcpm.augment import (check_guideline_latency, filter_chaotic_events,
@@ -307,6 +310,139 @@ def test_lazy_scorer_equals_eager_scorer(case):
     assert out == want_out
     assert report == want_report
     assert len(calls) == (1 if reached else 0)
+
+
+# Past one machine word: prerequisite masks over 80 entities, whose
+# names sort in index order, so w72 and up sit past bit 63
+WIDE = tuple(f"w{k:02d}" for k in range(80))
+EXTRA_ACTS = ("x0", "x1", "x2")
+
+
+class WideCase(NamedTuple):
+    seqs: list
+    must_precede: set     # (before, after) base facts
+    forbidden: set        # (before, after) base facts
+    closure: Closure      # the base facts and hints under two hint rules
+    alias: dict | None
+    theta: float
+    scorer: TemporalScorer | None
+
+
+@st.composite
+def wide_cases(draw):
+    """Traces over a few entities (one of them past bit 63) and one late
+    entity. must_precede base facts run along the pool, along a chain
+    through the other entities of WIDE, back from one chain entity to an
+    earlier one (a cycle), from every pool entity and every earlier
+    chain entity to the late one, whose prerequisites so fill most of
+    the 80 bits and take in the cycle, and between drawn pairs. Under
+    an alias, extra activities join in: several map to one entity and
+    some activities map to nothing. Two hint rules derive facts below
+    confidence 1, and theta sits at or next to a confidence of the
+    closure."""
+    pool = draw(st.lists(st.sampled_from(WIDE), min_size=2, max_size=5,
+                         unique=True))
+    pool.append(draw(st.sampled_from(WIDE[72:]).filter(
+        lambda e: e not in pool)))
+    chain = [e for e in draw(st.permutations(WIDE)) if e not in pool]
+    at = draw(st.integers(len(chain) // 2, len(chain) - 1))
+    late = chain[at]
+    lo = draw(st.integers(0, at - 2))
+    back = (chain[draw(st.integers(lo + 1, min(lo + 3, at - 1)))], chain[lo])
+    pairs = st.tuples(st.sampled_from(pool + [late]),
+                      st.sampled_from(pool + [late]))
+    must_precede = (set(zip(chain, chain[1:])) | set(zip(pool, pool[1:]))
+                    | {back} | {(p, late) for p in pool + chain[:at]}
+                    | set(draw(st.lists(pairs, max_size=3))))
+    hints = draw(st.lists(pairs, max_size=3))
+    alias = None
+    acts = pool + [late]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(pool))
+        alias = {a: target for a in draw(st.lists(
+            st.sampled_from(EXTRA_ACTS + tuple(pool)), min_size=2,
+            max_size=3, unique=True))}
+        for a in acts:  # some map to themselves, some to nothing
+            if a not in alias and draw(st.booleans()):
+                alias[a] = a
+        acts = acts + list(EXTRA_ACTS)
+    seqs = draw(st.lists(st.lists(st.sampled_from(acts), min_size=1,
+                                  max_size=6), min_size=1, max_size=3))
+    # forbidding a must_precede pair too lets a removal cascade strip an
+    # entity from the prefix that a later event needs
+    forbidden = set(draw(st.lists(
+        st.tuples(st.sampled_from(acts), st.sampled_from(acts))
+        | st.sampled_from(sorted(must_precede & set(product(acts, acts)))),
+        max_size=4)))
+    rules = (
+        ClosedPathRule(chain_body(("hint",)), Atom(MUST_PRECEDE, "x", "y"),
+                       1, 0.45, 0.45),
+        ClosedPathRule(chain_body(("hint", MUST_PRECEDE)),
+                       Atom(MUST_PRECEDE, "x", "y"), 1, 0.7, 0.7),
+    )
+    closure = Closure(RuleBase(rules, min_pca_conf=0.0), KnowledgeGraph(
+        [Triple(a, MUST_PRECEDE, b) for a, b in must_precede]
+        + [Triple(a, "hint", b) for a, b in hints]))
+    confs = sorted({c for _, _, c, _ in closure.facts(MUST_PRECEDE)})
+    theta = draw(st.sampled_from(confs))
+    theta = draw(st.sampled_from((theta, math.nextafter(theta, 0.0),
+                                  math.nextafter(theta, 2.0), theta - 0.01,
+                                  theta + 0.01)))
+    scorer = None
+    if draw(st.booleans()):
+        known = tuple(acts[:-1])  # the last activity stays unknown
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        scorer = TemporalScorer(known, rng.normal(size=(len(known), 4)) * 0.1,
+                                rng.normal(size=4) * 0.1,
+                                rng.normal(size=(2, 4)) * 0.1,
+                                ScorerParams(dim=4, time_buckets=2))
+    return WideCase(seqs, must_precede, forbidden, closure, alias, theta,
+                    scorer)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wide_cases())
+def test_wide_masks_insert_as_the_set_scan_does(case):
+    """Int-mask prerequisite checks insert what the set-based scan of the
+    reference does, in the same order and with the same report."""
+    log = log_from_sequences(case.seqs)
+    out, report = infer_missing_events(log, case.closure,
+                                       lambda: case.scorer, case.theta,
+                                       case.alias)
+    want_out, want_report, _ = eager_infer_missing_events(
+        log, case.closure, case.scorer, case.theta, case.alias)
+    assert out == want_out
+    assert report == want_report
+
+
+# x must precede y and may not come right before it. In [x, x, y] the
+# second x goes, the first then sits right before y and goes too, and y
+# finds x gone from its prefix. x is w79, at bit 78 of the chain's masks.
+_REVERSED_CHAIN = set(zip(WIDE[:0:-1], WIDE[-2::-1]))  # w79, w78, .., w00
+CASCADE = WideCase(
+    [["w79", "w79", "w78"]], _REVERSED_CHAIN, {("w79", "w78")},
+    Closure(EMPTY_RB, KnowledgeGraph(
+        [Triple(a, MUST_PRECEDE, b) for a, b in _REVERSED_CHAIN])),
+    None, 0.5, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wide_cases())
+@example(case=CASCADE)
+def test_wide_masks_remove_as_the_rescan_does(case):
+    """Strict-ordering removal over int masks removes what a rescan from
+    the start of the trace removes."""
+    kg = KnowledgeGraph(
+        [Triple(a, FORBIDDEN_BEFORE, b) for a, b in case.forbidden]
+        + [Triple(a, MUST_PRECEDE, b) for a, b in case.must_precede])
+    out, report = filter_chaotic_events(log_from_sequences(case.seqs),
+                                        Closure(EMPTY_RB, kg),
+                                        strict_ordering=True)
+    expected, removed = naive_remove_chaotic(case.seqs, case.forbidden,
+                                             case.must_precede, True)
+    assert [list(t.activities) for t in out.traces] == [e for e in expected if e]
+    assert [(int(r.case_id[1:]), r.index, r.activity)
+            for r in report.removed_events] == removed
 
 
 def test_subsequence_property_on_random_logs():

@@ -663,6 +663,28 @@ def test_cli_scorer_factory_trains_nothing_above_the_ceiling(workdir,
     assert len(trained) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_unusable_theta_aug_fails_before_any_artifact(ward_inputs, tmp_path,
+                                                      capsys, via, value):
+    """A theta_aug that is not finite and >= 0 exits 2 with one line and
+    writes nothing: NaN would accept no candidate and reach the manifest
+    and the report as a bare NaN, which is not JSON."""
+    if via == "flag":
+        given = [f"--theta-aug={value}"]  # "-inf" would read as a flag
+    else:
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(f"[thresholds]\ntheta_aug = {value}\n")
+        given = ["--config", cfgfile]
+    out = tmp_path / "aug"
+    capsys.readouterr()
+    assert run("augment", "--log", ward_inputs / "log.csv",
+               "--kg", ward_inputs / "kg.tsv", *given, "--out", out) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: theta_aug must be finite and >= 0"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
     """Importing the CLI, and full pipeline runs on the ward inputs, with
     the embedding on (no fact leaves the rule unsure) and off, load no
