@@ -67,9 +67,10 @@ def _write(out_dir: str, name: str, writer) -> str:
 
 
 def _json_out(out_dir: str, name: str, payload) -> str:
-    return _write(out_dir, name,
-                  lambda fh: (json.dump(payload, fh, indent=2, sort_keys=True),
-                              fh.write("\n")))
+    """payload as one line of JSON with sorted keys, through the C
+    encoder, which json.dump and any indent would not use."""
+    return _write(out_dir, name, lambda fh: fh.write(
+        json.dumps(payload, sort_keys=True) + "\n"))
 
 
 def _config_from_args(args) -> PipelineConfig:

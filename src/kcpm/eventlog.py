@@ -10,26 +10,46 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DataError
 
 Scalar = str | int | float | bool | datetime
 
 
-@dataclass(frozen=True)
-class Event:
+class _EventFields(NamedTuple):
     case_id: str
     activity: str
     timestamp: datetime
-    resource: str | None = None
-    attributes: dict[str, Scalar] = field(default_factory=dict)
+    resource: str | None
+    attributes: dict[str, Scalar]
 
-    def __post_init__(self):
-        activity = self.activity.strip()
+
+class Event(_EventFields):
+    """One immutable event, a tuple of its five fields. Every way of
+    making one (positional, keyword, _make, _replace) strips the
+    activity and rejects an empty one; attributes default to a new
+    empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, case_id: str, activity: str, timestamp: datetime,
+                resource: str | None = None,
+                attributes: dict[str, Scalar] | None = None):
+        activity = activity.strip()
         if not activity:
             raise ValueError("event activity must be nonempty")
-        if activity != self.activity:
-            object.__setattr__(self, "activity", activity)
+        return tuple.__new__(cls, (case_id, activity, timestamp, resource,
+                                   {} if attributes is None else attributes))
+
+    @classmethod
+    def _make(cls, iterable) -> Event:
+        return cls(*iterable)
+
+
+# the event's own fields, which no attribute may be named after
+EVENT_FIELDS = Event._fields[:4]
 
 
 @dataclass(frozen=True)
@@ -49,7 +69,7 @@ class Trace:
                     f"trace {self.case_id!r} contains event of case {e.case_id!r}"
                 )
         try:
-            ordered = tuple(sorted(self.events, key=lambda e: e.timestamp))
+            ordered = tuple(sorted(self.events, key=itemgetter(2)))
         except TypeError:
             # a sort compares every pair that ends up adjacent, so a trace
             # mixing naive and offset-aware timestamps always lands here
@@ -64,7 +84,7 @@ class Trace:
 
     @property
     def activities(self) -> tuple[str, ...]:
-        return tuple(e.activity for e in self.events)
+        return tuple(map(itemgetter(1), self.events))
 
 
 @dataclass(frozen=True)

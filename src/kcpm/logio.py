@@ -13,11 +13,15 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import compress
+from operator import itemgetter
+from sys import intern
 
-from .errors import ConfigError, KcpmError, ParseError
-from .eventlog import ContextTable, Event, EventLog, Scalar, Trace, make_log
+from .errors import ConfigError, DataError, KcpmError, ParseError
+from .eventlog import (EVENT_FIELDS, ContextTable, Event, EventLog, Scalar,
+                       Trace, make_log)
 
-# "string" first; the others in the order _column_kinds tries them
+# "string" first; the others in the order _typed tries them
 _KIND_NAMES = ("string", "int", "float", "bool", "timestamp")
 
 
@@ -153,10 +157,16 @@ def parse_xes(source, on_malformed: str = "fail") -> EventLog:
             resource = attrs.pop("org:resource", None)
             if resource is not None:
                 resource = str(resource)
-            events.append(
-                Event(case_id, str(activity), ts, resource,
-                      {**trace_attrs, **attrs})
-            )
+            attrs = {**trace_attrs, **attrs}
+            clash = [name for name in EVENT_FIELDS if name in attrs]
+            if clash:
+                raise ParseError(f"trace {case_id!r} event {idx}: attribute "
+                                 f"{clash[0]!r} has the name of an event field")
+            try:
+                events.append(Event(case_id, str(activity), ts, resource,
+                                    attrs))
+            except ValueError as exc:  # a blank activity
+                raise ParseError(f"trace {case_id!r} event {idx}: {exc}") from None
         if events:
             traces.append(Trace(case_id, tuple(events)))
     meta.update(_collect_attrs(root))
@@ -221,12 +231,9 @@ class CsvMapping:
         for col, kind in self.attributes.items():
             if kind not in _KIND_NAMES:
                 raise ConfigError(f"column {col!r}: unknown kind {kind!r}")
-
-
-def _parse_ts(text: str, fmt: str) -> datetime:
-    if fmt == ISO_FORMAT:
-        return parse_timestamp(text)
-    return datetime.strptime(text, fmt)
+            if col in EVENT_FIELDS:
+                raise ConfigError(f"attribute column {col!r} has the name "
+                                  "of an event field")
 
 
 @contextlib.contextmanager
@@ -256,21 +263,28 @@ def _open_text(source):
 
 
 @contextlib.contextmanager
-def csv_rows(source, required):
+def csv_rows(source, required, all_used: bool = False):
     """(columns, rows) of a CSV: columns maps each header name to its
-    position (the last one if repeated), and rows yields (row number,
-    fields) for each data row, the header being row 1. Blank lines are
-    skipped. A required column missing from the header is a ConfigError,
-    and a row whose width differs from the header's a ParseError. Errors
-    name a source path, as _open_text says."""
+    position, and rows yields (row number, fields) for each data row, the
+    header being row 1. Blank lines are skipped. A required column missing
+    from the header is a ConfigError; a ParseError is a required column
+    named twice (any column, when the caller uses all of them) and a row
+    whose width differs from the header's. Errors name a source path, as
+    _open_text says."""
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise ConfigError(f"columns missing from CSV header: {missing}")
-        yield {name: i for i, name in enumerate(header)}, _sized_rows(
-            reader, len(header))
+        columns = {name: i for i, name in enumerate(header)}
+        if len(columns) < len(header):
+            twice = [c for c in columns if header.count(c) > 1
+                     and (all_used or c in required)]
+            if twice:
+                raise ParseError(f"column {twice[0]!r} is named more than "
+                                 "once in the CSV header")
+        yield columns, _sized_rows(reader, len(header))
 
 
 def _sized_rows(reader, width: int):
@@ -282,54 +296,103 @@ def _sized_rows(reader, width: int):
         yield rownum, row
 
 
-def _parses(cells, kind: str) -> bool:
-    try:
-        for cell in cells:
-            parse_scalar(cell, kind)
-    except (ParseError, ValueError):
-        return False
-    return True
+def _typed(cells) -> dict[str, Scalar]:
+    """Each of a column's distinct non-empty cells decoded as the first of
+    int, float, bool and timestamp that decodes all of them, else kept as
+    a string."""
+    for kind in _KIND_NAMES[1:]:
+        try:
+            return {cell: parse_scalar(cell, kind) for cell in cells}
+        except (ParseError, ValueError):
+            pass
+    return {cell: cell for cell in cells}
 
 
-def _column_kinds(columns: dict[str, int], rows, skip) -> dict[str, str]:
-    """Kind of each column not in skip: the first of int, float, bool and
-    timestamp that parses all its non-empty cells, else string."""
-    kinds = {}
-    for name, i in columns.items():
-        if name not in skip:
-            cells = {row[i] for _, row in rows} - {""}
-            kinds[name] = next((k for k in _KIND_NAMES[1:]
-                                if _parses(cells, k)), "string")
-    return kinds
-
-
-def _events(columns: dict[str, int], rows, mapping: CsvMapping) -> EventLog:
-    case = columns[mapping.case]
-    activity = columns[mapping.activity]
+def _read_events(columns: dict[str, int], rows, mapping: CsvMapping,
+                 kinds: dict[str, str | None]) -> EventLog:
+    """The log in rows, read in one pass. kinds maps each attribute
+    column to its kind, or to None for the kind _typed gives the column's
+    cells. Each distinct timestamp, activity and attribute cell is decoded
+    once, and case ids and activities are interned. A bad timestamp,
+    attribute cell or activity is a ParseError naming the first row that
+    has one; it is raised once every row is read, so a ragged row anywhere
+    is reported first."""
+    case, activity = columns[mapping.case], columns[mapping.activity]
     when = columns[mapping.timestamp]
     resource = None if mapping.resource is None else columns[mapping.resource]
-    attributes = [(name, columns[name], kind)
-                  for name, kind in mapping.attributes.items()]
+    names = list(kinds)
+    index = [columns[name] for name in names]
+    # a tuple of the attribute cells, or a list where there is one
+    cells_of = (itemgetter(*index) if len(index) > 1 else
+                itemgetter(slice(index[0], index[0] + 1)) if index else None)
+    blank = cells_of([""] * (max(index) + 1)) if index else None
+    fmt = mapping.timestamp_format
+    if fmt == ISO_FORMAT:
+        fast, slow = datetime.fromisoformat, parse_timestamp
+    else:
+        fast = slow = lambda text: datetime.strptime(text, fmt)
+    # activities are stripped and checked once per distinct label, below,
+    # so events are made as the tuples they are, without Event.__new__
+    new_event = tuple.__new__
+    stamps: dict[str, datetime] = {}
+    labels: dict[str, str] = {}
     events: list[Event] = []
+    attributed = []  # (attributes, cells, row number) of rows with a cell
+    first_bad = None  # (row number, rank in the row, message)
     for rownum, row in rows:
-        try:
-            ts = _parse_ts(row[when], mapping.timestamp_format)
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
-        attrs: dict[str, Scalar] = {}
-        for name, i, kind in attributes:
-            if row[i] == "":
-                continue
+        if first_bad:
+            continue
+        text = row[when]
+        ts = stamps.get(text)
+        if ts is None:
             try:
-                attrs[name] = parse_scalar(row[i], kind)
+                try:
+                    ts = fast(text)
+                except ValueError:
+                    ts = slow(text)
             except (ParseError, ValueError) as exc:
-                raise ParseError(f"row {rownum}, column {name!r}: {exc}") from None
-        try:
-            events.append(Event(row[case], row[activity], ts,
-                                (row[resource] or None) if resource is not None
-                                else None, attrs))
-        except ValueError as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
+                first_bad = (rownum, 0, f"row {rownum}: {exc}")
+                continue
+            stamps[text] = ts
+        attrs = {}
+        if cells_of is not None:
+            cells = cells_of(row)
+            if cells != blank:
+                attributed.append((attrs, cells, rownum))
+        label = row[activity]
+        act = labels.get(label)
+        if act is None:
+            act = labels[label] = intern(label.strip())
+        if not act:
+            first_bad = (rownum, len(names) + 1,
+                         f"row {rownum}: event activity must be nonempty")
+            continue
+        res = row[resource] if resource is not None else None
+        events.append(new_event(Event, (intern(row[case]), act, ts,
+                                        intern(res) if res else None, attrs)))
+    tables = []
+    for j, (name, kind) in enumerate(kinds.items()):
+        cells = dict.fromkeys(c[j] for _, c, _ in attributed)  # row order
+        cells.pop("", None)
+        if kind is None:
+            tables.append(_typed(cells))
+            continue
+        table = {}
+        for cell in cells:
+            try:
+                table[cell] = parse_scalar(cell, kind)
+            except (ParseError, ValueError) as exc:
+                rownum = next(r for _, c, r in attributed if c[j] == cell)
+                bad = (rownum, j + 1, f"row {rownum}, column {name!r}: {exc}")
+                first_bad = min(first_bad, bad) if first_bad else bad
+                break
+        tables.append(table)
+    if first_bad:
+        raise ParseError(first_bad[2])
+    for attrs, cells, _ in attributed:
+        for name, table, cell in zip(names, tables, cells):
+            if cell:
+                attrs[name] = table[cell]
     return make_log(events)
 
 
@@ -344,38 +407,51 @@ def parse_csv(source, mapping: CsvMapping) -> EventLog:
     if mapping.resource is not None:
         required.append(mapping.resource)
     with csv_rows(source, required) as (columns, rows):
-        return _events(columns, rows, mapping)
-
-
-_CANONICAL = ("case_id", "activity", "timestamp", "resource")
+        return _read_events(columns, rows, mapping, mapping.attributes)
 
 
 def parse_csv_auto(source) -> EventLog:
     """Parse a CSV written by write_csv without an explicit mapping: ISO
     timestamps, a resource column if there is one, and every other
-    column typed by _column_kinds."""
-    with csv_rows(source, _CANONICAL[:3]) as (columns, rows):
-        rows = list(rows)
-        mapping = CsvMapping(
-            resource="resource" if "resource" in columns else None,
-            attributes=_column_kinds(columns, rows, _CANONICAL))
-        return _events(columns, rows, mapping)
+    column typed by _typed."""
+    with csv_rows(source, EVENT_FIELDS[:3], all_used=True) as (columns, rows):
+        mapping = CsvMapping(resource="resource" if "resource" in columns
+                             else None)
+        return _read_events(columns, rows, mapping, {
+            name: None for name in columns if name not in EVENT_FIELDS})
 
 
 def write_csv(log: EventLog, stream) -> None:
     """Write the log with canonical columns (case_id, activity, timestamp,
-    resource) plus one column per attribute key, RFC-4180 quoting."""
-    attr_cols = sorted({k for t in log.traces for e in t.events for k in e.attributes})
-    writer = csv.writer(stream)
-    writer.writerow(["case_id", "activity", "timestamp", "resource", *attr_cols])
-    for t in log.traces:
-        for e in t.events:
-            row = [e.case_id, e.activity, e.timestamp.isoformat(),
-                   e.resource if e.resource is not None else ""]
-            for col in attr_cols:
-                v = e.attributes.get(col)
-                row.append("" if v is None else format_scalar(v))
-            writer.writerow(row)
+    resource) plus one column per attribute key, RFC-4180 quoting. An
+    attribute named like a canonical column is a DataError.
+
+    The rows go to the writer column by column. A log read by parse_csv
+    shares one object per distinct timestamp; where objects repeat, each
+    is formatted once. Keying on the object, not its value, keeps equal
+    instants at different UTC offsets apart without hashing either."""
+    events = [e for t in log.traces for e in t.events]
+    attributes = list(map(itemgetter(4), events))
+    attr_cols = sorted(set().union(*attributes))
+    clash = [name for name in attr_cols if name in EVENT_FIELDS]
+    if clash:
+        raise DataError(f"event attribute {clash[0]!r} has the name of an "
+                        "event field")
+    stamps = list(map(itemgetter(2), events))
+    distinct = dict(zip(map(id, stamps), stamps))
+    if len(distinct) < len(stamps):
+        iso = dict(zip(distinct, map(datetime.isoformat, distinct.values())))
+        texts = map(iso.__getitem__, map(id, stamps))
+    else:
+        texts = map(datetime.isoformat, stamps)
+    cells = {name: [None] * len(events) for name in attr_cols}
+    for i in compress(range(len(events)), attributes):
+        for name, value in attributes[i].items():
+            cells[name][i] = None if value is None else format_scalar(value)
+    writer = csv.writer(stream)  # it writes None as an empty field
+    writer.writerow([*EVENT_FIELDS, *attr_cols])
+    writer.writerows(zip(map(itemgetter(0), events), map(itemgetter(1), events),
+                         texts, map(itemgetter(3), events), *cells.values()))
 
 
 def mapping_for_log(log: EventLog) -> CsvMapping:
@@ -390,16 +466,22 @@ def mapping_for_log(log: EventLog) -> CsvMapping:
 
 def read_context_csv(source) -> ContextTable:
     """Context table: one row per case; a `case_id` column is required,
-    the other columns become attributes typed by _column_kinds."""
-    with csv_rows(source, ("case_id",)) as (columns, rows):
+    the other columns become attributes typed by _typed. A column named
+    after another event field is a DataError: merged into the events, it
+    would stand beside that field."""
+    with csv_rows(source, ("case_id",), all_used=True) as (columns, rows):
+        clash = [name for name in columns if name in EVENT_FIELDS[1:]]
+        if clash:
+            raise DataError(f"context column {clash[0]!r} has the name of "
+                            "an event field")
         rows = list(rows)
         case = columns["case_id"]
-        typed = [(name, columns[name], kind) for name, kind
-                 in _column_kinds(columns, rows, ("case_id",)).items()]
+        typed = [(name, i, _typed({row[i] for _, row in rows} - {""}))
+                 for name, i in columns.items() if name != "case_id"]
         table: dict[str, dict[str, Scalar]] = {}
         for rownum, row in rows:
             if not row[case]:
                 raise ParseError(f"row {rownum}: empty case_id")
-            table[row[case]] = {name: parse_scalar(row[i], kind)
-                                for name, i, kind in typed if row[i] != ""}
+            table[row[case]] = {name: values[row[i]]
+                                for name, i, values in typed if row[i]}
     return ContextTable(table)

@@ -7,11 +7,15 @@ the raw triple list, so agreement with the library is meaningful.
 import csv
 import io
 from collections import Counter
+from contextlib import contextmanager
 from datetime import datetime
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
+
+from kcpm.errors import ConfigError, ParseError
+from kcpm.logio import CsvMapping, format_scalar, parse_scalar, parse_timestamp
 
 
 def naive_df_counts(traces):
@@ -675,6 +679,153 @@ def per_cell_parse_csv_auto(text):
                             _iso_timestamp(row["timestamp"]),
                             row.get("resource") or None, attrs))
     return make_log(events)
+
+
+# ---------------------------------------------------------------------------
+# The CSV reader and writer before the one-pass reader: a list of every
+# row, kinds from a set of each column's cells, one parse per cell, one
+# writerow per event. Verbatim but for _open_text, which here only wraps
+# CSV text, and the names of the imports.
+# ---------------------------------------------------------------------------
+
+ISO_FORMAT = "iso"
+_KIND_NAMES = ("string", "int", "float", "bool", "timestamp")
+
+
+@contextmanager
+def _open_text(source):
+    yield io.StringIO(source, newline="")
+
+
+def _parse_ts(text: str, fmt: str) -> datetime:
+    if fmt == ISO_FORMAT:
+        return parse_timestamp(text)
+    return datetime.strptime(text, fmt)
+
+
+@contextmanager
+def csv_rows(source, required):
+    """(columns, rows) of a CSV: columns maps each header name to its
+    position (the last one if repeated), and rows yields (row number,
+    fields) for each data row, the header being row 1. Blank lines are
+    skipped. A required column missing from the header is a ConfigError,
+    and a row whose width differs from the header's a ParseError. Errors
+    name a source path, as _open_text says."""
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ConfigError(f"columns missing from CSV header: {missing}")
+        yield {name: i for i, name in enumerate(header)}, _sized_rows(
+            reader, len(header))
+
+
+def _sized_rows(reader, width: int):
+    for rownum, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"row {rownum}: {len(row)} fields, header has {width}")
+        yield rownum, row
+
+
+def _parses(cells, kind: str) -> bool:
+    try:
+        for cell in cells:
+            parse_scalar(cell, kind)
+    except (ParseError, ValueError):
+        return False
+    return True
+
+
+def _column_kinds(columns: dict[str, int], rows, skip) -> dict[str, str]:
+    """Kind of each column not in skip: the first of int, float, bool and
+    timestamp that parses all its non-empty cells, else string."""
+    kinds = {}
+    for name, i in columns.items():
+        if name not in skip:
+            cells = {row[i] for _, row in rows} - {""}
+            kinds[name] = next((k for k in _KIND_NAMES[1:]
+                                if _parses(cells, k)), "string")
+    return kinds
+
+
+def _events(columns: dict[str, int], rows, mapping: CsvMapping):
+    from kcpm.eventlog import Event, make_log
+
+    case = columns[mapping.case]
+    activity = columns[mapping.activity]
+    when = columns[mapping.timestamp]
+    resource = None if mapping.resource is None else columns[mapping.resource]
+    attributes = [(name, columns[name], kind)
+                  for name, kind in mapping.attributes.items()]
+    events: list[Event] = []
+    for rownum, row in rows:
+        try:
+            ts = _parse_ts(row[when], mapping.timestamp_format)
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"row {rownum}: {exc}") from None
+        attrs = {}
+        for name, i, kind in attributes:
+            if row[i] == "":
+                continue
+            try:
+                attrs[name] = parse_scalar(row[i], kind)
+            except (ParseError, ValueError) as exc:
+                raise ParseError(f"row {rownum}, column {name!r}: {exc}") from None
+        try:
+            events.append(Event(row[case], row[activity], ts,
+                                (row[resource] or None) if resource is not None
+                                else None, attrs))
+        except ValueError as exc:
+            raise ParseError(f"row {rownum}: {exc}") from None
+    return make_log(events)
+
+
+def parse_csv(source, mapping: CsvMapping):
+    """Parse a CSV event log with the given column-role mapping.
+
+    Traces are keyed by case in order of first appearance and internally
+    time-sorted (stable in file order on timestamp ties).
+    """
+    required = [mapping.case, mapping.activity, mapping.timestamp,
+                *mapping.attributes]
+    if mapping.resource is not None:
+        required.append(mapping.resource)
+    with csv_rows(source, required) as (columns, rows):
+        return _events(columns, rows, mapping)
+
+
+_CANONICAL = ("case_id", "activity", "timestamp", "resource")
+
+
+def parse_csv_auto(source):
+    """Parse a CSV written by write_csv without an explicit mapping: ISO
+    timestamps, a resource column if there is one, and every other
+    column typed by _column_kinds."""
+    with csv_rows(source, _CANONICAL[:3]) as (columns, rows):
+        rows = list(rows)
+        mapping = CsvMapping(
+            resource="resource" if "resource" in columns else None,
+            attributes=_column_kinds(columns, rows, _CANONICAL))
+        return _events(columns, rows, mapping)
+
+
+def write_csv(log, stream) -> None:
+    """Write the log with canonical columns (case_id, activity, timestamp,
+    resource) plus one column per attribute key, RFC-4180 quoting."""
+    attr_cols = sorted({k for t in log.traces for e in t.events for k in e.attributes})
+    writer = csv.writer(stream)
+    writer.writerow(["case_id", "activity", "timestamp", "resource", *attr_cols])
+    for t in log.traces:
+        for e in t.events:
+            row = [e.case_id, e.activity, e.timestamp.isoformat(),
+                   e.resource if e.resource is not None else ""]
+            for col in attr_cols:
+                v = e.attributes.get(col)
+                row.append("" if v is None else format_scalar(v))
+            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

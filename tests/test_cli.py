@@ -93,6 +93,43 @@ def test_stats_csv(workdir, capsys):
     assert "n_events" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("column", ["activity", "timestamp", "resource"])
+def test_ingest_refuses_a_context_column_named_after_an_event_field(
+        workdir, capsys, column):
+    ctx = workdir / "ctx.csv"
+    ctx.write_text(f"case_id,{column}\nc0,x\n")
+    out = workdir / "out"
+    assert run("ingest", "--log", workdir / "log.csv", "--context", ctx,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {ctx}: context column '{column}' has the name "
+                   "of an event field\n")
+    assert not os.path.exists(out / "log.csv")
+    assert not os.path.exists(out / "manifest.json")
+
+
+def test_a_log_that_names_a_column_twice_exits_2(workdir, capsys):
+    log = workdir / "twice.csv"
+    log.write_text("case_id,activity,timestamp,activity\n"
+                   "c0,a,2024-03-01T09:00:00Z,x\n")
+    assert run("stats", "--log", log, "--out", workdir / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: {log}: column 'activity' is named more than once in the CSV "
+        "header\n")
+
+
+def test_json_artifacts_are_compact_and_stats_stdout_stays_indented(
+        workdir, capsys):
+    out = workdir / "out"
+    assert run("stats", "--log", workdir / "log.csv", "--out", out) == 0
+    stats = load_json(out / "stats.json")
+    assert (out / "stats.json").read_text() == json.dumps(
+        stats, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(stats, indent=2,
+                                                 sort_keys=True) + "\n"
+    assert (out / "manifest.json").read_text().startswith("{\n  ")
+
+
 def test_mine_rules(workdir, capsys):
     out = workdir / "out"
     assert run("mine-rules", "--kg", workdir / "kg.tsv", "--out", out,

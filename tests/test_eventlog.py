@@ -18,6 +18,33 @@ def test_event_rejects_blank_activity():
         Event("c1", "   ", T0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda activity: Event("c1", activity, T0),
+    lambda activity: Event(case_id="c1", activity=activity, timestamp=T0,
+                           resource="r", attributes={"n": 1}),
+    lambda activity: Event("c1", "x", T0)._replace(activity=activity),
+    lambda activity: Event._make(("c1", activity, T0, None, {})),
+], ids=["positional", "keyword", "_replace", "_make"])
+def test_every_way_of_making_an_event_strips_and_checks_the_activity(make):
+    assert make("  a \t").activity == "a"
+    with pytest.raises(ValueError, match="^event activity must be nonempty$"):
+        make(" \n ")
+
+
+def test_events_are_immutable_tuples_with_their_own_attribute_maps():
+    e = Event("c1", "a", T0)
+    with pytest.raises(AttributeError):
+        e.activity = "b"
+    with pytest.raises(AttributeError):
+        e.note = "x"
+    assert e == ("c1", "a", T0, None, {})
+    assert e.attributes is not Event("c1", "a", T0).attributes
+    moved = e._replace(resource="r")
+    assert (type(moved), moved.resource, e.resource) == (Event, "r", None)
+    with pytest.raises(ValueError):
+        e._replace(colour="red")
+
+
 def test_trace_sorts_by_timestamp_stably():
     e1 = Event("c1", "late", T0 + timedelta(minutes=5))
     e2 = Event("c1", "early", T0)

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from datetime import datetime, timedelta, timezone
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcpm.errors import ConfigError, ParseError
+from kcpm.errors import ConfigError, DataError, KcpmError, ParseError
 from kcpm.eventlog import Event, EventLog, Trace, make_log
 from kcpm.logio import (CsvMapping, mapping_for_log, parse_csv, parse_csv_auto,
                         parse_timestamp, parse_xes, read_context_csv,
                         write_csv, write_xes)
 
 from conftest import T0, log_from_sequences
+import oracles
 from oracles import per_cell_parse_csv_auto
 
 XES_MINIMAL = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -311,3 +313,244 @@ def test_read_context_csv_rejects_empty_case_id_and_ragged_rows():
     with pytest.raises(ParseError, match=r"^row 2: 3 fields, header has 2$"):
         read_context_csv(io.StringIO("case_id,age\nc1,5,6\n"))
 
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader and the column-wise writer against the code they
+# replaced (oracles.parse_csv_auto, oracles.parse_csv, oracles.write_csv)
+# ---------------------------------------------------------------------------
+
+_BAD_TS_CELLS = ["2024-03-01T09:00:00z", "2024-13-01T00:00:00", "nope", "",
+                 "2024-03-01T09:00:00ZZ", "2024-03-01T09:00:00+00:00Z",
+                 "2024-03-01Z"]
+_TS_CELLS = ["2024-03-01T09:00:00Z", "2024-03-01 09:00:00Z",
+             " 2024-03-01T09:00:00+02:00 ", "2024-03-01T08:00:00.250000-05:30",
+             "2024-03-01T09:00Z", "\t2024-03-01T09:00:00Z", "20240301T090000Z"]
+_NAIVE_TS_CELLS = ["2024-03-01T09:00:00", "2024-03-01", "2024-03-01 09:00:00 "]
+_EXTRA_CELLS = ["", "", "1", "-2", " 3 ", "1.5", "1e3", "nan", "inf", "true",
+                "False", "TRUE", "yes", "x", "1,5", 'q"r', "2024-03-01T09:00:00",
+                "2024-03-01T09:00:00Z", "2024-03-01T10:00:00+01:00"]
+
+
+def _role_cells(hostile: bool, naive: bool):
+    """Cells of each event-field column. A hostile file may hold empty
+    activities and bad timestamps, and mixes naive and aware ones."""
+    ts_cells = _NAIVE_TS_CELLS if naive else _TS_CELLS
+    dates = st.datetimes(min_value=datetime(2000, 1, 1),
+                         max_value=datetime(2030, 1, 1),
+                         timezones=st.sampled_from(
+                             [None] if naive else
+                             [timezone.utc, timezone(-timedelta(hours=3.5))]))
+    if hostile:
+        ts_cells = _TS_CELLS + _NAIVE_TS_CELLS + _BAD_TS_CELLS
+        dates = st.datetimes(min_value=datetime(2000, 1, 1),
+                             max_value=datetime(2030, 1, 1),
+                             timezones=st.sampled_from([None, timezone.utc]))
+    return {
+        "case_id": st.sampled_from(["c0", "c1", " c2", "c,3", ""]),
+        "activity": st.sampled_from(["a", " b", "c ", "a", "d,e", 'f"g']
+                                    + (["", " "] if hostile else [])),
+        "timestamp": st.one_of(st.sampled_from(ts_cells),
+                               dates.map(datetime.isoformat)),
+        "resource": st.sampled_from(["", "r1", " r2 ", "r,3"]),
+    }
+
+
+@st.composite
+def csv_texts(draw, ragged=True, ignored=()):
+    """CSV text: the required columns, maybe a resource column, up to
+    three extra columns in any order, and rows of cells drawn to hit
+    every decoding path, good and bad; maybe blank lines and, if ragged,
+    maybe rows of the wrong width."""
+    extras = draw(st.lists(st.sampled_from(["n", "m", "p q", "r,s"]),
+                           max_size=3, unique=True))
+    roles = ["case_id", "activity", "timestamp",
+             *(["resource"] if draw(st.booleans()) else []), *extras,
+             *ignored]
+    header = draw(st.permutations(roles))
+    cells = _role_cells(draw(st.booleans()), draw(st.booleans()))
+    shapes = ["row"] * 8 + ["blank"]
+    if ragged and draw(st.integers(0, 3)) == 0:
+        shapes += ["short", "long"]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "blank":
+            lines.append([])
+            continue
+        row = [draw(cells.get(col, st.sampled_from(_EXTRA_CELLS)))
+               for col in header]
+        lines.append(row[:-1] if shape == "short" else
+                     row + ["x"] if shape == "long" else row)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(lines)
+    return buf.getvalue()
+
+
+def _outcome(read, source):
+    """The log read, as plain values that tell types and UTC offsets
+    apart, or the error's type and message."""
+    try:
+        log = read(source)
+    except KcpmError as exc:
+        return type(exc).__name__, str(exc)
+
+    def value(v):
+        return type(v).__name__, (v.isoformat() if isinstance(v, datetime)
+                                  else repr(v))
+
+    return [(t.case_id, [(e.case_id, e.activity, value(e.timestamp),
+                          e.resource, list(map(value, e.attributes)),
+                          sorted((k, value(v)) for k, v in e.attributes.items()))
+                         for e in t.events])
+            for t in log.traces]
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+def test_parse_csv_auto_matches_the_former_reader(text):
+    assert (_outcome(parse_csv_auto, io.StringIO(text, newline=""))
+            == _outcome(oracles.parse_csv_auto, text))
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(ragged=False, ignored=("z", "z")), st.data())
+def test_parse_csv_matches_the_former_reader(text, data):
+    """With declared kinds an attribute cell can fail to decode: the
+    error names the first row with a bad timestamp, attribute cell or
+    activity, and in that row the first of them in that order. (A file
+    with a ragged row reports it first, where the former reader streamed,
+    so no row here is ragged.)"""
+    header = next(csv.reader(io.StringIO(text)))
+    extras = [col for col in header if col in ("n", "m", "p q", "r,s")]
+    kind = st.sampled_from(["string", "int", "float", "bool", "timestamp"])
+    mapping = CsvMapping(
+        resource="resource" if "resource" in header else None,
+        timestamp_format=data.draw(st.sampled_from(["iso"] * 4
+                                                   + ["%Y-%m-%d %H:%M:%S"])),
+        attributes={col: data.draw(kind) for col in data.draw(
+            st.lists(st.sampled_from(extras), unique=True) if extras
+            else st.just([]))})
+    assert (_outcome(lambda src: parse_csv(src, mapping),
+                     io.StringIO(text, newline=""))
+            == _outcome(lambda src: oracles.parse_csv(src, mapping), text))
+
+
+def test_an_attribute_error_names_its_first_row_before_a_later_timestamp():
+    text = ("case_id,activity,timestamp,n\n"
+            "c1,a,2024-03-01T09:00:00,1\n"
+            "c1,b,2024-03-01T09:01:00,x\n"
+            "c1,,nope,x\n")
+    mapping = CsvMapping(resource=None, attributes={"n": "int"})
+    with pytest.raises(ParseError, match=r"^row 3, column 'n': invalid"):
+        parse_csv(io.StringIO(text), mapping)
+    # in one row a bad timestamp comes first, then a bad cell, then an
+    # empty activity
+    text = "case_id,activity,timestamp,n\nc1,,nope,x\n"
+    with pytest.raises(ParseError, match=r"^row 2: bad timestamp"):
+        parse_csv(io.StringIO(text), mapping)
+    text = "case_id,activity,timestamp,n\nc1,,2024-03-01T09:00:00,x\n"
+    with pytest.raises(ParseError, match=r"^row 2, column 'n'"):
+        parse_csv(io.StringIO(text), mapping)
+
+
+def test_the_reader_shares_one_object_per_distinct_value():
+    text = ("case_id,activity,timestamp\n"
+            "c1,a,2024-03-01T09:00:00Z\n"
+            "c2,a ,2024-03-01T09:00:00Z\n"
+            "c1,b,2024-03-01T09:01:00Z\n")
+    c1, c2 = parse_csv_auto(io.StringIO(text)).traces
+    assert c1.events[0].activity is c2.events[0].activity
+    assert c1.events[0].timestamp is c2.events[0].timestamp
+    assert c1.events[0].case_id is c1.events[1].case_id
+
+
+@pytest.mark.parametrize("header", [
+    "case_id,activity,timestamp,activity",
+    "case_id,activity,timestamp,n,n",
+    "case_id,activity,timestamp,resource,resource",
+])
+def test_a_repeated_column_of_a_log_is_a_parse_error(header):
+    text = header + "\n" + ",".join(["c1", "a", "2024-03-01T09:00:00"]
+                                     + ["x"] * (header.count(",") - 2)) + "\n"
+    name = header.rsplit(",", 1)[1]
+    with pytest.raises(ParseError,
+                       match=f"^column '{name}' is named more than once"):
+        parse_csv_auto(io.StringIO(text))
+
+
+def test_an_unused_repeated_column_is_ignored_by_an_explicit_mapping():
+    text = "case,task,when,z,z\nc1,A,2024-03-01 09:00:00,1,2\n"
+    assert parse_csv(io.StringIO(text), CSV_MAPPING).traces[0].activities == ("A",)
+    with pytest.raises(ParseError, match="'task' is named more than once"):
+        parse_csv(io.StringIO("case,task,when,task\n"), CSV_MAPPING)
+
+
+@pytest.mark.parametrize("name", ["activity", "timestamp", "resource"])
+def test_a_context_column_named_after_an_event_field_is_a_data_error(name):
+    with pytest.raises(DataError, match=f"^context column '{name}' "):
+        read_context_csv(io.StringIO(f"case_id,{name}\nc1,x\n"))
+
+
+def test_an_xes_attribute_named_after_an_event_field_is_a_parse_error():
+    xml = XES_MINIMAL.replace(b'value="B"/>',
+                              b'value="B"/><string key="activity" value="X"/>')
+    with pytest.raises(ParseError,
+                       match=r"^trace 'case1' event 1: attribute 'activity' "):
+        parse_xes(xml)
+    with pytest.raises(ParseError, match=r"^trace 'case1' event 0: event "
+                                         "activity must be nonempty$"):
+        parse_xes(XES_MINIMAL.replace(b'value="A"', b'value=" "'))
+
+
+def test_write_csv_and_the_mapping_refuse_an_attribute_named_after_a_field():
+    log = EventLog((Trace("c", (Event("c", "a", T0, None, {"resource": "x"}),)),))
+    with pytest.raises(DataError, match="'resource'"):
+        write_csv(log, io.StringIO())
+    with pytest.raises(ConfigError, match="'activity'"):
+        CsvMapping(activity="task", attributes={"activity": "string"})
+
+
+_OFFSETS = [timezone.utc, timezone(timedelta(hours=1)),
+            timezone(timedelta(hours=-5, minutes=-30))]
+
+
+@st.composite
+def writer_logs(draw):
+    """Logs whose timestamps repeat as one object and as equal copies,
+    hold equal instants at different UTC offsets, have microseconds, and
+    whose traces are naive or aware; resources None or ""; attributes of
+    every kind, None included."""
+    base = [datetime(2024, 3, 1, 9, 0, 0, draw(st.sampled_from([0, 250000, 7])))
+            + timedelta(minutes=draw(st.integers(0, 3)))
+            for _ in range(draw(st.integers(1, 4)))]
+    aware = [b.replace(tzinfo=timezone.utc).astimezone(tz)
+             for b in base for tz in _OFFSETS]
+    attr_values = st.one_of(
+        st.none(), st.booleans(), st.integers(-10**6, 10**6),
+        st.floats(allow_nan=True), st.sampled_from(["", "x", "a,b", 'q"r', "l\nm"]),
+        st.sampled_from(base + aware))
+    traces = []
+    for i in range(draw(st.integers(0, 4))):
+        pool = aware if draw(st.booleans()) else base
+        events = []
+        for _ in range(draw(st.integers(1, 5))):
+            ts = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                ts = ts + timedelta(0)  # an equal, separate object
+            attrs = draw(st.dictionaries(st.sampled_from(["p", "q r", "s,t"]),
+                                         attr_values, max_size=3))
+            events.append(Event(f"c{i}", draw(st.sampled_from(["a", "b,c"])), ts,
+                                draw(st.sampled_from([None, "", "r1", "r,2"])),
+                                attrs))
+        traces.append(Trace(f"c{i}", tuple(events)))
+    return EventLog(tuple(traces))
+
+
+@settings(max_examples=400, deadline=None)
+@given(writer_logs())
+def test_write_csv_matches_the_former_writer_byte_for_byte(log):
+    got, want = io.StringIO(), io.StringIO()
+    write_csv(log, got)
+    oracles.write_csv(log, want)
+    assert got.getvalue() == want.getvalue()

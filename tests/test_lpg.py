@@ -96,9 +96,8 @@ def test_events_by_case_in_position_order():
 def test_event_attributes_do_not_hide_structural_props():
     log = log_from_sequences([["a", "b", "c"]])
     trace = log.traces[0]
-    events = tuple(dataclasses.replace(
-        e, attributes={"position": 9 - i, "case_id": "other"})
-        for i, e in enumerate(trace.events))
+    events = tuple(e._replace(attributes={"position": 9 - i, "case_id": "other"})
+                   for i, e in enumerate(trace.events))
     g = build_lpg(EventLog((dataclasses.replace(trace, events=events),)),
                   KnowledgeGraph())
     nodes = lpg_events_by_case(g)["c0"]
