@@ -15,9 +15,8 @@ import sys
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
-from . import augment as aug
 from . import dfg as dfgmod
-from . import logio, synth
+from . import logio
 from .conformance import (comparison_table, conformance, footprint_of_log,
                           footprint_of_model)
 from .conformance import report_to_json as conformance_report_json
@@ -60,6 +59,9 @@ def read_alias(path: str | None) -> dict[str, str] | None:
 
 
 def _write(out_dir: str, name: str, writer) -> str:
+    """Write one artifact, creating out_dir first: a run refused before
+    its first artifact leaves no output directory behind."""
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer(fh)
@@ -100,6 +102,8 @@ def _read_json(path: str, decode):
 def _reference_graph(obj) -> dfgmod.DependencyGraph:
     """A dependency graph, or a ground-truth model as its dependency graph."""
     if "transitions" in obj:
+        from . import synth
+
         return synth.model_from_json(obj).to_dependency_graph()
     return dfgmod.dfg_from_json(obj)
 
@@ -201,6 +205,8 @@ def _cmd_filter(cfg: PipelineConfig, args) -> None:
 
 def _augment_log(cfg: PipelineConfig, log: EventLog, kg: KnowledgeGraph,
                  closure, alias):
+    from . import augment as aug
+
     filtered, removal_report = aug.filter_chaotic_events(
         log, closure, alias, strict_ordering=cfg.strict_ordering)
     scorer = None  # trained only if an insertion asks for it
@@ -225,6 +231,8 @@ def _write_scorer(out_dir: str, scorer) -> None:
 
 
 def _cmd_augment(cfg: PipelineConfig, args) -> None:
+    from . import augment as aug
+
     log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     rb = _load_rules(cfg, args, kg)
@@ -282,6 +290,8 @@ def _cmd_conform(cfg: PipelineConfig, args) -> None:
 
 
 def _cmd_synth(cfg: PipelineConfig, args) -> None:
+    from . import synth
+
     if args.cases < 1:
         raise ConfigError("--cases must be >= 1")
     alphabet = frozenset(a for a in args.noise_alphabet.split(",") if a)
@@ -300,6 +310,8 @@ def _cmd_synth(cfg: PipelineConfig, args) -> None:
 
 
 def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
+    from . import augment as aug
+
     log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     alias = read_alias(cfg.alias)
@@ -494,8 +506,8 @@ def _run(argv: list[str] | None) -> int:
         if missing:
             raise _UsageError("missing required option(s): "
                               + ", ".join("--" + m for m in missing))
-        os.makedirs(cfg.out, exist_ok=True)
         command.run(cfg, args)
+        os.makedirs(cfg.out, exist_ok=True)
         write_manifest(os.path.join(cfg.out, "manifest.json"), args.command,
                        cfg.as_dict(),
                        {name: given[name] for name in command.paths

@@ -4,7 +4,6 @@ unknown keys are rejected so typos fail loudly.
 """
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, fields
 
@@ -80,6 +79,8 @@ class PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
+    import configparser
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

@@ -10,7 +10,6 @@ import contextlib
 import csv
 import io
 import os
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import compress
@@ -115,6 +114,8 @@ def parse_xes(source, on_malformed: str = "fail") -> EventLog:
     on_malformed: "fail" raises on an event without concept:name or
     time:timestamp; "skip" drops it and counts it in meta["skipped_events"].
     """
+    import xml.etree.ElementTree as ET
+
     if on_malformed not in ("fail", "skip"):
         raise ConfigError(f"on_malformed must be 'fail' or 'skip', got {on_malformed!r}")
     if isinstance(source, bytes):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
+import sys
 
 
 def _sha256_file(path: str) -> str:
@@ -49,7 +49,7 @@ def build_manifest(command: str, config: dict, inputs: dict[str, str],
         "seed": seed,
         "versions": {
             "kcpm": __version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
         },
     }
 

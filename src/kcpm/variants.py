@@ -119,20 +119,31 @@ def _event_matrix(case_nodes: list[list[int]]):
     return idx, mask
 
 
-def _attention_forward(V, mask, U, A):
-    """V (m,k,dim) masked event embeddings -> attention, pooled reprs,
-    class scores and probabilities."""
+def _pad(mask):
+    """(m, k, 1) logit offsets of the (m, k) event mask: 0 at an event,
+    -inf at padding."""
+    return np.where(mask, 0.0, -np.inf)[:, :, None]
+
+
+def _attention_forward(V, pad, U, A):
+    """V (m,k,dim) event embeddings, zero at padding, and pad = _pad(mask)
+    -> attention alpha (m,k,c), pooled vectors minus class vectors diff
+    (m,c,dim) and class probabilities p (m,c). Pooling is one batched
+    matmul and both softmaxes run in place, so the result equals the
+    einsum form up to rounding, not bit for bit. Every case needs an
+    event: a row of padding alone has no softmax."""
     z = V @ (A @ U.T)
-    z = np.where(mask[:, :, None], z, -np.inf)
-    z_max = z.max(axis=1, keepdims=True)
-    expz = np.exp(z - z_max)
-    alpha = expz / expz.sum(axis=1, keepdims=True)
-    pooled = np.einsum("mkc,mkd->mcd", alpha, V)
-    diff = pooled - U[None, :, :]
-    s = -(diff ** 2).sum(axis=2)
-    s_max = s.max(axis=1, keepdims=True)
-    exps = np.exp(s - s_max)
-    p = exps / exps.sum(axis=1, keepdims=True)
+    z += pad
+    z -= z.max(axis=1, keepdims=True)
+    alpha = np.exp(z, out=z)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    diff = np.matmul(alpha.transpose(0, 2, 1), V)
+    diff -= U
+    # s = -||diff||^2; s - max(s) is min(||diff||^2) - ||diff||^2
+    s = np.einsum("mcd,mcd->mc", diff, diff)
+    np.subtract(s.min(axis=1, keepdims=True), s, out=s)
+    p = np.exp(s, out=s)
+    p /= p.sum(axis=1, keepdims=True)
     return alpha, diff, p
 
 
@@ -152,22 +163,28 @@ class _Pairs(NamedTuple):
     ERp: np.ndarray    # (n, n_rel) E_x . r_p of every node and relation
 
 
-def _pairs(E, R, Rp, c, heads, rels, tails):
+def _pairs(E, R, Rp, c, edges, layout):
     """The _Pairs of edges (heads, rels, tails), and their squared
     residual norms d (k+1, a); c[n] = n_p . n is the node's projection
-    coefficient. Only the tail gather and head . E_t are dim wide per
-    pair: E_t . r_p is read from one (n, n_rel) product."""
+    coefficient and layout the edges' _scatter_layout. Only the tail
+    gather and head . E_t are dim wide per pair: E_t . r_p is read from
+    one (n, n_rel) product."""
+    heads, rels, tails = edges
     cols = tails.T
     rp = Rp.take(rels, axis=0)
     head = E.take(heads, axis=0)
-    head += c.take(heads)[:, None] * rp
+    # c_h r_p as (a, n_rel) @ Rp, with c_h in each edge's relation column:
+    # every other term is 0, so each product is c_h r_p exactly
+    c_rel = np.bincount(layout.edge_rel_cells, weights=c.take(heads),
+                        minlength=layout.edge_rel_cells.size * len(Rp))
+    head += c_rel.reshape(-1, len(Rp)) @ Rp
     head += R.take(rels, axis=0)
     Et = E.take(cols, axis=0)
     ct = c.take(cols)
     ERp = E @ Rp.T
     hrp = np.einsum("ad,ad->a", head, rp)
     d = ct * np.einsum("rd,rd->r", Rp, Rp).take(rels) - 2.0 * hrp
-    d += 2.0 * ERp.take(cols * len(Rp) + rels)
+    d += 2.0 * ERp.take(layout.erp_cells)
     d *= ct
     d -= 2.0 * np.einsum("jad,ad->ja", Et, head)
     d += np.einsum("nd,nd->n", E, E).take(cols)
@@ -175,42 +192,58 @@ def _pairs(E, R, Rp, c, heads, rels, tails):
     return _Pairs(head, rp, Et, ct, hrp, ERp), d
 
 
-def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
+def _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, layout, margin, w_s,
+                   w_l):
     """Joint loss, and the intermediates _joint_backward reuses. edges is
     (heads, rels, tails): column 0 of tails is each edge's true tail, the
-    rest its corrupted tails. The squared residuals come from _pairs'
-    expansion, so the loss equals the per-row form (one residual vector
-    per pair) up to rounding, not bit for bit."""
-    heads, rels, tails = edges
-    idx, mask, labels, _ = ce_data
+    rest its corrupted tails; layout is their _scatter_layout. The
+    squared residuals come from _pairs' expansion, so the loss equals the
+    per-row form (one residual vector per pair) up to rounding, not bit
+    for bit."""
+    idx, _, labels, _ = ce_data
     total = 0.0
     c = np.einsum("nd,nd->n", Ep, E)
-    pairs, d = _pairs(E, R, Rp, c, heads, rels, tails)
+    pairs, d = _pairs(E, R, Rp, c, edges, layout)
     terms = margin + d[:1] - d[1:]
     if terms.size:
         total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
-    V = E[idx] * mask[:, :, None]
-    alpha, diff, p = _attention_forward(V, mask, U, A)
+    V = E.take(idx, axis=0)
+    V *= layout.event_mask
+    alpha, diff, p = _attention_forward(V, layout.pad, U, A)
     ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
     return total + w_l * float(ce), (c, pairs, terms > 0, V, alpha, diff, p)
 
 
 class _ScatterLayout(NamedTuple):
-    """Where _joint_backward's gE rows land. Heads, tails and event rows
-    are fixed for a training, so train_variant_model builds this once."""
+    """The index arrays and masks that _joint_forward reads through and
+    where _joint_backward's sums land. Edges and event rows are fixed for
+    a training, so train_variant_model builds this once."""
     cells: np.ndarray  # gE cells of the head rows, then of the event rows
     rows: np.ndarray   # the buffer those rows are written to
     tails: np.ndarray  # the tail of each pair, column-major and flat
-    pair_rels: np.ndarray  # the relation of each pair, likewise
+    erp_cells: np.ndarray  # (k+1, a): each pair's (tail, relation) in ERp
+    edge_rel_cells: np.ndarray  # each edge's cell in an (a, n_rel) table
+    tail_keys: np.ndarray  # each pair's (relation, tail) in an (n_rel, n) one
+    head_keys: np.ndarray  # each edge's (relation, head), likewise
+    event_mask: np.ndarray  # (m, k, 1): 1.0 at an event, 0.0 at padding
+    pad: np.ndarray    # (m, k, 1): _pad of the event mask
 
 
-def _scatter_layout(dim: int, edges, idx) -> _ScatterLayout:
-    """The scatter layout of training dim-wide vectors on edges (heads,
-    rels, tails) and the (m, k) event matrix idx."""
+def _scatter_layout(E, Rp, edges, ce_data) -> _ScatterLayout:
+    """The layout of training node vectors shaped as E and relation
+    vectors shaped as Rp on edges (heads, rels, tails) and the events of
+    ce_data."""
     heads, rels, tails = edges
+    idx, mask = ce_data[:2]
+    n, dim = E.shape
+    n_rel = len(Rp)
     rows = np.concatenate([heads, idx.reshape(-1)])
-    return _ScatterLayout(row_cells(rows, dim), np.empty((len(rows), dim)),
-                          tails.T.reshape(-1), np.tile(rels, tails.shape[1]))
+    flat_tails = tails.T.reshape(-1)
+    return _ScatterLayout(
+        row_cells(rows, dim), np.empty((len(rows), dim)), flat_tails,
+        tails.T * n_rel + rels, np.arange(len(rels)) * n_rel + rels,
+        np.tile(rels, tails.shape[1]) * n + flat_tails,
+        rels * n + heads, mask[:, :, None].astype(float), _pad(mask))
 
 
 def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
@@ -235,23 +268,25 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
     per-row sum (one row per pair and term) up to rounding, not bit for
     bit."""
     heads, rels, tails = edges
-    idx, mask, labels, Y = ce_data
+    labels, Y = ce_data[2:]
     c, pairs, active, V, alpha, diff, p = cache
     n, dim = E.shape
     n_rel = len(Rp)
 
+    # alpha is exactly 0 at padding and V's padded rows are 0, so dz and
+    # dV are 0 there too: no mask is applied, and their scatter adds 0
     m = len(labels)
-    G = (p - Y) * (w_l / m)                      # dL/ds
-    dDiff = G[:, :, None] * (-2.0 * diff)        # (m,c,d)
-    dAlpha = np.einsum("mcd,mkd->mkc", dDiff, V)
-    dV = np.einsum("mkc,mcd->mkd", alpha, dDiff)
-    dz = alpha * (dAlpha - (alpha * dAlpha).sum(axis=1, keepdims=True))
-    dz = np.where(mask[:, :, None], dz, 0.0)
+    G = (p - Y) * (-2.0 * w_l / m)               # dL/ds, times -2
+    dDiff = diff * G[:, :, None]                 # (m,c,d)
+    dAlpha = V @ dDiff.transpose(0, 2, 1)        # (m,k,c)
+    dV = alpha @ dDiff                           # (m,k,d)
+    dz = dAlpha
+    dz -= np.einsum("mkc,mkc->mc", alpha, dAlpha)[:, None, :]
+    dz *= alpha
     V2, dz2 = V.reshape(-1, dim), dz.reshape(-1, dz.shape[2])
     gA = V2.T @ (dz2 @ U)
     gU = dz2.T @ (V2 @ A) - dDiff.sum(axis=0)
     dV += dz @ (U @ A.T)
-    dV *= mask[:, :, None]
 
     a = len(heads)
     w = 2.0 * w_s / active.size if active.size else 0.0
@@ -272,11 +307,11 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
 
     # per (relation, node): the weights of the pairs with that tail, the
     # weights times c_t - c_h, and q of the edges with that head
-    key = layout.pair_rels * n + layout.tails
+    key = layout.tail_keys
     B = np.bincount(key, weights=flat, minlength=n_rel * n).reshape(n_rel, n)
     Bd = np.bincount(key, weights=(coef_ct - coef * ch).reshape(-1),
                      minlength=n_rel * n).reshape(n_rel, n)
-    Hq = np.bincount(rels * n + heads, weights=q,
+    Hq = np.bincount(layout.head_keys, weights=q,
                      minlength=n_rel * n).reshape(n_rel, n)
     q_rel = Hq.sum(axis=1)[:, None]
     q2_rel = np.bincount(rels, weights=(coef_ct * pairs.ct).sum(axis=0)
@@ -290,8 +325,9 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
                        minlength=n)
          + np.einsum("rn,nr->n", B, pairs.ERp) + (rp2 @ B) * c - rp2 @ Hq)
 
-    # gE's per-node terms, dim-major: -coef head of every pair that weighs
-    # anything, one dimension at a time, then the per-(relation, node) sums
+    # gE's per-node terms: -coef head of every pair that weighs anything,
+    # dim-major, one dimension at a time; then, row-major, the
+    # per-(relation, node) sums and the S terms
     keep = np.flatnonzero(np.concatenate([n_active[None] > 0, active]))
     at = layout.tails.take(keep)
     tail_rows = np.ascontiguousarray(pairs.head.T).take(keep % a, axis=1)
@@ -299,9 +335,11 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
     gE_nodes = np.empty((dim, n))
     for j, row in enumerate(tail_rows):
         gE_nodes[j] = np.bincount(at, weights=row, minlength=n)
-    gE_nodes += E.T * B.sum(axis=0) + Rp.T @ (B * c - Hq) + Ep.T * S
     gE = scatter_cells(n, layout.cells, rows)
     gE += gE_nodes.T
+    gE += (B * c - Hq).T @ Rp
+    gE += E * B.sum(axis=0)[:, None]
+    gE += Ep * S[:, None]
     gEp = S[:, None] * E
     gR = -(B @ E) - q_rel * Rp
     gRp = (Bd - Hq) @ E + q2_rel * Rp - q_rel * R
@@ -379,7 +417,7 @@ def train_variant_model(
     # column 0 is each edge's true tail, the rest its corrupted tails
     edges = (heads, rels, np.concatenate([tails[:, None], neg_tails], axis=1))
     ce_data = (idx, mask, labels_arr, Y)
-    layout = _scatter_layout(dim, edges, idx)
+    layout = _scatter_layout(E, Rp, edges, ce_data)
 
     def project(p):
         E, Ep, R, Rp, U, A = p
@@ -390,7 +428,8 @@ def train_variant_model(
     w_s, w_l = params.structure_weight, params.label_weight
     (E, Ep, R, Rp, U, A), history = descend(
         (E, Ep, R, Rp, U, A),
-        lambda p: _joint_forward(*p, edges, ce_data, params.margin, w_s, w_l),
+        lambda p: _joint_forward(*p, edges, ce_data, layout, params.margin,
+                                 w_s, w_l),
         lambda p, cache: _joint_backward(*p, edges, ce_data, layout, cache,
                                          w_s, w_l),
         params.learning_rate, params.epochs, project)
@@ -431,8 +470,9 @@ def _class_scores(model: VariantModel, case_nodes: list[list[int]]
     for start in range(0, len(scored), _SCORE_BATCH):
         batch = scored[start:start + _SCORE_BATCH]
         idx, mask = _event_matrix([case_nodes[i] for i in batch])
-        V = model.entity_vecs[idx] * mask[:, :, None]
-        _, _, p = _attention_forward(V, mask, model.class_vecs,
+        V = model.entity_vecs.take(idx, axis=0)
+        V *= mask[:, :, None]
+        _, _, p = _attention_forward(V, _pad(mask), model.class_vecs,
                                      model.attention)
         for i, row in zip(batch, p.tolist()):
             out[i] = dict(zip(class_ids, row))

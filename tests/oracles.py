@@ -398,16 +398,35 @@ def _per_row_proj_dist(E, Ep, R, Rp, hi, ri, ti):
     return u, (u ** 2).sum(axis=1), ch, ct
 
 
+# The variant attention pass as it was before it ran on batched matmul:
+# three einsums and np.where masks. The oracles below score with it, so the
+# library's attention is checked against an independent form.
+
+def einsum_attention_forward(V, mask, U, A):
+    """V (m,k,dim) masked event embeddings -> attention, pooled reprs,
+    class scores and probabilities."""
+    z = V @ (A @ U.T)
+    z = np.where(mask[:, :, None], z, -np.inf)
+    z_max = z.max(axis=1, keepdims=True)
+    expz = np.exp(z - z_max)
+    alpha = expz / expz.sum(axis=1, keepdims=True)
+    pooled = np.einsum("mkc,mkd->mcd", alpha, V)
+    diff = pooled - U[None, :, :]
+    s = -(diff ** 2).sum(axis=2)
+    s_max = s.max(axis=1, keepdims=True)
+    exps = np.exp(s - s_max)
+    p = exps / exps.sum(axis=1, keepdims=True)
+    return alpha, diff, p
+
+
 def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     """Gradients of the variant trainer's joint loss with every
     (edge, negative) row materialized and one np.add.at per row, and the
     same sums taken over the absolute terms: the size of what is summed,
     which bounds its rounding error where the terms cancel. edges is
     (heads, rels, tails) as the trainer takes it: column 0 of tails is
-    the true tail, the rest the corrupted ones. The attention part reuses
-    the trainer's forward pass."""
-    from kcpm.variants import _attention_forward
-
+    the true tail, the rest the corrupted ones. The attention part runs
+    einsum_attention_forward."""
     heads, rels, all_tails = edges
     k = all_tails.shape[1] - 1
     ph, pr = np.repeat(heads, k), np.repeat(rels, k)
@@ -441,7 +460,7 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
             add(3, pr, (ch - ct) * gu, (np.abs(ch) + np.abs(ct)) * a_gu)
     gE, _, _, _, gU, gA = grads
     V = E[idx] * mask[:, :, None]
-    alpha, diff, p = _attention_forward(V, mask, U, A)
+    alpha, diff, p = einsum_attention_forward(V, mask, U, A)
     G = (p - Y) * (w_l / len(labels))
     dDiff = G[:, :, None] * (-2.0 * diff)
     gU += -dDiff.sum(axis=0)
@@ -469,9 +488,7 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
 def per_row_joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     """The variant trainer's joint loss with one residual per (edge, tail)
     row: the mean margin violation over every (edge, negative) pair, plus
-    the cross-entropy of the trainer's attention pass."""
-    from kcpm.variants import _attention_forward
-
+    the cross-entropy of einsum_attention_forward."""
     heads, rels, all_tails = edges
     k1 = all_tails.shape[1]
     _, d, _, _ = _per_row_proj_dist(E, Ep, R, Rp, np.repeat(heads, k1),
@@ -480,7 +497,7 @@ def per_row_joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     terms = margin + d[:, :1] - d[:, 1:]
     total = w_s * float(np.mean(np.maximum(0.0, terms))) if terms.size else 0.0
     idx, mask, labels, _ = ce_data
-    _, _, p = _attention_forward(E[idx] * mask[:, :, None], mask, U, A)
+    _, _, p = einsum_attention_forward(E[idx] * mask[:, :, None], mask, U, A)
     ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
     return total + w_l * float(ce)
 
@@ -512,10 +529,9 @@ def _reference_residuals(E, R, Rp, c, heads, rels, tails):
     return u, (u ** 2).sum(axis=2)
 
 
-def reference_joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s,
-                            w_l):
-    from kcpm.variants import _attention_forward
-
+def reference_joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, layout,
+                            margin, w_s, w_l):
+    """layout (the trainer's) is not read."""
     heads, rels, tails = edges
     idx, mask, labels, _ = ce_data
     total = 0.0
@@ -525,7 +541,7 @@ def reference_joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s,
     if terms.size:
         total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
     V = E[idx] * mask[:, :, None]
-    alpha, diff, p = _attention_forward(V, mask, U, A)
+    alpha, diff, p = einsum_attention_forward(V, mask, U, A)
     ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
     return total + w_l * float(ce), (c, u, terms > 0, V, alpha, diff, p)
 
@@ -602,16 +618,18 @@ def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
 # Variant classification: one attention call per case
 # ---------------------------------------------------------------------------
 
-def per_case_classify(model, log, kg, alias):
+def per_case_classify(model, log, kg, alias,
+                      attention=einsum_attention_forward):
     """(assignment, scores, prior_assigned) with each case scored by an
-    attention call of its own over its event embeddings. The node names
-    are read back from the graph build_lpg makes of that case alone and
-    kg under alias: an event node unknown to the model falls back to the
-    node its INSTANCE_OF edge points at, an unknown activity is skipped,
-    and a case left with no node the model knows gets the class prior."""
+    attention call of its own over its event embeddings, through
+    attention(V, mask, U, A): einsum_attention_forward unless given. The
+    node names are read back from the graph build_lpg makes of that case
+    alone and kg under alias: an event node unknown to the model falls
+    back to the node its INSTANCE_OF edge points at, an unknown activity
+    is skipped, and a case left with no node the model knows gets the
+    class prior."""
     from kcpm.eventlog import EventLog
     from kcpm.lpg import build_lpg
-    from kcpm.variants import _attention_forward
 
     assignment, scores, prior = {}, {}, set()
     for t in log.traces:
@@ -629,8 +647,8 @@ def per_case_classify(model, log, kg, alias):
                     break
         if rows:
             V = np.stack(rows)[None, :, :]
-            _, _, p = _attention_forward(V, np.ones((1, len(rows)), dtype=bool),
-                                         model.class_vecs, model.attention)
+            _, _, p = attention(V, np.ones((1, len(rows)), dtype=bool),
+                                model.class_vecs, model.attention)
             case_scores = {cid: float(x)
                            for cid, x in zip(model.class_ids(), p[0])}
         else:

@@ -104,8 +104,7 @@ def test_ingest_refuses_a_context_column_named_after_an_event_field(
     err = capsys.readouterr().err
     assert err == (f"error: {ctx}: context column '{column}' has the name "
                    "of an event field\n")
-    assert not os.path.exists(out / "log.csv")
-    assert not os.path.exists(out / "manifest.json")
+    assert not out.exists()
 
 
 def test_a_log_that_names_a_column_twice_exits_2(workdir, capsys):
@@ -283,7 +282,20 @@ def test_hostile_variant_checkpoint_is_data_error(variant_inputs, tmp_path,
                work / "kg.tsv", "--model", model, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
-    assert not (out / "variants.json").exists()
+    assert not out.exists()
+
+
+def test_a_missing_variant_model_leaves_no_out_directory(variant_inputs,
+                                                        tmp_path, capsys):
+    work, _ = variant_inputs
+    model = tmp_path / "nonexistent.json"
+    out = tmp_path / "vc"
+    capsys.readouterr()
+    assert run("variants-classify", "--log", work / "log.csv", "--kg",
+               work / "kg.tsv", "--model", model, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(model) in err
+    assert not out.exists()
 
 
 def test_kg_triple_into_a_case_node_is_plain_knowledge(variant_inputs,
@@ -522,7 +534,7 @@ def test_log_without_traces_fails_before_any_artifact(workdir, capsys, command):
                "--out", out) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].endswith("the log has no traces")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 _UNKNOWN_EDGE = {"activities": ["a"], "edges": [
@@ -558,7 +570,7 @@ def test_bad_graph_file_fails_before_any_artifact(workdir, capsys, command,
     assert run(command, *inputs, "--out", out) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -574,7 +586,7 @@ def test_bad_synth_model_is_data_error(workdir, capsys, text, message):
     assert run("synth", "--model", bad, "--cases", 2, "--out", out) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -589,7 +601,7 @@ def test_bad_synth_arguments_fail_before_any_artifact(workdir, capsys, flags,
     assert run("synth", "--model", workdir / "model.json", *flags,
                "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -613,7 +625,7 @@ def test_untrainable_hyperparameter_fails_before_any_artifact(
                work / "kg.tsv", "--labels", work / "labels.csv",
                "--epochs", 2, "--config", cfgfile, "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -719,7 +731,7 @@ def test_unusable_theta_aug_fails_before_any_artifact(ward_inputs, tmp_path,
                "--kg", ward_inputs / "kg.tsv", *given, "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         "error: theta_aug must be finite and >= 0"]
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
@@ -747,6 +759,40 @@ def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
          str(tmp_path / "run")], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run1" / "table.txt").read_text()
+
+
+def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
+    """In a fresh interpreter, importing the CLI loads neither the repair,
+    simulation and embedding modules nor the INI and XML parsers, and a
+    variants-classify run loads neither repair nor simulation. Its
+    manifest still names the interpreter's version."""
+    import platform
+
+    work, _ = variant_inputs
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from kcpm.cli import main\n"
+        "lazy = ('kcpm.augment', 'kcpm.synth', 'kcpm.temporal',\n"
+        "        'kcpm.variants', 'configparser', 'xml.etree.ElementTree')\n"
+        "loaded = [m for m in lazy if m in set(sys.modules) - before]\n"
+        "assert not loaded, ('import kcpm.cli', loaded)\n"
+        "log, kg, model, out = sys.argv[1:]\n"
+        "assert main(['variants-classify', '--log', log, '--kg', kg,\n"
+        "             '--model', model, '--out', out]) == 0\n"
+        "loaded = [m for m in ('kcpm.augment', 'kcpm.synth')\n"
+        "          if m in set(sys.modules) - before]\n"
+        "assert not loaded, ('variants-classify', loaded)\n")
+    src = str(Path(kcpm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "vc"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(work / "log.csv"),
+         str(work / "kg.tsv"), str(work / "vt" / "variant_model.json"),
+         str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    manifest = load_json(out / "manifest.json")
+    assert manifest["versions"]["python"] == platform.python_version()
 
 
 _HEADER = "case_id,activity,timestamp\n"
@@ -785,7 +831,7 @@ def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
     assert run(command, *args, "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {bad}: {message}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, name", [
@@ -813,7 +859,7 @@ def test_non_utf8_input_is_one_line_data_error(workdir, capsys, command, flag,
     assert run(command, *args, "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {bad}: not UTF-8 text (invalid start byte)"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [("conform", "--model"),

@@ -22,7 +22,8 @@ from kcpm.variants import (CohortClass, VariantModel, VariantParams,
                            classify_log, load_model)
 
 from conftest import log_from_sequences
-from oracles import (add_at_scatter, per_case_classify, per_row_hinge_grads,
+from oracles import (add_at_scatter, einsum_attention_forward,
+                     per_case_classify, per_row_hinge_grads,
                      per_row_hinge_loss, per_row_joint_grads,
                      per_row_joint_loss, two_call_descend)
 
@@ -151,9 +152,11 @@ def test_variant_grads_equal_add_at_reference(n, dim, n_rel, n_classes, rows, k,
     Y[np.arange(m), labels] = 1.0
     ce_data = (idx, mask, labels, Y)
     args = (edges, ce_data, margin, 1.0, 1.0)
-    _, cache = _joint_forward(E, Ep, R, Rp, U, A, *args)
-    got = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data,
-                          _scatter_layout(dim, edges, idx), cache, 1.0, 1.0)
+    layout = _scatter_layout(E, Rp, edges, ce_data)
+    _, cache = _joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, layout,
+                              margin, 1.0, 1.0)
+    got = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
+                          1.0, 1.0)
     want, sizes = per_row_joint_grads(E, Ep, R, Rp, U, A, *args)
     for g, g_ref, g_abs in zip(got, want, sizes):
         assert g.shape == g_ref.shape
@@ -190,9 +193,10 @@ def test_variant_loss_equals_per_row_loss(n, dim, n_rel, n_classes, rows, k,
     mask = np.arange(width) < rng.integers(1, width + 1, m)[:, None]
     labels = rng.integers(0, n_classes, m)
     ce_data = (idx, mask, labels, np.eye(n_classes)[labels])
-    args = (edges, ce_data, margin, 1.0, 1.0)
-    got, _ = _joint_forward(*params, *args)
-    want = per_row_joint_loss(*params, *args)
+    got, _ = _joint_forward(*params, edges, ce_data,
+                            _scatter_layout(params[0], params[3], edges, ce_data),
+                            margin, 1.0, 1.0)
+    want = per_row_joint_loss(*params, edges, ce_data, margin, 1.0, 1.0)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -267,7 +271,9 @@ def test_batched_scores_equal_per_case_scores(seqs, data, dim, n_classes,
     alias, or else its own label, is one. So some activities resolve to
     entity nodes, and a case whose every event resolves to a node the
     model does not know (activity y, entity e2) gets the prior. Small
-    batch sizes split the cases over several padded passes."""
+    batch sizes split the cases over several padded passes, which change
+    no bit of what the same attention pass gives each case on its own;
+    and that pass gives the einsum form's scores up to rounding."""
     log = log_from_sequences(seqs)
     entities = data.draw(st.sets(st.sampled_from(["a", "c", "x", "e1", "e2"])))
     kg = KnowledgeGraph(Triple(e, "related_to", e) for e in entities)
@@ -288,7 +294,9 @@ def test_batched_scores_equal_per_case_scores(seqs, data, dim, n_classes,
 
     with mock.patch.object(variants, "_SCORE_BATCH", batch):
         got = classify_log(model, log, kg.entities, alias)
-    assignment, scores, prior = per_case_classify(model, log, kg, alias)
+    assignment, scores, prior = per_case_classify(
+        model, log, kg, alias, lambda V, mask, U, A: variants._attention_forward(
+            V, variants._pad(mask), U, A))
     assert got.assignment == assignment
     assert got.prior_assigned == prior
     assert list(got.scores) == list(scores)
@@ -296,6 +304,64 @@ def test_batched_scores_equal_per_case_scores(seqs, data, dim, n_classes,
         assert list(got.scores[case_id]) == list(want)
         assert (np.array(list(got.scores[case_id].values())).tobytes()
                 == np.array(list(want.values())).tobytes())
+    einsum_assignment, einsum_scores, _ = per_case_classify(model, log, kg,
+                                                            alias)
+    assert einsum_assignment == assignment
+    for case_id, want in einsum_scores.items():
+        np.testing.assert_allclose(list(scores[case_id].values()),
+                                   list(want.values()), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 6), k=st.integers(1, 8), dim=st.integers(2, 6),
+       n_classes=st.integers(2, 5), batch=st.integers(1, 4), seed=SEEDS,
+       share=st.floats(0.0, 1.0))
+def test_attention_equals_the_einsum_form(m, k, dim, n_classes, batch, seed,
+                                          share):
+    """The attention pass as training runs it (on a random event mask
+    that keeps at least one event per case) and as _class_scores runs it
+    (on padded batches of cases) equals einsum_attention_forward at rtol
+    1e-12. The pooled vector minus the class vector can cancel, so its
+    error is taken relative to the size of its terms."""
+    rng = np.random.default_rng(seed)
+    n = 7
+    E = rng.normal(size=(n, dim))
+    U = rng.normal(size=(n_classes, dim))
+    A = rng.normal(size=(dim, dim)) * 0.5
+    idx = rng.integers(0, n, size=(m, k))
+    mask = rng.random((m, k)) < share
+    mask[np.arange(m), rng.integers(0, k, m)] = True
+    labels = rng.integers(0, n_classes, m)
+    ce_data = (idx, mask, labels, np.eye(n_classes)[labels])
+    edges = (rng.integers(0, n, 3), rng.integers(0, 2, 3),
+             rng.integers(0, n, size=(3, 2)))
+    params = (E, rng.normal(size=(n, dim)) * 0.2, rng.normal(size=(2, dim)),
+              rng.normal(size=(2, dim)) * 0.2, U, A)
+    layout = _scatter_layout(E, params[3], edges, ce_data)
+    _, cache = _joint_forward(*params, edges, ce_data, layout, 1.0, 1.0, 1.0)
+    alpha, diff, p = cache[-3:]
+    V = E[idx] * mask[:, :, None]
+    want_alpha, want_diff, want_p = einsum_attention_forward(V, mask, U, A)
+    np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(p, want_p, rtol=1e-12, atol=0)
+    size = np.einsum("mkc,mkd->mcd", want_alpha, np.abs(V)) + np.abs(U)
+    assert np.all(np.abs(diff - want_diff) <= 1e-12 * size)
+
+    case_nodes = [list(rng.integers(0, n, rng.integers(1, k + 1)))
+                  for _ in range(m)]
+    classes = tuple(CohortClass(f"k{i}") for i in range(n_classes))
+    model = VariantModel(
+        tuple(f"n{i}" for i in range(n)), E, np.zeros((n, dim)), (),
+        np.zeros((0, dim)), np.zeros((0, dim)), classes, U, A,
+        {c.id: 1 for c in classes}, VariantParams(dim=dim))
+    with mock.patch.object(variants, "_SCORE_BATCH", batch):
+        scores = variants._class_scores(model, case_nodes)
+    for rows, got in zip(case_nodes, scores):
+        _, _, want = einsum_attention_forward(
+            E[rows][None], np.ones((1, len(rows)), dtype=bool), U, A)
+        assert list(got) == [c.id for c in classes]
+        np.testing.assert_allclose(list(got.values()), want[0], rtol=1e-12,
+                                   atol=0)
 
 
 @pytest.mark.parametrize("load, kind", [(load_scorer, "temporal scorer"),

@@ -13,7 +13,7 @@ from kcpm.kg import KnowledgeGraph
 from kcpm.lpg import build_lpg
 from kcpm.variants import (VariantParams, VariantPartition,
                            _attention_forward, _joint_backward, _joint_forward,
-                           _scatter_layout, classify_log, load_model,
+                           _pad, _scatter_layout, classify_log, load_model,
                            save_model, train_variant_model)
 
 from conftest import T0, log_from_sequences
@@ -107,7 +107,7 @@ def test_single_event_trace_attention_is_one():
     rng = np.random.default_rng(0)
     V = rng.normal(size=(1, 1, 6))
     mask = np.ones((1, 1), dtype=bool)
-    alpha, _, p = _attention_forward(V, mask, rng.normal(size=(3, 6)),
+    alpha, _, p = _attention_forward(V, _pad(mask), rng.normal(size=(3, 6)),
                                      rng.normal(size=(6, 6)))
     assert alpha[0, 0] == pytest.approx(np.ones(3))
     assert p[0].sum() == pytest.approx(1.0)
@@ -242,11 +242,12 @@ def test_joint_gradients_match_finite_differences():
     Y = np.zeros((m, n_classes))
     Y[np.arange(m), labels] = 1.0
     ce_data = (idx, mask, labels, Y)
-    args = (edges, ce_data, 1.0, 1.0, 1.0)
+    layout = _scatter_layout(E, Rp, edges, ce_data)
+    args = (edges, ce_data, layout, 1.0, 1.0, 1.0)
 
     _, cache = _joint_forward(E, Ep, R, Rp, U, A, *args)
-    grads = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data,
-                            _scatter_layout(dim, edges, idx), cache, 1.0, 1.0)
+    grads = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
+                            1.0, 1.0)
     arrays = (E, Ep, R, Rp, U, A)
     eps = 1e-6
     for array, grad in zip(arrays, grads):
@@ -317,7 +318,7 @@ def test_argmax_unchanged_by_positive_logit_scaling():
         mask = np.ones((1, 4), dtype=bool)
         U = rng.normal(size=(3, 6))
         A = rng.normal(size=(6, 6))
-        _, diff, p = _attention_forward(V, mask, U, A)
+        _, diff, p = _attention_forward(V, _pad(mask), U, A)
         s = -(diff ** 2).sum(axis=2)
         scale = float(rng.uniform(0.1, 10.0))
         scaled = np.exp(scale * s - (scale * s).max())
