@@ -473,13 +473,20 @@ def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
     dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
     dV *= mask[:, :, None]
     np.add.at(gE, idx.reshape(-1), dV.reshape(-1, dim))
-    # the attention sums over absolute terms; dz, dDiff and alpha are
-    # computed alike by both backward passes, so they count as inputs
-    a_V, a_U, a_A, a_dz, a_dDiff = (np.abs(x) for x in (V, U, A, dz, dDiff))
+    # the attention sums over absolute terms. The trainer pools and
+    # differentiates in another order than einsum_attention_forward, so
+    # diff, p and dz, each a difference, are sized by the terms they
+    # cancel: a case whose events are all one node has dz == 0 here and
+    # rounding residue there. alpha counts as an input.
+    a_V, a_U, a_A, a_alpha = (np.abs(x) for x in (V, U, A, alpha))
+    a_diff = np.einsum("mkc,mkd->mcd", a_alpha, a_V) + a_U[None]
+    a_dDiff = ((np.abs(p) + Y) * (w_l / len(labels)))[:, :, None] * 2.0 * a_diff
+    a_dAlpha = np.einsum("mcd,mkd->mkc", a_dDiff, a_V)
+    a_dz = a_alpha * (a_dAlpha + (a_alpha * a_dAlpha).sum(axis=1, keepdims=True))
     sE, _, _, _, sU, sA = sizes
     sU += a_dDiff.sum(axis=0) + np.einsum("mkc,mkd,de->ce", a_dz, a_V, a_A)
     sA += np.einsum("mkd,mkc,ce->de", a_V, a_dz, a_U)
-    s_dV = (np.einsum("mkc,mcd->mkd", np.abs(alpha), a_dDiff)
+    s_dV = (np.einsum("mkc,mcd->mkd", a_alpha, a_dDiff)
             + np.einsum("mkc,ce,de->mkd", a_dz, a_U, a_A))
     np.add.at(sE, idx.reshape(-1), (s_dV * mask[:, :, None]).reshape(-1, dim))
     return tuple(grads), tuple(sizes)
