@@ -1,55 +1,34 @@
-"""Labeled property graph fusing an event log with a knowledge graph.
+"""The event log fused with a knowledge graph, as the index lists that
+variant training reads.
 
-Construction rules: one node per event, case, activity, resource and KG
-entity; consecutive events are linked by DF edges, events point to their
-case (BELONGS_TO), activity (INSTANCE_OF) and resource (PERFORMED_BY);
-KG triples become entity-entity edges labeled by predicate. An activity
-node whose (aliased) label equals a KG entity id is merged with the
-entity node and carries both labels.
+Construction rules: one node per event (``event::<case>::<position>``),
+case (``case::<case>``), resource (``resource::<resource>``), activity
+and KG entity. An activity's node is the KG entity that its aliased
+label names (an unmapped label names itself), else
+``activity::<label>``. The edges, in this order: for each trace in log
+order and each event in it, BELONGS_TO its case, INSTANCE_OF its
+activity, PERFORMED_BY its resource when it has one, and DF from the
+previous event; then one edge per plain KG triple, labeled by its
+predicate, sorted by (predicate, subject, object). A fact stated only
+with a timestamp names entities, which become nodes, but it is not an
+edge. A KG entity named like a case, event, resource or ``activity::``
+node of the log is refused, so no log node is merged with an entity but
+by the activity rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .eventlog import EventLog, Scalar
+from .errors import DataError
+from .eventlog import EventLog
 from .kg import KnowledgeGraph
-from .logio import format_scalar
 
 
-@dataclass
-class LabeledPropertyGraph:
-    nodes: set[str] = field(default_factory=set)
-    node_labels: dict[str, frozenset[str]] = field(default_factory=dict)
-    edges: dict[str, tuple[str, str]] = field(default_factory=dict)
-    edge_labels: dict[str, frozenset[str]] = field(default_factory=dict)
-    node_props: dict[str, dict[str, Scalar]] = field(default_factory=dict)
-
-    def add_node(self, node: str, labels: frozenset[str], props: dict | None = None):
-        if not labels:
-            raise ValueError(f"node {node!r} needs at least one label")
-        if node in self.nodes:
-            self.node_labels[node] = self.node_labels[node] | labels
-            if props:
-                self.node_props.setdefault(node, {}).update(props)
-            return
-        self.nodes.add(node)
-        self.node_labels[node] = frozenset(labels)
-        if props:
-            self.node_props[node] = dict(props)
-
-    def add_edge(self, src: str, dst: str, labels: frozenset[str]) -> str:
-        if not labels:
-            raise ValueError("edge needs at least one label")
-        for endpoint in (src, dst):
-            if endpoint not in self.nodes:
-                raise ValueError(f"edge endpoint {endpoint!r} is not a node")
-        eid = f"e{len(self.edges)}"
-        self.edges[eid] = (src, dst)
-        self.edge_labels[eid] = frozenset(labels)
-        return eid
-
-    def nodes_with_label(self, label: str) -> list[str]:
-        return sorted(n for n in self.nodes if label in self.node_labels[n])
+class FusedGraph(NamedTuple):
+    nodes: tuple[str, ...]              # sorted node names
+    relations: tuple[str, ...]          # sorted relation names
+    edges: list[tuple[int, int, int]]   # (head, relation, tail) rows
+    case_events: dict[str, list[int]]   # case id -> event rows by position
 
 
 def event_node_id(case_id: str, position: int) -> str:
@@ -68,110 +47,48 @@ def build_lpg(
     log: EventLog,
     kg: KnowledgeGraph,
     alias: dict[str, str] | None = None,
-) -> LabeledPropertyGraph:
-    """Fuse log and knowledge graph into one labeled property graph.
+) -> FusedGraph:
+    """Fuse log and knowledge graph by the module's construction rules.
 
     alias maps activity labels to KG entity ids; unmapped activities merge
-    only on exact string equality with an entity id.
-    """
-    g = LabeledPropertyGraph()
+    only on exact string equality with an entity id. A KG entity that
+    names a node the log makes raises DataError."""
     entities = kg.entities
-    for entity in sorted(entities):
-        g.add_node(entity, frozenset({"Entity"}))
-
+    alias = alias or {}
+    # the log's nodes, but for the entities its activities merge with
+    made = {f"activity::{a}" for a in log.alphabet
+            if alias.get(a, a) not in entities}
+    named: list[tuple[str, str, str]] = []
+    events_of: dict[str, list[str]] = {}
     for t in log.traces:
-        g.add_node(f"case::{t.case_id}", frozenset({"Case"}))
+        case = f"case::{t.case_id}"
+        events = events_of[t.case_id] = [
+            event_node_id(t.case_id, i) for i in range(len(t.events))]
+        made.add(case)
+        made.update(events)
         prev = None
-        for i, e in enumerate(t.events):
-            node = event_node_id(t.case_id, i)
-            # an attribute of the same name does not hide these props
-            props: dict[str, Scalar] = {
-                **e.attributes,
-                "case_id": e.case_id,
-                "activity": e.activity,
-                "timestamp": e.timestamp,
-                "position": i,
-            }
-            if e.resource is not None:
-                props["resource"] = e.resource
-            g.add_node(node, frozenset({"Event"}), props)
-            g.add_edge(node, f"case::{t.case_id}", frozenset({"BELONGS_TO"}))
-            act = activity_node(e.activity, entities, alias)
-            g.add_node(act, frozenset({"Activity"}))
-            g.add_edge(node, act, frozenset({"INSTANCE_OF"}))
+        for node, e in zip(events, t.events):
+            named.append((node, "BELONGS_TO", case))
+            named.append((node, "INSTANCE_OF",
+                          activity_node(e.activity, entities, alias)))
             if e.resource is not None:
                 res = f"resource::{e.resource}"
-                g.add_node(res, frozenset({"Resource"}))
-                g.add_edge(node, res, frozenset({"PERFORMED_BY"}))
+                made.add(res)
+                named.append((node, "PERFORMED_BY", res))
             if prev is not None:
-                g.add_edge(prev, node, frozenset({"DF"}))
+                named.append((prev, "DF", node))
             prev = node
+    clash = made & entities
+    if clash:
+        raise DataError(f"knowledge graph entity {min(clash)!r} is also the "
+                        "name of a case, event, resource or activity node")
+    named += ((s, p, o) for p, s, o in
+              sorted((t.predicate, t.subject, t.object) for t in kg.triples))
 
-    for triple in sorted(kg.triples,
-                         key=lambda t: (t.predicate, t.subject, t.object)):
-        g.add_edge(triple.subject, triple.object, frozenset({triple.predicate}))
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Exports
-# ---------------------------------------------------------------------------
-
-def write_graphml(g: LabeledPropertyGraph, stream) -> None:
-    from xml.sax.saxutils import escape, quoteattr
-
-    w = stream.write
-    w('<?xml version="1.0" encoding="UTF-8"?>\n')
-    w('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')
-    w('  <key id="labels" for="all" attr.name="labels" attr.type="string"/>\n')
-    w('  <key id="props" for="all" attr.name="props" attr.type="string"/>\n')
-    w('  <graph edgedefault="directed">\n')
-    for node in sorted(g.nodes):
-        w(f"    <node id={quoteattr(node)}>\n")
-        w(f"      <data key=\"labels\">{escape(';'.join(sorted(g.node_labels[node])))}</data>\n")
-        props = g.node_props.get(node, {})
-        if props:
-            text = ";".join(f"{k}={format_scalar(v)}" for k, v in sorted(props.items()))
-            w(f"      <data key=\"props\">{escape(text)}</data>\n")
-        w("    </node>\n")
-    for eid in sorted(g.edges, key=lambda e: int(e[1:])):
-        src, dst = g.edges[eid]
-        w(f"    <edge id={quoteattr(eid)} source={quoteattr(src)} target={quoteattr(dst)}>\n")
-        w(f"      <data key=\"labels\">{escape(';'.join(sorted(g.edge_labels[eid])))}</data>\n")
-        w("    </edge>\n")
-    w("  </graph>\n</graphml>\n")
-
-
-def write_node_edge_csv(g: LabeledPropertyGraph, node_stream, edge_stream) -> None:
-    import csv
-
-    nw = csv.writer(node_stream)
-    nw.writerow(["node_id", "labels", "props"])
-    for node in sorted(g.nodes):
-        props = g.node_props.get(node, {})
-        nw.writerow([
-            node,
-            ";".join(sorted(g.node_labels[node])),
-            ";".join(f"{k}={format_scalar(v)}" for k, v in sorted(props.items())),
-        ])
-    ew = csv.writer(edge_stream)
-    ew.writerow(["edge_id", "source", "target", "labels"])
-    for eid in sorted(g.edges, key=lambda e: int(e[1:])):
-        src, dst = g.edges[eid]
-        ew.writerow([eid, src, dst, ";".join(sorted(g.edge_labels[eid]))])
-
-
-def write_dot(g: LabeledPropertyGraph, stream) -> None:
-    stream.write("digraph lpg {\n")
-    for node in sorted(g.nodes):
-        labels = ",".join(sorted(g.node_labels[node]))
-        stream.write(f'  "{_dot_escape(node)}" [label="{_dot_escape(node)}\\n{labels}"];\n')
-    for eid in sorted(g.edges, key=lambda e: int(e[1:])):
-        src, dst = g.edges[eid]
-        label = ",".join(sorted(g.edge_labels[eid]))
-        stream.write(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" [label="{label}"];\n')
-    stream.write("}\n")
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    nodes = tuple(sorted(entities | made))
+    relations = tuple(sorted({r for _, r, _ in named}))
+    row = {n: i for i, n in enumerate(nodes)}
+    rel = {r: i for i, r in enumerate(relations)}
+    return FusedGraph(
+        nodes, relations, [(row[h], rel[r], row[t]) for h, r, t in named],
+        {case: [row[n] for n in events] for case, events in events_of.items()})

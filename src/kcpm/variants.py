@@ -1,5 +1,5 @@
-"""Context-aware process variant classification over a labeled property
-graph.
+"""Context-aware process variant classification over the event log fused
+with a knowledge graph (lpg.build_lpg).
 
 Graph structure is embedded with projected translations: every node n
 has vectors (n, n_p), every relation r has (r, r_p), and an edge
@@ -26,7 +26,7 @@ from ._training import (descend, read_checkpoint, row_cells, scatter_cells,
 from .errors import DataError
 from .eventlog import EventLog
 from .logio import csv_rows
-from .lpg import LabeledPropertyGraph, activity_node, event_node_id
+from .lpg import FusedGraph, activity_node, event_node_id
 
 CHECKPOINT_FORMAT = "kcpm-variant-model"
 CHECKPOINT_VERSION = 1
@@ -96,16 +96,6 @@ class VariantModel:
         total = sum(self.class_counts.values())
         return {cid: self.class_counts.get(cid, 0) / total
                 for cid in self.class_ids()}
-
-
-def _edge_triples(lpg: LabeledPropertyGraph):
-    """(head, relation-label, tail) per edge, in edge-id order; the
-    lexicographically first label names the relation."""
-    out = []
-    for eid in sorted(lpg.edges, key=lambda e: int(e[1:])):
-        src, dst = lpg.edges[eid]
-        out.append((src, sorted(lpg.edge_labels[eid])[0], dst))
-    return out
 
 
 def _event_matrix(case_nodes: list[list[int]]):
@@ -347,14 +337,14 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
 
 
 def train_variant_model(
-    lpg: LabeledPropertyGraph,
+    graph: FusedGraph,
     labeled: dict[str, CohortClass | str],
     params: VariantParams = VariantParams(),
 ) -> VariantModel:
-    """Fit embeddings, class vectors and the attention matrix on an LPG
-    with per-case class labels."""
-    if not lpg.nodes:
-        raise DataError("labeled property graph is empty")
+    """Fit embeddings, class vectors and the attention matrix on a fused
+    graph with per-case class labels."""
+    if not graph.nodes:
+        raise DataError("fused graph is empty")
     by_id: dict[str, CohortClass] = {}
     for value in labeled.values():
         cls = value if isinstance(value, CohortClass) else CohortClass(value)
@@ -365,25 +355,18 @@ def train_variant_model(
     class_objs = tuple(by_id[cid] for cid in classes)
     class_index = {cid: i for i, cid in enumerate(classes)}
 
-    nodes = tuple(sorted(lpg.nodes))
-    node_index = {n: i for i, n in enumerate(nodes)}
-    by_case = lpg_events_by_case(lpg)
+    nodes, relations = graph.nodes, graph.relations
     case_nodes: list[list[int]] = []
     labels: list[int] = []
     for case_id in sorted(labeled):
-        members = by_case.get(case_id)
+        members = graph.case_events.get(case_id)
         if not members:
             raise DataError(f"labeled case {case_id!r} is not in the graph")
-        case_nodes.append([node_index[n] for n in members])
+        case_nodes.append(members)
         cls = labeled[case_id]
         labels.append(class_index[cls.id if isinstance(cls, CohortClass) else cls])
-
-    triples = _edge_triples(lpg)
-    relations = tuple(sorted({r for _, r, _ in triples}))
-    rel_index = {r: i for i, r in enumerate(relations)}
-    heads = np.array([node_index[h] for h, _, _ in triples])
-    rels = np.array([rel_index[r] for _, r, _ in triples])
-    tails = np.array([node_index[t] for _, _, t in triples])
+    rows = np.array(graph.edges, dtype=int).reshape(-1, 3)
+    heads, rels, tails = rows.T.copy()
 
     n, dim = len(nodes), params.dim
     rng = np.random.default_rng(params.seed)
@@ -398,16 +381,16 @@ def train_variant_model(
     # noise, so class signal reaching any event of an activity generalizes
     # to unlabeled events of the same activity
     noise = rng.normal(size=(n, dim)) * 0.05
-    for eid in sorted(lpg.edges, key=lambda e: int(e[1:])):
-        if "INSTANCE_OF" in lpg.edge_labels[eid]:
-            src, dst = lpg.edges[eid]
-            E[node_index[src]] = E[node_index[dst]] + noise[node_index[src]]
+    if "INSTANCE_OF" in relations:
+        typed = rels == relations.index("INSTANCE_OF")
+        events = heads[typed]
+        E[events] = E[tails[typed]] + noise[events]
     E /= np.maximum(1.0, np.linalg.norm(E, axis=1, keepdims=True))
     U /= np.maximum(1.0, np.linalg.norm(U, axis=1, keepdims=True))
 
     k = params.negatives
-    raw = rng.integers(0, n - 1, size=(len(triples), k)) if n > 1 else \
-        np.zeros((len(triples), k), dtype=int)
+    raw = rng.integers(0, n - 1, size=(len(heads), k)) if n > 1 else \
+        np.zeros((len(heads), k), dtype=int)
     neg_tails = (raw + (raw >= tails[:, None])) % n
 
     idx, mask = _event_matrix(case_nodes)
@@ -439,19 +422,6 @@ def train_variant_model(
         counts[classes[c]] = counts.get(classes[c], 0) + 1
     return VariantModel(nodes, E, Ep, relations, R, Rp, class_objs, U, A,
                         counts, params, tuple(history))
-
-
-def lpg_events_by_case(lpg: LabeledPropertyGraph) -> dict[str, list[str]]:
-    """Event nodes per case id, in trace position order: the Event nodes
-    grouped by their case_id property and sorted by their position."""
-    out: dict[str, list[tuple[int, str]]] = {}
-    for node, labels in lpg.node_labels.items():
-        if "Event" in labels:
-            props = lpg.node_props[node]
-            out.setdefault(props["case_id"], []).append(
-                (props["position"], node))
-    return {case_id: [node for _, node in sorted(members)]
-            for case_id, members in out.items()}
 
 
 _SCORE_BATCH = 64  # cases per padded attention pass in _class_scores

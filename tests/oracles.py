@@ -622,6 +622,49 @@ def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
 
 
 # ---------------------------------------------------------------------------
+# The fused graph, by names
+# ---------------------------------------------------------------------------
+
+def naive_fused_graph(log, triples, temporal=(), alias=None):
+    """The construction rules of the kcpm.lpg docstring, on names: (the
+    node-name set, the (head, relation, tail) name triples in edge order,
+    case id -> its event names in position order). triples are the plain
+    KG triples and temporal the TemporalTriples. A KG entity that is also
+    a name the log makes raises ValueError naming the least such one."""
+    alias = alias or {}
+    facts = set(triples)
+    entities = set()
+    for t in list(facts) + [tt.triple for tt in temporal]:
+        entities.update((t.subject, t.object))
+    made, edges, case_events = set(), [], {}
+    for trace in log.traces:
+        case = "case::" + trace.case_id
+        made.add(case)
+        names = case_events[trace.case_id] = []
+        for i, e in enumerate(trace.events):
+            node = "event::" + trace.case_id + "::" + str(i)
+            made.add(node)
+            activity = alias.get(e.activity, e.activity)
+            if activity not in entities:
+                activity = "activity::" + e.activity
+                made.add(activity)
+            edges.append((node, "BELONGS_TO", case))
+            edges.append((node, "INSTANCE_OF", activity))
+            if e.resource is not None:
+                made.add("resource::" + e.resource)
+                edges.append((node, "PERFORMED_BY", "resource::" + e.resource))
+            if names:
+                edges.append((names[-1], "DF", node))
+            names.append(node)
+    clash = sorted(made & entities)
+    if clash:
+        raise ValueError(clash[0])
+    for t in sorted(facts, key=lambda t: (t.predicate, t.subject, t.object)):
+        edges.append((t.subject, t.predicate, t.object))
+    return made | entities, edges, case_events
+
+
+# ---------------------------------------------------------------------------
 # Variant classification: one attention call per case
 # ---------------------------------------------------------------------------
 
@@ -630,24 +673,20 @@ def per_case_classify(model, log, kg, alias,
     """(assignment, scores, prior_assigned) with each case scored by an
     attention call of its own over its event embeddings, through
     attention(V, mask, U, A): einsum_attention_forward unless given. The
-    node names are read back from the graph build_lpg makes of that case
-    alone and kg under alias: an event node unknown to the model falls
-    back to the node its INSTANCE_OF edge points at, an unknown activity
-    is skipped, and a case left with no node the model knows gets the
-    class prior."""
+    node names are read back from naive_fused_graph of that case alone
+    and kg under alias: an event node unknown to the model falls back to
+    the node its INSTANCE_OF edge points at, an unknown activity is
+    skipped, and a case left with no node the model knows gets the class
+    prior."""
     from kcpm.eventlog import EventLog
-    from kcpm.lpg import build_lpg
 
     assignment, scores, prior = {}, {}, set()
     for t in log.traces:
-        g = build_lpg(EventLog((t,)), kg, alias)
-        events = sorted((n for n in g.nodes if "Event" in g.node_labels[n]),
-                        key=lambda n: g.node_props[n]["position"])
-        instance_of = {src: dst for eid, (src, dst) in g.edges.items()
-                       if "INSTANCE_OF" in g.edge_labels[eid]
-                       and src in events}
+        _, edges, case_events = naive_fused_graph(
+            EventLog((t,)), kg.triples, kg.temporal, alias)
+        instance_of = {h: tail for h, r, tail in edges if r == "INSTANCE_OF"}
         rows = []
-        for node in events:
+        for node in case_events[t.case_id]:
             for name in (node, instance_of[node]):
                 if model.knows_node(name):
                     rows.append(model.node_vec(name))

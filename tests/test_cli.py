@@ -300,13 +300,13 @@ def test_a_missing_variant_model_leaves_no_out_directory(variant_inputs,
 
 def test_kg_triple_into_a_case_node_is_plain_knowledge(variant_inputs,
                                                        tmp_path):
-    """A KG triple labelled BELONGS_TO into a case:: node is knowledge,
-    not a case member: training on it and classifying under it both
-    succeed, and the classification equals the one under the KG without
-    the triples."""
+    """A KG triple labelled BELONGS_TO into a case:: node that the log
+    does not make is knowledge, not a case member: training on it and
+    classifying under it both succeed, and the classification equals the
+    one under the KG without the triple."""
     work, _ = variant_inputs
     kg = tmp_path / "kg.tsv"
-    kg.write_text("foo\tBELONGS_TO\tcase::x\nbar\tBELONGS_TO\tcase::c0\n")
+    kg.write_text("foo\tBELONGS_TO\tcase::x\n")
     assert run("variants-train", "--log", work / "log.csv", "--kg", kg,
                "--labels", work / "labels.csv", "--epochs", 2,
                "--out", tmp_path / "vt") == 0
@@ -318,6 +318,30 @@ def test_kg_triple_into_a_case_node_is_plain_knowledge(variant_inputs,
     payload = (tmp_path / "with" / "variants.json").read_text()
     assert payload == (tmp_path / "without" / "variants.json").read_text()
     assert json.loads(payload)["prior_assigned"] == []
+
+
+@pytest.mark.parametrize("triple, entity", [
+    ("bar\tBELONGS_TO\tcase::c0", "case::c0"),
+    ("case::c1\tp\tevent::c1::0", "case::c1"),
+    ("x\tp\tevent::c4::1", "event::c4::1"),
+    ("activity::a\tp\tx", "activity::a"),
+])
+def test_a_kg_entity_named_like_a_log_node_refuses_training(
+        variant_inputs, tmp_path, capsys, triple, entity):
+    """A KG entity that names a case, event or activity node of the log
+    would silently become that node: variants-train exits 2 with one
+    line naming it, and writes no --out."""
+    work, _ = variant_inputs
+    kg = tmp_path / "kg.tsv"
+    kg.write_text(triple + "\n")
+    out = tmp_path / "vt"
+    capsys.readouterr()
+    assert run("variants-train", "--log", work / "log.csv", "--kg", kg,
+               "--labels", work / "labels.csv", "--epochs", 2,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(entity) in err
+    assert not out.exists()
 
 
 def test_pipeline_end_to_end(workdir, capsys):
@@ -763,9 +787,9 @@ def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
 
 def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
     """In a fresh interpreter, importing the CLI loads neither the repair,
-    simulation and embedding modules nor the INI and XML parsers, and a
-    variants-classify run loads neither repair nor simulation. Its
-    manifest still names the interpreter's version."""
+    simulation and embedding modules nor numpy and the INI and XML
+    parsers, and a variants-classify run loads neither repair nor
+    simulation. Its manifest still names the interpreter's version."""
     import platform
 
     work, _ = variant_inputs
@@ -774,7 +798,8 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
         "before = set(sys.modules)\n"
         "from kcpm.cli import main\n"
         "lazy = ('kcpm.augment', 'kcpm.synth', 'kcpm.temporal',\n"
-        "        'kcpm.variants', 'configparser', 'xml.etree.ElementTree')\n"
+        "        'kcpm.variants', 'numpy', 'configparser',\n"
+        "        'xml.etree.ElementTree')\n"
         "loaded = [m for m in lazy if m in set(sys.modules) - before]\n"
         "assert not loaded, ('import kcpm.cli', loaded)\n"
         "log, kg, model, out = sys.argv[1:]\n"

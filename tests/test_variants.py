@@ -269,33 +269,30 @@ def test_held_out_edge_ranking_beats_random():
     # toy graph with cluster regularity: patients point at their team, and
     # the team determines the ward; a fifth of the ward edges are hidden
     # from training and must be recovered by ranking
-    from kcpm.lpg import LabeledPropertyGraph
+    from kcpm.lpg import FusedGraph
 
     rng = random.Random(0)
-    g = LabeledPropertyGraph()
     teams = [f"team{i}" for i in range(3)]
     wards = [f"ward{i}" for i in range(3)]
-    for t in teams:
-        g.add_node(t, frozenset({"Team"}))
-    for w in wards:
-        g.add_node(w, frozenset({"Ward"}))
-    ward_edges = []
+    triples, ward_edges = [], []
     for i in range(60):
         p = f"patient{i:02d}"
-        g.add_node(p, frozenset({"Patient"}))
-        g.add_edge(p, teams[i % 3], frozenset({"in_team"}))
+        triples.append((p, "in_team", teams[i % 3]))
         ward_edges.append((p, "treated_in", wards[i % 3]))
     held_idx = set(rng.sample(range(len(ward_edges)), k=12))
     for c in ("one", "two"):
-        g.add_node(f"case::{c}", frozenset({"Case"}))
         for i in range(2):
             ev = f"event::{c}::{i}"
-            g.add_node(ev, frozenset({"Event"}), {"case_id": c, "position": i})
-            g.add_edge(ev, f"case::{c}", frozenset({"BELONGS_TO"}))
-            g.add_edge(ev, teams[i], frozenset({"INSTANCE_OF"}))
-    for i, (s, r, t) in enumerate(ward_edges):
-        if i not in held_idx:
-            g.add_edge(s, t, frozenset({r}))
+            triples.append((ev, "BELONGS_TO", f"case::{c}"))
+            triples.append((ev, "INSTANCE_OF", teams[i]))
+    triples += [e for i, e in enumerate(ward_edges) if i not in held_idx]
+    nodes = tuple(sorted({n for h, _, t in triples for n in (h, t)}))
+    relations = tuple(sorted({r for _, r, _ in triples}))
+    row = {n: i for i, n in enumerate(nodes)}
+    g = FusedGraph(
+        nodes, relations,
+        [(row[h], relations.index(r), row[t]) for h, r, t in triples],
+        {c: [row[f"event::{c}::{i}"] for i in range(2)] for c in ("one", "two")})
 
     model = train_variant_model(g, {"one": "alpha", "two": "beta"},
                                 VariantParams(dim=8, epochs=300, negatives=8,
