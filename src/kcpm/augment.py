@@ -2,19 +2,17 @@
 missing ones, and check guideline latencies.
 
 Removal is contradiction-driven: an event goes when the rule base
-entails that its activity is forbidden immediately before its successor
-(or, with strict ordering enabled, when an entailed prerequisite never
-occurred earlier in the trace). Insertion is obligation-driven: when an
-entailed prerequisite of an event is absent from the prefix, a candidate
-for it is placed directly before that event and accepted if either the
-rule derivation or the embedding scorer clears the acceptance threshold.
+entails that its activity is forbidden immediately before its successor.
+Insertion is obligation-driven: when an entailed prerequisite of an
+event is absent from the prefix, a candidate for it is placed directly
+before that event and accepted if either the rule derivation or the
+embedding scorer clears the acceptance threshold.
 Inserted events are marked ``synthetic=true``; the original trace is
 always a subsequence of the repaired one.
 """
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import TYPE_CHECKING
@@ -70,21 +68,18 @@ def filter_chaotic_events(
     log: EventLog,
     closure: Closure,
     alias: dict[str, str] | None = None,
-    strict_ordering: bool = False,
 ) -> tuple[EventLog, AugmentationReport]:
     """Remove events whose position the closure rules out.
 
-    Per trace, the leftmost violating event is removed and the trace
-    re-spliced, repeating until stable, which makes the operation
-    idempotent. Events whose activity has no entity mapping are never
-    touched. Reported indices refer to the input trace.
+    Per trace, the leftmost event whose entity is forbidden immediately
+    before its successor's is removed and the trace re-spliced,
+    repeating until stable, which makes the operation idempotent.
+    Events whose activity has no entity mapping are never touched.
+    Reported indices refer to the input trace.
     """
     forbidden: dict[str, dict[str, str | None]] = {}
     for s, o, _, via in closure.facts(FORBIDDEN_BEFORE):
         forbidden.setdefault(s, {})[o] = via
-    if strict_ordering:
-        prec = _Precedence(closure)
-        need, bit = prec.need, prec.bit
 
     removed: list[RemovedEvent] = []
     traces = []
@@ -92,47 +87,22 @@ def filter_chaotic_events(
         work = list(t.events)
         positions = list(range(len(work)))
         ents = [_entity(alias, e.activity) for e in work]
-        # strict ordering only: how often each prerequisite entity occurs
-        # in work[:i], and the mask of those that occur at all
-        seen: Counter = Counter()
-        seen_mask = 0
         i = 0
-        while i < len(work):
-            # 1-tuple with the triggering rule id if work[i] must go
-            verdict = None
-            ent = ents[i]
-            if ent is not None:
-                if i + 1 < len(work) and ents[i + 1] in forbidden.get(ent, ()):
-                    verdict = (forbidden[ent][ents[i + 1]],)
-                elif strict_ordering:
-                    missing = need.get(ent, 0) & ~seen_mask
-                    if missing:  # its alphabetically first unseen one
-                        p = prec.names[(missing & -missing).bit_length() - 1]
-                        verdict = (prec.facts[ent][p][1],)
-            if verdict is None:
-                if strict_ordering and ent in bit:
-                    seen[ent] += 1
-                    seen_mask |= bit[ent]
+        while i + 1 < len(work):
+            after = forbidden.get(ents[i])
+            if after is None or ents[i + 1] not in after:
                 i += 1
                 continue
             removed.append(RemovedEvent(t.case_id, positions[i],
-                                        work[i].activity, verdict[0]))
+                                        work[i].activity, after[ents[i + 1]]))
             del work[i], positions[i], ents[i]
-            # only work[i-1] has a new successor; work[:i-1] keeps its
-            # successors and prefixes, so the scan resumes there
+            # only work[i-1] has a new successor, so the scan resumes there
             if i > 0:
                 i -= 1
-                if strict_ordering and ents[i] in bit:
-                    seen[ents[i]] -= 1
-                    if not seen[ents[i]]:
-                        seen_mask &= ~bit[ents[i]]
         if work:
             traces.append(Trace(t.case_id, tuple(work)))
-    report = AugmentationReport(
-        removed_events=tuple(removed),
-        thresholds={"strict_ordering": strict_ordering},
-    )
-    return EventLog(tuple(traces), dict(log.meta)), report
+    return (EventLog(tuple(traces), dict(log.meta)),
+            AugmentationReport(removed_events=tuple(removed)))
 
 
 def infer_missing_events(

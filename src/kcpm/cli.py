@@ -207,8 +207,7 @@ def _augment_log(cfg: PipelineConfig, log: EventLog, kg: KnowledgeGraph,
                  closure, alias):
     from . import augment as aug
 
-    filtered, removal_report = aug.filter_chaotic_events(
-        log, closure, alias, strict_ordering=cfg.strict_ordering)
+    filtered, removal_report = aug.filter_chaotic_events(log, closure, alias)
     scorer = None  # trained only if an insertion asks for it
 
     def make_scorer():
@@ -391,8 +390,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
                             dict(action="store_const", const=True)),
     "filter_mode": ("--mode", dict(choices=("strict", "permissive"))),
     "theta_aug": ("--theta-aug", dict(type=float)),
-    "strict_ordering": ("--strict-ordering",
-                        dict(action="store_const", const=True)),
     "use_embedding": ("--no-embedding",
                       dict(action="store_const", const=False)),
     "dim": ("--dim", dict(type=int)),
@@ -419,8 +416,8 @@ class _Command(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
-_REPAIR_FLAGS = ("seed", "theta_aug", "strict_ordering", "use_embedding",
-                 "min_support", "min_pca_conf")
+_REPAIR_FLAGS = ("seed", "theta_aug", "use_embedding", "min_support",
+                 "min_pca_conf")
 
 _COMMANDS = {
     "ingest": _Command(

@@ -13,8 +13,7 @@ _SECTIONS = {
     "paths": {"log", "kg", "context", "labels", "alias", "model", "out"},
     "thresholds": {"dependency_threshold", "frequency_threshold",
                    "min_support", "min_pca_conf", "theta_aug"},
-    "modes": {"filter_mode", "strict_ordering", "use_embedding",
-              "all_tasks_connected"},
+    "modes": {"filter_mode", "use_embedding", "all_tasks_connected"},
     "hyperparameters": {"dim", "epochs", "margin", "learning_rate", "seed",
                         "negatives", "time_buckets"},
 }
@@ -38,7 +37,6 @@ class PipelineConfig:
     theta_aug: float = 0.5
     # modes
     filter_mode: str = "permissive"
-    strict_ordering: bool = False
     use_embedding: bool = True
     all_tasks_connected: bool = False
     # hyperparameters

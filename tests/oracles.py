@@ -173,21 +173,17 @@ def naive_closure(rules, triples, eps=1e-12):
 # Log repair
 # ---------------------------------------------------------------------------
 
-def naive_remove_chaotic(sequences, forbidden, must_precede, strict):
-    """Remove the leftmost violating event and rescan from the start,
-    until no event violates. forbidden and must_precede are sets of
+def naive_remove_chaotic(sequences, forbidden):
+    """Remove the leftmost event forbidden right before its successor
+    and rescan from the start, until no event is. forbidden is a set of
     (before, after) activity pairs. Returns the repaired sequences and
     (trace, input index, activity) of each removal, in order."""
     out, removed = [], []
     for n, acts in enumerate(sequences):
         work = list(enumerate(acts))
         while True:
-            for i, (_, a) in enumerate(work):
-                nxt = work[i + 1][1] if i + 1 < len(work) else None
-                prefix = {b for _, b in work[:i]}
-                if (a, nxt) in forbidden or (strict and any(
-                        (p, a) in must_precede and p not in prefix
-                        for p, _ in must_precede)):
+            for i, (_, a) in enumerate(work[:-1]):
+                if (a, work[i + 1][1]) in forbidden:
                     removed.append((n, work[i][0], a))
                     del work[i]
                     break
@@ -195,6 +191,25 @@ def naive_remove_chaotic(sequences, forbidden, must_precede, strict):
                 break
         out.append([a for _, a in work])
     return out, removed
+
+
+def edit_distance(truth, log):
+    """Summed per-case Levenshtein distance between the activity
+    sequences of truth's cases and the same cases of log: a case absent
+    from log costs its full length. Unit-cost insert, delete and
+    substitute, by the textbook table."""
+    got = {t.case_id: t.activities for t in log.traces}
+    total = 0
+    for t in truth.traces:
+        a, b = t.activities, got.get(t.case_id, ())
+        row = list(range(len(b) + 1))
+        for i, x in enumerate(a, start=1):
+            prev, row = row, [i]
+            for j, y in enumerate(b, start=1):
+                row.append(min(prev[j] + 1, row[j - 1] + 1,
+                               prev[j - 1] + (x != y)))
+        total += row[-1]
+    return total
 
 
 def eager_infer_missing_events(log, closure, scorer, theta, alias=None):

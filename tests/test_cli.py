@@ -758,6 +758,35 @@ def test_unusable_theta_aug_fails_before_any_artifact(ward_inputs, tmp_path,
     assert not out.exists()
 
 
+def test_strict_ordering_flag_is_a_usage_error(ward_inputs, tmp_path, capsys):
+    """Removal has one rule, so --strict-ordering is an unknown flag: exit
+    1 with the usage line, and no --out."""
+    out = tmp_path / "aug"
+    capsys.readouterr()
+    assert run("augment", "--log", ward_inputs / "log.csv",
+               "--kg", ward_inputs / "kg.tsv", "--strict-ordering",
+               "--no-embedding", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "usage error: unrecognized arguments: --strict-ordering"
+    assert err[1].startswith("usage: kcpm ")
+    assert not out.exists()
+
+
+def test_strict_ordering_config_key_is_refused(ward_inputs, tmp_path, capsys):
+    """A config file that still names strict_ordering, even as false,
+    exits 2 with one line naming the key, and leaves no --out."""
+    cfgfile = tmp_path / "old.ini"
+    cfgfile.write_text("[modes]\nstrict_ordering = false\n")
+    out = tmp_path / "aug"
+    capsys.readouterr()
+    assert run("augment", "--log", ward_inputs / "log.csv",
+               "--kg", ward_inputs / "kg.tsv", "--config", cfgfile,
+               "--no-embedding", "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown key 'strict_ordering' in [modes]"]
+    assert not out.exists()
+
+
 def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
     """Importing the CLI, and full pipeline runs on the ward inputs, with
     the embedding on (no fact leaves the rule unsure) and off, load no
@@ -1092,16 +1121,15 @@ def test_pipeline_leaves_no_cycles_per_event(tmp_path):
 _INTAKE_CHECKS = ("consent", "id_check", "allergy_check", "weight")
 
 
-def _small_pathway(tmp_path):
-    """A 24-stage pathway with a branch after every 4th stage, its
-    precedence KG (adjacent pairs and a seeded 85% of transitive pairs,
-    so the closure derives facts below confidence 1), the chaos taxonomy,
-    four intake checks that must precede every stage but not one
-    another, and a corrupted 30-case log."""
+def small_pathway():
+    """A 24-stage pathway with a branch after every 4th stage, and the
+    lines of its KG: precedence (adjacent pairs and a seeded 85% of
+    transitive pairs, so the closure derives facts below confidence 1),
+    the chaos taxonomy, and four intake checks that must precede every
+    stage but not one another."""
     from test_acceptance import NOISE_LABELS
 
     from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE
-    from kcpm.synth import CorruptionSpec, corrupt, simulate
 
     stages = [f"s{i:02d}" for i in range(24)]
     transitions, activities = {}, set(stages)
@@ -1125,6 +1153,16 @@ def _small_pathway(tmp_path):
     lines += [f"{n}\tcategory\tchaos" for n in NOISE_LABELS]
     lines += [f"chaos\tcovers\t{c}" for c in covered]
     lines += [f"glitch_x\t{FORBIDDEN_BEFORE}\t{c}" for c in covered]
+    return model, lines
+
+
+def _small_pathway(tmp_path):
+    """small_pathway's model and KG, and a corrupted 30-case log of it."""
+    from test_acceptance import NOISE_LABELS
+
+    from kcpm.synth import CorruptionSpec, corrupt, simulate
+
+    model, lines = small_pathway()
     (tmp_path / "kg.tsv").write_text("\n".join(lines) + "\n")
     with open(tmp_path / "model.json", "w") as fh:
         write_model(model, fh)

@@ -23,7 +23,6 @@ theta_aug = 0.3
 
 [modes]
 filter_mode = strict
-strict_ordering = true
 use_embedding = off
 
 [hyperparameters]
@@ -35,7 +34,6 @@ seed = 99
     assert cfg.min_pca_conf == 0.75
     assert cfg.theta_aug == 0.3
     assert cfg.filter_mode == "strict"
-    assert cfg.strict_ordering is True
     assert cfg.use_embedding is False
     assert cfg.dim == 32
     assert cfg.seed == 99
