@@ -20,13 +20,14 @@ from datetime import datetime
 
 import numpy as np
 
-from ._training import descend, read_checkpoint, scatter_rows, write_checkpoint
+from ._training import (decode_array, descend, encode_array, read_checkpoint,
+                        scatter_rows, write_checkpoint)
 from .errors import DataError
 from .eventlog import EventLog
 from .kg import DIRECTLY_FOLLOWS, KnowledgeGraph
 
 CHECKPOINT_FORMAT = "kcpm-temporal-scorer"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,9 @@ def successor_scores(scorer: TemporalScorer, a: str, t: datetime) -> dict[str, f
 def save_scorer(scorer: TemporalScorer, stream) -> None:
     write_checkpoint(stream, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "activities": list(scorer.activities),
-        "entity_vecs": scorer.entity_vecs.tolist(),
-        "relation_vec": scorer.relation_vec.tolist(),
-        "time_vecs": scorer.time_vecs.tolist(),
+        "entity_vecs": encode_array(scorer.entity_vecs),
+        "relation_vec": encode_array(scorer.relation_vec),
+        "time_vecs": encode_array(scorer.time_vecs),
         "params": {
             "dim": scorer.params.dim,
             "margin": scorer.params.margin,
@@ -271,13 +272,18 @@ def save_scorer(scorer: TemporalScorer, stream) -> None:
 
 
 def load_scorer(source) -> TemporalScorer:
+    kind = "temporal scorer"
     payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                              "temporal scorer")
+                              kind)
+    activities = tuple(payload["activities"])
+    params = ScorerParams(**payload["params"])
     return TemporalScorer(
-        tuple(payload["activities"]),
-        np.array(payload["entity_vecs"]),
-        np.array(payload["relation_vec"]),
-        np.array(payload["time_vecs"]),
-        ScorerParams(**payload["params"]),
+        activities,
+        decode_array(payload, "entity_vecs", (len(activities), params.dim),
+                     kind),
+        decode_array(payload, "relation_vec", (params.dim,), kind),
+        decode_array(payload, "time_vecs", (params.time_buckets, params.dim),
+                     kind),
+        params,
         tuple(payload["loss_history"]),
     )

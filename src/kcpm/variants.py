@@ -21,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._training import (descend, read_checkpoint, row_cells, scatter_cells,
-                        write_checkpoint)
+from ._training import (decode_array, descend, encode_array, read_checkpoint,
+                        row_cells, scatter_cells, write_checkpoint)
 from .errors import DataError
 from .eventlog import EventLog
 from .logio import csv_rows
 from .lpg import FusedGraph, activity_node, event_node_id
 
 CHECKPOINT_FORMAT = "kcpm-variant-model"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -320,11 +320,11 @@ def _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s,
     # per-(relation, node) sums and the S terms
     keep = np.flatnonzero(np.concatenate([n_active[None] > 0, active]))
     at = layout.tails.take(keep)
-    tail_rows = np.ascontiguousarray(pairs.head.T).take(keep % a, axis=1)
-    tail_rows *= -flat.take(keep)
+    edge, w_keep = keep % a, -flat.take(keep)
     gE_nodes = np.empty((dim, n))
-    for j, row in enumerate(tail_rows):
-        gE_nodes[j] = np.bincount(at, weights=row, minlength=n)
+    for j, col in enumerate(pairs.head.T):
+        gE_nodes[j] = np.bincount(at, weights=col.take(edge) * w_keep,
+                                  minlength=n)
     gE = scatter_cells(n, layout.cells, rows)
     gE += gE_nodes.T
     gE += (B * c - Hq).T @ Rp
@@ -511,15 +511,15 @@ def classify_log(model: VariantModel, log: EventLog,
 def save_model(model: VariantModel, stream) -> None:
     write_checkpoint(stream, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "nodes": list(model.nodes),
-        "entity_vecs": model.entity_vecs.tolist(),
-        "entity_proj": model.entity_proj.tolist(),
+        "entity_vecs": encode_array(model.entity_vecs),
+        "entity_proj": encode_array(model.entity_proj),
         "relations": list(model.relations),
-        "relation_vecs": model.relation_vecs.tolist(),
-        "relation_proj": model.relation_proj.tolist(),
+        "relation_vecs": encode_array(model.relation_vecs),
+        "relation_proj": encode_array(model.relation_proj),
         "classes": [{"id": c.id, "description": c.description}
                     for c in model.classes],
-        "class_vecs": model.class_vecs.tolist(),
-        "attention": model.attention.tolist(),
+        "class_vecs": encode_array(model.class_vecs),
+        "attention": encode_array(model.attention),
         "class_counts": model.class_counts,
         "params": {
             "dim": model.params.dim,
@@ -539,23 +539,6 @@ def _checkpoint_error(what: str) -> DataError:
     return DataError(f"variant model checkpoint: {what}")
 
 
-def _checkpoint_matrix(payload: dict, key: str, rows: int,
-                       cols: int) -> np.ndarray:
-    """payload[key] as a finite (rows, cols) float array."""
-    try:
-        arr = np.array(payload[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise _checkpoint_error(f"{key} is not a numeric matrix") from None
-    if arr.size == 0 and rows * cols == 0:  # [] for zero rows
-        arr = arr.reshape(rows, cols)
-    if arr.shape != (rows, cols):
-        raise _checkpoint_error(
-            f"{key} has shape {arr.shape}, expected {(rows, cols)}")
-    if not np.all(np.isfinite(arr)):
-        raise _checkpoint_error(f"{key} holds non-finite values")
-    return arr
-
-
 def _checkpoint_list(payload: dict, key: str, valid) -> list:
     items = payload.get(key)
     if not isinstance(items, list) or not all(map(valid, items)):
@@ -564,9 +547,9 @@ def _checkpoint_list(payload: dict, key: str, valid) -> list:
 
 
 def load_model(source) -> VariantModel:
-    """A variant model checkpoint. Every array must be finite and shaped
-    by the node, relation and class lists and the dim it declares; a file
-    that is not raises DataError."""
+    """A variant model checkpoint. Every array must be finite, encoded by
+    encode_array, and shaped by the node, relation and class lists and
+    the dim it declares; a file that is not raises DataError."""
     payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                               "variant model")
     params = payload.get("params")
@@ -599,7 +582,7 @@ def load_model(source) -> VariantModel:
                                lambda x: type(x) in (int, float))
 
     def matrix(key, rows):
-        return _checkpoint_matrix(payload, key, rows, params.dim)
+        return decode_array(payload, key, (rows, params.dim), "variant model")
 
     return VariantModel(
         nodes, matrix("entity_vecs", len(nodes)),

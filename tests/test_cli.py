@@ -1,3 +1,4 @@
+import base64
 import gc
 import hashlib
 import json
@@ -9,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import kcpm
@@ -256,19 +258,47 @@ def _set(key, value):
     return lambda m: m.update({key: value})
 
 
+def _floats(text):
+    """The float64 array of a base64 checkpoint entry."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def _b64(arr):
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode()
+
+
+def _nan_first(m, key):
+    arr = _floats(m[key])
+    arr[0] = float("nan")
+    m[key] = _b64(arr)
+
+
+def _as_version_1(m):
+    """The checkpoint as the list-encoded version 1 wrote it."""
+    dim = m["params"]["dim"]
+    for key in ("entity_vecs", "entity_proj", "relation_vecs",
+                "relation_proj", "class_vecs", "attention"):
+        m[key] = _floats(m[key]).reshape(-1, dim).tolist()
+    m["version"] = 1
+
+
 @pytest.mark.parametrize("mutate, message", [
-    (_set("attention", [[1.0]]), "attention has shape (1, 1), expected (16, 16)"),
-    (lambda m: m.update(entity_vecs=m["entity_vecs"][:-5]),
-     "entity_vecs has shape"),
-    (lambda m: m["entity_vecs"][1].pop(), "entity_vecs is not a numeric matrix"),
-    (lambda m: m["class_vecs"][0].__setitem__(0, float("nan")),
-     "class_vecs holds non-finite values"),
+    (_set("attention", _b64([1.0])),
+     "attention has 8 bytes, expected 2048 for shape (16, 16)"),
+    (lambda m: m.update(entity_vecs=_b64(_floats(m["entity_vecs"])[:-5 * 16])),
+     "entity_vecs has 2432 bytes, expected 3072 for shape (24, 16)"),
+    (lambda m: m.update(entity_vecs="!" + m["entity_vecs"][1:]),
+     "entity_vecs is not a base64 float64 array"),
+    (lambda m: m.update(entity_vecs=_floats(m["entity_vecs"]).tolist()),
+     "entity_vecs is not a base64 float64 array"),
+    (lambda m: _nan_first(m, "class_vecs"), "class_vecs holds non-finite values"),
+    (_as_version_1, "unsupported checkpoint version 1"),
     (_set("nodes", 5), "nodes is malformed"),
     (lambda m: m["params"].update(depth=3), "params must have keys among"),
     (_set("class_counts", {}), "class_counts must map class ids to counts"),
-], ids=["1x1-attention", "short-entity-vecs", "ragged-entity-vecs",
-        "nan-class-vec", "nodes-not-a-list", "unknown-param",
-        "empty-class-counts"])
+], ids=["1x1-attention", "truncated-entity-vecs", "invalid-base64",
+        "list-entity-vecs", "nan-class-vec", "version-1-lists",
+        "nodes-not-a-list", "unknown-param", "empty-class-counts"])
 def test_hostile_variant_checkpoint_is_data_error(variant_inputs, tmp_path,
                                                   capsys, mutate, message):
     work, checkpoint = variant_inputs

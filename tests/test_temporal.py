@@ -117,7 +117,10 @@ def test_checkpoint_round_trip():
     save_scorer(scorer, buf)
     again = load_scorer(io.StringIO(buf.getvalue()))
     assert again.activities == scorer.activities
-    assert np.array_equal(again.entity_vecs, scorer.entity_vecs)
+    for key in ("entity_vecs", "relation_vec", "time_vecs"):
+        got, want = getattr(again, key), getattr(scorer, key)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and got.flags.writeable
     assert again.params == scorer.params
     assert again.loss_history == scorer.loss_history
     buf2 = io.StringIO()

@@ -1,8 +1,12 @@
 """The shared training plumbing: distinct-row hinge loss and gradients,
 the bincount scatter and the variant gradients against per-row
-references, the fused descent against the two-call loop, batched variant
-scoring against per-case scoring, and the checkpoint header check."""
+references, the fused descent against the two-call loop and the lifetime
+of its caches, batched variant scoring against per-case scoring, and the
+checkpoint header and array checks."""
 import io
+import json
+import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcpm import temporal, variants
-from kcpm._training import row_cells, scatter_cells, scatter_rows
+from kcpm._training import (descend, encode_array, row_cells, scatter_cells,
+                            scatter_rows)
 from kcpm.errors import DataError
 from kcpm.kg import KnowledgeGraph, Triple
 from kcpm.lpg import build_lpg, event_node_id
@@ -261,6 +266,61 @@ def test_fused_descent_takes_the_two_call_steps(seqs, dim, epochs, k, seed):
     assert fused.loss_history == two_call.loss_history
 
 
+class _Cache:
+    """A stub forward's cache: the gradient its backward returns."""
+
+    def __init__(self, grad):
+        self.grad = grad
+
+
+def _weakref_stub(uphill_epoch: int):
+    """forward and backward of sum(x^2) whose caches are weakly tracked.
+    forward asserts that no cache it made earlier is alive; backward
+    returns the uphill gradient -2x at its uphill_epoch-th call, along
+    which every step raises the loss."""
+    caches = []
+    backward_calls = []
+
+    def forward(params):
+        alive = [i for i, ref in enumerate(caches) if ref() is not None]
+        assert not alive, f"caches {alive} of {len(caches)} still alive"
+        (x,) = params
+        cache = _Cache(2.0 * x)
+        caches.append(weakref.ref(cache))
+        return float(x @ x), cache
+
+    def backward(params, cache):
+        backward_calls.append(None)
+        sign = -1.0 if len(backward_calls) == uphill_epoch else 1.0
+        return (sign * cache.grad,)
+
+    return forward, backward, caches
+
+
+def test_descent_holds_one_cache_at_a_time():
+    """At every forward call, no cache made earlier is alive: not the
+    one backward consumed, nor a rejected candidate's. The run has
+    rejected candidates (a step of 5 overshoots sum(x^2) until halved to
+    0.625) and an epoch whose 20 steps all fail, after which the next
+    epoch takes forward(params) again; it takes the steps of the
+    two-call loop."""
+    x0 = (np.array([1.0, -2.0, 0.5]),)
+    forward, backward, caches = _weakref_stub(uphill_epoch=3)
+    params, history = descend(x0, forward, backward, 5.0, 6)
+
+    ref_forward, ref_backward, _ = _weakref_stub(uphill_epoch=3)
+    want_params, want_history = via_two_call(x0, ref_forward, ref_backward,
+                                             5.0, 6)
+    assert params[0].tobytes() == want_params[0].tobytes()
+    assert history == want_history
+    assert history[2] == history[1]  # the uphill epoch took no step
+    assert history[3] < history[2]
+    # the initial forward; 3 rejected and 1 accepted candidate in epoch
+    # 1; 1 in epoch 2; 20 rejected in epoch 3; the re-forward and 1
+    # candidate in epoch 4; 1 each in epochs 5 and 6
+    assert len(caches) == 1 + 4 + 1 + 20 + 2 + 1 + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(seqs=st.lists(st.lists(st.sampled_from("abcdxy"), min_size=1, max_size=13),
                      min_size=1, max_size=12),
@@ -384,3 +444,23 @@ def test_unsupported_checkpoint_version():
     text = '{"format": "kcpm-variant-model", "version": 99}\n'
     with pytest.raises(DataError, match="unsupported checkpoint version 99"):
         load_model(io.StringIO(text))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("relation_vec", "AAAA", "relation_vec has 3 bytes, expected 32 for shape (4,)"),
+    ("time_vecs", "not base64!", "time_vecs is not a base64 float64 array"),
+    ("time_vecs", [[0.0] * 4] * 2, "time_vecs is not a base64 float64 array"),
+    ("entity_vecs", encode_array(np.full((3, 4), np.nan)),
+     "entity_vecs holds non-finite values"),
+])
+def test_bad_scorer_array_is_data_error(key, value, message):
+    scorer = temporal.train_temporal_scorer(
+        log_from_sequences([["a", "b", "c"]] * 2), None,
+        temporal.ScorerParams(dim=4, epochs=2, time_buckets=2))
+    buf = io.StringIO()
+    temporal.save_scorer(scorer, buf)
+    payload = json.loads(buf.getvalue())
+    payload[key] = value
+    with pytest.raises(DataError, match=re.escape(
+            f"temporal scorer checkpoint: {message}")):
+        load_scorer(io.StringIO(json.dumps(payload)))

@@ -162,10 +162,17 @@ def test_permuting_trace_order_keeps_scores():
 
 
 def test_checkpoint_round_trip():
+    """A saved model loads back with bit-equal, writable arrays, and
+    saves to the same bytes again."""
     _, _, _, model = trained(4)
     buf = io.StringIO()
     save_model(model, buf)
     again = load_model(io.StringIO(buf.getvalue()))
+    for key in ("entity_vecs", "entity_proj", "relation_vecs",
+                "relation_proj", "class_vecs", "attention"):
+        got, want = getattr(again, key), getattr(model, key)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and got.flags.writeable
     buf2 = io.StringIO()
     save_model(again, buf2)
     assert buf2.getvalue() == buf.getvalue()
