@@ -13,8 +13,10 @@ always a subsequence of the repaired one.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .eventlog import Event, EventLog, Trace
@@ -49,6 +51,8 @@ class CandidateInsertion:
             raise ValueError("position must be nonnegative")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError("score must be in [0, 1]")
+        if type(self.score) is not float:  # an int, bool or numpy float
+            object.__setattr__(self, "score", float(self.score))
 
 
 @dataclass(frozen=True)
@@ -288,6 +292,38 @@ def report_to_json(report: AugmentationReport) -> dict:
         ],
         "thresholds": report.thresholds or {},
     }
+
+
+def write_report_json(report: AugmentationReport, stream) -> None:
+    """report_to_json(report) as one line of JSON with sorted keys, byte
+    for byte as json.dumps writes it, one record at a time: neither the
+    record dicts nor the whole text are built. Every score is a float
+    (CandidateInsertion makes it one), which json.dumps writes as
+    float.__repr__ does."""
+    quote = encode_basestring_ascii
+    write = stream.write
+    write('{"inserted": [')
+    sep = ""
+    for c in report.inserted:
+        write(f'{sep}{{"activity": {quote(c.activity)}, '
+              f'"case_id": {quote(c.case_id)}, "position": {c.position!r}, '
+              f'"provenance": {quote(c.provenance)}, '
+              f'"rule_id": {_json_or_null(c.rule_id)}, '
+              f'"score": {float.__repr__(c.score)}}}')
+        sep = ", "
+    write('], "removed_events": [')
+    sep = ""
+    for r in report.removed_events:
+        write(f'{sep}{{"activity": {quote(r.activity)}, '
+              f'"case_id": {quote(r.case_id)}, "index": {r.index!r}, '
+              f'"rule_id": {_json_or_null(r.rule_id)}}}')
+        sep = ", "
+    thresholds = json.dumps(report.thresholds or {}, sort_keys=True)
+    write(f'], "thresholds": {thresholds}}}\n')
+
+
+def _json_or_null(text: str | None) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
 
 
 def merge_reports(a: AugmentationReport, b: AugmentationReport) -> AugmentationReport:

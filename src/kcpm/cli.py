@@ -19,7 +19,7 @@ from . import dfg as dfgmod
 from . import logio
 from .conformance import (comparison_table, conformance, footprint_of_log,
                           footprint_of_model)
-from .conformance import report_to_json as conformance_report_json
+from .conformance import write_report_json as write_conformance_json
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, KcpmError, ParseError
 from .eventlog import EventLog, annotate_context, log_statistics
@@ -240,7 +240,8 @@ def _cmd_augment(cfg: PipelineConfig, args) -> None:
                                              aug.Closure(rb, kg), alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _write(cfg.out, "augmented.xes", lambda fh: logio.write_xes(augmented, fh))
-    _json_out(cfg.out, "augment_report.json", aug.report_to_json(report))
+    _write(cfg.out, "augment_report.json",
+           lambda fh: aug.write_report_json(report, fh))
     _write_scorer(cfg.out, scorer)
     print(f"removed {len(report.removed_events)} events, "
           f"inserted {len(report.inserted)}")
@@ -282,7 +283,7 @@ def _cmd_conform(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context)
     model = _read_json(cfg.model, _reference_graph)
     report = conformance(footprint_of_log(log), footprint_of_model(model))
-    _json_out(cfg.out, "report.json", conformance_report_json(report))
+    _write(cfg.out, "report.json", lambda fh: _write_conformance(fh, report))
     table = comparison_table([(os.path.basename(cfg.log), report)])
     _write(cfg.out, "table.txt", lambda fh: fh.write(table))
     print(table, end="")
@@ -308,6 +309,23 @@ def _cmd_synth(cfg: PipelineConfig, args) -> None:
     print(f"simulated {len(log)} cases, {log.n_events} events")
 
 
+def _write_conformance(fh, report) -> None:
+    """conform's report.json, one deviation at a time."""
+    write_conformance_json(report, fh)
+    fh.write("\n")
+
+
+def _write_pipeline_report(fh, counts: dict, reports: dict) -> None:
+    """The pipeline's report.json, byte for byte as _json_out would
+    write {"augmentation": counts, **reports}: the counts, then each
+    conformance report in key order, one deviation at a time."""
+    fh.write(f'{{"augmentation": {json.dumps(counts, sort_keys=True)}')
+    for key in sorted(reports):
+        fh.write(f', "{key}": ')
+        write_conformance_json(reports[key], fh)
+    fh.write("}\n")
+
+
 def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     from . import augment as aug
 
@@ -326,7 +344,8 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     closure = aug.Closure(rb, kg)
     augmented, report, scorer = _augment_log(cfg, log, kg, closure, alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
-    _json_out(cfg.out, "augment_report.json", aug.report_to_json(report))
+    _write(cfg.out, "augment_report.json",
+           lambda fh: aug.write_report_json(report, fh))
     _write_scorer(cfg.out, scorer)
 
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
@@ -340,19 +359,18 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     _json_out(cfg.out, "filter_report.json",
               dfgmod.filter_report_to_json(filter_report))
 
-    payload: dict = {"augmentation": {
-        "removed": len(report.removed_events),
-        "inserted": len(report.inserted),
-    }}
+    counts = {"inserted": len(report.inserted),
+              "removed": len(report.removed_events)}
+    reports = {}
     table = ""
     if reference is not None:
         model_fp = footprint_of_model(reference)
         raw_rep = conformance(footprint_of_log(log), model_fp)
         aug_rep = conformance(footprint_of_log(augmented), model_fp)
         table = comparison_table([("raw", raw_rep), ("augmented", aug_rep)])
-        payload["raw"] = conformance_report_json(raw_rep)
-        payload["augmented"] = conformance_report_json(aug_rep)
-    _json_out(cfg.out, "report.json", payload)
+        reports = {"raw": raw_rep, "augmented": aug_rep}
+    _write(cfg.out, "report.json",
+           lambda fh: _write_pipeline_report(fh, counts, reports))
     _write(cfg.out, "table.txt", lambda fh: fh.write(table))
     if table:
         print(table, end="")

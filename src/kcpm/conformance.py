@@ -10,7 +10,9 @@ model's directed behavior the log exhibits.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .dfg import DependencyGraph
 from .errors import DataError
@@ -109,6 +111,24 @@ def report_to_json(report: ConformanceReport) -> dict:
             for d in report.deviations
         ],
     }
+
+
+def write_report_json(report: ConformanceReport, stream) -> None:
+    """report_to_json(report) as JSON with sorted keys and no newline,
+    byte for byte as json.dumps writes it, one deviation at a time: a
+    value that a caller can nest in a larger document."""
+    quote = encode_basestring_ascii
+    write = stream.write
+    write('{"deviations": [')
+    sep = ""
+    for d in report.deviations:
+        write(f'{sep}{{"a": {quote(d.pair[0])}, "b": {quote(d.pair[1])}, '
+              f'"log": {quote(d.log_relation.value)}, '
+              f'"model": {quote(d.model_relation.value)}}}')
+        sep = ", "
+    write(f'], "f_score": {json.dumps(report.f_score)}, '
+          f'"fitness": {json.dumps(report.fitness)}, '
+          f'"precision": {json.dumps(report.precision)}}}')
 
 
 def comparison_table(rows: list[tuple[str, ConformanceReport]]) -> str:

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
+from sys import intern
 
 from .errors import ParseError
 from .logio import _open_text, parse_timestamp
@@ -129,8 +130,10 @@ def _strip_term(term: str) -> str:
 def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
     """Load a knowledge graph from TSV (3 columns, or 4 with an ISO-8601
     timestamp) or an N-Triples subset (IRIs and plain literals, no blank
-    nodes). Duplicates collapse under set semantics. When source is a
-    path, every ParseError names it: ``<path>: line N: ...``."""
+    nodes). Duplicates collapse under set semantics. Names are interned,
+    as the CSV reader interns activities, so the KG stores each once and
+    shares it with the log. When source is a path, every ParseError
+    names it: ``<path>: line N: ...``."""
     if format not in ("tsv", "ntriples"):
         raise ParseError(f"unknown triple format {format!r}")
     index: Index = {}
@@ -158,6 +161,7 @@ def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
             if not (s and p and o):
                 raise ParseError(
                     f"line {lineno}: triple components must be nonempty: {p}({s}, {o})")
+            s, p, o = intern(s), intern(p), intern(o)
             if len(cols) == 4:
                 try:
                     ts = parse_timestamp(cols[3])

@@ -12,7 +12,7 @@ import io
 import os
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from sys import intern
 
@@ -264,14 +264,13 @@ def _open_text(source):
 
 
 @contextlib.contextmanager
-def csv_rows(source, required, all_used: bool = False):
-    """(columns, rows) of a CSV: columns maps each header name to its
-    position, and rows yields (row number, fields) for each data row, the
-    header being row 1. Blank lines are skipped. A required column missing
-    from the header is a ConfigError; a ParseError is a required column
-    named twice (any column, when the caller uses all of them) and a row
-    whose width differs from the header's. Errors name a source path, as
-    _open_text says."""
+def _csv_reader(source, required, all_used: bool = False):
+    """(columns, width, reader) of a CSV: columns maps each header name
+    to its position, width is the header's length, and reader is the
+    csv.reader past the header, at row 2. A required column missing from
+    the header is a ConfigError; a required column named twice (any
+    column, when the caller uses all of them) is a ParseError. Errors
+    name a source path, as _open_text says."""
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, [])
@@ -285,7 +284,17 @@ def csv_rows(source, required, all_used: bool = False):
             if twice:
                 raise ParseError(f"column {twice[0]!r} is named more than "
                                  "once in the CSV header")
-        yield columns, _sized_rows(reader, len(header))
+        yield columns, len(header), reader
+
+
+@contextlib.contextmanager
+def csv_rows(source, required, all_used: bool = False):
+    """(columns, rows) of a CSV, checked as _csv_reader says: rows yields
+    (row number, fields) for each data row, the header being row 1.
+    Blank lines are skipped, and a row whose width differs from the
+    header's is a ParseError."""
+    with _csv_reader(source, required, all_used) as (columns, width, reader):
+        yield columns, _sized_rows(reader, width)
 
 
 def _sized_rows(reader, width: int):
@@ -293,8 +302,12 @@ def _sized_rows(reader, width: int):
         if not row:
             continue
         if len(row) != width:
-            raise ParseError(f"row {rownum}: {len(row)} fields, header has {width}")
+            raise ParseError(_ragged(rownum, row, width))
         yield rownum, row
+
+
+def _ragged(rownum: int, row: list[str], width: int) -> str:
+    return f"row {rownum}: {len(row)} fields, header has {width}"
 
 
 def _typed(cells) -> dict[str, Scalar]:
@@ -309,15 +322,18 @@ def _typed(cells) -> dict[str, Scalar]:
     return {cell: cell for cell in cells}
 
 
-def _read_events(columns: dict[str, int], rows, mapping: CsvMapping,
+def _read_events(columns: dict[str, int], width: int, reader,
+                 mapping: CsvMapping,
                  kinds: dict[str, str | None]) -> EventLog:
-    """The log in rows, read in one pass. kinds maps each attribute
-    column to its kind, or to None for the kind _typed gives the column's
-    cells. Each distinct timestamp, activity and attribute cell is decoded
-    once, and case ids and activities are interned. A bad timestamp,
-    attribute cell or activity is a ParseError naming the first row that
-    has one; it is raised once every row is read, so a ragged row anywhere
-    is reported first."""
+    """The log in the rows of reader, read in one pass from row 2, blank
+    lines skipped. kinds maps each attribute column to its kind, or to
+    None for the kind _typed gives the column's cells. Each distinct
+    timestamp, activity and attribute cell is decoded once, and case ids
+    and activities are interned. A row of another width than the
+    header's is a ParseError at once. A bad timestamp, attribute cell or
+    activity is a ParseError naming the first row that has one; it is
+    raised once every row is read, so a ragged row anywhere is reported
+    first."""
     case, activity = columns[mapping.case], columns[mapping.activity]
     when = columns[mapping.timestamp]
     resource = None if mapping.resource is None else columns[mapping.resource]
@@ -340,7 +356,11 @@ def _read_events(columns: dict[str, int], rows, mapping: CsvMapping,
     events: list[Event] = []
     attributed = []  # (attributes, cells, row number) of rows with a cell
     first_bad = None  # (row number, rank in the row, message)
-    for rownum, row in rows:
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != width:
+            if not row:
+                continue
+            raise ParseError(_ragged(rownum, row, width))
         if first_bad:
             continue
         text = row[when]
@@ -407,37 +427,57 @@ def parse_csv(source, mapping: CsvMapping) -> EventLog:
                 *mapping.attributes]
     if mapping.resource is not None:
         required.append(mapping.resource)
-    with csv_rows(source, required) as (columns, rows):
-        return _read_events(columns, rows, mapping, mapping.attributes)
+    with _csv_reader(source, required) as (columns, width, reader):
+        return _read_events(columns, width, reader, mapping,
+                            mapping.attributes)
 
 
 def parse_csv_auto(source) -> EventLog:
     """Parse a CSV written by write_csv without an explicit mapping: ISO
     timestamps, a resource column if there is one, and every other
     column typed by _typed."""
-    with csv_rows(source, EVENT_FIELDS[:3], all_used=True) as (columns, rows):
+    with _csv_reader(source, EVENT_FIELDS[:3],
+                     all_used=True) as (columns, width, reader):
         mapping = CsvMapping(resource="resource" if "resource" in columns
                              else None)
-        return _read_events(columns, rows, mapping, {
+        return _read_events(columns, width, reader, mapping, {
             name: None for name in columns if name not in EVENT_FIELDS})
+
+
+# events per chunk of write_csv: only one chunk's cells are alive at once
+_WRITE_CHUNK = 2048
 
 
 def write_csv(log: EventLog, stream) -> None:
     """Write the log with canonical columns (case_id, activity, timestamp,
     resource) plus one column per attribute key, RFC-4180 quoting. An
-    attribute named like a canonical column is a DataError.
+    attribute named like a canonical column is a DataError, raised before
+    anything is written.
 
-    The rows go to the writer column by column. A log read by parse_csv
-    shares one object per distinct timestamp; where objects repeat, each
-    is formatted once. Keying on the object, not its value, keeps equal
-    instants at different UTC offsets apart without hashing either."""
-    events = [e for t in log.traces for e in t.events]
-    attributes = list(map(itemgetter(4), events))
-    attr_cols = sorted(set().union(*attributes))
+    The rows go to the writer _WRITE_CHUNK events at a time, and column
+    by column within a chunk."""
+    names: set[str] = set()
+    events = chain.from_iterable(t.events for t in log.traces)
+    for attributes in filter(None, map(itemgetter(4), events)):
+        names.update(attributes)
+    attr_cols = sorted(names)
     clash = [name for name in attr_cols if name in EVENT_FIELDS]
     if clash:
         raise DataError(f"event attribute {clash[0]!r} has the name of an "
                         "event field")
+    writer = csv.writer(stream)  # it writes None as an empty field
+    writer.writerow([*EVENT_FIELDS, *attr_cols])
+    events = chain.from_iterable(t.events for t in log.traces)
+    while chunk := list(islice(events, _WRITE_CHUNK)):
+        _write_chunk(writer, chunk, attr_cols)
+
+
+def _write_chunk(writer, events: list[Event], attr_cols: list[str]) -> None:
+    """The rows of events. A log read by parse_csv shares one object per
+    distinct timestamp; where objects repeat in the chunk, each is
+    formatted once. Keying on the object, not its value, keeps equal
+    instants at different UTC offsets apart without hashing either."""
+    attributes = list(map(itemgetter(4), events))
     stamps = list(map(itemgetter(2), events))
     distinct = dict(zip(map(id, stamps), stamps))
     if len(distinct) < len(stamps):
@@ -449,8 +489,6 @@ def write_csv(log: EventLog, stream) -> None:
     for i in compress(range(len(events)), attributes):
         for name, value in attributes[i].items():
             cells[name][i] = None if value is None else format_scalar(value)
-    writer = csv.writer(stream)  # it writes None as an empty field
-    writer.writerow([*EVENT_FIELDS, *attr_cols])
     writer.writerows(zip(map(itemgetter(0), events), map(itemgetter(1), events),
                          texts, map(itemgetter(3), events), *cells.values()))
 

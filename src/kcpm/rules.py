@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .kg import KnowledgeGraph, Triple
+from .kg import Index, KnowledgeGraph, Triple
 
 _EPS = 1e-12
 
@@ -218,6 +218,14 @@ class Closure:
     replaces a fact's confidence only when it beats it by more than
     _EPS; the closure ends after a pass that changes nothing.
 
+    The closure stores derived facts only. Base facts are read from the
+    KG's own index, which nothing changes: no derivation exceeds 1.0, so
+    none replaces a base fact. Every relation the joins read is a pair
+    (base, derived): base maps subject -> objects at confidence 1.0,
+    derived maps subject -> object -> confidence, and no fact is in both.
+    A rule's first body atom and every successor a join reads are such
+    pairs; what a join builds is derived only, x -> z -> confidence.
+
     Evaluation is semi-naive: each rule's first run joins its whole body,
     and every later run joins only paths through at least one fact that
     changed since the rule last ran. A path through unchanged facts was
@@ -234,14 +242,13 @@ class Closure:
     """
 
     def __init__(self, rb: RuleBase, kg: KnowledgeGraph):
-        # predicate -> subject -> object -> confidence
-        self._index: dict[str, dict[str, dict[str, float]]] = {
-            p: {s: dict.fromkeys(objs, 1.0) for s, objs in rel.items()}
-            for p, rel in kg.index.items()}
+        self._base = kg.index
+        # predicate -> subject -> object -> confidence, of derived facts
+        self._derived: dict[str, dict[str, dict[str, float]]] = {}
         self._via: dict[tuple[str, str, str], str] = {}
         # predicate -> (subject, object) of every derived update, in order
         self._changes: dict[str, list[tuple[str, str]]] = {}
-        self.confidence = _ConfidenceView(self._index)
+        self.confidence = _ConfidenceView(self._base, self._derived)
         # per rule: change-list lengths when it last joined; None before
         last_seen: list[dict[str, int] | None] = [None] * len(rb.rules)
         changed = True
@@ -252,16 +259,29 @@ class Closure:
                 now = {p: len(self._changes.get(p, ())) for p in preds}
                 seen = last_seen[k]
                 if seen is None:
-                    pairs = _join(self._index.get(preds[0], {}), preds[1:],
-                                  self._index)
+                    rows = self._join(_base_rows(*self._relation(preds[0])),
+                                      preds[1:])
                 else:
                     delta = {p: self._changes[p][seen[p]:n]
                              for p, n in now.items() if n > seen[p]}
                     if not delta:
                         continue
-                    pairs = self._join_changed(preds, delta)
+                    rows = _rows(self._join_changed(preds, delta))
                 last_seen[k] = now
-                changed |= self._apply(rule, pairs)
+                changed |= self._apply(rule, rows)
+
+    def _relation(self, pred: str):
+        """The (base, derived) relation of one predicate."""
+        return self._base.get(pred, {}), self._derived.get(pred, {})
+
+    def _join(self, rows, preds):
+        """The rows of a relation extended by each of preds in turn."""
+        for pred in preds:
+            frontier = _step(rows, self._relation(pred))
+            rows = _rows(frontier)
+            if not frontier:
+                break
+        return rows
 
     def _join_changed(self, preds, delta) -> dict[str, dict[str, float]]:
         """Best body product per (x, y) over the paths that use at least
@@ -270,7 +290,7 @@ class Closure:
         for i, pred in enumerate(preds):
             if pred not in delta:
                 continue
-            rel = self._index[pred]
+            rel = self._derived[pred]  # only derived facts change
             changed: dict[str, dict[str, float]] = {}
             for s, o in delta[pred]:
                 changed.setdefault(s, {})[o] = rel[s][o]
@@ -278,47 +298,57 @@ class Closure:
                 frontier = changed
             else:
                 frontier = _step(self._paths_into(preds[:i], changed.keys()),
-                                 changed)
-            for x, ys in _join(frontier, preds[i + 1:], self._index).items():
+                                 ({}, changed))
+            for x, ys in self._join(_rows(frontier), preds[i + 1:]):
                 row = best.setdefault(x, {})
-                for y, v in ys.items():
+                for y, v in ys:
                     if v > row.get(y, 0.0):
                         row[y] = v
         return best
 
-    def _paths_into(self, preds, targets) -> dict[str, dict[str, float]]:
-        """Best product over the chain preds, as x -> z -> product, for
-        the paths that end in targets. Each predicate is cut back to the
-        facts that can still reach targets, right to left, and the cut
-        relations are then joined left to right."""
+    def _paths_into(self, preds, targets):
+        """Best product over the chain preds, as rows from x to z, for
+        the paths that end in targets. Each predicate is cut back to
+        the facts that can still reach targets, right to left, and the
+        cut relations are then joined left to right."""
         cut = []
         for pred in reversed(preds):
+            base, derived = self._relation(pred)
+            part_base = {}
+            for s, objs in base.items():
+                hit = objs & targets
+                if hit:
+                    part_base[s] = hit
             part = {}
-            for s, objs in self._index.get(pred, {}).items():
+            for s, objs in derived.items():
                 hit = {o: c for o, c in objs.items() if o in targets}
                 if hit:
                     part[s] = hit
-            cut.append(part)
-            targets = part.keys()
+            cut.append((part_base, part))
+            targets = part_base.keys() | part.keys()
         cut.reverse()
-        frontier = cut[0]
+        rows = _base_rows(*cut[0])
         for part in cut[1:]:
-            frontier = _step(frontier, part)
-        return frontier
+            rows = _rows(_step(rows, part))
+        return rows
 
-    def _apply(self, rule: ClosedPathRule, pairs) -> bool:
+    def _apply(self, rule: ClosedPathRule, rows) -> bool:
         """Offer each body pair's product times the rule's PCA confidence
-        to the head fact; True if any fact was added or improved."""
+        to the head fact; True if any fact was added or improved. A base
+        fact holds at 1.0, which no product beats."""
         head = rule.head.predicate
-        rel = self._index.setdefault(head, {})
+        base = self._base.get(head, {})
+        rel = self._derived.setdefault(head, {})
         log = self._changes.setdefault(head, [])
         before = len(log)
         pca = rule.pca_confidence
-        for x, ys in pairs.items():
+        for x, ys in rows:
             row = rel.get(x)
-            for y, v in ys.items():
+            known = base.get(x, ())
+            for y, v in ys:
                 derived = v * pca
-                if derived > (row.get(y, 0.0) if row else 0.0) + _EPS:
+                if (derived > (row.get(y, 0.0) if row else 0.0) + _EPS
+                        and y not in known):
                     if row is None:
                         row = rel[x] = {}
                     row[y] = derived
@@ -327,61 +357,95 @@ class Closure:
         return len(log) > before
 
     def entails(self, fact: Triple) -> EntailmentResult:
-        conf = self._index.get(fact.predicate, {}).get(fact.subject, {}).get(
-            fact.object)
+        p, s, o = fact.predicate, fact.subject, fact.object
+        if o in self._base.get(p, {}).get(s, ()):
+            return EntailmentResult(True, 1.0)
+        conf = self._derived.get(p, {}).get(s, {}).get(o)
         if conf is None:
             return EntailmentResult(False)
-        return EntailmentResult(
-            True, conf,
-            self._via.get((fact.predicate, fact.subject, fact.object)))
+        return EntailmentResult(True, conf, self._via[(p, s, o)])
 
     def facts(self, predicate: str):
         """(subject, object, confidence, via_rule) of every fact of one
-        predicate, in subject then object order."""
-        rel = self._index.get(predicate, {})
-        for s in sorted(rel):
-            for o in sorted(rel[s]):
-                yield s, o, rel[s][o], self._via.get((predicate, s, o))
+        predicate, in subject then object order: base facts at 1.0 with
+        via_rule None, derived ones with the rule that last raised them."""
+        base, derived = self._relation(predicate)
+        for s in sorted(base.keys() | derived.keys()):
+            objs, row = base.get(s, ()), derived.get(s, {})
+            for o in sorted(itertools.chain(objs, row)):
+                if o in row:
+                    yield s, o, row[o], self._via[(predicate, s, o)]
+                else:
+                    yield s, o, 1.0, None
 
 
 class _ConfidenceView(Mapping):
-    """Read-only Triple -> confidence view of a closure's index."""
+    """Read-only Triple -> confidence view of a closure's base and
+    derived facts."""
 
-    def __init__(self, index: dict[str, dict[str, dict[str, float]]]):
-        self._index = index
+    def __init__(self, base: Index,
+                 derived: dict[str, dict[str, dict[str, float]]]):
+        self._base = base
+        self._derived = derived
 
     def __getitem__(self, fact: Triple) -> float:
-        return self._index[fact.predicate][fact.subject][fact.object]
+        if fact.object in self._base.get(fact.predicate, {}).get(
+                fact.subject, ()):
+            return 1.0
+        return self._derived[fact.predicate][fact.subject][fact.object]
 
     def __iter__(self):
-        for p, rel in self._index.items():
-            for s, objs in rel.items():
-                for o in objs:
-                    yield Triple(s, p, o)
+        for layer in (self._base, self._derived):
+            for p, rel in layer.items():
+                for s, objs in rel.items():
+                    for o in objs:
+                        yield Triple(s, p, o)
 
     def __len__(self) -> int:
-        return sum(len(objs) for rel in self._index.values()
-                   for objs in rel.values())
+        return sum(len(objs) for layer in (self._base, self._derived)
+                   for rel in layer.values() for objs in rel.values())
 
 
-def _step(frontier, succ) -> dict[str, dict[str, float]]:
-    """Extend x -> z -> c by one relation z -> o -> c2: the best c * c2
-    per (x, o). Floating-point products are monotone in each factor, so
-    the best prefix times a fact equals the best over whole paths.
+def _rows(relation: dict[str, dict[str, float]]):
+    """(x, iterable of (z, confidence)) per subject of x -> z -> c."""
+    return ((x, zs.items()) for x, zs in relation.items())
+
+
+def _base_rows(base: dict[str, set[str]],
+               derived: dict[str, dict[str, float]]):
+    """(x, iterable of (z, confidence)) per subject of one predicate's
+    base facts, at 1.0, and derived facts."""
+    for x, objs in base.items():
+        row = derived.get(x)
+        ones = zip(objs, itertools.repeat(1.0))
+        yield x, itertools.chain(ones, row.items()) if row else ones
+    for x, row in derived.items():
+        if x not in base:
+            yield x, row.items()
+
+
+def _step(rows, succ) -> dict[str, dict[str, float]]:
+    """Extend a relation x -> z -> c, given as rows (x, iterable of
+    (z, c)), by the (base, derived) relation succ, z -> o -> c2: the
+    best c * c2 per (x, o). Floating-point products are monotone in each
+    factor, so the best prefix times a fact equals the best over whole
+    paths.
 
     The join is set-at-a-time: each successor row is grouped once by
     confidence, every (x, z) adds whole object sets under their product
     c * c2, and each object then takes the largest positive product that
     reaches it. These are the products a per-object loop compares, so
-    the result is the same mapping."""
+    the result is the same mapping. A base row joins as the KG's own
+    object set, uncopied."""
+    base, derived = succ
     groups: dict[str, list[tuple[float, set[str]]]] = {}
     out: dict[str, dict[str, float]] = {}
-    for x, zs in frontier.items():
+    for x, zs in rows:
         reach: dict[float, list[set[str]]] = {}
-        for z, c in zs.items():
+        for z, c in zs:
             row = groups.get(z)
             if row is None:
-                row = groups[z] = _by_confidence(succ.get(z, {}))
+                row = groups[z] = _by_confidence(base.get(z), derived.get(z))
             for c2, objs in row:
                 reach.setdefault(c * c2, []).append(objs)
         acc: dict[str, float] = {}
@@ -396,23 +460,21 @@ def _step(frontier, succ) -> dict[str, dict[str, float]]:
     return out
 
 
-def _by_confidence(row: dict[str, float]) -> list[tuple[float, set[str]]]:
-    """(confidence, the objects holding it) of one successor row."""
-    confidences = set(row.values())
-    if len(confidences) == 1:  # every base fact holds with confidence 1
-        return [(confidences.pop(), set(row))]
-    by_conf: dict[float, set[str]] = {}
-    for o, c in row.items():
-        by_conf.setdefault(c, set()).add(o)
-    return list(by_conf.items())
-
-
-def _join(frontier, preds, index) -> dict[str, dict[str, float]]:
-    for pred in preds:
-        if not frontier:
-            break
-        frontier = _step(frontier, index.get(pred, {}))
-    return frontier
+def _by_confidence(objs: set[str] | None, row: dict[str, float] | None
+                   ) -> list[tuple[float, set[str]]]:
+    """(confidence, the objects holding it) of one successor: its base
+    objects at 1.0, then its derived row grouped by confidence."""
+    groups = [(1.0, objs)] if objs else []
+    if row:
+        confidences = set(row.values())
+        if len(confidences) == 1:
+            groups.append((confidences.pop(), set(row)))
+        else:
+            by_conf: dict[float, set[str]] = {}
+            for o, c in row.items():
+                by_conf.setdefault(c, set()).add(o)
+            groups.extend(by_conf.items())
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 from datetime import timedelta
@@ -8,8 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcpm.augment import (check_guideline_latency, filter_chaotic_events,
-                          infer_missing_events, merge_reports, report_to_json)
+from kcpm.augment import (AugmentationReport, CandidateInsertion,
+                          RemovedEvent, check_guideline_latency,
+                          filter_chaotic_events, infer_missing_events,
+                          merge_reports, report_to_json, write_report_json)
 from kcpm.kg import (FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple,
                      load_triples)
 from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
@@ -431,6 +434,32 @@ def test_merge_reports_and_json():
     assert len(payload["removed_events"]) == 1
     assert len(payload["inserted"]) == 1
     assert payload["thresholds"] == {"theta": 0.5}
+
+
+# names with non-ASCII, quote, backslash and control characters
+_NAMES = st.one_of(st.text(max_size=6),
+                   st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é", "☃",
+                                    "\U0001f600", "\u2028"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(removed=st.lists(st.builds(RemovedEvent, _NAMES,
+                                  st.integers(0, 10**6), _NAMES,
+                                  st.none() | _NAMES), max_size=4),
+       inserted=st.lists(st.builds(
+           CandidateInsertion, _NAMES, _NAMES, st.integers(0, 10**6),
+           st.sampled_from([0.0, 0.1, 1.0, 5e-324, 0, 1, True])
+           | st.floats(0.0, 1.0),
+           st.sampled_from(["rule", "embedding"]), st.none() | _NAMES),
+           max_size=4),
+       thresholds=st.none() | st.dictionaries(
+           st.sampled_from(["theta", "é"]), st.floats(0.0, 1.0)))
+def test_write_report_json_matches_json_dumps(removed, inserted, thresholds):
+    report = AugmentationReport(tuple(removed), tuple(inserted), thresholds)
+    got = io.StringIO()
+    write_report_json(report, got)
+    assert got.getvalue() == json.dumps(report_to_json(report),
+                                        sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

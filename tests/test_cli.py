@@ -165,6 +165,7 @@ def test_conform_against_ground_truth_model(workdir, capsys):
     assert run("conform", "--log", workdir / "log.csv",
                "--model", workdir / "model.json", "--out", out) == 0
     validate("conformance_report", load_json(out / "report.json"))
+    assert_dumps_layout(out / "report.json")
 
 
 def test_filter_subcommand(workdir, capsys):
@@ -388,12 +389,27 @@ def test_pipeline_end_to_end(workdir, capsys):
     payload = load_json(out / "report.json")
     validate("pipeline_report", payload)
     validate("augment_report", load_json(out / "augment_report.json"))
+    assert_dumps_layout(out / "report.json")
+    assert_dumps_layout(out / "augment_report.json")
     validate("filter_report", load_json(out / "filter_report.json"))
     validate("dfg", load_json(out / "dfg.json"))
     validate("manifest", load_json(out / "manifest.json"))
     assert "raw" in payload and "augmented" in payload
     table = (out / "table.txt").read_text()
     assert "raw" in table and "augmented" in table
+    # without a reference model, report.json holds the counts alone
+    bare = workdir / "pipe-bare"
+    assert run("pipeline", "--log", workdir / "log.csv", "--kg", kg,
+               "--out", bare, "--no-embedding") == 0
+    assert_dumps_layout(bare / "report.json")
+    assert load_json(bare / "report.json") == {
+        "augmentation": payload["augmentation"]}
+
+
+def assert_dumps_layout(path):
+    """The reports are written piece by piece, in json.dumps's layout."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_pipeline_byte_identical_across_runs(workdir):

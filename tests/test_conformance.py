@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcpm.conformance import (FootprintMatrix, Relation, comparison_table,
-                              conformance, f_score, footprint_of_log,
-                              footprint_of_model, report_to_json)
+from kcpm.conformance import (ConformanceReport, Deviation, FootprintMatrix,
+                              Relation, comparison_table, conformance, f_score,
+                              footprint_of_log, footprint_of_model,
+                              report_to_json, write_report_json)
 from kcpm.dfg import MiningThresholds, mine_dependency_graph
 from kcpm.errors import DataError
 from kcpm.eventlog import EventLog
@@ -156,6 +158,23 @@ def test_pair_set_report_equals_dense_comparison(log_seqs, other_seqs, shift,
     got = conformance(footprint_of_log(log_from_sequences(log_seqs)), other_fp)
     expected = dense_conformance(_log_side(log_seqs), other_side)
     assert json.dumps(report_to_json(got)) == json.dumps(expected)
+
+
+_NAMES = st.one_of(st.text(max_size=6), st.sampled_from(
+    ['"', "\\", "\n", "\x00", "é", "\U0001f600"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(deviations=st.lists(st.builds(
+           Deviation, st.tuples(_NAMES, _NAMES), st.sampled_from(Relation),
+           st.sampled_from(Relation)), max_size=4),
+       scores=st.tuples(*[st.sampled_from([0.0, 0.1, 1.0, 5e-324])
+                          | st.floats(0.0, 1.0)] * 3))
+def test_write_report_json_matches_json_dumps(deviations, scores):
+    report = ConformanceReport(*scores, tuple(deviations))
+    got = io.StringIO()
+    write_report_json(report, got)
+    assert got.getvalue() == json.dumps(report_to_json(report), sort_keys=True)
 
 
 def test_rendering():

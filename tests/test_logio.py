@@ -1,12 +1,15 @@
 import csv
 import io
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcpm import logio
 from kcpm.errors import ConfigError, DataError, KcpmError, ParseError
 from kcpm.eventlog import Event, EventLog, Trace, make_log
 from kcpm.logio import (CsvMapping, mapping_for_log, parse_csv, parse_csv_auto,
@@ -550,7 +553,45 @@ def writer_logs(draw):
 @settings(max_examples=400, deadline=None)
 @given(writer_logs())
 def test_write_csv_matches_the_former_writer_byte_for_byte(log):
-    got, want = io.StringIO(), io.StringIO()
-    write_csv(log, got)
+    want = io.StringIO()
     oracles.write_csv(log, want)
-    assert got.getvalue() == want.getvalue()
+    # chunks of 1, 2 and 3 events put rows, traces and shared timestamp
+    # objects on both sides of chunk edges
+    for chunk in (1, 2, 3, logio._WRITE_CHUNK):
+        got = io.StringIO()
+        with mock.patch.object(logio, "_WRITE_CHUNK", chunk):
+            write_csv(log, got)
+        assert got.getvalue() == want.getvalue(), chunk
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _write_csv_peak(n_events: int) -> int:
+    """tracemalloc's peak while write_csv writes n_events to a stream
+    that keeps nothing: 50-event traces, every timestamp object shared
+    by two events, and one attribute per event."""
+    stamps = [T0 + timedelta(seconds=k) for k in range(n_events // 2)]
+    traces = []
+    for start in range(0, n_events, 50):
+        case = f"c{start}"
+        traces.append(Trace(case, tuple(
+            Event(case, "a", stamps[i // 2], "r", {"synthetic": True})
+            for i in range(start, min(start + 50, n_events)))))
+    log = EventLog(tuple(traces))
+    tracemalloc.start()
+    try:
+        write_csv(log, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_chunk_at_a_time():
+    # tracemalloc counts allocations, not pages, so the bound is exact
+    _write_csv_peak(100)  # first-call allocations stay out of the bound
+    one = _write_csv_peak(logio._WRITE_CHUNK)
+    eight = _write_csv_peak(8 * logio._WRITE_CHUNK)
+    assert eight - one < one

@@ -1,4 +1,6 @@
+import copy
 import io
+import itertools
 import random
 
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
-from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, _joinable,
-                        _step, chain_body, mine_rules, read_rules_jsonl,
-                        write_rules_jsonl)
+from kcpm.rules import (Atom, ClosedPathRule, Closure, EntailmentResult,
+                        RuleBase, _base_rows, _joinable, _step, chain_body,
+                        mine_rules, read_rules_jsonl, write_rules_jsonl)
 
 from oracles import (naive_body_confidences, naive_closure, naive_mine,
                      naive_step)
@@ -289,12 +291,14 @@ _CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                          st.floats(0.0, 1.0))
 
 
+_TRIPLES = st.sets(st.tuples(_ENTITIES, _PREDICATES, _ENTITIES), max_size=12)
+_RULES = st.lists(st.tuples(st.lists(_PREDICATES, min_size=1, max_size=3),
+                            _PREDICATES, _CONFIDENCES),
+                  max_size=5)
+
+
 @settings(max_examples=150, deadline=None)
-@given(triples=st.sets(st.tuples(_ENTITIES, _PREDICATES, _ENTITIES),
-                       max_size=12),
-       rules=st.lists(st.tuples(st.lists(_PREDICATES, min_size=1, max_size=3),
-                                _PREDICATES, _CONFIDENCES),
-                      max_size=5))
+@given(triples=_TRIPLES, rules=_RULES)
 def test_closure_matches_naive_fixpoint(triples, rules):
     # random bodies over three predicates make recursive rules and
     # cyclic facts common
@@ -321,6 +325,49 @@ def test_closure_matches_naive_fixpoint(triples, rules):
         assert any(v == pytest.approx(c, abs=1e-12) for v in reached)
 
 
+@settings(max_examples=150, deadline=None)
+@given(triples=_TRIPLES, rules=_RULES)
+def test_closure_leaves_the_kg_index_unchanged(triples, rules):
+    # the closure reads base facts from the KG's index and joins its
+    # object sets uncopied, so no build or read may write to them
+    kg = KnowledgeGraph(Triple(*t) for t in triples)
+    before = copy.deepcopy(kg.index)
+    closure = Closure(RuleBase(tuple(_rule(tuple(b), h, c)
+                                     for b, h, c in rules)), kg)
+    assert kg.index == before
+    for p in "pqr":
+        list(closure.facts(p))
+    for s, p, o in itertools.product("abcde", "pqr", "abcde"):
+        closure.entails(Triple(s, p, o))
+    assert len(list(closure.confidence.items())) == len(closure.confidence)
+    assert kg.index == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples=_TRIPLES, rules=_RULES)
+def test_facts_give_base_facts_at_one_and_derived_facts_with_their_rule(
+        triples, rules):
+    rb = RuleBase(tuple(_rule(tuple(b), h, c) for b, h, c in rules))
+    closure = Closure(rb, KnowledgeGraph(Triple(*t) for t in triples))
+    expected = naive_closure([(tuple(b), h, c) for b, h, c in rules], triples)
+    got = {}
+    for p in "pqr":
+        rows = list(closure.facts(p))
+        assert [(s, o) for s, o, _, _ in rows] == sorted(
+            (s, o) for s, q, o in expected if q == p)
+        for s, o, c, via in rows:
+            got[(s, p, o)] = c
+            assert closure.entails(Triple(s, p, o)) == EntailmentResult(
+                True, c, via)
+            if (s, p, o) in triples:
+                assert (c, via) == (1.0, None)
+            else:
+                assert via in {r.rule_id for r in rb if r.head.predicate == p}
+    assert got.keys() == expected.keys()
+    for fact, c in expected.items():
+        assert got[fact] == pytest.approx(c, abs=1e-12)
+
+
 # few nodes and a few repeated confidences, so one product often reaches
 # an object along several paths, and rows share their confidence
 _NODES = st.sampled_from("abcdef")
@@ -331,11 +378,27 @@ _ROWS = st.dictionaries(_NODES, st.dictionaries(_NODES, _STEP_CONFIDENCES,
                         max_size=6)
 
 
+def _layers(rows, data):
+    """rows as a (base, derived) relation: each fact at confidence 1.0
+    goes to the base layer or stays derived, as drawn."""
+    base, derived = {}, {}
+    for s, row in rows.items():
+        if not row:
+            derived[s] = {}
+        for o, c in row.items():
+            if c == 1.0 and data.draw(st.booleans()):
+                base.setdefault(s, set()).add(o)
+            else:
+                derived.setdefault(s, {})[o] = c
+    return base, derived
+
+
 @settings(max_examples=300, deadline=None)
-@given(frontier=_ROWS, succ=_ROWS)
-def test_step_equals_per_object_join(frontier, succ):
-    # empty rows and frontier nodes with no successors are drawn too
-    got = _step(frontier, succ)
+@given(frontier=_ROWS, succ=_ROWS, data=st.data())
+def test_step_equals_per_object_join(frontier, succ, data):
+    # empty rows and frontier nodes with no successors are drawn too, and
+    # a subject may have objects in both layers
+    got = _step(_base_rows(*_layers(frontier, data)), _layers(succ, data))
     expected = naive_step(frontier, succ)
     assert got.keys() == expected.keys()
     for x, row in expected.items():
