@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .eventlog import Event, EventLog, Trace
 from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
@@ -29,16 +29,14 @@ if TYPE_CHECKING:
     from .temporal import TemporalScorer
 
 
-@dataclass(frozen=True)
-class RemovedEvent:
+class RemovedEvent(NamedTuple):
     case_id: str
     index: int          # position in the trace as passed in
     activity: str
     rule_id: str | None
 
 
-@dataclass(frozen=True)
-class CandidateInsertion:
+class _CandidateFields(NamedTuple):
     case_id: str
     activity: str
     position: int       # insert before events[position] of the final trace
@@ -46,13 +44,27 @@ class CandidateInsertion:
     provenance: str     # "rule" | "embedding"
     rule_id: str | None = None
 
-    def __post_init__(self):
-        if self.position < 0:
+
+class CandidateInsertion(_CandidateFields):
+    """One accepted insertion, a tuple of its six fields. Every way of
+    making one (positional, keyword, _make, _replace) rejects a negative
+    position and a score outside [0, 1], and turns the score into a
+    float: an int, bool or numpy float becomes one."""
+
+    __slots__ = ()
+
+    def __new__(cls, case_id: str, activity: str, position: int,
+                score: float, provenance: str, rule_id: str | None = None):
+        if position < 0:
             raise ValueError("position must be nonnegative")
-        if not 0.0 <= self.score <= 1.0:
+        if not 0.0 <= score <= 1.0:
             raise ValueError("score must be in [0, 1]")
-        if type(self.score) is not float:  # an int, bool or numpy float
-            object.__setattr__(self, "score", float(self.score))
+        return tuple.__new__(cls, (case_id, activity, position, float(score),
+                                   provenance, rule_id))
+
+    @classmethod
+    def _make(cls, iterable) -> CandidateInsertion:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -60,12 +72,6 @@ class AugmentationReport:
     removed_events: tuple[RemovedEvent, ...] = ()
     inserted: tuple[CandidateInsertion, ...] = ()
     thresholds: dict | None = None
-
-
-def _entity(alias: dict[str, str] | None, activity: str) -> str | None:
-    if alias is None:
-        return activity
-    return alias.get(activity)
 
 
 def filter_chaotic_events(
@@ -90,7 +96,8 @@ def filter_chaotic_events(
     for t in log.traces:
         work = list(t.events)
         positions = list(range(len(work)))
-        ents = [_entity(alias, e.activity) for e in work]
+        ents = ([e.activity for e in work] if alias is None
+                else [alias.get(e.activity) for e in work])
         i = 0
         while i + 1 < len(work):
             after = forbidden.get(ents[i])
@@ -154,14 +161,15 @@ def infer_missing_events(
         done = 0
         i = 0
         while i < len(work):
-            ent = _entity(alias, work[i].activity)
+            ent = work[i].activity
+            if alias is not None:
+                ent = alias.get(ent)
             # most events have every prerequisite done: one int test
             missing = need.get(ent, 0) & ~done
             insert_at = i
             if missing:
-                prereqs = prec.facts[ent]
                 for p in prec.order(missing):
-                    conf, rule_id = prereqs[p]
+                    conf, rule_id = closure.lookup(MUST_PRECEDE, p, ent)
                     accepted = None
                     if conf >= theta:
                         accepted = CandidateInsertion(
@@ -204,17 +212,23 @@ class _Precedence:
 
     Bit k stands for the k-th prerequisite entity in sorted order, so
     reading a mask lowest bit first lists its entities alphabetically.
-    need maps an entity to the mask of its prerequisites, and facts to
-    prerequisite -> (confidence, via_rule)."""
+    need maps an entity to the mask of its prerequisites. A fact's
+    confidence and rule stay in the closure, read by Closure.lookup."""
 
     def __init__(self, closure: Closure):
-        self.facts: dict[str, dict[str, tuple[float, str | None]]] = {}
-        for s, o, conf, via in closure.facts(MUST_PRECEDE):
-            self.facts.setdefault(o, {})[s] = (conf, via)
-        self.names = sorted({s for row in self.facts.values() for s in row})
+        base, derived = closure.relation(MUST_PRECEDE)
+        # base rows are the KG's object sets and derived rows hold at
+        # least one fact, so every subject here is some object's
+        # prerequisite
+        self.names = sorted(base.keys() | derived.keys())
         self.bit = {name: 1 << k for k, name in enumerate(self.names)}
-        self.need = {o: sum(self.bit[s] for s in row)
-                     for o, row in self.facts.items()}
+        need: dict[str, int] = {}
+        for layer in (base, derived):
+            for s, objs in layer.items():
+                b = self.bit[s]
+                for o in objs:
+                    need[o] = need.get(o, 0) | b
+        self.need = need
 
     def decode(self, mask: int) -> list[str]:
         """The entities of a mask, alphabetically."""

@@ -12,7 +12,7 @@ import io
 import os
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from operator import itemgetter
 from sys import intern
 
@@ -444,18 +444,42 @@ def parse_csv_auto(source) -> EventLog:
             name: None for name in columns if name not in EVENT_FIELDS})
 
 
-# events per chunk of write_csv: only one chunk's cells are alive at once
+# events per chunk of write_csv: only one chunk's rows are alive at once
 _WRITE_CHUNK = 2048
+
+
+def _field(text: str) -> str:
+    """text as one field of a row that csv.writer's default dialect
+    writes: wrapped in double quotes, inner ones doubled, when it holds a
+    comma, a double quote, CR or LF, and as is otherwise."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class _Fields(dict):
+    """text -> _field(text), filled on first use; None is an empty field."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = quoted = _field(text)
+        return quoted
 
 
 def write_csv(log: EventLog, stream) -> None:
     """Write the log with canonical columns (case_id, activity, timestamp,
-    resource) plus one column per attribute key, RFC-4180 quoting. An
-    attribute named like a canonical column is a DataError, raised before
-    anything is written.
+    resource) plus one column per attribute key, quoted and ended with
+    CRLF as csv.writer's default dialect does (RFC 4180). An attribute
+    named like a canonical column is a DataError, raised before anything
+    is written.
 
-    The rows go to the writer _WRITE_CHUNK events at a time, and column
-    by column within a chunk."""
+    Each row is built as one string, and the rows go to the stream
+    _WRITE_CHUNK events at a time, one write per chunk. The quoted text
+    of each activity and resource is kept for the whole write, and the
+    case id's once per trace. A log read by parse_csv shares one object
+    per distinct timestamp, so each timestamp object is formatted once
+    per chunk; the cache is keyed on the object, not its value, which
+    keeps equal instants at different UTC offsets apart without hashing
+    either, and is dropped at each chunk edge."""
     names: set[str] = set()
     events = chain.from_iterable(t.events for t in log.traces)
     for attributes in filter(None, map(itemgetter(4), events)):
@@ -465,32 +489,30 @@ def write_csv(log: EventLog, stream) -> None:
     if clash:
         raise DataError(f"event attribute {clash[0]!r} has the name of an "
                         "event field")
-    writer = csv.writer(stream)  # it writes None as an empty field
-    writer.writerow([*EVENT_FIELDS, *attr_cols])
+    stream.write(",".join(map(_field, (*EVENT_FIELDS, *attr_cols))) + "\r\n")
+    fields = _Fields({None: ""})  # of activities and resources
+    bare = "," * len(attr_cols) + "\r\n"  # ends a row without attributes
+    case = prefix = None
     events = chain.from_iterable(t.events for t in log.traces)
     while chunk := list(islice(events, _WRITE_CHUNK)):
-        _write_chunk(writer, chunk, attr_cols)
+        iso: dict[int, str] = {}
+        rows = []
+        for case_id, activity, ts, resource, attributes in chunk:
+            if case_id != case:
+                case, prefix = case_id, _field(case_id) + ","
+            text = iso.get(id(ts))
+            if text is None:
+                text = iso[id(ts)] = ts.isoformat()
+            end = _row_end(attributes, attr_cols) if attributes else bare
+            rows.append(f"{prefix}{fields[activity]},{text},{fields[resource]}{end}")
+        stream.write("".join(rows))
 
 
-def _write_chunk(writer, events: list[Event], attr_cols: list[str]) -> None:
-    """The rows of events. A log read by parse_csv shares one object per
-    distinct timestamp; where objects repeat in the chunk, each is
-    formatted once. Keying on the object, not its value, keeps equal
-    instants at different UTC offsets apart without hashing either."""
-    attributes = list(map(itemgetter(4), events))
-    stamps = list(map(itemgetter(2), events))
-    distinct = dict(zip(map(id, stamps), stamps))
-    if len(distinct) < len(stamps):
-        iso = dict(zip(distinct, map(datetime.isoformat, distinct.values())))
-        texts = map(iso.__getitem__, map(id, stamps))
-    else:
-        texts = map(datetime.isoformat, stamps)
-    cells = {name: [None] * len(events) for name in attr_cols}
-    for i in compress(range(len(events)), attributes):
-        for name, value in attributes[i].items():
-            cells[name][i] = None if value is None else format_scalar(value)
-    writer.writerows(zip(map(itemgetter(0), events), map(itemgetter(1), events),
-                         texts, map(itemgetter(3), events), *cells.values()))
+def _row_end(attributes: dict[str, Scalar], attr_cols: list[str]) -> str:
+    """The attribute cells of one row, each after its comma, and CRLF; an
+    absent or None attribute is an empty cell."""
+    return "," + ",".join(["" if value is None else _field(format_scalar(value))
+                           for value in map(attributes.get, attr_cols)]) + "\r\n"
 
 
 def mapping_for_log(log: EventLog) -> CsvMapping:

@@ -259,7 +259,7 @@ class Closure:
                 now = {p: len(self._changes.get(p, ())) for p in preds}
                 seen = last_seen[k]
                 if seen is None:
-                    rows = self._join(_base_rows(*self._relation(preds[0])),
+                    rows = self._join(_base_rows(*self.relation(preds[0])),
                                       preds[1:])
                 else:
                     delta = {p: self._changes[p][seen[p]:n]
@@ -270,14 +270,17 @@ class Closure:
                 last_seen[k] = now
                 changed |= self._apply(rule, rows)
 
-    def _relation(self, pred: str):
-        """The (base, derived) relation of one predicate."""
+    def relation(self, pred: str):
+        """The (base, derived) relation of one predicate: base maps a
+        subject to its set of objects, derived a subject to object ->
+        confidence, and every row of either holds at least one fact.
+        Both are the closure's own maps, to be read, not changed."""
         return self._base.get(pred, {}), self._derived.get(pred, {})
 
     def _join(self, rows, preds):
         """The rows of a relation extended by each of preds in turn."""
         for pred in preds:
-            frontier = _step(rows, self._relation(pred))
+            frontier = _step(rows, self.relation(pred))
             rows = _rows(frontier)
             if not frontier:
                 break
@@ -313,7 +316,7 @@ class Closure:
         cut relations are then joined left to right."""
         cut = []
         for pred in reversed(preds):
-            base, derived = self._relation(pred)
+            base, derived = self.relation(pred)
             part_base = {}
             for s, objs in base.items():
                 hit = objs & targets
@@ -356,20 +359,29 @@ class Closure:
                     log.append((x, y))
         return len(log) > before
 
-    def entails(self, fact: Triple) -> EntailmentResult:
-        p, s, o = fact.predicate, fact.subject, fact.object
-        if o in self._base.get(p, {}).get(s, ()):
-            return EntailmentResult(True, 1.0)
-        conf = self._derived.get(p, {}).get(s, {}).get(o)
+    def lookup(self, predicate: str, subject: str,
+               obj: str) -> tuple[float, str | None] | None:
+        """(confidence, via_rule) of one fact, None if it does not hold:
+        a base fact at 1.0 with via_rule None, a derived one with the
+        rule that last raised it."""
+        if obj in self._base.get(predicate, {}).get(subject, ()):
+            return 1.0, None
+        conf = self._derived.get(predicate, {}).get(subject, {}).get(obj)
         if conf is None:
+            return None
+        return conf, self._via[(predicate, subject, obj)]
+
+    def entails(self, fact: Triple) -> EntailmentResult:
+        found = self.lookup(fact.predicate, fact.subject, fact.object)
+        if found is None:
             return EntailmentResult(False)
-        return EntailmentResult(True, conf, self._via[(p, s, o)])
+        return EntailmentResult(True, *found)
 
     def facts(self, predicate: str):
         """(subject, object, confidence, via_rule) of every fact of one
         predicate, in subject then object order: base facts at 1.0 with
         via_rule None, derived ones with the rule that last raised them."""
-        base, derived = self._relation(predicate)
+        base, derived = self.relation(predicate)
         for s in sorted(base.keys() | derived.keys()):
             objs, row = base.get(s, ()), derived.get(s, {})
             for o in sorted(itertools.chain(objs, row)):

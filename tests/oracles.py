@@ -220,7 +220,7 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
     difference and ordered by _order_by_precedence below. Returns the
     log, the report, and how many candidates reached the scorer."""
     from kcpm.augment import (AugmentationReport, CandidateInsertion,
-                              _entity, _midpoint)
+                              _midpoint)
     from kcpm.eventlog import Event, EventLog, Trace
     from kcpm.kg import MUST_PRECEDE
 
@@ -240,7 +240,8 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
         inserted_here, seen = set(), set()
         i = 0
         while i < len(work):
-            ent = _entity(alias, work[i].activity)
+            ent = (work[i].activity if alias is None
+                   else alias.get(work[i].activity))
             prereqs = prereq_facts.get(ent)
             missing = prereqs.keys() - seen - inserted_here if prereqs else ()
             insert_at = i

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import random
@@ -6,23 +7,24 @@ from datetime import timedelta
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.augment import (AugmentationReport, CandidateInsertion,
-                          RemovedEvent, check_guideline_latency,
+                          RemovedEvent, _Precedence, check_guideline_latency,
                           filter_chaotic_events, infer_missing_events,
                           merge_reports, report_to_json, write_report_json)
 from kcpm.kg import (FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple,
                      load_triples)
-from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
-                        mine_rules)
+from kcpm.rules import (Atom, ClosedPathRule, Closure, EntailmentResult,
+                        RuleBase, chain_body, mine_rules)
 from kcpm.synth import CorruptionSpec, corrupt, simulate
 from kcpm.temporal import ScorerParams, TemporalScorer, train_temporal_scorer
 
 from conftest import log_from_sequences, random_sequences
 from oracles import (eager_infer_missing_events, edit_distance,
-                     naive_remove_chaotic)
+                     naive_closure, naive_remove_chaotic)
 from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model
 from test_cli import small_pathway
 
@@ -436,6 +438,10 @@ def test_merge_reports_and_json():
     assert payload["thresholds"] == {"theta": 0.5}
 
 
+# scores of other types than float, which CandidateInsertion makes floats
+_SCORES = [0, 1, True, False, np.float64(0.25), np.float32(0.5), np.int64(1)]
+
+
 # names with non-ASCII, quote, backslash and control characters
 _NAMES = st.one_of(st.text(max_size=6),
                    st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é", "☃",
@@ -448,7 +454,7 @@ _NAMES = st.one_of(st.text(max_size=6),
                                   st.none() | _NAMES), max_size=4),
        inserted=st.lists(st.builds(
            CandidateInsertion, _NAMES, _NAMES, st.integers(0, 10**6),
-           st.sampled_from([0.0, 0.1, 1.0, 5e-324, 0, 1, True])
+           st.sampled_from([0.0, 0.1, 1.0, 5e-324, *_SCORES])
            | st.floats(0.0, 1.0),
            st.sampled_from(["rule", "embedding"]), st.none() | _NAMES),
            max_size=4),
@@ -460,6 +466,77 @@ def test_write_report_json_matches_json_dumps(removed, inserted, thresholds):
     write_report_json(report, got)
     assert got.getvalue() == json.dumps(report_to_json(report),
                                         sort_keys=True) + "\n"
+
+
+_CANDIDATE = {"case_id": "c", "activity": "a", "position": 2, "score": 0.5,
+              "provenance": "rule", "rule_id": "r"}
+_WAYS = ("positional", "keyword", "_make", "_replace")
+
+
+def _candidate(way: str, **change) -> CandidateInsertion:
+    fields = {**_CANDIDATE, **change}
+    if way == "positional":
+        return CandidateInsertion(*fields.values())
+    if way == "keyword":
+        return CandidateInsertion(**fields)
+    if way == "_make":
+        return CandidateInsertion._make(fields.values())
+    return CandidateInsertion(**_CANDIDATE)._replace(**change)
+
+
+@pytest.mark.parametrize("way", _WAYS)
+@pytest.mark.parametrize("change", [
+    {"position": -1}, {"score": -0.25}, {"score": 1.5}, {"score": -1},
+    {"score": 2}, {"score": math.nan}, {"score": np.float64(1.25)}])
+def test_every_way_of_making_a_candidate_refuses_a_bad_position_or_score(
+        way, change):
+    with pytest.raises(ValueError):
+        _candidate(way, **change)
+
+
+@pytest.mark.parametrize("way", _WAYS)
+@pytest.mark.parametrize("score", _SCORES)
+def test_every_way_of_making_a_candidate_makes_its_score_a_float(way, score):
+    c = _candidate(way, score=score)
+    assert type(c) is CandidateInsertion
+    assert type(c.score) is float and c.score == float(score)
+
+
+_PREDICATES = (MUST_PRECEDE, "p", "q")
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples=st.sets(st.tuples(st.sampled_from("abcde"),
+                                 st.sampled_from(_PREDICATES),
+                                 st.sampled_from("abcde")), max_size=12),
+       rules=st.lists(st.tuples(
+           st.lists(st.sampled_from(_PREDICATES), min_size=1, max_size=3),
+           st.sampled_from(_PREDICATES),
+           st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+           max_size=5))
+def test_precedence_masks_and_lookup_give_the_must_precede_facts(triples,
+                                                                 rules):
+    rb = RuleBase(tuple(ClosedPathRule(chain_body(tuple(body)),
+                                       Atom(head, "x", "y"), 1, 0.0, conf)
+                        for body, head, conf in rules))
+    closure = Closure(rb, KnowledgeGraph(Triple(*t) for t in triples))
+    facts = list(closure.facts(MUST_PRECEDE))
+    prec = _Precedence(closure)
+    assert prec.names == sorted({s for s, _, _, _ in facts})
+    assert {(s, o) for o, mask in prec.need.items()
+            for s in prec.decode(mask)} == {(s, o) for s, o, _, _ in facts}
+    for s, o, conf, via in facts:
+        assert closure.lookup(MUST_PRECEDE, s, o) == (conf, via)
+    # entails, read through lookup, against the naive fixpoint
+    expected = naive_closure([(tuple(b), h, c) for b, h, c in rules], triples)
+    for s, p, o in itertools.product("abcde", _PREDICATES, "abcde"):
+        res, found = closure.entails(Triple(s, p, o)), closure.lookup(p, s, o)
+        if (s, p, o) not in expected:
+            assert res == EntailmentResult(False) and found is None
+            continue
+        assert res == EntailmentResult(True, *found)
+        assert res.confidence == pytest.approx(expected[(s, p, o)], abs=1e-12)
+        assert (res.via_rule is None) == ((s, p, o) in triples)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,11 @@ def test_xes_boolean_case_insensitive():
     assert log.traces[0].events[0].attributes["SIRSCritTachypnea"] is True
 
 
+# every character csv.writer quotes for, spaces and non-ASCII text
+_CSV_TEXT = st.text(st.sampled_from(',"\r\n éß☃\U0001f600ab'), max_size=6)
+_ACTIVITIES = _CSV_TEXT.filter(str.strip)  # Event strips the activity
+
+
 _KIND_VALUES = {
     "int": st.integers(-10**9, 10**9),
     "float": st.floats(allow_nan=False),
@@ -259,19 +264,21 @@ _KIND_VALUES = {
 
 @st.composite
 def single_kind_logs(draw):
-    """Logs whose every attribute column holds values of one kind."""
-    kinds = draw(st.dictionaries(st.sampled_from(["p", "q", "r s", "t,u"]),
-                                 st.sampled_from(sorted(_KIND_VALUES)),
+    """Logs whose every attribute column holds values of one kind, and
+    whose case ids, activities, resources and column names hold commas,
+    double quotes, CR, LF, spaces and non-ASCII text."""
+    kinds = draw(st.dictionaries(_CSV_TEXT, st.sampled_from(sorted(_KIND_VALUES)),
                                  max_size=4))
+    cases = draw(st.lists(_CSV_TEXT, min_size=1, max_size=3, unique=True))
     events = []
     for _ in range(draw(st.integers(0, 12))):
         attrs = {col: draw(_KIND_VALUES[kind]) for col, kind in kinds.items()
                  if draw(st.booleans())}
         events.append(Event(
-            draw(st.sampled_from(["c0", "c,1", 'c"2'])),
-            draw(st.sampled_from(["a", "b c", "d"])),
+            draw(st.sampled_from(cases)), draw(_ACTIVITIES),
             T0 + timedelta(seconds=draw(st.integers(0, 10**6))),
-            draw(st.sampled_from([None, "r1", "r 2"])), attrs))
+            # an empty resource reads back as None
+            draw(st.none() | _CSV_TEXT.filter(bool)), attrs))
     return make_log(events)
 
 
@@ -518,11 +525,23 @@ _OFFSETS = [timezone.utc, timezone(timedelta(hours=1)),
             timezone(timedelta(hours=-5, minutes=-30))]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CSV_TEXT, min_size=2, max_size=6))
+def test_quoted_fields_make_the_row_csv_writer_writes(cells):
+    # write_csv's rows have at least four fields; a row of one empty
+    # field is the one csv.writer quotes although the field holds nothing
+    want = io.StringIO()
+    csv.writer(want).writerow(cells)
+    assert ",".join(map(logio._field, cells)) + "\r\n" == want.getvalue()
+
+
 @st.composite
 def writer_logs(draw):
     """Logs whose timestamps repeat as one object and as equal copies,
     hold equal instants at different UTC offsets, have microseconds, and
-    whose traces are naive or aware; resources None or ""; attributes of
+    whose traces are naive or aware; case ids, activities, resources,
+    attribute names and string values holding commas, double quotes, CR,
+    LF, spaces and non-ASCII text; resources None or ""; attributes of
     every kind, None included."""
     base = [datetime(2024, 3, 1, 9, 0, 0, draw(st.sampled_from([0, 250000, 7])))
             + timedelta(minutes=draw(st.integers(0, 3)))
@@ -531,22 +550,21 @@ def writer_logs(draw):
              for b in base for tz in _OFFSETS]
     attr_values = st.one_of(
         st.none(), st.booleans(), st.integers(-10**6, 10**6),
-        st.floats(allow_nan=True), st.sampled_from(["", "x", "a,b", 'q"r', "l\nm"]),
-        st.sampled_from(base + aware))
+        st.floats(allow_nan=True), _CSV_TEXT, st.sampled_from(base + aware))
+    attr_names = draw(st.lists(_CSV_TEXT, min_size=1, max_size=3, unique=True))
     traces = []
-    for i in range(draw(st.integers(0, 4))):
+    for case in draw(st.lists(_CSV_TEXT, max_size=4, unique=True)):
         pool = aware if draw(st.booleans()) else base
         events = []
         for _ in range(draw(st.integers(1, 5))):
             ts = draw(st.sampled_from(pool))
             if draw(st.booleans()):
                 ts = ts + timedelta(0)  # an equal, separate object
-            attrs = draw(st.dictionaries(st.sampled_from(["p", "q r", "s,t"]),
+            attrs = draw(st.dictionaries(st.sampled_from(attr_names),
                                          attr_values, max_size=3))
-            events.append(Event(f"c{i}", draw(st.sampled_from(["a", "b,c"])), ts,
-                                draw(st.sampled_from([None, "", "r1", "r,2"])),
-                                attrs))
-        traces.append(Trace(f"c{i}", tuple(events)))
+            events.append(Event(case, draw(_ACTIVITIES), ts,
+                                draw(st.none() | _CSV_TEXT), attrs))
+        traces.append(Trace(case, tuple(events)))
     return EventLog(tuple(traces))
 
 
