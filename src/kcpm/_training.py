@@ -1,11 +1,10 @@
-"""Plumbing shared by the two embedding trainers (`temporal`, `variants`):
-a deterministic row scatter-add, the backtracking full-batch descent
-loop, and the checkpoint header and array encoding.
+"""The numpy plumbing of the temporal scorer's training: a deterministic
+row scatter-add, the backtracking full-batch descent loop, and the exact
+encoding of checkpoint arrays. The checkpoint header is in _checkpoint.
 """
 from __future__ import annotations
 
 import base64
-import json
 import math
 
 import numpy as np
@@ -13,29 +12,17 @@ import numpy as np
 from .errors import DataError
 
 
-def row_cells(idx, dim: int) -> np.ndarray:
-    """The flattened cells idx[i]*dim + d of every row i and column d, in
-    row order: where scatter_cells adds a (len(idx), dim) array of rows.
-    A caller that scatters into the same rows many times builds it once."""
-    idx = np.asarray(idx, dtype=np.intp)
-    return (idx[:, None] * dim + np.arange(dim)).reshape(-1)
-
-
-def scatter_cells(n: int, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(n, dim) array whose row j is the sum of the rows that row_cells
-    sends to j.
-
-    bincount adds the weights of each bin in input order, starting from
-    zero, so the result is bit-identical to np.add.at on a zero target;
-    and since x + 0.0 == x, a row of zeros changes no sum."""
-    dim = rows.shape[1]
-    return np.bincount(cells, weights=rows.reshape(-1),
-                       minlength=n * dim).reshape(n, dim)
-
-
 def scatter_rows(n: int, idx, rows: np.ndarray) -> np.ndarray:
-    """(n, dim) array whose row j is the sum of rows[i] over idx[i] == j."""
-    return scatter_cells(n, row_cells(idx, rows.shape[1]), rows)
+    """(n, dim) array whose row j is the sum of rows[i] over idx[i] == j.
+
+    Row i lands in the flattened cells idx[i]*dim + d, and bincount adds
+    the weights of each bin in input order, starting from zero, so the
+    result is bit-identical to np.add.at on a zero target; and since
+    x + 0.0 == x, a row of zeros changes no sum."""
+    dim = rows.shape[1]
+    cells = np.asarray(idx, dtype=np.intp)[:, None] * dim + np.arange(dim)
+    return np.bincount(cells.reshape(-1), weights=rows.reshape(-1),
+                       minlength=n * dim).reshape(n, dim)
 
 
 def descend(params, forward, backward, learning_rate: float, epochs: int,
@@ -79,34 +66,6 @@ def descend(params, forward, backward, learning_rate: float, epochs: int,
             lr *= 0.5
         history.append(prev)
     return params, history
-
-
-def write_checkpoint(stream, fmt: str, version: int, body: dict) -> None:
-    """body plus the format/version header, as one sorted-key JSON line."""
-    # json.dumps runs the C encoder; json.dump to a stream does not
-    stream.write(json.dumps({"format": fmt, "version": version, **body},
-                            sort_keys=True))
-    stream.write("\n")
-
-
-def read_checkpoint(source, fmt: str, version: int, kind: str) -> dict:
-    """Payload of a checkpoint file path or text stream, after checking
-    its header; kind names the checkpoint in the error message."""
-    try:
-        if isinstance(source, str):
-            with open(source, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        else:
-            payload = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{kind} checkpoint is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        payload = {}
-    if payload.get("format") != fmt:
-        raise DataError(f"not a {kind} checkpoint: {payload.get('format')!r}")
-    if payload.get("version") != version:
-        raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
-    return payload
 
 
 def encode_array(arr: np.ndarray) -> str:

@@ -254,10 +254,7 @@ def _cmd_variants_train(cfg: PipelineConfig, args) -> None:
     kg = load_triples(cfg.kg)
     labels = variants.read_labels_csv(cfg.labels)
     graph = build_lpg(log, kg, read_alias(cfg.alias))
-    params = variants.VariantParams(
-        dim=cfg.dim, margin=cfg.margin, learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs, negatives=cfg.negatives, seed=cfg.seed)
-    model = variants.train_variant_model(graph, labels, params)
+    model = variants.train_variant_model(graph, labels)
     _write(cfg.out, "variant_model.json",
            lambda fh: variants.save_model(model, fh))
     print(f"trained on {len(labels)} labeled cases, "
@@ -270,8 +267,8 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
     log = read_log(cfg.log, cfg.context)
     kg = load_triples(cfg.kg)
     model = variants.load_model(cfg.model)
-    partition = variants.classify_log(model, log, kg.entities,
-                                      read_alias(cfg.alias))
+    graph = build_lpg(log, kg, read_alias(cfg.alias))
+    partition = variants.classify_log(model, graph)
     _json_out(cfg.out, "variants.json", variants.partition_to_json(partition))
     _write(cfg.out, "variants.csv",
            lambda fh: variants.partition_to_csv(partition, fh))
@@ -394,7 +391,7 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "labels": ("--labels", dict(help="labels CSV (case_id,class)")),
     "model": ("--model", dict(help="model JSON: a dependency graph or "
                               "ground-truth model, or for variants-classify "
-                              "a variant model checkpoint")),
+                              "a variant profile checkpoint")),
     "dfg": ("--dfg", dict(help="dependency graph JSON")),
     "rules": ("--rules", dict(help="rule base JSONL (augment: mined from "
                               "the KG when absent)")),
@@ -410,8 +407,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "theta_aug": ("--theta-aug", dict(type=float)),
     "use_embedding": ("--no-embedding",
                       dict(action="store_const", const=False)),
-    "dim": ("--dim", dict(type=int)),
-    "epochs": ("--epochs", dict(type=int)),
     "xes_on_malformed": ("--xes-on-malformed",
                          dict(choices=("fail", "skip"), default="fail")),
     "max_body_len": ("--max-body-len",
@@ -461,8 +456,7 @@ _COMMANDS = {
         _REPAIR_FLAGS),
     "variants-train": _Command(
         _cmd_variants_train, "train the variant classifier",
-        ("log", "kg", "labels", "context", "alias"), ("log", "kg", "labels"),
-        ("seed", "dim", "epochs")),
+        ("log", "kg", "labels", "context", "alias"), ("log", "kg", "labels")),
     "variants-classify": _Command(
         _cmd_variants_classify, "partition a log into variants",
         ("log", "kg", "model", "context", "alias"), ("log", "kg", "model")),

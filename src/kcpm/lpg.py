@@ -1,19 +1,17 @@
-"""The event log fused with a knowledge graph, as the index lists that
-variant training reads.
+"""The event log fused with a knowledge graph at the level of cases, as
+the index lists that variant classification reads.
 
-Construction rules: one node per event (``event::<case>::<position>``),
-case (``case::<case>``), resource (``resource::<resource>``), activity
-and KG entity. An activity's node is the KG entity that its aliased
-label names (an unmapped label names itself), else
-``activity::<label>``. The edges, in this order: for each trace in log
-order and each event in it, BELONGS_TO its case, INSTANCE_OF its
-activity, PERFORMED_BY its resource when it has one, and DF from the
-previous event; then one edge per plain KG triple, labeled by its
+Construction rules: one node per case (``case::<case>``), activity and
+KG entity. An activity's node is the KG entity that its aliased label
+names (an unmapped label names itself), else ``activity::<label>``. The
+edges, in this order: for each trace in log order, one HAS_ACTIVITY edge
+from its case to each distinct activity node of its events, in order of
+first occurrence; then one edge per plain KG triple, labeled by its
 predicate, sorted by (predicate, subject, object). A fact stated only
 with a timestamp names entities, which become nodes, but it is not an
-edge. A KG entity named like a case, event, resource or ``activity::``
-node of the log is refused, so no log node is merged with an entity but
-by the activity rule.
+edge. A KG entity named like a case or ``activity::`` node of the log is
+refused, so no log node is merged with an entity but by the activity
+rule. So every edge out of an activity node is a KG triple.
 """
 from __future__ import annotations
 
@@ -25,14 +23,21 @@ from .kg import KnowledgeGraph
 
 
 class FusedGraph(NamedTuple):
-    nodes: tuple[str, ...]              # sorted node names
-    relations: tuple[str, ...]          # sorted relation names
-    edges: list[tuple[int, int, int]]   # (head, relation, tail) rows
-    case_events: dict[str, list[int]]   # case id -> event rows by position
+    nodes: tuple[str, ...]               # sorted node names
+    relations: tuple[str, ...]           # sorted relation names
+    edges: list[tuple[int, int, int]]    # (head, relation, tail) rows
+    case_activities: dict[str, list[int]]  # case id -> its activity rows
 
-
-def event_node_id(case_id: str, position: int) -> str:
-    return f"event::{case_id}::{position}"
+    def case_features(self) -> dict[str, frozenset[str]]:
+        """Case id -> the names of its activity nodes and of the objects
+        of their KG triples (the tails of the edges out of them)."""
+        objects: dict[int, list[int]] = {}
+        for head, _, tail in self.edges:
+            objects.setdefault(head, []).append(tail)
+        nodes = self.nodes
+        return {case: frozenset(nodes[j] for i in rows
+                                for j in (i, *objects.get(i, ())))
+                for case, rows in self.case_activities.items()}
 
 
 def activity_node(label: str, entities: frozenset[str],
@@ -55,40 +60,26 @@ def build_lpg(
     names a node the log makes raises DataError."""
     entities = kg.entities
     alias = alias or {}
+    node_of = {a: activity_node(a, entities, alias) for a in log.alphabet}
     # the log's nodes, but for the entities its activities merge with
-    made = {f"activity::{a}" for a in log.alphabet
-            if alias.get(a, a) not in entities}
-    named: list[tuple[str, str, str]] = []
-    events_of: dict[str, list[str]] = {}
-    for t in log.traces:
-        case = f"case::{t.case_id}"
-        events = events_of[t.case_id] = [
-            event_node_id(t.case_id, i) for i in range(len(t.events))]
-        made.add(case)
-        made.update(events)
-        prev = None
-        for node, e in zip(events, t.events):
-            named.append((node, "BELONGS_TO", case))
-            named.append((node, "INSTANCE_OF",
-                          activity_node(e.activity, entities, alias)))
-            if e.resource is not None:
-                res = f"resource::{e.resource}"
-                made.add(res)
-                named.append((node, "PERFORMED_BY", res))
-            if prev is not None:
-                named.append((prev, "DF", node))
-            prev = node
+    made = {f"case::{t.case_id}" for t in log.traces}
+    made.update(n for a, n in node_of.items()
+                if alias.get(a, a) not in entities)
     clash = made & entities
     if clash:
         raise DataError(f"knowledge graph entity {min(clash)!r} is also the "
-                        "name of a case, event, resource or activity node")
-    named += ((s, p, o) for p, s, o in
-              sorted((t.predicate, t.subject, t.object) for t in kg.triples))
+                        "name of a case or activity node")
+    facts = sorted((t.predicate, t.subject, t.object) for t in kg.triples)
 
     nodes = tuple(sorted(entities | made))
-    relations = tuple(sorted({r for _, r, _ in named}))
+    relations = tuple(sorted({p for p, _, _ in facts}
+                             | ({"HAS_ACTIVITY"} if log.traces else set())))
     row = {n: i for i, n in enumerate(nodes)}
     rel = {r: i for i, r in enumerate(relations)}
-    return FusedGraph(
-        nodes, relations, [(row[h], rel[r], row[t]) for h, r, t in named],
-        {case: [row[n] for n in events] for case, events in events_of.items()})
+    case_activities = {t.case_id: list(dict.fromkeys(
+        row[node_of[e.activity]] for e in t.events)) for t in log.traces}
+    has = rel.get("HAS_ACTIVITY")
+    edges = [(row[f"case::{case}"], has, i)
+             for case, rows in case_activities.items() for i in rows]
+    edges += [(row[s], rel[p], row[o]) for p, s, o in facts]
+    return FusedGraph(nodes, relations, edges, case_activities)

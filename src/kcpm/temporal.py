@@ -15,13 +15,14 @@ are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 import numpy as np
 
-from ._training import (decode_array, descend, encode_array, read_checkpoint,
-                        scatter_rows, write_checkpoint)
+from ._checkpoint import (checkpoint_list, is_number, read_checkpoint,
+                          write_checkpoint)
+from ._training import decode_array, descend, encode_array, scatter_rows
 from .errors import DataError
 from .eventlog import EventLog
 from .kg import DIRECTLY_FOLLOWS, KnowledgeGraph
@@ -41,6 +42,9 @@ class ScorerParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "epochs", "negatives", "time_buckets", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.epochs < 1:
@@ -272,11 +276,26 @@ def save_scorer(scorer: TemporalScorer, stream) -> None:
 
 
 def load_scorer(source) -> TemporalScorer:
+    """A temporal scorer checkpoint. activities must be a list of names,
+    params the ScorerParams fields and values it accepts, loss_history a
+    list of numbers, and every array finite, encoded by encode_array and
+    shaped by the activities and params; a file that is not raises
+    DataError naming the key."""
     kind = "temporal scorer"
     payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                               kind)
-    activities = tuple(payload["activities"])
-    params = ScorerParams(**payload["params"])
+    activities = tuple(checkpoint_list(payload, "activities",
+                                       lambda x: isinstance(x, str), kind))
+    params = payload.get("params")
+    known = [f.name for f in fields(ScorerParams)]
+    if not isinstance(params, dict) or not set(params) <= set(known):
+        raise DataError(f"{kind} checkpoint: params must have keys among "
+                        f"{known}")
+    try:
+        params = ScorerParams(**params)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{kind} checkpoint: params: {exc}") from None
+    history = checkpoint_list(payload, "loss_history", is_number, kind)
     return TemporalScorer(
         activities,
         decode_array(payload, "entity_vecs", (len(activities), params.dim),
@@ -285,5 +304,5 @@ def load_scorer(source) -> TemporalScorer:
         decode_array(payload, "time_vecs", (params.time_buckets, params.dim),
                      kind),
         params,
-        tuple(payload["loss_history"]),
+        tuple(history),
     )

@@ -6,11 +6,12 @@ the raw triple list, so agreement with the library is meaningful.
 """
 import csv
 import io
+import math
 from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime
+from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -345,9 +346,9 @@ def dense_conformance(log_side, model_side):
 
 
 # ---------------------------------------------------------------------------
-# Embedding training: per-row references
+# Temporal scorer training: per-row references
 # ---------------------------------------------------------------------------
-# The trainers collapse repeated rows and sum all of a parameter's row
+# The trainer collapses repeated rows and sums all of a parameter's row
 # contributions in one scatter. These are the direct per-row forms, one
 # np.add.at per contribution, that those must agree with.
 
@@ -404,213 +405,6 @@ def per_row_hinge_grads(E, r, T, heads, tails, buckets, neg_tails, margin):
     return scatter(gp, gn, -1), scatter(np.abs(gp), np.abs(gn), 1)
 
 
-def _per_row_proj_dist(E, Ep, R, Rp, hi, ri, ti):
-    h, hp = E[hi], Ep[hi]
-    t, tp = E[ti], Ep[ti]
-    r, rp = R[ri], Rp[ri]
-    ch = (hp * h).sum(axis=1, keepdims=True)
-    ct = (tp * t).sum(axis=1, keepdims=True)
-    u = h + ch * rp + r - t - ct * rp
-    return u, (u ** 2).sum(axis=1), ch, ct
-
-
-# The variant attention pass as it was before it ran on batched matmul:
-# three einsums and np.where masks. The oracles below score with it, so the
-# library's attention is checked against an independent form.
-
-def einsum_attention_forward(V, mask, U, A):
-    """V (m,k,dim) masked event embeddings -> attention, pooled reprs,
-    class scores and probabilities."""
-    z = V @ (A @ U.T)
-    z = np.where(mask[:, :, None], z, -np.inf)
-    z_max = z.max(axis=1, keepdims=True)
-    expz = np.exp(z - z_max)
-    alpha = expz / expz.sum(axis=1, keepdims=True)
-    pooled = np.einsum("mkc,mkd->mcd", alpha, V)
-    diff = pooled - U[None, :, :]
-    s = -(diff ** 2).sum(axis=2)
-    s_max = s.max(axis=1, keepdims=True)
-    exps = np.exp(s - s_max)
-    p = exps / exps.sum(axis=1, keepdims=True)
-    return alpha, diff, p
-
-
-def per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
-    """Gradients of the variant trainer's joint loss with every
-    (edge, negative) row materialized and one np.add.at per row, and the
-    same sums taken over the absolute terms: the size of what is summed,
-    which bounds its rounding error where the terms cancel. edges is
-    (heads, rels, tails) as the trainer takes it: column 0 of tails is
-    the true tail, the rest the corrupted ones. The attention part runs
-    einsum_attention_forward."""
-    heads, rels, all_tails = edges
-    k = all_tails.shape[1] - 1
-    ph, pr = np.repeat(heads, k), np.repeat(rels, k)
-    pt, nt = np.repeat(all_tails[:, 0], k), all_tails[:, 1:].reshape(-1)
-    idx, mask, labels, Y = ce_data
-    dim = E.shape[1]
-    grads = [np.zeros_like(x) for x in (E, Ep, R, Rp, U, A)]
-    sizes = [np.zeros_like(x) for x in (E, Ep, R, Rp, U, A)]
-
-    def add(i, at, rows, size):
-        np.add.at(grads[i], at, rows)
-        np.add.at(sizes[i], at, size)
-
-    if len(ph):
-        scale = w_s / len(ph)
-        u_pos, d_pos, ch_pos, ct_pos = _per_row_proj_dist(E, Ep, R, Rp, ph, pr, pt)
-        u_neg, d_neg, ch_neg, ct_neg = _per_row_proj_dist(E, Ep, R, Rp, ph, pr, nt)
-        active = (margin + d_pos - d_neg) > 0
-        for sign, u, ti, ch, ct in ((1.0, u_pos, pt, ch_pos, ct_pos),
-                                    (-1.0, u_neg, nt, ch_neg, ct_neg)):
-            gu = np.where(active[:, None], sign * scale * 2.0 * u, 0.0)
-            rp = Rp[pr]
-            s_r = (gu * rp).sum(axis=1, keepdims=True)
-            a_gu = np.abs(gu)
-            a_s = (a_gu * np.abs(rp)).sum(axis=1, keepdims=True)
-            for at, side in ((ph, 1.0), (ti, -1.0)):
-                add(0, at, side * (gu + s_r * Ep[at]),
-                    a_gu + a_s * np.abs(Ep[at]))
-                add(1, at, side * s_r * E[at], a_s * np.abs(E[at]))
-            add(2, pr, gu, a_gu)
-            add(3, pr, (ch - ct) * gu, (np.abs(ch) + np.abs(ct)) * a_gu)
-    gE, _, _, _, gU, gA = grads
-    V = E[idx] * mask[:, :, None]
-    alpha, diff, p = einsum_attention_forward(V, mask, U, A)
-    G = (p - Y) * (w_l / len(labels))
-    dDiff = G[:, :, None] * (-2.0 * diff)
-    gU += -dDiff.sum(axis=0)
-    dAlpha = np.einsum("mcd,mkd->mkc", dDiff, V)
-    dV = np.einsum("mkc,mcd->mkd", alpha, dDiff)
-    dz = alpha * (dAlpha - (alpha * dAlpha).sum(axis=1, keepdims=True))
-    dz = np.where(mask[:, :, None], dz, 0.0)
-    gA += np.einsum("mkd,mkc,ce->de", V, dz, U)
-    gU += np.einsum("mkc,mke->ce", dz, V @ A)
-    dV += np.einsum("mkc,dc->mkd", dz, A @ U.T)
-    dV *= mask[:, :, None]
-    np.add.at(gE, idx.reshape(-1), dV.reshape(-1, dim))
-    # the attention sums over absolute terms. The trainer pools and
-    # differentiates in another order than einsum_attention_forward, so
-    # diff, p and dz, each a difference, are sized by the terms they
-    # cancel: a case whose events are all one node has dz == 0 here and
-    # rounding residue there. alpha counts as an input.
-    a_V, a_U, a_A, a_alpha = (np.abs(x) for x in (V, U, A, alpha))
-    a_diff = np.einsum("mkc,mkd->mcd", a_alpha, a_V) + a_U[None]
-    a_dDiff = ((np.abs(p) + Y) * (w_l / len(labels)))[:, :, None] * 2.0 * a_diff
-    a_dAlpha = np.einsum("mcd,mkd->mkc", a_dDiff, a_V)
-    a_dz = a_alpha * (a_dAlpha + (a_alpha * a_dAlpha).sum(axis=1, keepdims=True))
-    sE, _, _, _, sU, sA = sizes
-    sU += a_dDiff.sum(axis=0) + np.einsum("mkc,mkd,de->ce", a_dz, a_V, a_A)
-    sA += np.einsum("mkd,mkc,ce->de", a_V, a_dz, a_U)
-    s_dV = (np.einsum("mkc,mcd->mkd", a_alpha, a_dDiff)
-            + np.einsum("mkc,ce,de->mkd", a_dz, a_U, a_A))
-    np.add.at(sE, idx.reshape(-1), (s_dV * mask[:, :, None]).reshape(-1, dim))
-    return tuple(grads), tuple(sizes)
-
-
-def per_row_joint_loss(E, Ep, R, Rp, U, A, edges, ce_data, margin, w_s, w_l):
-    """The variant trainer's joint loss with one residual per (edge, tail)
-    row: the mean margin violation over every (edge, negative) pair, plus
-    the cross-entropy of einsum_attention_forward."""
-    heads, rels, all_tails = edges
-    k1 = all_tails.shape[1]
-    _, d, _, _ = _per_row_proj_dist(E, Ep, R, Rp, np.repeat(heads, k1),
-                                    np.repeat(rels, k1), all_tails.reshape(-1))
-    d = d.reshape(-1, k1)
-    terms = margin + d[:, :1] - d[:, 1:]
-    total = w_s * float(np.mean(np.maximum(0.0, terms))) if terms.size else 0.0
-    idx, mask, labels, _ = ce_data
-    _, _, p = einsum_attention_forward(E[idx] * mask[:, :, None], mask, U, A)
-    ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
-    return total + w_l * float(ce)
-
-
-# The variant kernel as it was before the forward pass kept per-pair
-# scalars: it materializes every (edge, tail) residual u and scatters one
-# dim-wide row per pair. The trainer must take the same steps with it.
-
-class ReferenceScatterLayout(NamedTuple):
-    node_cells: np.ndarray
-    node_rows: np.ndarray
-    rel_cells: np.ndarray
-
-
-def reference_scatter_layout(dim, edges, idx):
-    from kcpm._training import row_cells
-
-    heads, rels, tails = edges
-    node_rows = np.concatenate([heads, tails.reshape(-1)])
-    return ReferenceScatterLayout(
-        row_cells(np.concatenate([node_rows, idx.reshape(-1)]), dim),
-        node_rows, row_cells(rels, dim))
-
-
-def _reference_residuals(E, R, Rp, c, heads, rels, tails):
-    rp = Rp[rels]
-    head = E[heads] + c[heads, None] * rp + R[rels]
-    u = head[:, None, :] - E[tails] - c[tails][:, :, None] * rp[:, None, :]
-    return u, (u ** 2).sum(axis=2)
-
-
-def reference_joint_forward(E, Ep, R, Rp, U, A, edges, ce_data, layout,
-                            margin, w_s, w_l):
-    """layout (the trainer's) is not read."""
-    heads, rels, tails = edges
-    idx, mask, labels, _ = ce_data
-    total = 0.0
-    c = (Ep * E).sum(axis=1)
-    u, d = _reference_residuals(E, R, Rp, c, heads, rels, tails)
-    terms = margin + d[:, :1] - d[:, 1:]
-    if terms.size:
-        total += w_s * float(np.mean(np.maximum(0.0, terms).reshape(-1)))
-    V = E[idx] * mask[:, :, None]
-    alpha, diff, p = einsum_attention_forward(V, mask, U, A)
-    ce = -np.mean(np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300)))
-    return total + w_l * float(ce), (c, u, terms > 0, V, alpha, diff, p)
-
-
-def reference_joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
-                             w_s, w_l):
-    """layout is reference_scatter_layout of the same edges and events."""
-    from kcpm._training import scatter_cells
-
-    heads, rels, tails = edges
-    idx, mask, labels, Y = ce_data
-    c, u, active, V, alpha, diff, p = cache
-    n, dim = E.shape
-
-    m = len(labels)
-    G = (p - Y) * (w_l / m)                      # dL/ds
-    dDiff = G[:, :, None] * (-2.0 * diff)        # (m,c,d)
-    dAlpha = np.einsum("mcd,mkd->mkc", dDiff, V)
-    dV = np.einsum("mkc,mcd->mkd", alpha, dDiff)
-    dz = alpha * (dAlpha - (alpha * dAlpha).sum(axis=1, keepdims=True))
-    dz = np.where(mask[:, :, None], dz, 0.0)
-    V2, dz2 = V.reshape(-1, dim), dz.reshape(-1, dz.shape[2])
-    gA = V2.T @ (dz2 @ U)
-    gU = dz2.T @ (V2 @ A) - dDiff.sum(axis=0)
-    dV += dz @ (U @ A.T)
-    dV *= mask[:, :, None]
-
-    w = 2.0 * w_s / active.size if active.size else 0.0
-    coef = w * np.concatenate([active.sum(axis=1, keepdims=True),
-                               -1 * active], axis=1)
-    rp = Rp[rels]
-    g_head = np.einsum("aj,ajd->ad", coef, u)
-    s = np.concatenate([np.einsum("ad,ad->a", g_head, rp),
-                        -(coef * np.einsum("ajd,ad->aj", u, rp)).reshape(-1)])
-    S = np.bincount(layout.node_rows, weights=s, minlength=n)[:, None]
-
-    gE = scatter_cells(n, layout.node_cells, np.concatenate([
-        g_head, (-coef[:, :, None] * u).reshape(-1, dim),
-        dV.reshape(-1, dim)])) + S * Ep
-    gEp = S * E
-    gR = scatter_cells(len(R), layout.rel_cells, g_head)
-    gRp = scatter_cells(len(Rp), layout.rel_cells, c[heads, None] * g_head
-                        - np.einsum("aj,ajd->ad", c[tails] * coef, u))
-    return gE, gEp, gR, gRp, gU, gA
-
-
 def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
     """The descent loop with separate loss(params) -> float and
     grads(params) -> arrays, so every gradient runs its own forward
@@ -638,89 +432,104 @@ def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
 
 
 # ---------------------------------------------------------------------------
-# The fused graph, by names
+# The fused graph and variant profiles, by names
 # ---------------------------------------------------------------------------
+
+def _entities(triples, temporal):
+    return {x for t in [*triples, *(tt.triple for tt in temporal)]
+            for x in (t.subject, t.object)}
+
+
+def _activity_name(label, entities, alias):
+    target = alias.get(label, label)
+    return target if target in entities else "activity::" + label
+
 
 def naive_fused_graph(log, triples, temporal=(), alias=None):
     """The construction rules of the kcpm.lpg docstring, on names: (the
     node-name set, the (head, relation, tail) name triples in edge order,
-    case id -> its event names in position order). triples are the plain
-    KG triples and temporal the TemporalTriples. A KG entity that is also
-    a name the log makes raises ValueError naming the least such one."""
+    case id -> its activity node names in order of first occurrence).
+    triples are the plain KG triples and temporal the TemporalTriples. A
+    KG entity that is also a name the log makes raises ValueError naming
+    the least such one."""
     alias = alias or {}
     facts = set(triples)
-    entities = set()
-    for t in list(facts) + [tt.triple for tt in temporal]:
-        entities.update((t.subject, t.object))
-    made, edges, case_events = set(), [], {}
+    entities = _entities(facts, temporal)
+    made, edges, case_activities = set(), [], {}
     for trace in log.traces:
         case = "case::" + trace.case_id
         made.add(case)
-        names = case_events[trace.case_id] = []
-        for i, e in enumerate(trace.events):
-            node = "event::" + trace.case_id + "::" + str(i)
-            made.add(node)
+        names = case_activities[trace.case_id] = []
+        for e in trace.events:
             activity = alias.get(e.activity, e.activity)
             if activity not in entities:
                 activity = "activity::" + e.activity
                 made.add(activity)
-            edges.append((node, "BELONGS_TO", case))
-            edges.append((node, "INSTANCE_OF", activity))
-            if e.resource is not None:
-                made.add("resource::" + e.resource)
-                edges.append((node, "PERFORMED_BY", "resource::" + e.resource))
-            if names:
-                edges.append((names[-1], "DF", node))
-            names.append(node)
+            if activity not in names:
+                names.append(activity)
+                edges.append((case, "HAS_ACTIVITY", activity))
     clash = sorted(made & entities)
     if clash:
         raise ValueError(clash[0])
     for t in sorted(facts, key=lambda t: (t.predicate, t.subject, t.object)):
         edges.append((t.subject, t.predicate, t.object))
-    return made | entities, edges, case_events
+    return made | entities, edges, case_activities
 
 
-# ---------------------------------------------------------------------------
-# Variant classification: one attention call per case
-# ---------------------------------------------------------------------------
+def naive_case_features(trace, triples, temporal=(), alias=None):
+    """The features of one trace by the kcpm.variants docstring, found by
+    a scan of the KG: the node of each event's activity, and the object
+    of every plain triple whose subject is that node."""
+    alias = alias or {}
+    entities = _entities(triples, temporal)
+    features = set()
+    for e in trace.events:
+        node = _activity_name(e.activity, entities, alias)
+        features.add(node)
+        features.update(t.object for t in triples if t.subject == node)
+    return features
 
-def per_case_classify(model, log, kg, alias,
-                      attention=einsum_attention_forward):
-    """(assignment, scores, prior_assigned) with each case scored by an
-    attention call of its own over its event embeddings, through
-    attention(V, mask, U, A): einsum_attention_forward unless given. The
-    node names are read back from naive_fused_graph of that case alone
-    and kg under alias: an event node unknown to the model falls back to
-    the node its INSTANCE_OF edge points at, an unknown activity is
-    skipped, and a case left with no node the model knows gets the class
-    prior."""
-    from kcpm.eventlog import EventLog
 
-    assignment, scores, prior = {}, {}, set()
-    for t in log.traces:
-        _, edges, case_events = naive_fused_graph(
-            EventLog((t,)), kg.triples, kg.temporal, alias)
-        instance_of = {h: tail for h, r, tail in edges if r == "INSTANCE_OF"}
-        rows = []
-        for node in case_events[t.case_id]:
-            for name in (node, instance_of[node]):
-                if model.knows_node(name):
-                    rows.append(model.node_vec(name))
-                    break
-        if rows:
-            V = np.stack(rows)[None, :, :]
-            _, _, p = attention(V, np.ones((1, len(rows)), dtype=bool),
-                                model.class_vecs, model.attention)
-            case_scores = {cid: float(x)
-                           for cid, x in zip(model.class_ids(), p[0])}
-        else:
-            case_scores = model.priors()
-            prior.add(t.case_id)
-        scores[t.case_id] = case_scores
+def naive_profile_classify(train_log, labels, log, triples, temporal=(),
+                           alias=None):
+    """(assignment, scores, prior_assigned, loss) of the class profiles of
+    train_log's labeled cases, one case of log at a time, with every score
+    an exact Fraction: a class scores the sum over the case's features of
+    the share of its labeled cases that have the feature, normalised to
+    sum 1; the highest score wins, ties going to the least class id; a
+    case whose every score is 0 gets the class prior. loss is the mean
+    -log of each labeled case's score for its own class."""
+    sizes, profiles = Counter(), {}
+    for trace in train_log.traces:
+        if trace.case_id in labels:
+            cls = labels[trace.case_id]
+            sizes[cls] += 1
+            profiles.setdefault(cls, Counter()).update(
+                naive_case_features(trace, triples, temporal, alias))
+    classes = sorted(sizes)
+
+    def scores_of(trace):
+        features = naive_case_features(trace, triples, temporal, alias)
+        raw = {c: sum((Fraction(profiles[c][f], sizes[c]) for f in features),
+                      Fraction(0)) for c in classes}
+        prior = not any(raw.values())
+        if prior:
+            raw = {c: Fraction(sizes[c]) for c in classes}
+        total = sum(raw.values())
+        return {c: raw[c] / total for c in classes}, prior
+
+    assignment, scores, prior_assigned = {}, {}, set()
+    for trace in log.traces:
+        case_scores, prior = scores_of(trace)
+        if prior:
+            prior_assigned.add(trace.case_id)
         best = max(case_scores.values())
-        assignment[t.case_id] = sorted(
-            c for c, s in case_scores.items() if s >= best - 1e-12)[0]
-    return assignment, scores, frozenset(prior)
+        assignment[trace.case_id] = min(c for c in classes
+                                        if case_scores[c] == best)
+        scores[trace.case_id] = case_scores
+    own = [-math.log(scores_of(t)[0][labels[t.case_id]]) for t in train_log.traces
+           if t.case_id in labels]
+    return assignment, scores, frozenset(prior_assigned), sum(own) / len(own)
 
 
 def _iso_timestamp(text):
@@ -921,23 +730,3 @@ def naive_kg(rows):
     temporal = {((s, p, o), ts) for s, p, o, ts in rows if ts is not None}
     entities = {s for s, _, _ in facts} | {o for _, _, o in facts}
     return facts, entities, plain, temporal
-
-
-# ---------------------------------------------------------------------------
-# Variant embeddings
-# ---------------------------------------------------------------------------
-
-def edge_score(model, head, relation, tail):
-    """Plausibility of a graph edge under a trained variant model:
-    -||h_perp + r - t_perp||^2 with n_perp = n + (n_p . n) r_p, one edge
-    at a time; higher is more plausible."""
-    k = model.relations.index(relation)
-    r, rp = model.relation_vecs[k], model.relation_proj[k]
-
-    def perp(node):
-        i = model.nodes.index(node)
-        n = model.entity_vecs[i]
-        return n + float(model.entity_proj[i] @ n) * rp
-
-    u = perp(head) + r - perp(tail)
-    return -float(u @ u)

@@ -27,7 +27,7 @@ from kcpm.rules import Closure, RuleBase, mine_rules
 from kcpm.synth import (CorruptionSpec, GroundTruthModel, corrupt,
                         dropped_events, simulate, write_model)
 from kcpm.temporal import ScorerParams, save_scorer, successor_scores, train_temporal_scorer
-from kcpm.variants import VariantParams, classify_log, train_variant_model
+from kcpm.variants import classify_log, train_variant_model
 from kcpm.eventlog import EventLog
 
 from conftest import log_from_sequences, random_sequences
@@ -324,10 +324,9 @@ def test_criterion_8_variant_classification():
     held = set(rng.sample(cases, k=90))
     train_labels = {c: labels[c] for c in cases if c not in held}
 
-    lpg = build_lpg(log, KnowledgeGraph())
-    model = train_variant_model(lpg, train_labels,
-                                VariantParams(dim=16, epochs=200, seed=2))
-    partition = classify_log(model, log)
+    graph = build_lpg(log, KnowledgeGraph())
+    model = train_variant_model(graph, train_labels)
+    partition = classify_log(model, graph)
 
     accuracy = sum(partition.assignment[c] == labels[c]
                    for c in held) / len(held)
@@ -397,10 +396,9 @@ def test_criterion_9_invariant_sweep():
 
     # trace scores are a probability distribution over classes
     log, labels = cohort_log(n_per_class=4, seed=3)
-    lpg = build_lpg(log, KnowledgeGraph())
-    model = train_variant_model(lpg, labels,
-                                VariantParams(dim=8, epochs=40, seed=0))
-    partition = classify_log(model, log)
+    graph = build_lpg(log, KnowledgeGraph())
+    model = train_variant_model(graph, labels)
+    partition = classify_log(model, graph)
     for _ in range(200):
         case = rng.choice(sorted(partition.scores))
         scores = partition.scores[case]

@@ -1,4 +1,3 @@
-import base64
 import gc
 import hashlib
 import json
@@ -10,7 +9,6 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 import kcpm
@@ -226,8 +224,7 @@ def test_variants_train_and_classify(workdir, capsys):
     kg.write_text("")
     out1 = workdir / "vt"
     assert run("variants-train", "--log", log_path, "--kg", kg,
-               "--labels", labels_path, "--out", out1,
-               "--dim", 8, "--epochs", 120) == 0
+               "--labels", labels_path, "--out", out1) == 0
     assert (out1 / "variant_model.json").exists()
     out2 = workdir / "vc"
     assert run("variants-classify", "--log", log_path, "--kg", kg,
@@ -251,7 +248,7 @@ def variant_inputs(tmp_path_factory):
     (work / "kg.tsv").write_text("")
     assert run("variants-train", "--log", work / "log.csv", "--kg",
                work / "kg.tsv", "--labels", work / "labels.csv",
-               "--epochs", 2, "--out", work / "vt") == 0
+               "--out", work / "vt") == 0
     return work, load_json(work / "vt" / "variant_model.json")
 
 
@@ -259,47 +256,25 @@ def _set(key, value):
     return lambda m: m.update({key: value})
 
 
-def _floats(text):
-    """The float64 array of a base64 checkpoint entry."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
-
-
-def _b64(arr):
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode()
-
-
-def _nan_first(m, key):
-    arr = _floats(m[key])
-    arr[0] = float("nan")
-    m[key] = _b64(arr)
-
-
-def _as_version_1(m):
-    """The checkpoint as the list-encoded version 1 wrote it."""
-    dim = m["params"]["dim"]
-    for key in ("entity_vecs", "entity_proj", "relation_vecs",
-                "relation_proj", "class_vecs", "attention"):
-        m[key] = _floats(m[key]).reshape(-1, dim).tolist()
-    m["version"] = 1
+def _as_embedding_format(m):
+    """The header of the embedding checkpoint that the profile replaced."""
+    m.update(format="kcpm-variant-model", version=2)
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (_set("attention", _b64([1.0])),
-     "attention has 8 bytes, expected 2048 for shape (16, 16)"),
-    (lambda m: m.update(entity_vecs=_b64(_floats(m["entity_vecs"])[:-5 * 16])),
-     "entity_vecs has 2432 bytes, expected 3072 for shape (24, 16)"),
-    (lambda m: m.update(entity_vecs="!" + m["entity_vecs"][1:]),
-     "entity_vecs is not a base64 float64 array"),
-    (lambda m: m.update(entity_vecs=_floats(m["entity_vecs"]).tolist()),
-     "entity_vecs is not a base64 float64 array"),
-    (lambda m: _nan_first(m, "class_vecs"), "class_vecs holds non-finite values"),
-    (_as_version_1, "unsupported checkpoint version 1"),
-    (_set("nodes", 5), "nodes is malformed"),
-    (lambda m: m["params"].update(depth=3), "params must have keys among"),
-    (_set("class_counts", {}), "class_counts must map class ids to counts"),
-], ids=["1x1-attention", "truncated-entity-vecs", "invalid-base64",
-        "list-entity-vecs", "nan-class-vec", "version-1-lists",
-        "nodes-not-a-list", "unknown-param", "empty-class-counts"])
+    (_as_embedding_format,
+     "not a variant profile checkpoint: 'kcpm-variant-model'"),
+    (_set("version", 2), "unsupported checkpoint version 2"),
+    (_set("class_counts", {}),
+     "class_counts must map class ids to positive counts"),
+    (lambda m: m["class_counts"].update(long=0), "class_counts must map"),
+    (lambda m: m["profiles"].pop("short"), "profiles must map each class id"),
+    (lambda m: m["profiles"]["short"].update({"activity::a": 4}),
+     "profiles must map each class id"),
+    (_set("loss_history", 0.5), "loss_history is malformed"),
+], ids=["embedding-format", "version-2", "empty-class-counts",
+        "zero-class-count", "missing-profile", "count-above-class-size",
+        "loss-history-not-a-list"])
 def test_hostile_variant_checkpoint_is_data_error(variant_inputs, tmp_path,
                                                   capsys, mutate, message):
     work, checkpoint = variant_inputs
@@ -339,8 +314,7 @@ def test_kg_triple_into_a_case_node_is_plain_knowledge(variant_inputs,
     kg = tmp_path / "kg.tsv"
     kg.write_text("foo\tBELONGS_TO\tcase::x\n")
     assert run("variants-train", "--log", work / "log.csv", "--kg", kg,
-               "--labels", work / "labels.csv", "--epochs", 2,
-               "--out", tmp_path / "vt") == 0
+               "--labels", work / "labels.csv", "--out", tmp_path / "vt") == 0
     model = tmp_path / "vt" / "variant_model.json"
     for out, graph in (("with", kg), ("without", work / "kg.tsv")):
         assert run("variants-classify", "--log", work / "log.csv",
@@ -351,25 +325,41 @@ def test_kg_triple_into_a_case_node_is_plain_knowledge(variant_inputs,
     assert json.loads(payload)["prior_assigned"] == []
 
 
+@pytest.mark.parametrize("flag", [["--epochs", "5"], ["--dim", "8"],
+                                  ["--seed", "3"]])
+def test_embedding_flags_of_variants_train_are_usage_errors(
+        variant_inputs, tmp_path, capsys, flag):
+    """The class profile has no epochs, dimension or seed: each of the
+    embedding's flags exits 1 with the usage line, and writes no --out."""
+    work, _ = variant_inputs
+    out = tmp_path / "vt"
+    capsys.readouterr()
+    assert run("variants-train", "--log", work / "log.csv", "--kg",
+               work / "kg.tsv", "--labels", work / "labels.csv", *flag,
+               "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"usage error: unrecognized arguments: {' '.join(flag)}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("triple, entity", [
     ("bar\tBELONGS_TO\tcase::c0", "case::c0"),
     ("case::c1\tp\tevent::c1::0", "case::c1"),
-    ("x\tp\tevent::c4::1", "event::c4::1"),
+    ("x\tp\tactivity::c", "activity::c"),
     ("activity::a\tp\tx", "activity::a"),
 ])
 def test_a_kg_entity_named_like_a_log_node_refuses_training(
         variant_inputs, tmp_path, capsys, triple, entity):
-    """A KG entity that names a case, event or activity node of the log
-    would silently become that node: variants-train exits 2 with one
-    line naming it, and writes no --out."""
+    """A KG entity that names a case or activity node of the log would
+    silently become that node: variants-train exits 2 with one line
+    naming it, and writes no --out."""
     work, _ = variant_inputs
     kg = tmp_path / "kg.tsv"
     kg.write_text(triple + "\n")
     out = tmp_path / "vt"
     capsys.readouterr()
     assert run("variants-train", "--log", work / "log.csv", "--kg", kg,
-               "--labels", work / "labels.csv", "--epochs", 2,
-               "--out", out) == 2
+               "--labels", work / "labels.csv", "--out", out) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and repr(entity) in err
     assert not out.exists()
@@ -693,7 +683,7 @@ def test_untrainable_hyperparameter_fails_before_any_artifact(
     capsys.readouterr()
     assert run("variants-train", "--log", work / "log.csv", "--kg",
                work / "kg.tsv", "--labels", work / "labels.csv",
-               "--epochs", 2, "--config", cfgfile, "--out", out) == 2
+               "--config", cfgfile, "--out", out) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
     assert not out.exists()
 
@@ -863,8 +853,9 @@ def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
 def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
     """In a fresh interpreter, importing the CLI loads neither the repair,
     simulation and embedding modules nor numpy and the INI and XML
-    parsers, and a variants-classify run loads neither repair nor
-    simulation. Its manifest still names the interpreter's version."""
+    parsers; a variants-train and a variants-classify run load neither
+    repair nor simulation, nor numpy and the temporal scorer's training.
+    The manifest still names the interpreter's version."""
     import platform
 
     work, _ = variant_inputs
@@ -877,22 +868,26 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
         "        'xml.etree.ElementTree')\n"
         "loaded = [m for m in lazy if m in set(sys.modules) - before]\n"
         "assert not loaded, ('import kcpm.cli', loaded)\n"
-        "log, kg, model, out = sys.argv[1:]\n"
+        "log, kg, labels, out = sys.argv[1:]\n"
+        "unused = ('kcpm.augment', 'kcpm.synth', 'numpy', 'kcpm._training',\n"
+        "          'kcpm.temporal')\n"
+        "assert main(['variants-train', '--log', log, '--kg', kg,\n"
+        "             '--labels', labels, '--out', out + '/vt']) == 0\n"
         "assert main(['variants-classify', '--log', log, '--kg', kg,\n"
-        "             '--model', model, '--out', out]) == 0\n"
-        "loaded = [m for m in ('kcpm.augment', 'kcpm.synth')\n"
-        "          if m in set(sys.modules) - before]\n"
-        "assert not loaded, ('variants-classify', loaded)\n")
+        "             '--model', out + '/vt/variant_model.json',\n"
+        "             '--out', out + '/vc']) == 0\n"
+        "loaded = [m for m in unused if m in set(sys.modules) - before]\n"
+        "assert not loaded, ('variants-train, variants-classify', loaded)\n")
     src = str(Path(kcpm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    out = tmp_path / "vc"
     proc = subprocess.run(
         [sys.executable, "-c", script, str(work / "log.csv"),
-         str(work / "kg.tsv"), str(work / "vt" / "variant_model.json"),
-         str(out)], env=env, capture_output=True, text=True)
+         str(work / "kg.tsv"), str(work / "labels.csv"), str(tmp_path)],
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    manifest = load_json(out / "manifest.json")
-    assert manifest["versions"]["python"] == platform.python_version()
+    for run_dir in ("vt", "vc"):
+        manifest = load_json(tmp_path / run_dir / "manifest.json")
+        assert manifest["versions"]["python"] == platform.python_version()
 
 
 _HEADER = "case_id,activity,timestamp\n"
@@ -1033,7 +1028,7 @@ _PATH_OPTIONS = {
     "pipeline": {"--log": "log.csv", "--context": "ctx.csv", "--kg": "kg.tsv",
                  "--alias": "alias.csv", "--model": "model.json"},
 }
-_OTHER_OPTIONS = {"synth": ["--cases", 2], "variants-train": ["--epochs", 2]}
+_OTHER_OPTIONS = {"synth": ["--cases", 2]}
 
 
 def test_path_options_cover_every_subcommand():
@@ -1052,7 +1047,7 @@ def test_manifest_digests_every_input_given(workdir, command):
     if command == "variants-classify":
         assert run("variants-train", "--log", workdir / "log.csv",
                    "--kg", workdir / "kg.tsv", "--labels", workdir / "labels.csv",
-                   "--epochs", 2, "--out", workdir / "vt") == 0
+                   "--out", workdir / "vt") == 0
     files = {flag: workdir / name for flag, name in _PATH_OPTIONS[command].items()}
     out = workdir / "digested"
     assert run(command, *(a for pair in files.items() for a in pair),

@@ -12,7 +12,7 @@ from kcpm.kg import KnowledgeGraph, TemporalTriple, Triple
 from kcpm.lpg import build_lpg
 
 from conftest import T0, log_from_sequences, random_sequences
-from oracles import naive_fused_graph
+from oracles import naive_case_features, naive_fused_graph
 
 
 def named(g):
@@ -20,55 +20,43 @@ def named(g):
     return [(g.nodes[h], g.relations[r], g.nodes[t]) for h, r, t in g.edges]
 
 
-def event_names(g):
+def activity_names(g):
     return {case: [g.nodes[i] for i in rows]
-            for case, rows in g.case_events.items()}
+            for case, rows in g.case_activities.items()}
 
 
 def test_single_trace_counts():
-    # <a,b> and no KG: 2 event nodes, 1 case, 2 activities; DF + 2x
-    # BELONGS_TO + 2x INSTANCE_OF = 5 edges
-    g = build_lpg(log_from_sequences([["a", "b"]]), KnowledgeGraph())
-    assert g.nodes == ("activity::a", "activity::b", "case::c0",
-                       "event::c0::0", "event::c0::1")
-    assert g.relations == ("BELONGS_TO", "DF", "INSTANCE_OF")
-    assert named(g) == [
-        ("event::c0::0", "BELONGS_TO", "case::c0"),
-        ("event::c0::0", "INSTANCE_OF", "activity::a"),
-        ("event::c0::1", "BELONGS_TO", "case::c0"),
-        ("event::c0::1", "INSTANCE_OF", "activity::b"),
-        ("event::c0::0", "DF", "event::c0::1"),
-    ]
-    assert event_names(g) == {"c0": ["event::c0::0", "event::c0::1"]}
+    # <a,b,a> and no KG: 1 case, 2 activities; one HAS_ACTIVITY edge per
+    # distinct activity
+    g = build_lpg(log_from_sequences([["a", "b", "a"]]), KnowledgeGraph())
+    assert g.nodes == ("activity::a", "activity::b", "case::c0")
+    assert g.relations == ("HAS_ACTIVITY",)
+    assert named(g) == [("case::c0", "HAS_ACTIVITY", "activity::a"),
+                        ("case::c0", "HAS_ACTIVITY", "activity::b")]
+    assert activity_names(g) == {"c0": ["activity::a", "activity::b"]}
 
 
-def test_edge_order_resources_then_sorted_facts():
-    events = (Event("c0", "a", T0, "r1"), Event("c0", "b", T0, None),
-              Event("c0", "a", T0, "r1"))
+def test_edge_order_first_occurrence_then_sorted_facts():
+    events = (Event("c0", "b", T0, "r1"), Event("c0", "x", T0, None),
+              Event("c0", "b", T0, "r1"))
     kg = KnowledgeGraph([Triple("y", "q", "x"), Triple("x", "p", "z"),
                          Triple("x", "p", "y")])
     g = build_lpg(EventLog((Trace("c0", events),)), kg)
     assert named(g) == [
-        ("event::c0::0", "BELONGS_TO", "case::c0"),
-        ("event::c0::0", "INSTANCE_OF", "activity::a"),
-        ("event::c0::0", "PERFORMED_BY", "resource::r1"),
-        ("event::c0::1", "BELONGS_TO", "case::c0"),
-        ("event::c0::1", "INSTANCE_OF", "activity::b"),
-        ("event::c0::0", "DF", "event::c0::1"),
-        ("event::c0::2", "BELONGS_TO", "case::c0"),
-        ("event::c0::2", "INSTANCE_OF", "activity::a"),
-        ("event::c0::2", "PERFORMED_BY", "resource::r1"),
-        ("event::c0::1", "DF", "event::c0::2"),
+        ("case::c0", "HAS_ACTIVITY", "activity::b"),
+        ("case::c0", "HAS_ACTIVITY", "x"),
         ("x", "p", "y"), ("x", "p", "z"), ("y", "q", "x"),
     ]
-    assert "resource::r1" in g.nodes and len(g.nodes) == 10
+    # resources make no node
+    assert g.nodes == ("activity::b", "case::c0", "x", "y", "z")
 
 
 def test_kg_only_entities():
     g = build_lpg(log_from_sequences([]), KnowledgeGraph([Triple("x", "p", "y")]))
     assert g.nodes == ("x", "y")
+    assert g.relations == ("p",)
     assert named(g) == [("x", "p", "y")]
-    assert g.case_events == {}
+    assert g.case_activities == {}
 
 
 def test_timestamp_only_facts_name_nodes_but_are_no_edges():
@@ -85,18 +73,16 @@ def test_activity_entity_merge_by_equality():
     kg = KnowledgeGraph([Triple("ER Triage", "partOf", "intake")])
     g = build_lpg(log, kg)
     assert "activity::ER Triage" not in g.nodes
-    assert ("event::c0::0", "INSTANCE_OF", "ER Triage") in named(g)
-    assert len(g.nodes) == 4  # the entities, the case and its event
+    assert ("case::c0", "HAS_ACTIVITY", "ER Triage") in named(g)
+    assert len(g.nodes) == 3  # the entities and the case
 
 
 def test_activity_entity_merge_via_alias():
     log = log_from_sequences([["ER Triage", "Lab"]])
     kg = KnowledgeGraph([Triple("er_triage", "partOf", "intake")])
     g = build_lpg(log, kg, alias={"ER Triage": "er_triage", "Lab": "lab"})
-    instance_of = [(h, t) for h, r, t in named(g) if r == "INSTANCE_OF"]
     # an alias onto a name the KG does not hold leaves the activity unmerged
-    assert instance_of == [("event::c0::0", "er_triage"),
-                           ("event::c0::1", "activity::Lab")]
+    assert activity_names(g) == {"c0": ["er_triage", "activity::Lab"]}
     assert "activity::ER Triage" not in g.nodes
 
 
@@ -118,7 +104,7 @@ def test_rows_index_sorted_nodes_and_relations():
             assert 0 <= r < len(g.relations)
 
 
-def test_node_count_identity_and_df_edges():
+def test_node_and_edge_counts():
     rng = random.Random(2)
     for _ in range(200):
         seqs = random_sequences(rng, rng.randint(1, 6), 7, list("abcd"))
@@ -127,46 +113,28 @@ def test_node_count_identity_and_df_edges():
         log = log_from_sequences(seqs)
         kg = KnowledgeGraph(triples)
         g = build_lpg(log, kg)
-        n_events = log.n_events
-        n_cases = len(log.traces)
         acts = log.alphabet
-        resources = {e.resource for t in log.traces for e in t.events} - {None}
         entities = kg.entities
         merged = len(acts & entities)
-        expected = (n_events + n_cases + len(acts) + len(resources)
-                    + len(entities) - merged)
-        assert len(g.nodes) == expected
-        df_edges = sum(1 for _, r, _ in named(g) if r == "DF")
-        assert df_edges == sum(len(t) - 1 for t in log.traces)
-        assert len(g.edges) == 2 * n_events + df_edges + len(triples)
-
-
-def test_events_by_case_in_position_order():
-    g = build_lpg(log_from_sequences([["a", "b", "c"], ["c", "a"]]),
-                  KnowledgeGraph())
-    activity = {h: t for h, r, t in named(g) if r == "INSTANCE_OF"}
-    assert [activity[n] for n in event_names(g)["c0"]] == [
-        "activity::a", "activity::b", "activity::c"]
-    assert event_names(g)["c1"] == ["event::c1::0", "event::c1::1"]
+        assert len(g.nodes) == (len(log.traces) + len(acts) + len(entities)
+                                - merged)
+        assert len(g.edges) == sum(len(set(t.activities)) for t in log.traces) \
+            + len(triples)
 
 
 def test_event_attributes_do_not_hide_structural_props():
     log = log_from_sequences([["a", "b", "c"]])
     trace = log.traces[0]
-    events = tuple(e._replace(attributes={"position": 9 - i, "case_id": "other"})
-                   for i, e in enumerate(trace.events))
+    events = tuple(e._replace(attributes={"activity": "z", "case_id": "other"})
+                   for e in trace.events)
     g = build_lpg(EventLog((Trace("c0", events),)), KnowledgeGraph())
-    assert event_names(g) == {"c0": ["event::c0::0", "event::c0::1",
-                                     "event::c0::2"]}
-    activity = {h: t for h, r, t in named(g) if r == "INSTANCE_OF"}
-    assert [activity[n] for n in event_names(g)["c0"]] == [
-        "activity::a", "activity::b", "activity::c"]
+    assert activity_names(g) == {"c0": ["activity::a", "activity::b",
+                                        "activity::c"]}
 
 
 @pytest.mark.parametrize("subject, obj, clash", [
-    ("case::c0", "event::c0::1", "case::c0"),
-    ("x", "event::c0::1", "event::c0::1"),
-    ("resource::r1", "x", "resource::r1"),
+    ("case::c0", "x", "case::c0"),
+    ("x", "case::c0", "case::c0"),
     ("activity::b", "x", "activity::b"),
 ])
 def test_kg_entity_named_like_a_log_node_is_refused(subject, obj, clash):
@@ -177,13 +145,30 @@ def test_kg_entity_named_like_a_log_node_is_refused(subject, obj, clash):
 
 
 def test_kg_entity_with_a_node_prefix_but_no_log_node_is_kept():
-    # case::c9 and resource::r9 name no node of the log, and activity::a
-    # is not made: the activity a merges with the entity a
-    kg = KnowledgeGraph([Triple("case::c9", "p", "resource::r9"),
+    # case::c9 names no case of the log, event::c0::0 and resource::r1 no
+    # node at all, and activity::a is not made: the activity a merges
+    # with the entity a
+    kg = KnowledgeGraph([Triple("case::c9", "p", "resource::r1"),
+                         Triple("event::c0::0", "p", "x"),
                          Triple("activity::a", "p", "a")])
-    g = build_lpg(log_from_sequences([["a", "b"]]), kg)
-    assert {"case::c9", "resource::r9", "activity::a"} <= set(g.nodes)
-    assert ("event::c0::0", "INSTANCE_OF", "a") in named(g)
+    events = (Event("c0", "a", T0, "r1"), Event("c0", "b", T0))
+    g = build_lpg(EventLog((Trace("c0", events),)), kg)
+    assert {"case::c9", "resource::r1", "event::c0::0",
+            "activity::a"} <= set(g.nodes)
+    assert activity_names(g) == {"c0": ["a", "activity::b"]}
+
+
+def test_case_features_are_activities_and_their_kg_objects():
+    """A case's features are its activity nodes and the objects of their
+    KG triples, one hop: not the subjects that point at them, nor what
+    their objects point at."""
+    kg = KnowledgeGraph([Triple("a", "category", "k"),
+                         Triple("k", "subclass_of", "top"),
+                         Triple("y", "uses", "a")],
+                        [TemporalTriple(Triple("a", "p", "late"), T0)])
+    g = build_lpg(log_from_sequences([["a", "b"], ["b"]]), kg)
+    assert g.case_features() == {"c0": {"a", "k", "activity::b"},
+                                 "c1": {"activity::b"}}
 
 
 ENTITIES = ["a", "b", "x", "y", "e1", "e2", "activity::b"]
@@ -195,11 +180,13 @@ LABELS = ["a", "b", "c", "x", "e1", "activity::b"]
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_build_lpg_equals_the_set_based_oracle(data):
-    """build_lpg's rows, read back as names, equal naive_fused_graph on
-    logs with resources and aliases (several activities onto one entity,
-    some onto names the KG lacks), activity labels that are KG entities,
-    KGs with timestamp-only facts, and now and then an entity that names
-    a node of the log, which both refuse."""
+    """build_lpg's rows, read back as names, equal naive_fused_graph, and
+    its case features naive_case_features, on logs with resources and
+    aliases (several activities onto one entity, some onto names the KG
+    lacks), activity labels that are KG entities, KGs with
+    timestamp-only facts, and now and then an entity that is named like
+    a node of the log, or like a node the event-level graph made, which
+    names none now; both refuse the first."""
     traces = []
     for i, acts in enumerate(data.draw(st.lists(st.lists(
             st.tuples(st.sampled_from(LABELS),
@@ -212,7 +199,9 @@ def test_build_lpg_equals_the_set_based_oracle(data):
     alias = data.draw(st.dictionaries(st.sampled_from(LABELS),
                                       st.sampled_from(["e1", "e2", "zz"])))
     entity = st.sampled_from(ENTITIES)
-    fact = st.builds(Triple, entity, st.sampled_from(["p", "q", "DF"]), entity)
+    fact = st.builds(Triple, entity, st.sampled_from(["p", "q",
+                                                      "HAS_ACTIVITY"]),
+                     entity)
     plain = data.draw(st.lists(fact, max_size=6))
     temporal = [TemporalTriple(t, T0 + timedelta(days=d)) for t, d in
                 data.draw(st.lists(st.tuples(fact, st.integers(0, 2)),
@@ -221,8 +210,8 @@ def test_build_lpg_equals_the_set_based_oracle(data):
         plain.append(Triple(data.draw(st.sampled_from(RESERVED)), "p", "a"))
     kg = KnowledgeGraph(plain, temporal)
     try:
-        nodes, edges, case_events = naive_fused_graph(log, plain, temporal,
-                                                      alias)
+        nodes, edges, case_activities = naive_fused_graph(log, plain,
+                                                          temporal, alias)
     except ValueError as exc:
         with pytest.raises(DataError, match=re.escape(repr(exc.args[0]))):
             build_lpg(log, kg, alias)
@@ -231,4 +220,7 @@ def test_build_lpg_equals_the_set_based_oracle(data):
     assert list(g.nodes) == sorted(nodes)
     assert named(g) == edges
     assert list(g.relations) == sorted({r for _, r, _ in edges})
-    assert event_names(g) == case_events
+    assert activity_names(g) == case_activities
+    assert g.case_features() == {
+        t.case_id: naive_case_features(t, plain, temporal, alias)
+        for t in log.traces}

@@ -1,26 +1,23 @@
 import io
+import json
+import math
 import random
+import re
 from datetime import timedelta
-from unittest import mock
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kcpm import variants
 from kcpm.errors import DataError
 from kcpm.eventlog import ContextTable, Event, EventLog, Trace, annotate_context
-from kcpm.kg import KnowledgeGraph
+from kcpm.kg import KnowledgeGraph, TemporalTriple, Triple
 from kcpm.lpg import build_lpg
-from kcpm.variants import (VariantParams, VariantPartition,
-                           _attention_forward, _joint_backward, _joint_forward,
-                           _pad, _scatter_layout, classify_log, load_model,
+from kcpm.variants import (VariantPartition, classify_log, load_model,
                            save_model, train_variant_model)
 
 from conftest import T0, log_from_sequences
-from oracles import (edge_score, per_row_joint_grads, reference_joint_backward,
-                     reference_joint_forward, reference_scatter_layout)
-
-FAST = VariantParams(dim=8, epochs=200, seed=0)
+from oracles import naive_profile_classify
 
 
 def cohort_log(n_per_class=12, seed=0):
@@ -54,46 +51,100 @@ def cohort_log(n_per_class=12, seed=0):
     return log, labels
 
 
+KG_CLASSES = ("cardio", "neuro", "onco")
+
+
+def kg_marker(k, i):
+    """Marker activity i (0-9) of class k."""
+    return f"drug{k}{i}"
+
+
+def kg_cohort_log(markers, n_per_class=100, seed=0, prefix="k"):
+    """Cases of the three KG_CLASSES, each with one marker activity of its
+    class, drawn from the marker indices given, between activities that
+    every class shares. Only the KG (kg_cohort_kg) ties a marker to its
+    class."""
+    rng = random.Random(seed)
+    traces, labels = [], {}
+    for k, cls in enumerate(KG_CLASSES):
+        for _ in range(n_per_class):
+            case = f"{prefix}{len(traces):04d}"
+            seq = ["intake", kg_marker(k, rng.choice(markers)), "review",
+                   "done"]
+            if rng.random() < 0.3:  # shared optional activity, class-neutral
+                seq.insert(1, "extra_labs")
+            base = T0 + timedelta(hours=len(traces))
+            traces.append(Trace(case, tuple(
+                Event(case, act, base + timedelta(minutes=j))
+                for j, act in enumerate(seq))))
+            labels[case] = cls
+    return EventLog(tuple(traces)), labels
+
+
+def kg_cohort_kg():
+    """<marker> category <class> for every marker, <class> subclass_of
+    treatment, and a handled_by family that says nothing of the class:
+    markers alternate between two units, and so do staff."""
+    triples = []
+    for k, cls in enumerate(KG_CLASSES):
+        triples.append(Triple(cls, "subclass_of", "treatment"))
+        for i in range(10):
+            triples.append(Triple(kg_marker(k, i), "category", cls))
+            triples.append(Triple(kg_marker(k, i), "handled_by",
+                                  f"unit{i % 2}"))
+    triples += [Triple(f"staff{s}", "handled_by", f"unit{s % 2}")
+                for s in range(6)]
+    return KnowledgeGraph(triples)
+
+
 def trained(n_per_class=12):
     log, labels = cohort_log(n_per_class)
-    lpg = build_lpg(log, KnowledgeGraph())
-    model = train_variant_model(lpg, labels, FAST)
-    return log, labels, lpg, model
+    graph = build_lpg(log, KnowledgeGraph())
+    return log, labels, graph, train_variant_model(graph, labels)
 
 
 def test_requires_two_classes_and_known_cases():
     log, labels = cohort_log(4)
-    lpg = build_lpg(log, KnowledgeGraph())
+    graph = build_lpg(log, KnowledgeGraph())
     with pytest.raises(DataError, match="two classes"):
-        train_variant_model(lpg, {c: "same" for c in labels}, FAST)
+        train_variant_model(graph, {c: "same" for c in labels})
     bad = dict(labels)
     bad["ghost-case"] = "effective"
     with pytest.raises(DataError, match="ghost-case"):
-        train_variant_model(lpg, bad, FAST)
+        train_variant_model(graph, bad)
 
 
-def test_same_seed_identical_models():
+def test_same_inputs_identical_checkpoints():
     log, labels = cohort_log(6)
-    lpg = build_lpg(log, KnowledgeGraph())
-    a = train_variant_model(lpg, labels, FAST)
-    b = train_variant_model(lpg, labels, FAST)
+    graph = build_lpg(log, KnowledgeGraph())
+    reordered = dict(reversed(list(labels.items())))
     buf_a, buf_b = io.StringIO(), io.StringIO()
-    save_model(a, buf_a)
-    save_model(b, buf_b)
+    save_model(train_variant_model(graph, labels), buf_a)
+    save_model(train_variant_model(graph, reordered), buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
 
 
-def test_loss_history_nonincreasing():
-    _, _, _, model = trained(6)
-    losses = model.loss_history
-    assert all(x >= y - 1e-12 for x, y in zip(losses, losses[1:]))
-    smoothed = [sum(losses[i:i + 5]) / 5 for i in range(len(losses) - 4)]
-    assert all(x >= y - 1e-12 for x, y in zip(smoothed, smoothed[1:]))
+def test_profile_counts_and_loss():
+    """Two classes of two labeled cases each: the profile counts each
+    feature's cases per class, and the one loss is the mean -log of each
+    case's own normalised score."""
+    log = log_from_sequences([["a", "b"], ["a", "b"], ["a", "c"], ["c"],
+                              ["b"]])
+    graph = build_lpg(log, KnowledgeGraph([Triple("c", "is", "x")]))
+    model = train_variant_model(graph, {"c0": "p", "c1": "p", "c2": "q",
+                                        "c3": "q"})
+    assert model.class_counts == {"p": 2, "q": 2}
+    assert model.profiles == {
+        "p": {"activity::a": 2, "activity::b": 2},
+        "q": {"activity::a": 1, "c": 2, "x": 2}}
+    # c0, c1: p = 2, q = 1/2; c2: p = 1, q = 5/2; c3: p = 0, q = 2
+    want = (2 * -math.log(2 / 2.5) - math.log(2.5 / 3.5) - math.log(1)) / 4
+    assert model.loss_history == pytest.approx((want,), rel=1e-15)
 
 
 def test_scores_sum_to_one_and_training_accuracy():
-    log, labels, lpg, model = trained()
-    partition = classify_log(model, log)
+    log, labels, graph, model = trained()
+    partition = classify_log(model, graph)
     correct = 0
     for case_id, want in labels.items():
         scores = partition.scores[case_id]
@@ -103,19 +154,9 @@ def test_scores_sum_to_one_and_training_accuracy():
     assert correct / len(labels) >= 0.95
 
 
-def test_single_event_trace_attention_is_one():
-    rng = np.random.default_rng(0)
-    V = rng.normal(size=(1, 1, 6))
-    mask = np.ones((1, 1), dtype=bool)
-    alpha, _, p = _attention_forward(V, _pad(mask), rng.normal(size=(3, 6)),
-                                     rng.normal(size=(6, 6)))
-    assert alpha[0, 0] == pytest.approx(np.ones(3))
-    assert p[0].sum() == pytest.approx(1.0)
-
-
 def test_classify_partitions_log():
-    log, labels, lpg, model = trained(8)
-    partition = classify_log(model, log)
+    log, labels, graph, model = trained(8)
+    partition = classify_log(model, graph)
     cases = {t.case_id for t in log.traces}
     assert set(partition.assignment) == cases
     cells = [partition.cases_of(cid) for cid in model.class_ids()]
@@ -126,19 +167,33 @@ def test_classify_partitions_log():
 
 
 def test_classify_single_case_log():
-    log, labels, lpg, model = trained(4)
-    single = EventLog((log.traces[0],))
+    log, labels, graph, model = trained(4)
+    single = build_lpg(EventLog((log.traces[0],)), KnowledgeGraph())
     partition = classify_log(model, single)
     assert len(partition.assignment) == 1
 
 
 def test_unseen_case_falls_back_to_prior_and_is_flagged():
-    log, labels, lpg, model = trained(4)
+    log, labels, graph, model = trained(4)
     alien = log_from_sequences([["never_seen_activity"]])
     merged = EventLog(log.traces + alien.traces)
-    partition = classify_log(model, merged)
-    assert "c0" in partition.prior_assigned  # the alien case id
+    partition = classify_log(model, build_lpg(merged, KnowledgeGraph()))
+    assert partition.prior_assigned == {"c0"}  # the alien case id
     assert partition.scores["c0"] == model.priors()
+
+
+def test_exact_ties_go_to_the_least_class_id():
+    """A case whose features every class profile holds alike scores the
+    classes equally, and is assigned the least class id."""
+    log = log_from_sequences([["a", "x"], ["a", "y"], ["a", "x"],
+                              ["a", "y"], ["a"]])
+    graph = build_lpg(log, KnowledgeGraph())
+    model = train_variant_model(graph, {"c0": "zeta", "c1": "alpha",
+                                        "c2": "zeta", "c3": "alpha"})
+    partition = classify_log(model, graph)
+    assert partition.scores["c4"] == {"alpha": 0.5, "zeta": 0.5}
+    assert partition.assignment["c4"] == "alpha"
+    assert partition.prior_assigned == frozenset()
 
 
 def test_partition_argmax_invariant_enforced():
@@ -153,178 +208,134 @@ def test_argmax_tie_breaks_lexicographically():
 
 
 def test_permuting_trace_order_keeps_scores():
-    log, labels, lpg, model = trained(4)
+    log, labels, graph, model = trained(4)
     reversed_log = EventLog(tuple(reversed(log.traces)))
-    p1 = classify_log(model, log)
-    p2 = classify_log(model, reversed_log)
+    p1 = classify_log(model, graph)
+    p2 = classify_log(model, build_lpg(reversed_log, KnowledgeGraph()))
     assert p1.scores == p2.scores
     assert p1.assignment == p2.assignment
 
 
 def test_checkpoint_round_trip():
-    """A saved model loads back with bit-equal, writable arrays, and
-    saves to the same bytes again."""
+    """A saved model loads back equal, and saves to the same bytes
+    again."""
     _, _, _, model = trained(4)
     buf = io.StringIO()
     save_model(model, buf)
     again = load_model(io.StringIO(buf.getvalue()))
-    for key in ("entity_vecs", "entity_proj", "relation_vecs",
-                "relation_proj", "class_vecs", "attention"):
-        got, want = getattr(again, key), getattr(model, key)
-        assert got.dtype == np.float64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes() and got.flags.writeable
+    assert again == model
     buf2 = io.StringIO()
     save_model(again, buf2)
     assert buf2.getvalue() == buf.getvalue()
 
 
-def test_per_row_gradients_train_the_same_model():
-    """Training with the per-row reference gradient runs as many epochs,
-    on the same loss curve up to rounding, and classifies every case
-    alike."""
-    log, labels = cohort_log()
-    lpg = build_lpg(log, KnowledgeGraph())
-
-    def per_row(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache, w_s, w_l):
-        grads, _ = per_row_joint_grads(E, Ep, R, Rp, U, A, edges, ce_data,
-                                       FAST.margin, w_s, w_l)
-        return grads
-
-    model = train_variant_model(lpg, labels, FAST)
-    with mock.patch.object(variants, "_joint_backward", per_row):
-        ref = train_variant_model(lpg, labels, FAST)
-    assert len(model.loss_history) == len(ref.loss_history)
-    np.testing.assert_allclose(model.loss_history, ref.loss_history,
-                               rtol=1e-12, atol=0)
-    got, want = classify_log(model, log), classify_log(ref, log)
-    assert got.assignment == want.assignment
-    assert got.prior_assigned == want.prior_assigned
+def _checkpoint(**changes):
+    payload = {"format": "kcpm-variant-profile", "version": 1,
+               "class_counts": {"p": 2, "q": 1},
+               "profiles": {"p": {"a": 2}, "q": {"a": 1, "b": 1}},
+               "loss_history": [0.5]}
+    payload.update(changes)
+    return json.dumps(payload)
 
 
-def test_reference_kernel_trains_the_same_model():
-    """Training with the kernel that forms every residual vector and
-    scatters one row per pair runs as many epochs, on the same loss curve
-    up to rounding, and classifies every case alike."""
-    log, labels = cohort_log()
-    lpg = build_lpg(log, KnowledgeGraph())
-
-    def reference_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
-                           w_s, w_l):
-        layout = reference_scatter_layout(E.shape[1], edges, ce_data[0])
-        return reference_joint_backward(E, Ep, R, Rp, U, A, edges, ce_data,
-                                        layout, cache, w_s, w_l)
-
-    model = train_variant_model(lpg, labels, FAST)
-    with mock.patch.object(variants, "_joint_forward",
-                           reference_joint_forward), \
-            mock.patch.object(variants, "_joint_backward", reference_backward):
-        ref = train_variant_model(lpg, labels, FAST)
-    assert len(model.loss_history) == len(ref.loss_history)
-    np.testing.assert_allclose(model.loss_history, ref.loss_history,
-                               rtol=1e-12, atol=0)
-    got, want = classify_log(model, log), classify_log(ref, log)
-    assert got.assignment == want.assignment
-    assert got.prior_assigned == want.prior_assigned
+@pytest.mark.parametrize("text, message", [
+    (_checkpoint(format="kcpm-variant-model", version=2),
+     "not a variant profile checkpoint: 'kcpm-variant-model'"),
+    (_checkpoint(version=2), "unsupported checkpoint version 2"),
+    (_checkpoint(class_counts={}), "class_counts must map class ids to "
+                                   "positive counts"),
+    (_checkpoint(class_counts={"p": 2, "q": 0}), "class_counts must map"),
+    (_checkpoint(class_counts={"p": 2, "q": True}), "class_counts must map"),
+    (_checkpoint(class_counts=[2, 1]), "class_counts must map"),
+    (_checkpoint(profiles={"p": {"a": 2}}), "profiles must map each class"),
+    (_checkpoint(profiles={"p": {"a": 3}, "q": {"a": 1}}),
+     "profiles must map each class"),
+    (_checkpoint(profiles={"p": {"a": 2}, "q": {"a": 0.5}}),
+     "profiles must map each class"),
+    (_checkpoint(profiles={"p": {"a": 2}, "q": [1]}),
+     "profiles must map each class"),
+    (_checkpoint(loss_history=["x"]), "loss_history is malformed"),
+    (_checkpoint(loss_history=None), "loss_history is malformed"),
+])
+def test_bad_profile_checkpoint_is_data_error(text, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_model(io.StringIO(text))
 
 
-def test_joint_gradients_match_finite_differences():
-    rng = np.random.default_rng(5)
-    n, dim, n_rel, n_classes = 7, 5, 3, 2
-    E = rng.normal(size=(n, dim)) * 0.4
-    Ep = rng.normal(size=(n, dim)) * 0.2
-    R = rng.normal(size=(n_rel, dim)) * 0.4
-    Rp = rng.normal(size=(n_rel, dim)) * 0.2
-    U = rng.normal(size=(n_classes, dim)) * 0.4
-    A = rng.normal(size=(dim, dim)) * 0.3
-    rows = 9
-    # column 0 of the tails is the true tail, the rest corrupted ones
-    edges = (rng.integers(0, n, rows), rng.integers(0, n_rel, rows),
-             np.column_stack([rng.integers(0, n, rows),
-                              rng.integers(0, n, size=(rows, 2))]))
-    m, k = 4, 3
-    idx = rng.integers(0, n, size=(m, k))
-    mask = np.ones((m, k), dtype=bool)
-    mask[1, 2] = mask[3, 1] = mask[3, 2] = False
-    labels = rng.integers(0, n_classes, m)
-    Y = np.zeros((m, n_classes))
-    Y[np.arange(m), labels] = 1.0
-    ce_data = (idx, mask, labels, Y)
-    layout = _scatter_layout(E, Rp, edges, ce_data)
-    args = (edges, ce_data, layout, 1.0, 1.0, 1.0)
-
-    _, cache = _joint_forward(E, Ep, R, Rp, U, A, *args)
-    grads = _joint_backward(E, Ep, R, Rp, U, A, edges, ce_data, layout, cache,
-                            1.0, 1.0)
-    arrays = (E, Ep, R, Rp, U, A)
-    eps = 1e-6
-    for array, grad in zip(arrays, grads):
-        flat = array.reshape(-1)
-        gflat = grad.reshape(-1)
-        for j in rng.choice(flat.size, size=min(15, flat.size), replace=False):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = _joint_forward(E, Ep, R, Rp, U, A, *args)[0]
-            flat[j] = orig - eps
-            down = _joint_forward(E, Ep, R, Rp, U, A, *args)[0]
-            flat[j] = orig
-            numeric = (up - down) / (2 * eps)
-            assert gflat[j] == pytest.approx(numeric, abs=2e-4), \
-                f"array {arrays.index(array)} component {j}"
+def test_kg_cohort_lifts_unseen_markers_to_their_class():
+    """Trained on markers 0-4 (100 cases a class, 70% labeled), the
+    profile classifies held-out cases with seen markers, and cases with
+    markers 5-9 that only the KG ties to a class, at accuracy >= 0.9."""
+    kg = kg_cohort_kg()
+    train, labels = kg_cohort_log(range(5), seed=0, prefix="t")
+    cases = sorted(labels)
+    labeled = {c: labels[c]
+               for c in random.Random(1).sample(cases, k=len(cases) * 7 // 10)}
+    model = train_variant_model(build_lpg(train, kg), labeled)
+    for markers, seed, prefix in ((range(5), 2, "s"), (range(5, 10), 3, "u")):
+        log, truth = kg_cohort_log(markers, n_per_class=50, seed=seed,
+                                   prefix=prefix)
+        partition = classify_log(model, build_lpg(log, kg))
+        accuracy = sum(partition.assignment[c] == cls
+                       for c, cls in truth.items()) / len(truth)
+        assert accuracy >= 0.9, (prefix, accuracy)
+        assert partition.prior_assigned == frozenset()
 
 
-def test_held_out_edge_ranking_beats_random():
-    # toy graph with cluster regularity: patients point at their team, and
-    # the team determines the ward; a fifth of the ward edges are hidden
-    # from training and must be recovered by ranking
-    from kcpm.lpg import FusedGraph
-
-    rng = random.Random(0)
-    teams = [f"team{i}" for i in range(3)]
-    wards = [f"ward{i}" for i in range(3)]
-    triples, ward_edges = [], []
-    for i in range(60):
-        p = f"patient{i:02d}"
-        triples.append((p, "in_team", teams[i % 3]))
-        ward_edges.append((p, "treated_in", wards[i % 3]))
-    held_idx = set(rng.sample(range(len(ward_edges)), k=12))
-    for c in ("one", "two"):
-        for i in range(2):
-            ev = f"event::{c}::{i}"
-            triples.append((ev, "BELONGS_TO", f"case::{c}"))
-            triples.append((ev, "INSTANCE_OF", teams[i]))
-    triples += [e for i, e in enumerate(ward_edges) if i not in held_idx]
-    nodes = tuple(sorted({n for h, _, t in triples for n in (h, t)}))
-    relations = tuple(sorted({r for _, r, _ in triples}))
-    row = {n: i for i, n in enumerate(nodes)}
-    g = FusedGraph(
-        nodes, relations,
-        [(row[h], relations.index(r), row[t]) for h, r, t in triples],
-        {c: [row[f"event::{c}::{i}"] for i in range(2)] for c in ("one", "two")})
-
-    model = train_variant_model(g, {"one": "alpha", "two": "beta"},
-                                VariantParams(dim=8, epochs=300, negatives=8,
-                                              seed=1))
-    candidates = sorted(g.nodes)
-    hits = 0
-    for i in sorted(held_idx):
-        s, r, t = ward_edges[i]
-        ranked = sorted(candidates, key=lambda n: edge_score(model, s, r, n),
-                        reverse=True)
-        hits += t in ranked[:3]
-    hits_at_3 = hits / len(held_idx)
-    assert hits_at_3 >= 2 * (3 / len(candidates))
+LABELS = ["a", "b", "c", "x", "e1", "activity::b"]
+ENTITIES = ["a", "b", "x", "y", "e1", "e2", "k1", "k2", "activity::b"]
 
 
-def test_argmax_unchanged_by_positive_logit_scaling():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        V = rng.normal(size=(1, 4, 6))
-        mask = np.ones((1, 4), dtype=bool)
-        U = rng.normal(size=(3, 6))
-        A = rng.normal(size=(6, 6))
-        _, diff, p = _attention_forward(V, _pad(mask), U, A)
-        s = -(diff ** 2).sum(axis=2)
-        scale = float(rng.uniform(0.1, 10.0))
-        scaled = np.exp(scale * s - (scale * s).max())
-        scaled /= scaled.sum()
-        assert int(np.argmax(p[0])) == int(np.argmax(scaled[0]))
+def _traces(data, prefix):
+    acts = data.draw(st.lists(st.lists(st.sampled_from(LABELS), min_size=1,
+                                       max_size=5), min_size=1, max_size=6))
+    return EventLog(tuple(
+        Trace(f"{prefix}{i}", tuple(Event(f"{prefix}{i}", a,
+                                          T0 + timedelta(minutes=j))
+                                    for j, a in enumerate(seq)))
+        for i, seq in enumerate(acts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_profiles_equal_the_per_case_fraction_oracle(data):
+    """train_variant_model and classify_log on random logs, labels, KGs
+    (with timestamp-only facts, and activities that are entities, or
+    aliased onto entities or onto names the KG lacks) give the
+    assignment, prior flags, scores (to 1e-12) and loss of
+    naive_profile_classify, which scans the KG per case and scores in
+    Fractions."""
+    train, log = _traces(data, "t"), _traces(data, "h")
+    cases = [t.case_id for t in train.traces]
+    labels = dict(zip(cases, data.draw(st.lists(
+        st.sampled_from(["p", "q", "r"]), min_size=len(cases),
+        max_size=len(cases)))))
+    labels = {c: cls for c, cls in labels.items()
+              if data.draw(st.booleans())}
+    if len(set(labels.values())) < 2:
+        return
+    alias = data.draw(st.dictionaries(st.sampled_from(LABELS),
+                                      st.sampled_from(["e1", "e2", "zz"])))
+    entity = st.sampled_from(ENTITIES)
+    fact = st.builds(Triple, entity, st.sampled_from(["p", "q"]), entity)
+    plain = data.draw(st.lists(fact, max_size=8))
+    temporal = [TemporalTriple(t, T0) for t in
+                data.draw(st.lists(fact, max_size=3))]
+    kg = KnowledgeGraph(plain, temporal)
+    try:
+        train_graph, graph = build_lpg(train, kg, alias), build_lpg(log, kg,
+                                                                    alias)
+    except DataError:  # an entity named like an activity:: node of a log
+        return
+    model = train_variant_model(train_graph, labels)
+    got = classify_log(model, graph)
+    assignment, scores, prior, loss = naive_profile_classify(
+        train, labels, log, plain, temporal, alias)
+    assert got.assignment == assignment
+    assert got.prior_assigned == prior
+    assert got.scores.keys() == scores.keys()
+    for case_id, want in scores.items():
+        assert list(got.scores[case_id]) == list(want)
+        for cls, score in want.items():
+            assert abs(got.scores[case_id][cls] - float(score)) <= 1e-12
+    assert model.loss_history == pytest.approx((loss,), rel=1e-12)
