@@ -13,20 +13,44 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import dfg as dfgmod
 from . import logio
-from .conformance import (comparison_table, conformance, footprint_of_log,
-                          footprint_of_model)
-from .conformance import write_report_json as write_conformance_json
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, KcpmError, ParseError
 from .eventlog import EventLog, annotate_context, log_statistics
 from .kg import KnowledgeGraph, load_triples
 from .lpg import build_lpg
 from .manifest import write_manifest
-from .rules import RuleBase, mine_rules, read_rules_jsonl, write_rules_jsonl, write_rules_text
+
+if TYPE_CHECKING:
+    from .dfg import DependencyGraph
+    from .rules import RuleBase
+
+
+# bench/tracing.py wraps these four names on this module, so each stays a
+# module attribute that the subcommands call. Each imports its module on
+# its first call, as the subcommands import kcpm.rules, kcpm.dfg and
+# kcpm.conformance where they run: the variant subcommands load none.
+
+def mine_rules(*args, **kwargs):
+    from .rules import mine_rules
+    return mine_rules(*args, **kwargs)
+
+
+def footprint_of_log(*args, **kwargs):
+    from .conformance import footprint_of_log
+    return footprint_of_log(*args, **kwargs)
+
+
+def footprint_of_model(*args, **kwargs):
+    from .conformance import footprint_of_model
+    return footprint_of_model(*args, **kwargs)
+
+
+def conformance(*args, **kwargs):
+    from .conformance import conformance
+    return conformance(*args, **kwargs)
 
 
 class _UsageError(Exception):
@@ -99,16 +123,20 @@ def _read_json(path: str, decode):
             raise ParseError(f"{path}: {exc}") from None
 
 
-def _reference_graph(obj) -> dfgmod.DependencyGraph:
+def _reference_graph(obj) -> DependencyGraph:
     """A dependency graph, or a ground-truth model as its dependency graph."""
     if "transitions" in obj:
         from . import synth
 
         return synth.model_from_json(obj).to_dependency_graph()
-    return dfgmod.dfg_from_json(obj)
+    from .dfg import dfg_from_json
+
+    return dfg_from_json(obj)
 
 
 def _read_rules(path: str) -> RuleBase:
+    from .rules import read_rules_jsonl
+
     with logio._open_text(path) as fh:
         return read_rules_jsonl(fh)
 
@@ -168,6 +196,8 @@ def _cmd_stats(cfg: PipelineConfig, args) -> None:
 
 
 def _cmd_mine_rules(cfg: PipelineConfig, args) -> None:
+    from .rules import write_rules_jsonl, write_rules_text
+
     kg = load_triples(cfg.kg)
     rb = mine_rules(kg, max_body_len=args.max_body_len,
                     min_support=cfg.min_support,
@@ -178,6 +208,8 @@ def _cmd_mine_rules(cfg: PipelineConfig, args) -> None:
 
 
 def _cmd_mine_dfg(cfg: PipelineConfig, args) -> None:
+    from . import dfg as dfgmod
+
     log = read_log(cfg.log, cfg.context)
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
                                  cfg.frequency_threshold,
@@ -190,6 +222,8 @@ def _cmd_mine_dfg(cfg: PipelineConfig, args) -> None:
 
 
 def _cmd_filter(cfg: PipelineConfig, args) -> None:
+    from . import dfg as dfgmod
+
     dg = _read_json(args.dfg, dfgmod.dfg_from_json)
     kg = load_triples(cfg.kg)
     rb = _read_rules(args.rules)
@@ -269,7 +303,8 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
     model = variants.load_model(cfg.model)
     graph = build_lpg(log, kg, read_alias(cfg.alias))
     partition = variants.classify_log(model, graph)
-    _json_out(cfg.out, "variants.json", variants.partition_to_json(partition))
+    _write(cfg.out, "variants.json",
+           lambda fh: variants.write_partition_json(partition, fh))
     _write(cfg.out, "variants.csv",
            lambda fh: variants.partition_to_csv(partition, fh))
     sizes = {cid: len(partition.cases_of(cid)) for cid in model.class_ids()}
@@ -277,6 +312,8 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
 
 
 def _cmd_conform(cfg: PipelineConfig, args) -> None:
+    from .conformance import comparison_table
+
     log = read_log(cfg.log, cfg.context)
     model = _read_json(cfg.model, _reference_graph)
     report = conformance(footprint_of_log(log), footprint_of_model(model))
@@ -308,7 +345,9 @@ def _cmd_synth(cfg: PipelineConfig, args) -> None:
 
 def _write_conformance(fh, report) -> None:
     """conform's report.json, one deviation at a time."""
-    write_conformance_json(report, fh)
+    from .conformance import write_report_json
+
+    write_report_json(report, fh)
     fh.write("\n")
 
 
@@ -316,16 +355,28 @@ def _write_pipeline_report(fh, counts: dict, reports: dict) -> None:
     """The pipeline's report.json, byte for byte as _json_out would
     write {"augmentation": counts, **reports}: the counts, then each
     conformance report in key order, one deviation at a time."""
+    from .conformance import write_report_json
+
     fh.write(f'{{"augmentation": {json.dumps(counts, sort_keys=True)}')
     for key in sorted(reports):
         fh.write(f', "{key}": ')
-        write_conformance_json(reports[key], fh)
+        write_report_json(reports[key], fh)
     fh.write("}\n")
 
 
 def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
+    # every stage's module is loaded before the log is read, so the
+    # memory that compiling them takes is freed before the log is built
     from . import augment as aug
+    from . import dfg as dfgmod
+    from .conformance import comparison_table
+    from .rules import write_rules_jsonl
 
+    # parse_args leaves a few hundred objects in reference cycles, which
+    # the collector, off for the run, would keep to its end; freed here,
+    # after the imports, the log reuses their memory and the run's peak
+    # RSS is no higher than with the stages imported at start-up
+    gc.collect(0)
     log = _read_repair_log(cfg)
     kg = load_triples(cfg.kg)
     alias = read_alias(cfg.alias)

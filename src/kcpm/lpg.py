@@ -30,14 +30,24 @@ class FusedGraph(NamedTuple):
 
     def case_features(self) -> dict[str, frozenset[str]]:
         """Case id -> the names of its activity nodes and of the objects
-        of their KG triples (the tails of the edges out of them)."""
+        of their KG triples (the tails of the edges out of them). The
+        cases with one set of activity nodes share one frozenset."""
+        # the KG triples follow one HAS_ACTIVITY edge per case and row
+        n_has = sum(map(len, self.case_activities.values()))
         objects: dict[int, list[int]] = {}
-        for head, _, tail in self.edges:
+        for head, _, tail in self.edges[n_has:]:
             objects.setdefault(head, []).append(tail)
         nodes = self.nodes
-        return {case: frozenset(nodes[j] for i in rows
-                                for j in (i, *objects.get(i, ())))
-                for case, rows in self.case_activities.items()}
+        shared: dict[frozenset[int], frozenset[str]] = {}
+        features = {}
+        for case, rows in self.case_activities.items():
+            key = frozenset(rows)
+            found = shared.get(key)
+            if found is None:
+                found = shared[key] = frozenset(
+                    nodes[j] for i in key for j in (i, *objects.get(i, ())))
+            features[case] = found
+        return features
 
 
 def activity_node(label: str, entities: frozenset[str],

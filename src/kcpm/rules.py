@@ -344,7 +344,7 @@ class Closure:
         rel = self._derived.setdefault(head, {})
         log = self._changes.setdefault(head, [])
         before = len(log)
-        pca = rule.pca_confidence
+        pca, rule_id = rule.pca_confidence, rule.rule_id
         for x, ys in rows:
             row = rel.get(x)
             known = base.get(x, ())
@@ -355,7 +355,7 @@ class Closure:
                     if row is None:
                         row = rel[x] = {}
                     row[y] = derived
-                    self._via[(head, x, y)] = rule.rule_id
+                    self._via[(head, x, y)] = rule_id
                     log.append((x, y))
         return len(log) > before
 

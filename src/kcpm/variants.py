@@ -18,8 +18,10 @@ clustering in process mining* (BPM 2008), and Bose & van der Aalst,
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from ._checkpoint import (checkpoint_list, is_number, read_checkpoint,
                           write_checkpoint)
@@ -90,13 +92,17 @@ class VariantPartition:
     prior_assigned: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        argmax: dict[int, str] = {}  # id of a score map -> its least argmax
         for case_id, cls in self.assignment.items():
-            best = max(self.scores[case_id].values())
-            winners = sorted(c for c, s in self.scores[case_id].items()
-                             if s >= best - 1e-12)
-            if cls != winners[0]:
+            scores = self.scores[case_id]
+            winner = argmax.get(id(scores))
+            if winner is None:
+                best = max(scores.values())
+                winner = argmax[id(scores)] = min(
+                    c for c, s in scores.items() if s >= best - 1e-12)
+            if cls != winner:
                 raise ValueError(
-                    f"case {case_id!r} assigned {cls!r}, argmax is {winners[0]!r}")
+                    f"case {case_id!r} assigned {cls!r}, argmax is {winner!r}")
 
     def cases_of(self, class_id: str) -> frozenset[str]:
         return frozenset(c for c, cls in self.assignment.items()
@@ -104,21 +110,30 @@ class VariantPartition:
 
 
 def classify_log(model: VariantModel, graph: FusedGraph) -> VariantPartition:
-    """Assign every case of the fused graph to exactly one class."""
+    """Assign every case of the fused graph to exactly one class. Each
+    distinct feature set is scored once, and the cases that have it share
+    its score map, class and prior flag; no score map is ever mutated."""
     class_ids = model.class_ids()
     raw_scores = _raw_scorer(model)
     prior = [model.class_counts[cid] for cid in class_ids]
+    scored: dict[frozenset[str], tuple[dict[str, float], str, bool]] = {}
     assignment: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
     fallback: set[str] = set()
     for case_id, features in graph.case_features().items():
-        raw = raw_scores(features)
-        if not any(raw):
-            raw = prior
+        found = scored.get(features)
+        if found is None:
+            raw = raw_scores(features)
+            unseen = not any(raw)
+            if unseen:
+                raw = prior
+            total = sum(raw)
+            found = scored[features] = (
+                {cid: r / total for cid, r in zip(class_ids, raw)},
+                class_ids[raw.index(max(raw))], unseen)
+        scores[case_id], assignment[case_id], unseen = found
+        if unseen:
             fallback.add(case_id)
-        total = sum(raw)
-        scores[case_id] = {cid: r / total for cid, r in zip(class_ids, raw)}
-        assignment[case_id] = class_ids[raw.index(max(raw))]
     return VariantPartition(assignment, scores, frozenset(fallback))
 
 
@@ -162,25 +177,36 @@ def load_model(source) -> VariantModel:
     return VariantModel(counts, profiles, tuple(history))
 
 
-def partition_to_json(p: VariantPartition) -> dict:
-    return {
-        "assignment": dict(sorted(p.assignment.items())),
-        "scores": {c: dict(sorted(s.items()))
-                   for c, s in sorted(p.scores.items())},
-        "prior_assigned": sorted(p.prior_assigned),
-    }
+def write_partition_json(p: VariantPartition, stream) -> None:
+    """variants.json: the assignment, the sorted prior_assigned cases and
+    every case's scores, as one line of JSON byte for byte as json.dumps
+    with sort_keys writes it, each distinct score map encoded once."""
+    # json.dumps(s, sort_keys=True) for each map, through one encoder
+    encode = json.JSONEncoder(sort_keys=True).encode
+    maps = {id(s): s for s in p.scores.values()}
+    encoded = {key: encode(s) for key, s in maps.items()}
+    scores = ", ".join(f"{encode_basestring_ascii(case_id)}: {encoded[id(s)]}"
+                       for case_id, s in sorted(p.scores.items()))
+    stream.write(
+        f'{{"assignment": {json.dumps(p.assignment, sort_keys=True)}, '
+        f'"prior_assigned": {json.dumps(sorted(p.prior_assigned))}, '
+        f'"scores": {{{scores}}}}}\n')
 
 
 def partition_to_csv(p: VariantPartition, stream) -> None:
+    """variants.csv: one row per case, the score cells of each distinct
+    score map formatted once."""
     import csv
 
-    class_ids = sorted({c for s in p.scores.values() for c in s})
+    maps = {id(s): s for s in p.scores.values()}
+    class_ids = sorted({c for s in maps.values() for c in s})
+    cells = {key: [repr(s.get(c, 0.0)) for c in class_ids]
+             for key, s in maps.items()}
     w = csv.writer(stream)
     w.writerow(["case_id", "class", *(f"score_{c}" for c in class_ids)])
     for case_id in sorted(p.assignment):
-        row = [case_id, p.assignment[case_id]]
-        row += [repr(p.scores[case_id].get(c, 0.0)) for c in class_ids]
-        w.writerow(row)
+        w.writerow([case_id, p.assignment[case_id],
+                    *cells[id(p.scores[case_id])]])
 
 
 def read_labels_csv(source) -> dict[str, str]:

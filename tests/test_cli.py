@@ -852,10 +852,12 @@ def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
 
 def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
     """In a fresh interpreter, importing the CLI loads neither the repair,
-    simulation and embedding modules nor numpy and the INI and XML
-    parsers; a variants-train and a variants-classify run load neither
-    repair nor simulation, nor numpy and the temporal scorer's training.
-    The manifest still names the interpreter's version."""
+    rule, dependency-graph, conformance, simulation and embedding modules
+    nor numpy and the INI and XML parsers; a variants-train and a
+    variants-classify run load neither repair, rules, dependency graphs
+    and conformance nor simulation, nor numpy and the temporal scorer's
+    training. A pipeline run then loads rules, dependency graphs and
+    conformance. The manifest still names the interpreter's version."""
     import platform
 
     work, _ = variant_inputs
@@ -863,21 +865,26 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
         "import sys\n"
         "before = set(sys.modules)\n"
         "from kcpm.cli import main\n"
+        "stages = ('kcpm.rules', 'kcpm.dfg', 'kcpm.conformance')\n"
         "lazy = ('kcpm.augment', 'kcpm.synth', 'kcpm.temporal',\n"
         "        'kcpm.variants', 'numpy', 'configparser',\n"
-        "        'xml.etree.ElementTree')\n"
+        "        'xml.etree.ElementTree', *stages)\n"
         "loaded = [m for m in lazy if m in set(sys.modules) - before]\n"
         "assert not loaded, ('import kcpm.cli', loaded)\n"
         "log, kg, labels, out = sys.argv[1:]\n"
         "unused = ('kcpm.augment', 'kcpm.synth', 'numpy', 'kcpm._training',\n"
-        "          'kcpm.temporal')\n"
+        "          'kcpm.temporal', *stages)\n"
         "assert main(['variants-train', '--log', log, '--kg', kg,\n"
         "             '--labels', labels, '--out', out + '/vt']) == 0\n"
         "assert main(['variants-classify', '--log', log, '--kg', kg,\n"
         "             '--model', out + '/vt/variant_model.json',\n"
         "             '--out', out + '/vc']) == 0\n"
         "loaded = [m for m in unused if m in set(sys.modules) - before]\n"
-        "assert not loaded, ('variants-train, variants-classify', loaded)\n")
+        "assert not loaded, ('variants-train, variants-classify', loaded)\n"
+        "assert main(['pipeline', '--log', log, '--kg', kg,\n"
+        "             '--out', out + '/pipeline']) == 0\n"
+        "missing = [m for m in stages if m not in sys.modules]\n"
+        "assert not missing, ('pipeline', missing)\n")
     src = str(Path(kcpm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -888,6 +895,51 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
     for run_dir in ("vt", "vc"):
         manifest = load_json(tmp_path / run_dir / "manifest.json")
         assert manifest["versions"]["python"] == platform.python_version()
+
+
+# The names bench/tracing.py wraps on kcpm.cli: a subcommand must call each
+# through the module attribute, or its layer goes untraced.
+_TRACED_CLI_NAMES = ("load_triples", "mine_rules", "build_lpg",
+                     "footprint_of_log", "footprint_of_model", "conformance",
+                     "write_manifest")
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("pipeline", {"load_triples": 1, "mine_rules": 1, "footprint_of_log": 2,
+                  "footprint_of_model": 1, "conformance": 2,
+                  "write_manifest": 1}),
+    ("variants-train", {"load_triples": 1, "build_lpg": 1,
+                        "write_manifest": 1}),
+    ("variants-classify", {"load_triples": 1, "build_lpg": 1,
+                           "write_manifest": 1}),
+])
+def test_subcommands_call_traced_names_through_the_cli_module(
+        workdir, variant_inputs, monkeypatch, command, calls):
+    """Each name that bench/tracing.py wraps on kcpm.cli, replaced there by
+    a counting wrapper, is called as often as the subcommand runs its
+    layer: a pipeline with a reference model takes two log footprints."""
+    counted = dict.fromkeys(_TRACED_CLI_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _TRACED_CLI_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    work, _ = variant_inputs
+    argv = {
+        "pipeline": ["--log", workdir / "log.csv", "--kg", workdir / "kg.tsv",
+                     "--model", workdir / "model.json"],
+        "variants-train": ["--log", work / "log.csv", "--kg", work / "kg.tsv",
+                           "--labels", work / "labels.csv"],
+        "variants-classify": ["--log", work / "log.csv", "--kg",
+                              work / "kg.tsv", "--model",
+                              work / "vt" / "variant_model.json"],
+    }[command]
+    assert run(command, *argv, "--out", workdir / "out") == 0
+    assert counted == dict(dict.fromkeys(_TRACED_CLI_NAMES, 0), **calls)
 
 
 _HEADER = "case_id,activity,timestamp\n"

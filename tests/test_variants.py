@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -14,7 +15,8 @@ from kcpm.eventlog import ContextTable, Event, EventLog, Trace, annotate_context
 from kcpm.kg import KnowledgeGraph, TemporalTriple, Triple
 from kcpm.lpg import build_lpg
 from kcpm.variants import (VariantPartition, classify_log, load_model,
-                           save_model, train_variant_model)
+                           partition_to_csv, save_model, train_variant_model,
+                           write_partition_json)
 
 from conftest import T0, log_from_sequences
 from oracles import naive_profile_classify
@@ -197,9 +199,15 @@ def test_exact_ties_go_to_the_least_class_id():
 
 
 def test_partition_argmax_invariant_enforced():
+    """Also where two cases share one score map and only the second is
+    misassigned."""
     with pytest.raises(ValueError):
         VariantPartition({"c": "wrong"},
                          {"c": {"right": 0.9, "wrong": 0.1}})
+    shared = {"right": 0.9, "wrong": 0.1}
+    with pytest.raises(ValueError, match="'c2' assigned 'wrong'"):
+        VariantPartition({"c1": "right", "c2": "wrong"},
+                         {"c1": shared, "c2": shared})
 
 
 def test_argmax_tie_breaks_lexicographically():
@@ -284,11 +292,16 @@ def test_kg_cohort_lifts_unseen_markers_to_their_class():
 
 LABELS = ["a", "b", "c", "x", "e1", "activity::b"]
 ENTITIES = ["a", "b", "x", "y", "e1", "e2", "k1", "k2", "activity::b"]
+UNSEEN = "u"  # never in a training log, no entity and never aliased
 
 
-def _traces(data, prefix):
-    acts = data.draw(st.lists(st.lists(st.sampled_from(LABELS), min_size=1,
-                                       max_size=5), min_size=1, max_size=6))
+def _traces(data, prefix, labels=LABELS):
+    """Up to 12 traces, each an ordering of one of up to 3 activity
+    sequences, so that many cases share one set of activities."""
+    pool = data.draw(st.lists(st.lists(st.sampled_from(labels), min_size=1,
+                                       max_size=5), min_size=1, max_size=3))
+    acts = data.draw(st.lists(st.sampled_from(pool).flatmap(st.permutations),
+                              min_size=1, max_size=12))
     return EventLog(tuple(
         Trace(f"{prefix}{i}", tuple(Event(f"{prefix}{i}", a,
                                           T0 + timedelta(minutes=j))
@@ -301,11 +314,13 @@ def _traces(data, prefix):
 def test_profiles_equal_the_per_case_fraction_oracle(data):
     """train_variant_model and classify_log on random logs, labels, KGs
     (with timestamp-only facts, and activities that are entities, or
-    aliased onto entities or onto names the KG lacks) give the
-    assignment, prior flags, scores (to 1e-12) and loss of
+    aliased onto entities or onto names the KG lacks) give the loss of
     naive_profile_classify, which scans the KG per case and scores in
-    Fractions."""
-    train, log = _traces(data, "t"), _traces(data, "h")
+    Fractions, and the variants.json and variants.csv of its partition,
+    byte for byte. The cases of a log share a few activity sets, so the
+    classifier shares one score map among many cases; some sets are
+    unseen in training (prior fallback), and scores often tie."""
+    train, log = _traces(data, "t"), _traces(data, "h", [*LABELS, UNSEEN])
     cases = [t.case_id for t in train.traces]
     labels = dict(zip(cases, data.draw(st.lists(
         st.sampled_from(["p", "q", "r"]), min_size=len(cases),
@@ -331,11 +346,17 @@ def test_profiles_equal_the_per_case_fraction_oracle(data):
     got = classify_log(model, graph)
     assignment, scores, prior, loss = naive_profile_classify(
         train, labels, log, plain, temporal, alias)
-    assert got.assignment == assignment
-    assert got.prior_assigned == prior
-    assert got.scores.keys() == scores.keys()
-    for case_id, want in scores.items():
-        assert list(got.scores[case_id]) == list(want)
-        for cls, score in want.items():
-            assert abs(got.scores[case_id][cls] - float(score)) <= 1e-12
+    scores = {c: {cls: float(v) for cls, v in s.items()}
+              for c, s in scores.items()}
+    want = {"assignment": assignment, "scores": scores,
+            "prior_assigned": sorted(prior)}
+    buf = io.StringIO()
+    write_partition_json(got, buf)
+    assert buf.getvalue() == json.dumps(want, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    partition_to_csv(got, buf)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    assert header == ["case_id", "class", *(f"score_{c}" for c in model.class_ids())]
+    assert rows == [[c, assignment[c], *map(repr, scores[c].values())]
+                    for c in sorted(assignment)]
     assert model.loss_history == pytest.approx((loss,), rel=1e-12)
