@@ -1,5 +1,6 @@
-"""Process variant classification by class profiles over the event log
-fused with a knowledge graph (lpg.build_lpg).
+"""Process variant classification by class profiles over the case
+features of the event log fused with a knowledge graph
+(lpg.build_lpg's case_features).
 
 A case's features are the activity nodes of its events and the objects
 of those nodes' KG triples: its activities lifted one hop into the
@@ -25,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from ._checkpoint import (checkpoint_list, is_number, read_checkpoint,
                           write_checkpoint)
-from .errors import DataError
+from .errors import DataError, ParseError
 from .logio import csv_rows
 from .lpg import FusedGraph
 
@@ -65,7 +66,7 @@ def train_variant_model(graph: FusedGraph,
     own class, finite since a case's features are in its class profile."""
     if len(set(labeled.values())) < 2:
         raise DataError("need labels from at least two classes")
-    features = graph.case_features()
+    features = graph.case_features
     counts: dict[str, int] = {}
     profiles: dict[str, dict[str, int]] = {}
     for case_id, cid in labeled.items():
@@ -120,7 +121,7 @@ def classify_log(model: VariantModel, graph: FusedGraph) -> VariantPartition:
     assignment: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
     fallback: set[str] = set()
-    for case_id, features in graph.case_features().items():
+    for case_id, features in graph.case_features.items():
         found = scored.get(features)
         if found is None:
             raw = raw_scores(features)
@@ -210,7 +211,18 @@ def partition_to_csv(p: VariantPartition, stream) -> None:
 
 
 def read_labels_csv(source) -> dict[str, str]:
-    """labels CSV: case_id, class columns."""
+    """labels CSV: case_id, class columns, one row per labeled case. An
+    empty cell or a case labeled twice is a ParseError naming the row."""
     with csv_rows(source, ("case_id", "class")) as (columns, rows):
         case, label = columns["case_id"], columns["class"]
-        return {row[case]: row[label] for _, row in rows}
+        labels: dict[str, str] = {}
+        for rownum, row in rows:
+            case_id, cid = row[case], row[label]
+            if not case_id or not cid:
+                column = "class" if case_id else "case_id"
+                raise ParseError(f"row {rownum}: empty {column}")
+            if case_id in labels:
+                raise ParseError(f"row {rownum}: case {case_id!r} is labeled "
+                                 "twice")
+            labels[case_id] = cid
+        return labels

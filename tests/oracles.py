@@ -447,33 +447,21 @@ def _activity_name(label, entities, alias):
 
 def naive_fused_graph(log, triples, temporal=(), alias=None):
     """The construction rules of the kcpm.lpg docstring, on names: (the
-    node-name set, the (head, relation, tail) name triples in edge order,
-    case id -> its activity node names in order of first occurrence).
-    triples are the plain KG triples and temporal the TemporalTriples. A
-    KG entity that is also a name the log makes raises ValueError naming
-    the least such one."""
+    node-name set, the set of plain KG triples). triples are the plain KG
+    triples and temporal the TemporalTriples. A KG entity that is also a
+    name the log makes raises ValueError naming the least such one."""
     alias = alias or {}
-    facts = set(triples)
-    entities = _entities(facts, temporal)
-    made, edges, case_activities = set(), [], {}
+    entities = _entities(triples, temporal)
+    made = set()
     for trace in log.traces:
-        case = "case::" + trace.case_id
-        made.add(case)
-        names = case_activities[trace.case_id] = []
+        made.add("case::" + trace.case_id)
         for e in trace.events:
-            activity = alias.get(e.activity, e.activity)
-            if activity not in entities:
-                activity = "activity::" + e.activity
-                made.add(activity)
-            if activity not in names:
-                names.append(activity)
-                edges.append((case, "HAS_ACTIVITY", activity))
+            if alias.get(e.activity, e.activity) not in entities:
+                made.add("activity::" + e.activity)
     clash = sorted(made & entities)
     if clash:
         raise ValueError(clash[0])
-    for t in sorted(facts, key=lambda t: (t.predicate, t.subject, t.object)):
-        edges.append((t.subject, t.predicate, t.object))
-    return made | entities, edges, case_activities
+    return made | entities, set(triples)
 
 
 def naive_case_features(trace, triples, temporal=(), alias=None):

@@ -952,6 +952,12 @@ _HEADER = "case_id,activity,timestamp\n"
      "row 3: empty case_id"),
     ("variants-train", "--labels", "case_id,class\nc0,fast\nc001\n",
      "row 3: 1 fields, header has 2"),
+    ("variants-train", "--labels", "case_id,class\nc0,fast\nc0,slow\n",
+     "row 3: case 'c0' is labeled twice"),
+    ("variants-train", "--labels", "case_id,class\nc0,fast\n,slow\n",
+     "row 3: empty case_id"),
+    ("variants-train", "--labels", "case_id,class\nc0,fast\nc1,\n",
+     "row 3: empty class"),
     ("stats", "--log", _HEADER + "c1,A,2024-03-01T09:00:00,x\n",
      "row 2: 4 fields, header has 3"),
     ("pipeline", "--alias", "activity,entity\na,ent_a\nb,ent_b,x\n",
@@ -961,6 +967,7 @@ _HEADER = "case_id,activity,timestamp\n"
     ("mine-rules", "--kg", "a\tb\n",
      "line 1: expected 3 or 4 tab-separated columns, got 2"),
 ], ids=["context-extra-field", "context-empty-case", "labels-short-row",
+        "labels-case-twice", "labels-empty-case", "labels-empty-class",
         "log-extra-field", "alias-extra-field", "alias-no-header",
         "kg-short-line"])
 def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,

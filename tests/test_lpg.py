@@ -15,48 +15,19 @@ from conftest import T0, log_from_sequences, random_sequences
 from oracles import naive_case_features, naive_fused_graph
 
 
-def named(g):
-    """build_lpg's edge rows as (head, relation, tail) names."""
-    return [(g.nodes[h], g.relations[r], g.nodes[t]) for h, r, t in g.edges]
-
-
-def activity_names(g):
-    return {case: [g.nodes[i] for i in rows]
-            for case, rows in g.case_activities.items()}
-
-
 def test_single_trace_counts():
-    # <a,b,a> and no KG: 1 case, 2 activities; one HAS_ACTIVITY edge per
-    # distinct activity
+    # <a,b,a> and no KG: 1 case, 2 activities, no edge
     g = build_lpg(log_from_sequences([["a", "b", "a"]]), KnowledgeGraph())
-    assert g.nodes == ("activity::a", "activity::b", "case::c0")
-    assert g.relations == ("HAS_ACTIVITY",)
-    assert named(g) == [("case::c0", "HAS_ACTIVITY", "activity::a"),
-                        ("case::c0", "HAS_ACTIVITY", "activity::b")]
-    assert activity_names(g) == {"c0": ["activity::a", "activity::b"]}
-
-
-def test_edge_order_first_occurrence_then_sorted_facts():
-    events = (Event("c0", "b", T0, "r1"), Event("c0", "x", T0, None),
-              Event("c0", "b", T0, "r1"))
-    kg = KnowledgeGraph([Triple("y", "q", "x"), Triple("x", "p", "z"),
-                         Triple("x", "p", "y")])
-    g = build_lpg(EventLog((Trace("c0", events),)), kg)
-    assert named(g) == [
-        ("case::c0", "HAS_ACTIVITY", "activity::b"),
-        ("case::c0", "HAS_ACTIVITY", "x"),
-        ("x", "p", "y"), ("x", "p", "z"), ("y", "q", "x"),
-    ]
-    # resources make no node
-    assert g.nodes == ("activity::b", "case::c0", "x", "y", "z")
+    assert g.nodes == {"activity::a", "activity::b", "case::c0"}
+    assert g.edges == frozenset()
+    assert g.case_features == {"c0": {"activity::a", "activity::b"}}
 
 
 def test_kg_only_entities():
     g = build_lpg(log_from_sequences([]), KnowledgeGraph([Triple("x", "p", "y")]))
-    assert g.nodes == ("x", "y")
-    assert g.relations == ("p",)
-    assert named(g) == [("x", "p", "y")]
-    assert g.case_activities == {}
+    assert g.nodes == {"x", "y"}
+    assert g.edges == {Triple("x", "p", "y")}
+    assert g.case_features == {}
 
 
 def test_timestamp_only_facts_name_nodes_but_are_no_edges():
@@ -64,8 +35,8 @@ def test_timestamp_only_facts_name_nodes_but_are_no_edges():
                         [TemporalTriple(Triple("y", "q", "z"), T0),
                          TemporalTriple(Triple("x", "p", "y"), T0)])
     g = build_lpg(log_from_sequences([]), kg)
-    assert g.nodes == ("x", "y", "z")
-    assert named(g) == [("x", "p", "y")]
+    assert g.nodes == {"x", "y", "z"}
+    assert g.edges == {Triple("x", "p", "y")}
 
 
 def test_activity_entity_merge_by_equality():
@@ -73,7 +44,7 @@ def test_activity_entity_merge_by_equality():
     kg = KnowledgeGraph([Triple("ER Triage", "partOf", "intake")])
     g = build_lpg(log, kg)
     assert "activity::ER Triage" not in g.nodes
-    assert ("case::c0", "HAS_ACTIVITY", "ER Triage") in named(g)
+    assert g.case_features == {"c0": {"ER Triage", "intake"}}
     assert len(g.nodes) == 3  # the entities and the case
 
 
@@ -82,26 +53,8 @@ def test_activity_entity_merge_via_alias():
     kg = KnowledgeGraph([Triple("er_triage", "partOf", "intake")])
     g = build_lpg(log, kg, alias={"ER Triage": "er_triage", "Lab": "lab"})
     # an alias onto a name the KG does not hold leaves the activity unmerged
-    assert activity_names(g) == {"c0": ["er_triage", "activity::Lab"]}
+    assert g.case_features == {"c0": {"er_triage", "intake", "activity::Lab"}}
     assert "activity::ER Triage" not in g.nodes
-
-
-def test_rows_index_sorted_nodes_and_relations():
-    rng = random.Random(1)
-    for _ in range(50):
-        seqs = random_sequences(rng, rng.randint(1, 5), 6, list("abc"))
-        triples = {Triple(rng.choice("abxyz"), rng.choice("pq"),
-                          rng.choice("abxyz"))
-                   for _ in range(rng.randint(0, 5))
-                   if rng.random() < 0.9}
-        g = build_lpg(log_from_sequences(seqs), KnowledgeGraph(triples))
-        assert list(g.nodes) == sorted(set(g.nodes))
-        assert list(g.relations) == sorted({r for _, r, _ in named(g)})
-        for row in g.edges:
-            assert all(type(x) is int for x in row)
-            h, r, t = row
-            assert 0 <= h < len(g.nodes) and 0 <= t < len(g.nodes)
-            assert 0 <= r < len(g.relations)
 
 
 def test_node_and_edge_counts():
@@ -118,8 +71,7 @@ def test_node_and_edge_counts():
         merged = len(acts & entities)
         assert len(g.nodes) == (len(log.traces) + len(acts) + len(entities)
                                 - merged)
-        assert len(g.edges) == sum(len(set(t.activities)) for t in log.traces) \
-            + len(triples)
+        assert len(g.edges) == len(triples)
 
 
 def test_event_attributes_do_not_hide_structural_props():
@@ -128,8 +80,8 @@ def test_event_attributes_do_not_hide_structural_props():
     events = tuple(e._replace(attributes={"activity": "z", "case_id": "other"})
                    for e in trace.events)
     g = build_lpg(EventLog((Trace("c0", events),)), KnowledgeGraph())
-    assert activity_names(g) == {"c0": ["activity::a", "activity::b",
-                                        "activity::c"]}
+    assert g.case_features == {"c0": {"activity::a", "activity::b",
+                                      "activity::c"}}
 
 
 @pytest.mark.parametrize("subject, obj, clash", [
@@ -154,8 +106,8 @@ def test_kg_entity_with_a_node_prefix_but_no_log_node_is_kept():
     events = (Event("c0", "a", T0, "r1"), Event("c0", "b", T0))
     g = build_lpg(EventLog((Trace("c0", events),)), kg)
     assert {"case::c9", "resource::r1", "event::c0::0",
-            "activity::a"} <= set(g.nodes)
-    assert activity_names(g) == {"c0": ["a", "activity::b"]}
+            "activity::a"} <= g.nodes
+    assert g.case_features == {"c0": {"a", "activity::b"}}
 
 
 def test_case_features_are_activities_and_their_kg_objects():
@@ -167,8 +119,8 @@ def test_case_features_are_activities_and_their_kg_objects():
                          Triple("y", "uses", "a")],
                         [TemporalTriple(Triple("a", "p", "late"), T0)])
     g = build_lpg(log_from_sequences([["a", "b"], ["b"]]), kg)
-    assert g.case_features() == {"c0": {"a", "k", "activity::b"},
-                                 "c1": {"activity::b"}}
+    assert g.case_features == {"c0": {"a", "k", "activity::b"},
+                               "c1": {"activity::b"}}
 
 
 ENTITIES = ["a", "b", "x", "y", "e1", "e2", "activity::b"]
@@ -180,8 +132,8 @@ LABELS = ["a", "b", "c", "x", "e1", "activity::b"]
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_build_lpg_equals_the_set_based_oracle(data):
-    """build_lpg's rows, read back as names, equal naive_fused_graph, and
-    its case features naive_case_features, on logs with resources and
+    """build_lpg's nodes and edges equal naive_fused_graph's, and its case
+    features naive_case_features, on logs with resources and
     aliases (several activities onto one entity, some onto names the KG
     lacks), activity labels that are KG entities, KGs with
     timestamp-only facts, and now and then an entity that is named like
@@ -210,17 +162,14 @@ def test_build_lpg_equals_the_set_based_oracle(data):
         plain.append(Triple(data.draw(st.sampled_from(RESERVED)), "p", "a"))
     kg = KnowledgeGraph(plain, temporal)
     try:
-        nodes, edges, case_activities = naive_fused_graph(log, plain,
-                                                          temporal, alias)
+        nodes, edges = naive_fused_graph(log, plain, temporal, alias)
     except ValueError as exc:
         with pytest.raises(DataError, match=re.escape(repr(exc.args[0]))):
             build_lpg(log, kg, alias)
         return
     g = build_lpg(log, kg, alias)
-    assert list(g.nodes) == sorted(nodes)
-    assert named(g) == edges
-    assert list(g.relations) == sorted({r for _, r, _ in edges})
-    assert activity_names(g) == case_activities
-    assert g.case_features() == {
+    assert g.nodes == nodes
+    assert g.edges == edges
+    assert g.case_features == {
         t.case_id: naive_case_features(t, plain, temporal, alias)
         for t in log.traces}
