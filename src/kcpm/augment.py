@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -67,8 +66,7 @@ class CandidateInsertion(_CandidateFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AugmentationReport:
+class AugmentationReport(NamedTuple):
     removed_events: tuple[RemovedEvent, ...] = ()
     inserted: tuple[CandidateInsertion, ...] = ()
     thresholds: dict | None = None
@@ -93,6 +91,7 @@ def filter_chaotic_events(
 
     removed: list[RemovedEvent] = []
     traces = []
+    new_trace = tuple.__new__  # a subsequence of a trace is in order
     for t in log.traces:
         work = list(t.events)
         positions = list(range(len(work)))
@@ -111,7 +110,7 @@ def filter_chaotic_events(
             if i > 0:
                 i -= 1
         if work:
-            traces.append(Trace(t.case_id, tuple(work)))
+            traces.append(new_trace(Trace, (t.case_id, tuple(work))))
     return (EventLog(tuple(traces), dict(log.meta)),
             AugmentationReport(removed_events=tuple(removed)))
 
@@ -154,6 +153,9 @@ def infer_missing_events(
 
     inserted: list[CandidateInsertion] = []
     traces = []
+    # each insertion is timed between its neighbours (_midpoint), so the
+    # trace stays in order with ties in place: made without a re-sort
+    new_trace = tuple.__new__
     for t in log.traces:
         work = list(t.events)
         # entities of work[:i] and every entity inserted in this trace
@@ -201,7 +203,7 @@ def infer_missing_events(
             # otherwise stay at the first inserted event so its own
             # prerequisites are checked before the scan moves on; every
             # insertion lands at i or later, so done stays valid
-        traces.append(Trace(t.case_id, tuple(work)))
+        traces.append(new_trace(Trace, (t.case_id, tuple(work))))
     report = AugmentationReport(inserted=tuple(inserted),
                                 thresholds={"theta": theta})
     return EventLog(tuple(traces), dict(log.meta)), report

@@ -12,7 +12,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import fields
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import logio
@@ -75,11 +74,24 @@ def read_log(path: str, context: str | None = None,
 
 
 def read_alias(path: str | None) -> dict[str, str] | None:
+    """The alias CSV: activity, entity columns, one row per mapped
+    activity. An empty cell or an activity mapped twice is a ParseError
+    naming the row."""
     if path is None:
         return None
     with logio.csv_rows(path, ("activity", "entity")) as (columns, rows):
-        activity, entity = columns["activity"], columns["entity"]
-        return {row[activity]: row[entity] for _, row in rows}
+        act_col, ent_col = columns["activity"], columns["entity"]
+        alias: dict[str, str] = {}
+        for rownum, row in rows:
+            activity, entity = row[act_col], row[ent_col]
+            if not activity or not entity:
+                column = "entity" if activity else "activity"
+                raise ParseError(f"row {rownum}: empty {column}")
+            if activity in alias:
+                raise ParseError(f"row {rownum}: activity {activity!r} is "
+                                 "mapped twice")
+            alias[activity] = entity
+        return alias
 
 
 def _write(out_dir: str, name: str, writer) -> str:
@@ -101,10 +113,10 @@ def _json_out(out_dir: str, name: str, payload) -> str:
 
 def _config_from_args(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    for f in fields(cfg):
-        value = getattr(args, f.name, None)
+    for name in cfg.FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 

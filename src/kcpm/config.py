@@ -5,48 +5,50 @@ unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
+# section -> field -> default; a file may set a field only in its section
 _SECTIONS = {
-    "paths": {"log", "kg", "context", "labels", "alias", "model", "out"},
-    "thresholds": {"dependency_threshold", "frequency_threshold",
-                   "min_support", "min_pca_conf", "theta_aug"},
-    "modes": {"filter_mode", "use_embedding", "all_tasks_connected"},
-    "hyperparameters": {"dim", "epochs", "margin", "learning_rate", "seed",
-                        "negatives", "time_buckets"},
+    "paths": dict.fromkeys(("log", "kg", "context", "labels", "alias",
+                            "model", "out")),
+    "thresholds": {"dependency_threshold": 0.5, "frequency_threshold": 1,
+                   "min_support": 1, "min_pca_conf": 0.8, "theta_aug": 0.5},
+    "modes": {"filter_mode": "permissive", "use_embedding": True,
+              "all_tasks_connected": False},
+    "hyperparameters": {"dim": 16, "epochs": 80, "margin": 1.0,
+                        "learning_rate": 0.5, "seed": 0, "negatives": 4,
+                        "time_buckets": 24},
 }
+_DEFAULTS = {name: default for fields in _SECTIONS.values()
+             for name, default in fields.items()}
 
 
-@dataclass
 class PipelineConfig:
-    # paths
-    log: str | None = None
-    kg: str | None = None
-    context: str | None = None
-    labels: str | None = None
-    alias: str | None = None
-    model: str | None = None
-    out: str | None = None
-    # thresholds
-    dependency_threshold: float = 0.5
-    frequency_threshold: int = 1
-    min_support: int = 1
-    min_pca_conf: float = 0.8
-    theta_aug: float = 0.5
-    # modes
-    filter_mode: str = "permissive"
-    use_embedding: bool = True
-    all_tasks_connected: bool = False
-    # hyperparameters
-    dim: int = 16
-    epochs: int = 80
-    margin: float = 1.0
-    learning_rate: float = 0.5
-    seed: int = 0
-    negatives: int = 4
-    time_buckets: int = 24
+    """Every setting of a run, set by keyword; a field not given takes its
+    default. Mutable: load_config and the command line set the fields
+    one at a time. FIELDS names them in order."""
+
+    FIELDS = tuple(_DEFAULTS)
+    __slots__ = FIELDS
+
+    def __init__(self, **values):
+        unknown = values.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"unknown config field(s): {sorted(unknown)}")
+        for name, default in _DEFAULTS.items():
+            setattr(self, name, values.get(name, default))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"PipelineConfig({fields})"
 
     def validate(self) -> None:
         if not 0.0 <= self.dependency_threshold < 1.0:
@@ -73,7 +75,7 @@ class PipelineConfig:
             raise ConfigError("time_buckets must be in 1..1440")
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 def load_config(path: str) -> PipelineConfig:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .dfg import DependencyGraph
 from .errors import DataError
@@ -26,18 +26,29 @@ class Relation(enum.Enum):
     UNRELATED = "#"
 
 
-@dataclass(frozen=True)
-class FootprintMatrix:
-    """The directly-follows pairs observed over an alphabet; every
-    relation is derived from them, so it is symmetric by construction."""
+class _FootprintFields(NamedTuple):
     activities: tuple[str, ...]
     pairs: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
-        known = set(self.activities)
-        for a, b in self.pairs:
+
+class FootprintMatrix(_FootprintFields):
+    """The directly-follows pairs observed over an alphabet; every
+    relation is derived from them, so it is symmetric by construction.
+    Every way of making one rejects a pair over an unknown activity."""
+
+    __slots__ = ()
+
+    def __new__(cls, activities: tuple[str, ...],
+                pairs: frozenset[tuple[str, str]]):
+        known = set(activities)
+        for a, b in pairs:
             if a not in known or b not in known:
                 raise ValueError(f"pair ({a!r}, {b!r}) uses unknown activity")
+        return tuple.__new__(cls, (activities, pairs))
+
+    @classmethod
+    def _make(cls, iterable) -> FootprintMatrix:
+        return cls(*iterable)
 
     def relation(self, a: str, b: str) -> Relation:
         ab, ba = (a, b) in self.pairs, (b, a) in self.pairs
@@ -66,15 +77,13 @@ def f_score(fitness: float, precision: float) -> float:
     return 2 * fitness * precision / (fitness + precision)
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     pair: tuple[str, str]
     log_relation: Relation
     model_relation: Relation
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     fitness: float
     precision: float
     f_score: float

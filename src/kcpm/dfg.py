@@ -13,7 +13,7 @@ patterns.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DataError
 from .eventlog import (EventLog, directly_follows_counts, end_activity_counts,
@@ -30,47 +30,84 @@ def dependency_measure(ab: int, ba: int) -> float:
     return (ab - ba) / (ab + ba + 1)
 
 
-@dataclass(frozen=True)
-class MiningThresholds:
-    dependency_threshold: float = 0.5
-    frequency_threshold: int = 1
-    all_tasks_connected: bool = False
-    long_distance: bool = False
+class _ThresholdFields(NamedTuple):
+    dependency_threshold: float
+    frequency_threshold: int
+    all_tasks_connected: bool
+    long_distance: bool
 
-    def __post_init__(self):
-        if not 0.0 <= self.dependency_threshold < 1.0:
+
+class MiningThresholds(_ThresholdFields):
+    """Every way of making one rejects a dependency threshold outside
+    [0, 1) and a negative frequency threshold."""
+
+    __slots__ = ()
+
+    def __new__(cls, dependency_threshold: float = 0.5,
+                frequency_threshold: int = 1,
+                all_tasks_connected: bool = False,
+                long_distance: bool = False):
+        if not 0.0 <= dependency_threshold < 1.0:
             raise ValueError("dependency_threshold must be in [0, 1)")
-        if self.frequency_threshold < 0:
+        if frequency_threshold < 0:
             raise ValueError("frequency_threshold must be nonnegative")
+        return tuple.__new__(cls, (dependency_threshold, frequency_threshold,
+                                   all_tasks_connected, long_distance))
+
+    @classmethod
+    def _make(cls, iterable) -> MiningThresholds:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     source: str
     target: str
     df_count: int
     dependency: float
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class _GraphFields(NamedTuple):
     activities: frozenset[str]
     edges: dict[tuple[str, str], DependencyEdge]
     l1_loops: dict[str, float]
     l2_loops: dict[tuple[str, str], float]
     start_activities: dict[str, int]
     end_activities: dict[str, int]
-    df_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    long_deps: dict[tuple[str, str], float] = field(default_factory=dict)
+    df_counts: dict[tuple[str, str], int]
+    long_deps: dict[tuple[str, str], float]
 
-    def __post_init__(self):
-        for (a, b), e in self.edges.items():
-            if a not in self.activities or b not in self.activities:
+
+class DependencyGraph(_GraphFields):
+    """A mined dependency graph; df_counts and long_deps default to new
+    empty dicts. Every way of making one rejects an edge over an unknown
+    activity or with a dependency that its counts do not give."""
+
+    __slots__ = ()
+
+    def __new__(cls, activities: frozenset[str],
+                edges: dict[tuple[str, str], DependencyEdge],
+                l1_loops: dict[str, float],
+                l2_loops: dict[tuple[str, str], float],
+                start_activities: dict[str, int],
+                end_activities: dict[str, int],
+                df_counts: dict[tuple[str, str], int] | None = None,
+                long_deps: dict[tuple[str, str], float] | None = None):
+        if df_counts is None:
+            df_counts = {}
+        for (a, b), e in edges.items():
+            if a not in activities or b not in activities:
                 raise ValueError(f"edge ({a!r}, {b!r}) uses unknown activity")
-            expect = dependency_measure(self.df_counts.get((a, b), e.df_count),
-                                        self.df_counts.get((b, a), 0))
+            expect = dependency_measure(df_counts.get((a, b), e.df_count),
+                                        df_counts.get((b, a), 0))
             if abs(e.dependency - expect) > 1e-9:
                 raise ValueError(f"edge ({a!r}, {b!r}) dependency does not match counts")
+        return tuple.__new__(cls, (activities, edges, l1_loops, l2_loops,
+                                   start_activities, end_activities, df_counts,
+                                   {} if long_deps is None else long_deps))
+
+    @classmethod
+    def _make(cls, iterable) -> DependencyGraph:
+        return cls(*iterable)
 
     def edge_pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
@@ -160,16 +197,14 @@ def mine_dependency_graph(log: EventLog, th: MiningThresholds) -> DependencyGrap
 # Rule-based filtering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RemovedEdge:
+class RemovedEdge(NamedTuple):
     source: str
     target: str
     reason: str  # "not_entailed" | "contradicted"
     rule_id: str | None
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     removed_edges: tuple[RemovedEdge, ...]
     kept_edges: int
     mode: str

@@ -8,7 +8,6 @@ restricted to scalar values (str, int, float, bool, datetime).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime
 from operator import itemgetter
 from typing import NamedTuple
@@ -52,32 +51,41 @@ class Event(_EventFields):
 EVENT_FIELDS = Event._fields[:4]
 
 
-@dataclass(frozen=True)
-class Trace:
-    """One case. Events are stably sorted by timestamp at construction,
-    so ties keep their original (file) order."""
-
+class _TraceFields(NamedTuple):
     case_id: str
     events: tuple[Event, ...]
 
-    def __post_init__(self):
-        if not self.events:
-            raise ValueError(f"trace {self.case_id!r} has no events")
-        for e in self.events:
-            if e.case_id != self.case_id:
+
+class Trace(_TraceFields):
+    """One case, a tuple of its id and its events. Every way of making
+    one (positional, keyword, _make, _replace) stably sorts the events by
+    timestamp, so ties keep their original (file) order, and rejects a
+    trace without events or with an event of another case."""
+
+    __slots__ = ()
+
+    def __new__(cls, case_id: str, events: tuple[Event, ...]):
+        if not events:
+            raise ValueError(f"trace {case_id!r} has no events")
+        for e in events:
+            if e.case_id != case_id:
                 raise ValueError(
-                    f"trace {self.case_id!r} contains event of case {e.case_id!r}"
+                    f"trace {case_id!r} contains event of case {e.case_id!r}"
                 )
         try:
-            ordered = tuple(sorted(self.events, key=itemgetter(2)))
+            ordered = tuple(sorted(events, key=itemgetter(2)))
         except TypeError:
             # a sort compares every pair that ends up adjacent, so a trace
             # mixing naive and offset-aware timestamps always lands here
-            if len({e.timestamp.utcoffset() is None for e in self.events}) > 1:
-                raise DataError(f"trace {self.case_id!r} mixes naive and "
+            if len({e.timestamp.utcoffset() is None for e in events}) > 1:
+                raise DataError(f"trace {case_id!r} mixes naive and "
                                 "offset-aware timestamps") from None
             raise
-        object.__setattr__(self, "events", ordered)
+        return tuple.__new__(cls, (case_id, ordered))
+
+    @classmethod
+    def _make(cls, iterable) -> Trace:
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -87,17 +95,29 @@ class Trace:
         return tuple(map(itemgetter(1), self.events))
 
 
-@dataclass(frozen=True)
-class EventLog:
+class _EventLogFields(NamedTuple):
     traces: tuple[Trace, ...]
-    meta: dict[str, Scalar] = field(default_factory=dict)
+    meta: dict[str, Scalar]
 
-    def __post_init__(self):
+
+class EventLog(_EventLogFields):
+    """A tuple of traces and a meta map, which defaults to a new empty
+    dict. Every way of making one rejects two traces of one case."""
+
+    __slots__ = ()
+
+    def __new__(cls, traces: tuple[Trace, ...],
+                meta: dict[str, Scalar] | None = None):
         seen = set()
-        for t in self.traces:
+        for t in traces:
             if t.case_id in seen:
                 raise ValueError(f"duplicate case id {t.case_id!r}")
             seen.add(t.case_id)
+        return tuple.__new__(cls, (traces, {} if meta is None else meta))
+
+    @classmethod
+    def _make(cls, iterable) -> EventLog:
+        return cls(*iterable)
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -117,16 +137,25 @@ class EventLog:
         raise KeyError(case_id)
 
 
-@dataclass(frozen=True)
-class ContextTable:
-    """Per-case context attributes (demographics, history, ...)."""
-
+class _ContextFields(NamedTuple):
     rows: dict[str, dict[str, Scalar]]
 
-    def __post_init__(self):
-        for case_id in self.rows:
+
+class ContextTable(_ContextFields):
+    """Per-case context attributes (demographics, history, ...). Every
+    way of making one rejects an empty case id."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: dict[str, dict[str, Scalar]]):
+        for case_id in rows:
             if not case_id:
                 raise ValueError("context row with empty case id")
+        return tuple.__new__(cls, (rows,))
+
+    @classmethod
+    def _make(cls, iterable) -> ContextTable:
+        return cls(*iterable)
 
 
 def make_log(

@@ -8,10 +8,10 @@ control flow: ``directly_follows``, ``must_precede`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from sys import intern
+from typing import NamedTuple
 
 from .errors import ParseError
 from .logio import _open_text, parse_timestamp
@@ -24,22 +24,33 @@ FORBIDDEN_BEFORE = "forbidden_before"
 Index = dict[str, dict[str, set[str]]]
 
 
-@dataclass(frozen=True)
-class Triple:
+class _TripleFields(NamedTuple):
     subject: str
     predicate: str
     object: str
 
-    def __post_init__(self):
-        if not (self.subject and self.predicate and self.object):
-            raise ValueError(f"triple components must be nonempty: {self}")
+
+class Triple(_TripleFields):
+    """One fact, a tuple of subject, predicate and object. Every way of
+    making one rejects an empty component."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject: str, predicate: str, object: str):
+        if not (subject and predicate and object):
+            raise ValueError("triple components must be nonempty: "
+                             f"{predicate}({subject}, {object})")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    @classmethod
+    def _make(cls, iterable) -> Triple:
+        return cls(*iterable)
 
     def __repr__(self):
         return f"{self.predicate}({self.subject}, {self.object})"
 
 
-@dataclass(frozen=True)
-class TemporalTriple:
+class TemporalTriple(NamedTuple):
     triple: Triple
     timestamp: datetime
 

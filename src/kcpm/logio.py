@@ -10,11 +10,11 @@ import contextlib
 import csv
 import io
 import os
-from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, islice
 from operator import itemgetter
 from sys import intern
+from typing import NamedTuple
 
 from .errors import ConfigError, DataError, KcpmError, ParseError
 from .eventlog import (EVENT_FIELDS, ContextTable, Event, EventLog, Scalar,
@@ -212,29 +212,46 @@ def write_xes(log: EventLog, stream) -> None:
 ISO_FORMAT = "iso"
 
 
-@dataclass(frozen=True)
-class CsvMapping:
+class _CsvMappingFields(NamedTuple):
+    case: str
+    activity: str
+    timestamp: str
+    timestamp_format: str
+    resource: str | None
+    attributes: dict[str, str]
+
+
+class CsvMapping(_CsvMappingFields):
     """Column-role assignment for tabular event logs.
 
     timestamp_format is a strptime pattern, or "iso" for ISO-8601.
     attributes maps extra column names to scalar kinds
-    ({string,int,float,bool,timestamp}); empty cells mean "absent".
+    ({string,int,float,bool,timestamp}), a new empty dict by default;
+    empty cells mean "absent". Every way of making one rejects an
+    unknown kind and an attribute column named after an event field.
     """
 
-    case: str = "case_id"
-    activity: str = "activity"
-    timestamp: str = "timestamp"
-    timestamp_format: str = ISO_FORMAT
-    resource: str | None = "resource"
-    attributes: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for col, kind in self.attributes.items():
+    def __new__(cls, case: str = "case_id", activity: str = "activity",
+                timestamp: str = "timestamp",
+                timestamp_format: str = ISO_FORMAT,
+                resource: str | None = "resource",
+                attributes: dict[str, str] | None = None):
+        if attributes is None:
+            attributes = {}
+        for col, kind in attributes.items():
             if kind not in _KIND_NAMES:
                 raise ConfigError(f"column {col!r}: unknown kind {kind!r}")
             if col in EVENT_FIELDS:
                 raise ConfigError(f"attribute column {col!r} has the name "
                                   "of an event field")
+        return tuple.__new__(cls, (case, activity, timestamp,
+                                   timestamp_format, resource, attributes))
+
+    @classmethod
+    def _make(cls, iterable) -> CsvMapping:
+        return cls(*iterable)
 
 
 @contextlib.contextmanager
@@ -529,7 +546,8 @@ def read_context_csv(source) -> ContextTable:
     """Context table: one row per case; a `case_id` column is required,
     the other columns become attributes typed by _typed. A column named
     after another event field is a DataError: merged into the events, it
-    would stand beside that field."""
+    would stand beside that field. An empty case id or a case listed
+    twice is a ParseError naming the row."""
     with csv_rows(source, ("case_id",), all_used=True) as (columns, rows):
         clash = [name for name in columns if name in EVENT_FIELDS[1:]]
         if clash:
@@ -541,8 +559,12 @@ def read_context_csv(source) -> ContextTable:
                  for name, i in columns.items() if name != "case_id"]
         table: dict[str, dict[str, Scalar]] = {}
         for rownum, row in rows:
-            if not row[case]:
+            case_id = row[case]
+            if not case_id:
                 raise ParseError(f"row {rownum}: empty case_id")
-            table[row[case]] = {name: values[row[i]]
+            if case_id in table:
+                raise ParseError(f"row {rownum}: case {case_id!r} is listed "
+                                 "twice")
+            table[case_id] = {name: values[row[i]]
                                 for name, i, values in typed if row[i]}
     return ContextTable(table)

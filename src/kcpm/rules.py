@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .kg import Index, KnowledgeGraph, Triple
@@ -25,15 +25,26 @@ from .kg import Index, KnowledgeGraph, Triple
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Atom:
+class _AtomFields(NamedTuple):
     predicate: str
     subject_var: str
     object_var: str
 
-    def __post_init__(self):
-        if not self.predicate:
+
+class Atom(_AtomFields):
+    """One body or head atom. Every way of making one rejects an empty
+    predicate."""
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, subject_var: str, object_var: str):
+        if not predicate:
             raise ValueError("atom predicate must be nonempty")
+        return tuple.__new__(cls, (predicate, subject_var, object_var))
+
+    @classmethod
+    def _make(cls, iterable) -> Atom:
+        return cls(*iterable)
 
     def __str__(self):
         return f"{self.predicate}({self.subject_var},{self.object_var})"
@@ -48,30 +59,45 @@ def chain_body(predicates: tuple[str, ...] | list[str]) -> tuple[Atom, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ClosedPathRule:
+class _RuleFields(NamedTuple):
     body: tuple[Atom, ...]
     head: Atom
     support: int
     std_confidence: float
     pca_confidence: float
 
-    def __post_init__(self):
-        if self.head.subject_var != "x" or self.head.object_var != "y":
+
+class ClosedPathRule(_RuleFields):
+    """One rule with its statistics. Every way of making one rejects a
+    head other than P(x,y), a body that is not an x..z_i..y chain, a
+    negative support and confidences outside [0, 1] or with the PCA one
+    below the standard one."""
+
+    __slots__ = ()
+
+    def __new__(cls, body: tuple[Atom, ...], head: Atom, support: int,
+                std_confidence: float, pca_confidence: float):
+        if head.subject_var != "x" or head.object_var != "y":
             raise ValueError("head must be P(x,y)")
-        if not self.body:
+        if not body:
             raise ValueError("body must have at least one atom")
-        expect = chain_body(self.body_predicates)
-        if tuple(self.body) != expect:
+        if tuple(body) != chain_body([a.predicate for a in body]):
             raise ValueError("body is not a connected x..z_i..y chain")
-        if self.support < 0:
+        if support < 0:
             raise ValueError("support must be nonnegative")
         # the uncapped closure terminates only with confidences in [0, 1]
-        for name in ("std_confidence", "pca_confidence"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+        for name, value in (("std_confidence", std_confidence),
+                            ("pca_confidence", pca_confidence)):
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.pca_confidence < self.std_confidence - _EPS:
+        if pca_confidence < std_confidence - _EPS:
             raise ValueError("PCA confidence cannot be below standard confidence")
+        return tuple.__new__(cls, (body, head, support, std_confidence,
+                                   pca_confidence))
+
+    @classmethod
+    def _make(cls, iterable) -> ClosedPathRule:
+        return cls(*iterable)
 
     @property
     def body_predicates(self) -> tuple[str, ...]:
@@ -89,19 +115,50 @@ class ClosedPathRule:
         return f"{body}=>{self.head.predicate}"
 
 
-@dataclass(frozen=True)
 class RuleBase:
-    rules: tuple[ClosedPathRule, ...]
-    min_support: int = 1
-    min_pca_conf: float = 0.0
-    max_body_len: int = 3
+    """An immutable rule base: the rules in order and the thresholds
+    every one of them meets, equal and hashed by those four fields.
+    Iteration and len() go over the rules, which is why it is not a
+    tuple: a tuple iterates its own fields."""
 
-    def __post_init__(self):
-        for r in self.rules:
-            if (r.support < self.min_support
-                    or r.pca_confidence < self.min_pca_conf - _EPS
-                    or len(r.body) > self.max_body_len):
+    __slots__ = ("rules", "min_support", "min_pca_conf", "max_body_len")
+
+    def __init__(self, rules: tuple[ClosedPathRule, ...], min_support: int = 1,
+                 min_pca_conf: float = 0.0, max_body_len: int = 3):
+        for r in rules:
+            if (r.support < min_support
+                    or r.pca_confidence < min_pca_conf - _EPS
+                    or len(r.body) > max_body_len):
                 raise ValueError(f"rule violates stored thresholds: {r.text()}")
+        for name, value in zip(self.__slots__, (rules, min_support,
+                                                min_pca_conf, max_body_len)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.rules, self.min_support, self.min_pca_conf,
+                self.max_body_len)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle, which would set the slots
+        return RuleBase, self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._key()))
+        return f"RuleBase({fields})"
 
     def __len__(self):
         return len(self.rules)
@@ -201,8 +258,7 @@ def mine_rules(
 # Forward chaining
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntailmentResult:
+class EntailmentResult(NamedTuple):
     entailed: bool
     confidence: float = 0.0
     via_rule: str | None = None  # rule id of the best derivation's last step

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 from .dfg import DependencyEdge, DependencyGraph, dependency_measure
 from .errors import DataError
@@ -23,21 +23,34 @@ MAX_TRACE_LEN = 200
 _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0, tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class GroundTruthModel:
+class _ModelFields(NamedTuple):
     activities: frozenset[str]
     start_probs: dict[str, float]
     transitions: dict[str, dict[str, float]]
 
-    def __post_init__(self):
-        if abs(sum(self.start_probs.values()) - 1.0) > 1e-9:
+
+class GroundTruthModel(_ModelFields):
+    """Every way of making one rejects start or outgoing probabilities
+    that do not sum to 1 and an activity outside activities."""
+
+    __slots__ = ()
+
+    def __new__(cls, activities: frozenset[str],
+                start_probs: dict[str, float],
+                transitions: dict[str, dict[str, float]]):
+        if abs(sum(start_probs.values()) - 1.0) > 1e-9:
             raise ValueError("start probabilities must sum to 1")
-        for act, out in self.transitions.items():
+        for act, out in transitions.items():
             if out and abs(sum(out.values()) - 1.0) > 1e-9:
                 raise ValueError(f"outgoing probabilities of {act!r} must sum to 1")
-        for act in list(self.start_probs) + list(self.transitions):
-            if act not in self.activities:
+        for act in list(start_probs) + list(transitions):
+            if act not in activities:
                 raise ValueError(f"unknown activity {act!r}")
+        return tuple.__new__(cls, (activities, start_probs, transitions))
+
+    @classmethod
+    def _make(cls, iterable) -> GroundTruthModel:
+        return cls(*iterable)
 
     @property
     def end_activities(self) -> frozenset[str]:
@@ -163,20 +176,33 @@ def simulate(model: GroundTruthModel, n_cases: int, seed: int = 0) -> EventLog:
     return EventLog(tuple(traces), meta)
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    drop_rate: float = 0.0
-    noise_rate: float = 0.0
-    noise_alphabet: frozenset[str] = field(default_factory=frozenset)
-    seed: int = 0
+class _SpecFields(NamedTuple):
+    drop_rate: float
+    noise_rate: float
+    noise_alphabet: frozenset[str]
+    seed: int
 
-    def __post_init__(self):
-        for name in ("drop_rate", "noise_rate"):
-            rate = getattr(self, name)
+
+class CorruptionSpec(_SpecFields):
+    """Every way of making one rejects a rate outside [0, 1] and noise
+    without a noise alphabet."""
+
+    __slots__ = ()
+
+    def __new__(cls, drop_rate: float = 0.0, noise_rate: float = 0.0,
+                noise_alphabet: frozenset[str] = frozenset(), seed: int = 0):
+        for name, rate in (("drop_rate", drop_rate),
+                           ("noise_rate", noise_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.noise_rate > 0 and not self.noise_alphabet:
+        if noise_rate > 0 and not noise_alphabet:
             raise ValueError("noise_rate > 0 requires a noise alphabet")
+        return tuple.__new__(cls, (drop_rate, noise_rate, noise_alphabet,
+                                   seed))
+
+    @classmethod
+    def _make(cls, iterable) -> CorruptionSpec:
+        return cls(*iterable)
 
 
 def corrupt(log: EventLog, spec: CorruptionSpec) -> EventLog:

@@ -15,8 +15,8 @@ are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,32 +31,48 @@ CHECKPOINT_FORMAT = "kcpm-temporal-scorer"
 CHECKPOINT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class ScorerParams:
-    dim: int = 16
-    margin: float = 1.0
-    learning_rate: float = 0.5
-    epochs: int = 80
-    negatives: int = 4
-    time_buckets: int = 24
-    seed: int = 0
+class _ParamFields(NamedTuple):
+    dim: int
+    margin: float
+    learning_rate: float
+    epochs: int
+    negatives: int
+    time_buckets: int
+    seed: int
 
-    def __post_init__(self):
-        for name in ("dim", "epochs", "negatives", "time_buckets", "seed"):
-            if type(getattr(self, name)) is not int:
+
+class ScorerParams(_ParamFields):
+    """Every way of making one rejects a count that is not an int or out
+    of range and a margin or learning rate that is not finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int = 16, margin: float = 1.0,
+                learning_rate: float = 0.5, epochs: int = 80,
+                negatives: int = 4, time_buckets: int = 24, seed: int = 0):
+        for name, value in (("dim", dim), ("epochs", epochs),
+                            ("negatives", negatives),
+                            ("time_buckets", time_buckets), ("seed", seed)):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an integer")
-        if self.dim < 2:
+        if dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.epochs < 1:
+        if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.negatives < 1:
+        if negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if not 0.0 < self.learning_rate < math.inf:
+        if not 0.0 < learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        if not math.isfinite(self.margin):
+        if not math.isfinite(margin):
             raise ValueError("margin must be finite")
-        if not 1 <= self.time_buckets <= 1440:
+        if not 1 <= time_buckets <= 1440:
             raise ValueError("time_buckets must be in 1..1440")
+        return tuple.__new__(cls, (dim, margin, learning_rate, epochs,
+                                   negatives, time_buckets, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> ScorerParams:
+        return cls(*iterable)
 
 
 def time_bucket(t: datetime, n_buckets: int = 24) -> int:
@@ -64,19 +80,39 @@ def time_bucket(t: datetime, n_buckets: int = 24) -> int:
     return ((t.hour * 60 + t.minute) * n_buckets) // 1440
 
 
-@dataclass
 class TemporalScorer:
-    activities: tuple[str, ...]
-    entity_vecs: np.ndarray   # (n_activities, dim)
-    relation_vec: np.ndarray  # (dim,)
-    time_vecs: np.ndarray     # (time_buckets, dim)
-    params: ScorerParams
-    loss_history: tuple[float, ...] = field(default_factory=tuple)
+    """A trained scorer, equal by its fields. It rejects entity
+    embeddings that are not finite."""
 
-    def __post_init__(self):
-        self._index = {a: i for i, a in enumerate(self.activities)}
-        if not np.all(np.isfinite(self.entity_vecs)):
+    __slots__ = ("activities", "entity_vecs", "relation_vec", "time_vecs",
+                 "params", "loss_history", "_index")
+
+    def __init__(self, activities: tuple[str, ...],
+                 entity_vecs: np.ndarray,   # (n_activities, dim)
+                 relation_vec: np.ndarray,  # (dim,)
+                 time_vecs: np.ndarray,     # (time_buckets, dim)
+                 params: ScorerParams,
+                 loss_history: tuple[float, ...] = ()):
+        self.activities = activities
+        self.entity_vecs = entity_vecs
+        self.relation_vec = relation_vec
+        self.time_vecs = time_vecs
+        self.params = params
+        self.loss_history = loss_history
+        self._index = {a: i for i, a in enumerate(activities)}
+        if not np.all(np.isfinite(entity_vecs)):
             raise ValueError("entity embeddings contain non-finite values")
+
+    def _key(self) -> tuple:
+        return (self.activities, self.entity_vecs, self.relation_vec,
+                self.time_vecs, self.params, self.loss_history)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable
 
     def index(self, activity: str) -> int:
         try:
@@ -127,8 +163,7 @@ def _distances(E, r, T, heads, tails, buckets):
     return u, np.linalg.norm(u, axis=1)
 
 
-@dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """The training rows collapsed to distinct work: positives as
     distinct (head, tail, bucket), and (positive, corrupted tail) pairs
     as distinct (positive, negative) with their integer multiplicity.
@@ -287,7 +322,7 @@ def load_scorer(source) -> TemporalScorer:
     activities = tuple(checkpoint_list(payload, "activities",
                                        lambda x: isinstance(x, str), kind))
     params = payload.get("params")
-    known = [f.name for f in fields(ScorerParams)]
+    known = list(ScorerParams._fields)
     if not isinstance(params, dict) or not set(params) <= set(known):
         raise DataError(f"{kind} checkpoint: params must have keys among "
                         f"{known}")

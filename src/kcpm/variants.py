@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from ._checkpoint import (checkpoint_list, is_number, read_checkpoint,
                           write_checkpoint)
@@ -34,8 +34,7 @@ CHECKPOINT_FORMAT = "kcpm-variant-profile"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class VariantModel:
+class VariantModel(NamedTuple):
     class_counts: dict[str, int]         # class id -> its labeled cases
     profiles: dict[str, dict[str, int]]  # class id -> feature -> cases with it
     loss_history: tuple[float, ...] = ()
@@ -83,27 +82,40 @@ def train_variant_model(graph: FusedGraph,
     for case_id, cid in labeled.items():
         raw = raw_scores(features[case_id])
         losses.append(-math.log(raw[column[cid]] / sum(raw)))
-    return replace(model, loss_history=(math.fsum(losses) / len(losses),))
+    return model._replace(loss_history=(math.fsum(losses) / len(losses),))
 
 
-@dataclass(frozen=True)
-class VariantPartition:
+class _PartitionFields(NamedTuple):
     assignment: dict[str, str]
     scores: dict[str, dict[str, float]]
-    prior_assigned: frozenset[str] = frozenset()
+    prior_assigned: frozenset[str]
 
-    def __post_init__(self):
+
+class VariantPartition(_PartitionFields):
+    """Every way of making one rejects a case assigned other than its
+    least argmax class."""
+
+    __slots__ = ()
+
+    def __new__(cls, assignment: dict[str, str],
+                scores: dict[str, dict[str, float]],
+                prior_assigned: frozenset[str] = frozenset()):
         argmax: dict[int, str] = {}  # id of a score map -> its least argmax
-        for case_id, cls in self.assignment.items():
-            scores = self.scores[case_id]
-            winner = argmax.get(id(scores))
+        for case_id, label in assignment.items():
+            case_scores = scores[case_id]
+            winner = argmax.get(id(case_scores))
             if winner is None:
-                best = max(scores.values())
-                winner = argmax[id(scores)] = min(
-                    c for c, s in scores.items() if s >= best - 1e-12)
-            if cls != winner:
+                best = max(case_scores.values())
+                winner = argmax[id(case_scores)] = min(
+                    c for c, s in case_scores.items() if s >= best - 1e-12)
+            if label != winner:
                 raise ValueError(
-                    f"case {case_id!r} assigned {cls!r}, argmax is {winner!r}")
+                    f"case {case_id!r} assigned {label!r}, argmax is {winner!r}")
+        return tuple.__new__(cls, (assignment, scores, prior_assigned))
+
+    @classmethod
+    def _make(cls, iterable) -> VariantPartition:
+        return cls(*iterable)
 
     def cases_of(self, class_id: str) -> frozenset[str]:
         return frozenset(c for c, cls in self.assignment.items()

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +15,7 @@ from kcpm.augment import (AugmentationReport, CandidateInsertion,
                           RemovedEvent, _Precedence, check_guideline_latency,
                           filter_chaotic_events, infer_missing_events,
                           merge_reports, report_to_json, write_report_json)
+from kcpm.eventlog import Event, EventLog, Trace
 from kcpm.kg import (FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple,
                      load_triples)
 from kcpm.rules import (Atom, ClosedPathRule, Closure, EntailmentResult,
@@ -422,6 +423,50 @@ def test_subsequence_property_on_random_logs():
             1 for t in out.traces for e in t.events
             if e.attributes.get("synthetic"))
         assert n_synthetic == len(report.inserted)
+
+
+# steps between consecutive timestamps, in microseconds: ties, odd gaps
+# whose midpoint rounds, and whole minutes
+_STEPS = st.sampled_from([0, 0, 1, 3, 60_000_000])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=st.lists(st.tuples(
+           st.sampled_from([None, timezone.utc,
+                            timezone(timedelta(hours=-5))]),
+           st.lists(st.tuples(st.sampled_from("abn"), _STEPS),
+                    min_size=1, max_size=8)),
+           min_size=1, max_size=4),
+       forbidden=st.sets(st.tuples(st.sampled_from("abn"),
+                                   st.sampled_from("abn")), max_size=4),
+       must_precede=st.sets(st.tuples(st.sampled_from("abn"),
+                                      st.sampled_from("abn")), max_size=4))
+def test_repaired_traces_equal_validated_traces(cases, forbidden,
+                                                must_precede):
+    """Removal and insertion make their traces without Trace's re-sort;
+    each equals Trace(case_id, events) made with full validation, on
+    logs with timestamp ties and with an insertion at position 0 of
+    every trace (p must precede every activity and occurs in none)."""
+    traces = []
+    for i, (tz, steps) in enumerate(cases):
+        ts = datetime(2024, 3, 1, 9, tzinfo=tz)
+        events = []
+        for activity, step in steps:
+            ts += timedelta(microseconds=step)
+            events.append(Event(f"c{i}", activity, ts))
+        traces.append(Trace(f"c{i}", tuple(events)))
+    kg = KnowledgeGraph(
+        [Triple(a, FORBIDDEN_BEFORE, b) for a, b in forbidden]
+        + [Triple(a, MUST_PRECEDE, b) for a, b in must_precede]
+        + [Triple("p", MUST_PRECEDE, a) for a in "abn"])
+    closure = Closure(EMPTY_RB, kg)
+    removed, _ = filter_chaotic_events(EventLog(tuple(traces)), closure)
+    repaired, _ = infer_missing_events(removed, closure, theta=0.5)
+    for log in (removed, repaired):
+        for t in log.traces:
+            assert type(t) is Trace
+            assert t == Trace(t.case_id, t.events)
+    assert all(t.events[0].activity == "p" for t in repaired.traces)
 
 
 def test_merge_reports_and_json():

@@ -857,7 +857,9 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
     variants-classify run load neither repair, rules, dependency graphs
     and conformance nor simulation, nor numpy and the temporal scorer's
     training. A pipeline run then loads rules, dependency graphs and
-    conformance. The manifest still names the interpreter's version."""
+    conformance. No step loads dataclasses or inspect: every record is
+    a NamedTuple or a plain class. The manifest still names the
+    interpreter's version."""
     import platform
 
     work, _ = variant_inputs
@@ -866,14 +868,15 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
         "before = set(sys.modules)\n"
         "from kcpm.cli import main\n"
         "stages = ('kcpm.rules', 'kcpm.dfg', 'kcpm.conformance')\n"
+        "records = ('dataclasses', 'inspect')\n"
         "lazy = ('kcpm.augment', 'kcpm.synth', 'kcpm.temporal',\n"
         "        'kcpm.variants', 'numpy', 'configparser',\n"
-        "        'xml.etree.ElementTree', *stages)\n"
+        "        'xml.etree.ElementTree', *stages, *records)\n"
         "loaded = [m for m in lazy if m in set(sys.modules) - before]\n"
         "assert not loaded, ('import kcpm.cli', loaded)\n"
         "log, kg, labels, out = sys.argv[1:]\n"
         "unused = ('kcpm.augment', 'kcpm.synth', 'numpy', 'kcpm._training',\n"
-        "          'kcpm.temporal', *stages)\n"
+        "          'kcpm.temporal', *stages, *records)\n"
         "assert main(['variants-train', '--log', log, '--kg', kg,\n"
         "             '--labels', labels, '--out', out + '/vt']) == 0\n"
         "assert main(['variants-classify', '--log', log, '--kg', kg,\n"
@@ -884,7 +887,9 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
         "assert main(['pipeline', '--log', log, '--kg', kg,\n"
         "             '--out', out + '/pipeline']) == 0\n"
         "missing = [m for m in stages if m not in sys.modules]\n"
-        "assert not missing, ('pipeline', missing)\n")
+        "assert not missing, ('pipeline', missing)\n"
+        "loaded = [m for m in records if m in set(sys.modules) - before]\n"
+        "assert not loaded, ('pipeline', loaded)\n")
     src = str(Path(kcpm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -950,6 +955,8 @@ _HEADER = "case_id,activity,timestamp\n"
      "row 2: 3 fields, header has 2"),
     ("stats", "--context", "case_id,age\nc0,1\n,2\n",
      "row 3: empty case_id"),
+    ("stats", "--context", "case_id,age\nc0,1\nc0,2\n",
+     "row 3: case 'c0' is listed twice"),
     ("variants-train", "--labels", "case_id,class\nc0,fast\nc001\n",
      "row 3: 1 fields, header has 2"),
     ("variants-train", "--labels", "case_id,class\nc0,fast\nc0,slow\n",
@@ -964,12 +971,19 @@ _HEADER = "case_id,activity,timestamp\n"
      "row 3: 3 fields, header has 2"),
     ("pipeline", "--alias", "a,ent_a\nb,ent_b\n",
      "columns missing from CSV header: ['activity', 'entity']"),
+    ("pipeline", "--alias", "activity,entity\na,ent_a\na,ent_b\n",
+     "row 3: activity 'a' is mapped twice"),
+    ("pipeline", "--alias", "activity,entity\na,ent_a\n,ent_b\n",
+     "row 3: empty activity"),
+    ("pipeline", "--alias", "activity,entity\na,ent_a\nb,\n",
+     "row 3: empty entity"),
     ("mine-rules", "--kg", "a\tb\n",
      "line 1: expected 3 or 4 tab-separated columns, got 2"),
-], ids=["context-extra-field", "context-empty-case", "labels-short-row",
-        "labels-case-twice", "labels-empty-case", "labels-empty-class",
-        "log-extra-field", "alias-extra-field", "alias-no-header",
-        "kg-short-line"])
+], ids=["context-extra-field", "context-empty-case", "context-case-twice",
+        "labels-short-row", "labels-case-twice", "labels-empty-case",
+        "labels-empty-class", "log-extra-field", "alias-extra-field",
+        "alias-no-header", "alias-activity-twice", "alias-empty-activity",
+        "alias-empty-entity", "kg-short-line"])
 def test_bad_tabular_input_is_one_line_data_error(workdir, capsys, command,
                                                   name, text, message):
     bad = workdir / "bad.csv"
