@@ -6,7 +6,8 @@ entails that its activity is forbidden immediately before its successor.
 Insertion is obligation-driven: when an entailed prerequisite of an
 event is absent from the prefix, a candidate for it is placed directly
 before that event and accepted if either the rule derivation or the
-embedding scorer clears the acceptance threshold.
+directly-follows fallback (kcpm.temporal) clears the acceptance
+threshold.
 Inserted events are marked ``synthetic=true``; the original trace is
 always a subsequence of the repaired one.
 """
@@ -25,7 +26,7 @@ from .rules import Closure
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from .temporal import TemporalScorer
+    from .temporal import DirectlyFollowsShare
 
 
 class RemovedEvent(NamedTuple):
@@ -40,7 +41,7 @@ class _CandidateFields(NamedTuple):
     activity: str
     position: int       # insert before events[position] of the final trace
     score: float
-    provenance: str     # "rule" | "embedding"
+    provenance: str     # "rule" | "embedding" (the directly-follows fallback)
     rule_id: str | None = None
 
 
@@ -48,7 +49,7 @@ class CandidateInsertion(_CandidateFields):
     """One accepted insertion, a tuple of its six fields. Every way of
     making one (positional, keyword, _make, _replace) rejects a negative
     position and a score outside [0, 1], and turns the score into a
-    float: an int, bool or numpy float becomes one."""
+    float: an int, a bool or a Fraction becomes one."""
 
     __slots__ = ()
 
@@ -118,7 +119,7 @@ def filter_chaotic_events(
 def infer_missing_events(
     log: EventLog,
     closure: Closure,
-    make_scorer: Callable[[], TemporalScorer | None] | None = None,
+    make_scorer: Callable[[], DirectlyFollowsShare | None] | None = None,
     theta: float = 0.5,
     alias: dict[str, str] | None = None,
 ) -> tuple[EventLog, AugmentationReport]:
@@ -130,12 +131,12 @@ def infer_missing_events(
     before it, ordered among themselves by their own precedence
     entailments. A candidate is accepted when the obligation's
     derivation confidence reaches theta, or failing that when the
-    embedding scorer rates the (predecessor, candidate) successor degree
-    at least theta. The scorer comes from make_scorer, called at most
-    once: when the first candidate the rule alone does not accept has a
-    predecessor. Inserted events take the midpoint of their neighbors'
-    timestamps (one second before the first event at trace start) and
-    the attribute synthetic=true.
+    candidate's directly-follows share after its predecessor reaches
+    theta (provenance "embedding"). The share comes from make_scorer,
+    called at most once: when the first candidate the rule alone does
+    not accept has a predecessor. Inserted events take the midpoint of
+    their neighbors' timestamps (one second before the first event at
+    trace start) and the attribute synthetic=true.
     """
     if make_scorer is not None:
         make_scorer = functools.cache(make_scorer)
@@ -178,16 +179,14 @@ def infer_missing_events(
                             t.case_id, activity_of(p), insert_at, conf,
                             "rule", rule_id)
                     elif make_scorer is not None and insert_at > 0:
-                        scorer = make_scorer()
-                        pred = work[insert_at - 1]
-                        if (scorer is not None and scorer.knows(pred.activity)
-                                and scorer.knows(activity_of(p))):
-                            degree = scorer.directly_follows_degree(
-                                pred.activity, activity_of(p), pred.timestamp)
-                            if degree >= theta:
-                                accepted = CandidateInsertion(
-                                    t.case_id, activity_of(p), insert_at,
-                                    degree, "embedding")
+                        share = make_scorer()
+                        degree = None if share is None else share.degree(
+                            work[insert_at - 1].activity, activity_of(p),
+                            theta)
+                        if degree is not None:
+                            accepted = CandidateInsertion(
+                                t.case_id, activity_of(p), insert_at,
+                                degree, "embedding")
                     if accepted is None:
                         continue
                     work.insert(insert_at, Event(

@@ -165,20 +165,13 @@ def _load_rules(cfg: PipelineConfig, args, kg: KnowledgeGraph) -> RuleBase:
 
 def _train_scorer_or_none(cfg: PipelineConfig, log: EventLog,
                           kg: KnowledgeGraph):
-    """The temporal scorer, or None where no degree it gives can reach
-    theta_aug."""
+    """The directly-follows fallback, or None where no share, which is at
+    most 1, can reach theta_aug."""
+    if cfg.theta_aug > 1:
+        return None
     from . import temporal
 
-    if cfg.theta_aug > temporal.TemporalScorer.MAX_DEGREE:
-        return None
-    params = temporal.ScorerParams(
-        dim=cfg.dim, margin=cfg.margin, learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs, negatives=cfg.negatives,
-        time_buckets=cfg.time_buckets, seed=cfg.seed)
-    try:
-        return temporal.train_temporal_scorer(log, kg, params)
-    except DataError:
-        return None  # single-activity or pairless logs proceed rule-only
+    return temporal.train_temporal_scorer(log, kg)
 
 
 def _read_repair_log(cfg: PipelineConfig) -> EventLog:
@@ -254,25 +247,12 @@ def _augment_log(cfg: PipelineConfig, log: EventLog, kg: KnowledgeGraph,
     from . import augment as aug
 
     filtered, removal_report = aug.filter_chaotic_events(log, closure, alias)
-    scorer = None  # trained only if an insertion asks for it
-
-    def make_scorer():
-        nonlocal scorer
-        scorer = _train_scorer_or_none(cfg, filtered, kg)
-        return scorer
-
+    # the fallback is counted only if an insertion asks for it
+    make_scorer = ((lambda: _train_scorer_or_none(cfg, filtered, kg))
+                   if cfg.use_embedding else None)
     augmented, insert_report = aug.infer_missing_events(
-        filtered, closure, make_scorer if cfg.use_embedding else None,
-        cfg.theta_aug, alias)
-    return augmented, aug.merge_reports(removal_report, insert_report), scorer
-
-
-def _write_scorer(out_dir: str, scorer) -> None:
-    if scorer is not None:
-        from . import temporal
-
-        _write(out_dir, "scorer.json",
-               lambda fh: temporal.save_scorer(scorer, fh))
+        filtered, closure, make_scorer, cfg.theta_aug, alias)
+    return augmented, aug.merge_reports(removal_report, insert_report)
 
 
 def _cmd_augment(cfg: PipelineConfig, args) -> None:
@@ -282,13 +262,12 @@ def _cmd_augment(cfg: PipelineConfig, args) -> None:
     kg = load_triples(cfg.kg)
     rb = _load_rules(cfg, args, kg)
     alias = read_alias(cfg.alias)
-    augmented, report, scorer = _augment_log(cfg, log, kg,
-                                             aug.Closure(rb, kg), alias)
+    augmented, report = _augment_log(cfg, log, kg, aug.Closure(rb, kg),
+                                     alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _write(cfg.out, "augmented.xes", lambda fh: logio.write_xes(augmented, fh))
     _write(cfg.out, "augment_report.json",
            lambda fh: aug.write_report_json(report, fh))
-    _write_scorer(cfg.out, scorer)
     print(f"removed {len(report.removed_events)} events, "
           f"inserted {len(report.inserted)}")
 
@@ -402,11 +381,10 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     # through the name kcpm.augment imports lets a wrapper there (such as
     # bench/tracing.py installs) time it
     closure = aug.Closure(rb, kg)
-    augmented, report, scorer = _augment_log(cfg, log, kg, closure, alias)
+    augmented, report = _augment_log(cfg, log, kg, closure, alias)
     _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
     _write(cfg.out, "augment_report.json",
            lambda fh: aug.write_report_json(report, fh))
-    _write_scorer(cfg.out, scorer)
 
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
                                  cfg.frequency_threshold,
@@ -459,7 +437,9 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "rules": ("--rules", dict(help="rule base JSONL (augment: mined from "
                               "the KG when absent)")),
     # tuning
-    "seed": ("--seed", dict(type=int)),
+    "seed": ("--seed", dict(type=int, help="synth: the simulation and "
+                            "corruption seed; elsewhere recorded in the "
+                            "manifest only")),
     "min_support": ("--min-support", dict(type=int)),
     "min_pca_conf": ("--min-pca-conf", dict(type=float)),
     "dependency_threshold": ("--dependency-threshold", dict(type=float)),
@@ -469,7 +449,9 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "filter_mode": ("--mode", dict(choices=("strict", "permissive"))),
     "theta_aug": ("--theta-aug", dict(type=float)),
     "use_embedding": ("--no-embedding",
-                      dict(action="store_const", const=False)),
+                      dict(action="store_const", const=False,
+                           help="accept insertions by rule only, without "
+                                "the directly-follows fallback")),
     "xes_on_malformed": ("--xes-on-malformed",
                          dict(choices=("fail", "skip"), default="fail")),
     "max_body_len": ("--max-body-len",

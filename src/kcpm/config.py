@@ -16,9 +16,7 @@ _SECTIONS = {
                    "min_support": 1, "min_pca_conf": 0.8, "theta_aug": 0.5},
     "modes": {"filter_mode": "permissive", "use_embedding": True,
               "all_tasks_connected": False},
-    "hyperparameters": {"dim": 16, "epochs": 80, "margin": 1.0,
-                        "learning_rate": 0.5, "seed": 0, "negatives": 4,
-                        "time_buckets": 24},
+    "hyperparameters": {"seed": 0},
 }
 _DEFAULTS = {name: default for fields in _SECTIONS.values()
              for name, default in fields.items()}
@@ -63,26 +61,24 @@ class PipelineConfig:
             raise ConfigError("theta_aug must be finite and >= 0")
         if self.filter_mode not in ("strict", "permissive"):
             raise ConfigError("filter_mode must be 'strict' or 'permissive'")
-        if self.dim < 2 or self.epochs < 1:
-            raise ConfigError("dim must be >= 2 and epochs >= 1")
-        if self.negatives < 1:
-            raise ConfigError("negatives must be >= 1")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be finite and > 0")
-        if not math.isfinite(self.margin):
-            raise ConfigError("margin must be finite")
-        if not 1 <= self.time_buckets <= 1440:
-            raise ConfigError("time_buckets must be in 1..1440")
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
 def load_config(path: str) -> PipelineConfig:
+    """The config a file sets. A file that cannot be read or parsed, an
+    unknown section or key, or a bad value is a one-line ConfigError; a
+    % in a value is read as it is written."""
     import configparser
 
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # the first line names the fault; the rest quotes the file
+        message = str(exc).splitlines()[0]
+        raise ConfigError(f"{path}: {message}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     cfg = PipelineConfig()

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import DataError
 from .eventlog import (EventLog, directly_follows_counts, end_activity_counts,
                        eventually_follows_counts, start_activity_counts)
-from .kg import DIRECTLY_FOLLOWS, FORBIDDEN_BEFORE, MUST_PRECEDE, Triple
+from .kg import DIRECTLY_FOLLOWS, FORBIDDEN_BEFORE, MUST_PRECEDE
 from .rules import Closure
 
 
@@ -108,9 +108,6 @@ class DependencyGraph(_GraphFields):
     @classmethod
     def _make(cls, iterable) -> DependencyGraph:
         return cls(*iterable)
-
-    def edge_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
 
 
 def length_two_loop_counts(log: EventLog) -> dict[tuple[str, str], int]:
@@ -237,16 +234,13 @@ def filter_dependency_graph(
         if ea is None or eb is None:
             return None
         if mode == "strict":
-            res = closure.entails(Triple(ea, DIRECTLY_FOLLOWS, eb))
-            if not res.entailed:
+            if closure.lookup(DIRECTLY_FOLLOWS, ea, eb) is None:
                 return RemovedEdge(a, b, "not_entailed", None)
             return None
-        res = closure.entails(Triple(eb, MUST_PRECEDE, ea))
-        if res.entailed:
-            return RemovedEdge(a, b, "contradicted", res.via_rule)
-        res = closure.entails(Triple(ea, FORBIDDEN_BEFORE, eb))
-        if res.entailed:
-            return RemovedEdge(a, b, "contradicted", res.via_rule)
+        found = (closure.lookup(MUST_PRECEDE, eb, ea)
+                 or closure.lookup(FORBIDDEN_BEFORE, ea, eb))
+        if found is not None:
+            return RemovedEdge(a, b, "contradicted", found[1])
         return None
 
     pairs = sorted(dg.edges)

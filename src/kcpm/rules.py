@@ -258,12 +258,6 @@ def mine_rules(
 # Forward chaining
 # ---------------------------------------------------------------------------
 
-class EntailmentResult(NamedTuple):
-    entailed: bool
-    confidence: float = 0.0
-    via_rule: str | None = None  # rule id of the best derivation's last step
-
-
 class Closure:
     """Fixpoint of forward chaining a rule base over a knowledge graph.
 
@@ -426,12 +420,6 @@ class Closure:
         if conf is None:
             return None
         return conf, self._via[(predicate, subject, obj)]
-
-    def entails(self, fact: Triple) -> EntailmentResult:
-        found = self.lookup(fact.predicate, fact.subject, fact.object)
-        if found is None:
-            return EntailmentResult(False)
-        return EntailmentResult(True, *found)
 
     def facts(self, predicate: str):
         """(subject, object, confidence, via_rule) of every fact of one

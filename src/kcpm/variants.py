@@ -24,8 +24,6 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from ._checkpoint import (checkpoint_list, is_number, read_checkpoint,
-                          write_checkpoint)
 from .errors import DataError, ParseError
 from .logio import csv_rows
 from .lpg import FusedGraph
@@ -155,11 +153,39 @@ def classify_log(model: VariantModel, graph: FusedGraph) -> VariantPartition:
 # ---------------------------------------------------------------------------
 
 def save_model(model: VariantModel, stream) -> None:
-    write_checkpoint(stream, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
+    """The checkpoint: the format/version header and the model's fields,
+    as one sorted-key JSON line."""
+    # json.dumps runs the C encoder; json.dump to a stream does not
+    stream.write(json.dumps({
+        "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
         "class_counts": model.class_counts,
         "profiles": model.profiles,
         "loss_history": list(model.loss_history),
-    })
+    }, sort_keys=True))
+    stream.write("\n")
+
+
+def _read_checkpoint(source) -> dict:
+    """Payload of a checkpoint file path or text stream, after checking
+    its header."""
+    try:
+        if isinstance(source, str):
+            with open(source, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        else:
+            payload = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise DataError(
+            f"variant profile checkpoint is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        payload = {}
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise DataError("not a variant profile checkpoint: "
+                        f"{payload.get('format')!r}")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise DataError(
+            f"unsupported checkpoint version {payload.get('version')!r}")
+    return payload
 
 
 def _is_count(x) -> bool:
@@ -172,8 +198,7 @@ def load_model(source) -> VariantModel:
     counts between 1 and the class's count, and loss_history is a list
     of numbers; a file that is not raises DataError naming the key."""
     kind = "variant profile"
-    payload = read_checkpoint(source, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                              kind)
+    payload = _read_checkpoint(source)
     counts = payload.get("class_counts")
     if (not isinstance(counts, dict) or not counts
             or not all(map(_is_count, counts.values()))):
@@ -186,7 +211,11 @@ def load_model(source) -> VariantModel:
                 for cid, p in profiles.items())):
         raise DataError(f"{kind} checkpoint: profiles must map each class id "
                         "to feature counts between 1 and its class count")
-    history = checkpoint_list(payload, "loss_history", is_number, kind)
+    history = payload.get("loss_history")
+    # a JSON number: an int or a float, not a bool
+    if (not isinstance(history, list)
+            or not all(type(x) in (int, float) for x in history)):
+        raise DataError(f"{kind} checkpoint: loss_history is malformed")
     return VariantModel(counts, profiles, tuple(history))
 
 

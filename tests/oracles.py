@@ -13,8 +13,6 @@ from datetime import datetime
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from kcpm.errors import ConfigError, ParseError
 from kcpm.logio import CsvMapping, format_scalar, parse_scalar, parse_timestamp
 
@@ -214,12 +212,12 @@ def edit_distance(truth, log):
 
 
 def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
-    """Missing-event inference as it was with the scorer trained up
-    front: the same scan, consulting the given scorer (or None) at every
-    candidate the rule alone does not accept that has a predecessor.
-    Prerequisites are sets of entity names, found missing by set
-    difference and ordered by _order_by_precedence below. Returns the
-    log, the report, and how many candidates reached the scorer."""
+    """Missing-event inference with the fallback counted up front: the
+    same scan, consulting the given directly-follows share (or None) at
+    every candidate the rule alone does not accept that has a
+    predecessor. Prerequisites are sets of entity names, found missing by
+    set difference and ordered by _order_by_precedence below. Returns
+    the log, the report, and how many candidates reached the fallback."""
     from kcpm.augment import (AugmentationReport, CandidateInsertion,
                               _midpoint)
     from kcpm.eventlog import Event, EventLog, Trace
@@ -255,15 +253,12 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
                         rule_id)
                 elif insert_at > 0:
                     reached += 1
-                    pred = work[insert_at - 1]
-                    if (scorer is not None and scorer.knows(pred.activity)
-                            and scorer.knows(activity_of(p))):
-                        degree = scorer.directly_follows_degree(
-                            pred.activity, activity_of(p), pred.timestamp)
-                        if degree >= theta:
-                            accepted = CandidateInsertion(
-                                t.case_id, activity_of(p), insert_at, degree,
-                                "embedding")
+                    degree = None if scorer is None else scorer.degree(
+                        work[insert_at - 1].activity, activity_of(p), theta)
+                    if degree is not None:
+                        accepted = CandidateInsertion(
+                            t.case_id, activity_of(p), insert_at, degree,
+                            "embedding")
                 if accepted is None:
                     continue
                 work.insert(insert_at, Event(t.case_id, accepted.activity,
@@ -346,89 +341,25 @@ def dense_conformance(log_side, model_side):
 
 
 # ---------------------------------------------------------------------------
-# Temporal scorer training: per-row references
+# The directly-follows fallback, one candidate at a time
 # ---------------------------------------------------------------------------
-# The trainer collapses repeated rows and sums all of a parameter's row
-# contributions in one scatter. These are the direct per-row forms, one
-# np.add.at per contribution, that those must agree with.
 
-def add_at_scatter(n, idx, rows):
-    out = np.zeros((n, rows.shape[1]))
-    np.add.at(out, np.asarray(idx, dtype=np.intp), rows)
-    return out
-
-
-def _hinge_distances(E, r, T, heads, tails, buckets):
-    u = E[heads] + r + T[buckets] - E[tails]
-    return u, np.linalg.norm(u, axis=1)
-
-
-def per_row_hinge_loss(E, r, T, heads, tails, buckets, neg_tails, margin):
-    """Mean margin violation over every (row, corrupted tail) pair;
-    neg_tails has one row of k corrupted tails per training row."""
-    k = neg_tails.shape[1]
-    _, d_pos = _hinge_distances(E, r, T, heads, tails, buckets)
-    _, d_neg = _hinge_distances(E, r, T, np.repeat(heads, k),
-                                neg_tails.reshape(-1), np.repeat(buckets, k))
-    viol = margin + np.repeat(d_pos, k) - d_neg
-    return float(np.mean(np.maximum(0.0, viol)))
-
-
-def per_row_hinge_grads(E, r, T, heads, tails, buckets, neg_tails, margin):
-    """(gE, gr, gT), and the same scatter taken over the absolute row
-    terms: the size of what is summed, which bounds its rounding error
-    where the terms cancel."""
-    k = neg_tails.shape[1]
-    nh, nb, nt = np.repeat(heads, k), np.repeat(buckets, k), neg_tails.reshape(-1)
-    u_pos, d_pos = _hinge_distances(E, r, T, heads, tails, buckets)
-    u_neg, d_neg = _hinge_distances(E, r, T, nh, nt, nb)
-    active = (margin + np.repeat(d_pos, k) - d_neg) > 0
-    scale = 1.0 / len(nt)
-    n_active = active.reshape(-1, k).sum(axis=1)
-    unit_pos = np.where((d_pos > 0)[:, None],
-                        u_pos / np.maximum(d_pos, 1e-12)[:, None], 0.0)
-    gp = scale * n_active[:, None] * unit_pos
-    gn = np.where((active & (d_neg > 0))[:, None],
-                  -scale * u_neg / np.maximum(d_neg, 1e-12)[:, None], 0.0)
-
-    def scatter(gp, gn, sign):
-        gE = np.zeros_like(E)
-        np.add.at(gE, heads, gp)
-        np.add.at(gE, nh, gn)
-        np.add.at(gE, tails, sign * gp)
-        np.add.at(gE, nt, sign * gn)
-        gT = np.zeros_like(T)
-        np.add.at(gT, buckets, gp)
-        np.add.at(gT, nb, gn)
-        return gE, gp.sum(axis=0) + gn.sum(axis=0), gT
-
-    return scatter(gp, gn, -1), scatter(np.abs(gp), np.abs(gn), 1)
-
-
-def two_call_descend(params, loss, grads, learning_rate, epochs, project=None):
-    """The descent loop with separate loss(params) -> float and
-    grads(params) -> arrays, so every gradient runs its own forward
-    pass; the fused descend must take the same steps."""
-    lr = learning_rate
-    prev = loss(params)
-    history = []
-    for _ in range(epochs):
-        g = grads(params)
-        accepted = prev
-        for _attempt in range(20):
-            cand = tuple(p - lr * gp for p, gp in zip(params, g))
-            if project is not None:
-                cand = project(cand)
-            cand_loss = loss(cand)
-            if cand_loss <= prev:
-                params = cand
-                accepted = cand_loss
-                lr = min(lr * 1.1, learning_rate)
-                break
-            lr *= 0.5
-        history.append(accepted)
-        prev = accepted
-    return params, history
+def naive_df_share(traces, kg_pairs, pred, succ, theta):
+    """The fallback's verdict on succ inserted after pred: the share of
+    pred's observed successors that are succ, as a float, if pred has one
+    and the share is at least theta read as its decimal text; else None.
+    traces are activity-label lists, kg_pairs the (subject, object) of
+    each timestamped directly_follows fact. Counted by index loops and
+    compared as Fractions."""
+    observed = [(acts[i], acts[i + 1]) for acts in traces
+                for i in range(len(acts) - 1)]
+    observed += list(kg_pairs)
+    out = sum(1 for a, _ in observed if a == pred)
+    if out == 0:
+        return None
+    share = Fraction(sum(1 for a, b in observed if (a, b) == (pred, succ)),
+                     out)
+    return float(share) if share >= Fraction(str(theta)) else None
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import json
 import math
 import random
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,16 +16,17 @@ from kcpm.augment import (AugmentationReport, CandidateInsertion,
                           filter_chaotic_events, infer_missing_events,
                           merge_reports, report_to_json, write_report_json)
 from kcpm.eventlog import Event, EventLog, Trace
-from kcpm.kg import (FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple,
-                     load_triples)
-from kcpm.rules import (Atom, ClosedPathRule, Closure, EntailmentResult,
-                        RuleBase, chain_body, mine_rules)
+from kcpm.kg import (DIRECTLY_FOLLOWS, FORBIDDEN_BEFORE, MUST_PRECEDE,
+                     KnowledgeGraph, TemporalTriple, Triple, load_triples)
+from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, chain_body,
+                        mine_rules)
 from kcpm.synth import CorruptionSpec, corrupt, simulate
-from kcpm.temporal import ScorerParams, TemporalScorer, train_temporal_scorer
+from kcpm.temporal import (DirectlyFollowsShare, df_training_triples,
+                           train_temporal_scorer)
 
-from conftest import log_from_sequences, random_sequences
+from conftest import T0, log_from_sequences, random_sequences
 from oracles import (eager_infer_missing_events, edit_distance,
-                     naive_closure, naive_remove_chaotic)
+                     naive_closure, naive_df_share, naive_remove_chaotic)
 from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model
 from test_cli import small_pathway
 
@@ -197,27 +198,74 @@ def test_multiple_obligations_topologically_ordered():
     assert out.traces[0].activities == ("a", "b", "c")
 
 
-def test_embedding_acceptance_path():
-    # the obligation comes from a low-confidence rule; only the embedding
-    # score clears the (low) threshold
+def test_fallback_acceptance_path():
+    # the obligation comes from a low-confidence rule; only the
+    # directly-follows share clears the (low) threshold
     rule = ClosedPathRule(chain_body(("hint",)), Atom(MUST_PRECEDE, "x", "y"),
                           1, 0.2, 0.2)
     kg = KnowledgeGraph([Triple("a", "hint", "b")])
     rb = RuleBase((rule,), min_pca_conf=0.0)
-    # one broken trace missing "a"; the clean ones teach the scorer x -> a
+    # one broken trace missing "a"; in the others x is followed by a
     log = log_from_sequences([["x", "b"]] + [["x", "a", "b"]] * 30)
-    scorer = train_temporal_scorer(log, None, ScorerParams(dim=8, epochs=60,
-                                                           seed=3))
-    out, report = infer_missing_events(log, Closure(rb, kg), lambda: scorer,
-                                       theta=0.4)
+    out, report = infer_missing_events(
+        log, Closure(rb, kg), lambda: train_temporal_scorer(log), theta=0.4)
     assert out.traces[0].activities == ("x", "a", "b")
     (ins,) = report.inserted
-    assert ins.provenance == "embedding"
-    assert 0.4 <= ins.score <= 0.5
-    # without the scorer the candidate fails (0.2 < 0.4)
+    assert ins.provenance == "embedding" and ins.rule_id is None
+    assert ins.score == 30 / 31
+    # without the fallback the candidate fails (0.2 < 0.4)
     out2, report2 = infer_missing_events(log, Closure(rb, kg), None, theta=0.4)
     assert report2.inserted == ()
     assert out2 == log
+    # at theta 1 the share, 30/31, falls short as well
+    out3, report3 = infer_missing_events(
+        log, Closure(rb, kg), lambda: train_temporal_scorer(log), theta=1.0)
+    assert report3.inserted == () and out3 == log
+
+
+@settings(max_examples=300, deadline=None)
+@given(seqs=st.lists(st.lists(st.sampled_from("abcd"), max_size=6),
+                     max_size=6),
+       facts=st.lists(st.tuples(st.sampled_from("abcd"),
+                                st.sampled_from((DIRECTLY_FOLLOWS, "other")),
+                                st.sampled_from("abcd"),
+                                st.integers(0, 3)), max_size=6),
+       pred=st.sampled_from("abcde"), succ=st.sampled_from("abcde"),
+       theta=st.sampled_from((0, 0.0, 0.3, 0.5, 1, 1.0)))
+def test_fallback_decides_as_the_fraction_oracle(seqs, facts, pred, succ,
+                                                 theta):
+    """The share's verdict on each candidate, and the score it records,
+    equal a per-candidate count compared as Fractions: at theta 0, 0.3,
+    0.5 and 1, for a predecessor with no successor ("d" when it ends
+    every trace, and "e", never seen), an unknown candidate ("e"), and
+    the KG's timestamped facts, which count once per timestamp and only
+    under directly_follows."""
+    log = log_from_sequences([s for s in seqs if s])
+    kg = KnowledgeGraph(temporal=[
+        TemporalTriple(Triple(a, p, b), T0 + timedelta(days=d))
+        for a, p, b, d in facts])
+    share = train_temporal_scorer(log, kg)
+    stated = {(a, b, d) for a, p, b, d in facts if p == DIRECTLY_FOLLOWS}
+    want = naive_df_share([s for s in seqs if s],
+                          [(a, b) for a, b, _ in stated], pred, succ, theta)
+    got = share.degree(pred, succ, theta)
+    assert got == want and (got is None or type(got) is float)
+    assert sorted(df_training_triples(log, kg)) == sorted(
+        [pair for s in seqs for pair in zip(s, s[1:])]
+        + [(a, b) for a, b, _ in stated])
+
+
+def test_fallback_compares_theta_as_its_decimal_text():
+    """A share just below 3/10 rounds to the double 0.3, but it does not
+    reach theta 0.3: the comparison is exact, in integers."""
+    share = DirectlyFollowsShare([])
+    share.df["a", "b"], share.out["a"] = 3 * 10**16 - 1, 10**17
+    assert (3 * 10**16 - 1) / 10**17 == 0.3
+    assert share.degree("a", "b", 0.3) is None
+    share.df["a", "b"] += 1
+    assert share.degree("a", "b", 0.3) == 0.3
+    assert share.degree("a", "b", 0.30000000000000004) is None
+    assert share.degree("b", "a", 0) is None  # b has no observed successor
 
 
 def test_scorer_is_needed_only_where_the_rule_is_unsure():
@@ -251,15 +299,21 @@ def test_scorer_is_needed_only_where_the_rule_is_unsure():
 
 
 ACTS = "abcde"
-# scorers know every activity but "e", so the knows() check is exercised
-SCORER_ACTS = ACTS[:-1]
+
+
+@st.composite
+def shares(draw, acts):
+    """A directly-follows share over drawn pairs of acts but the last,
+    so that one activity has no observation."""
+    pairs = st.tuples(st.sampled_from(acts[:-1]), st.sampled_from(acts[:-1]))
+    return DirectlyFollowsShare(draw(st.lists(pairs, max_size=12)))
 
 
 @st.composite
 def repair_cases(draw):
     """A log over ACTS, a closure whose must_precede facts hold at
     confidences 1 (base facts) or 0.2-0.9 (one rule per level), an alias
-    map or None, a theta and a scorer with small random vectors."""
+    map or None, a theta and a directly-follows share or None."""
     seqs = draw(st.lists(st.lists(st.sampled_from(ACTS), min_size=1,
                                   max_size=7), min_size=1, max_size=5))
     pairs = st.tuples(st.sampled_from(ACTS), st.sampled_from(ACTS))
@@ -279,15 +333,8 @@ def repair_cases(draw):
     alias = draw(st.none() | st.dictionaries(st.sampled_from(ACTS),
                                              st.sampled_from(ACTS)))
     theta = draw(st.sampled_from((0.1, 0.3, 0.4, 0.44, 0.46, 0.5, 0.6, 1.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    scale = draw(st.sampled_from((0.01, 0.1, 0.5)))
-    n = len(SCORER_ACTS)
-    scorer = TemporalScorer(SCORER_ACTS, rng.normal(size=(n, 4)) * scale,
-                            rng.normal(size=4) * scale,
-                            rng.normal(size=(2, 4)) * scale,
-                            ScorerParams(dim=4, time_buckets=2))
     return (log_from_sequences(seqs), closure, alias, theta,
-            draw(st.sampled_from((scorer, None))))
+            draw(st.none() | shares(ACTS)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,7 +369,7 @@ class WideCase(NamedTuple):
     closure: Closure      # must_precede facts and hints under two hint rules
     alias: dict | None
     theta: float
-    scorer: TemporalScorer | None
+    scorer: DirectlyFollowsShare | None
 
 
 @st.composite
@@ -379,14 +426,7 @@ def wide_cases(draw):
     theta = draw(st.sampled_from((theta, math.nextafter(theta, 0.0),
                                   math.nextafter(theta, 2.0), theta - 0.01,
                                   theta + 0.01)))
-    scorer = None
-    if draw(st.booleans()):
-        known = tuple(acts[:-1])  # the last activity stays unknown
-        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        scorer = TemporalScorer(known, rng.normal(size=(len(known), 4)) * 0.1,
-                                rng.normal(size=4) * 0.1,
-                                rng.normal(size=(2, 4)) * 0.1,
-                                ScorerParams(dim=4, time_buckets=2))
+    scorer = draw(st.none() | shares(tuple(acts)))
     return WideCase(seqs, closure, alias, theta, scorer)
 
 
@@ -484,7 +524,7 @@ def test_merge_reports_and_json():
 
 
 # scores of other types than float, which CandidateInsertion makes floats
-_SCORES = [0, 1, True, False, np.float64(0.25), np.float32(0.5), np.int64(1)]
+_SCORES = [0, 1, True, False, Fraction(1, 4), Fraction(1, 2), Fraction(1)]
 
 
 # names with non-ASCII, quote, backslash and control characters
@@ -532,7 +572,7 @@ def _candidate(way: str, **change) -> CandidateInsertion:
 @pytest.mark.parametrize("way", _WAYS)
 @pytest.mark.parametrize("change", [
     {"position": -1}, {"score": -0.25}, {"score": 1.5}, {"score": -1},
-    {"score": 2}, {"score": math.nan}, {"score": np.float64(1.25)}])
+    {"score": 2}, {"score": math.nan}, {"score": Fraction(5, 4)}])
 def test_every_way_of_making_a_candidate_refuses_a_bad_position_or_score(
         way, change):
     with pytest.raises(ValueError):
@@ -572,16 +612,16 @@ def test_precedence_masks_and_lookup_give_the_must_precede_facts(triples,
             for s in prec.decode(mask)} == {(s, o) for s, o, _, _ in facts}
     for s, o, conf, via in facts:
         assert closure.lookup(MUST_PRECEDE, s, o) == (conf, via)
-    # entails, read through lookup, against the naive fixpoint
+    # lookup against the naive fixpoint
     expected = naive_closure([(tuple(b), h, c) for b, h, c in rules], triples)
     for s, p, o in itertools.product("abcde", _PREDICATES, "abcde"):
-        res, found = closure.entails(Triple(s, p, o)), closure.lookup(p, s, o)
+        found = closure.lookup(p, s, o)
         if (s, p, o) not in expected:
-            assert res == EntailmentResult(False) and found is None
+            assert found is None
             continue
-        assert res == EntailmentResult(True, *found)
-        assert res.confidence == pytest.approx(expected[(s, p, o)], abs=1e-12)
-        assert (res.via_rule is None) == ((s, p, o) in triples)
+        conf, via = found
+        assert conf == pytest.approx(expected[(s, p, o)], abs=1e-12)
+        assert (via is None) == ((s, p, o) in triples)
 
 
 # ---------------------------------------------------------------------------

@@ -568,21 +568,51 @@ def test_short_csv_row_is_data_error(workdir, capsys):
     assert err == [f"error: {log}: row 3: 1 fields, header has 3"]
 
 
-@pytest.mark.parametrize("key, message", [
-    ("time_buckets", "error: time_buckets must be in 1..1440"),
-    ("negatives", "error: negatives must be >= 1"),
-])
-def test_bad_hyperparameter_fails_before_any_artifact(workdir, capsys, key,
-                                                      message):
+@pytest.mark.parametrize("key", ["dim", "epochs", "margin", "learning_rate",
+                                 "negatives", "time_buckets"])
+def test_bad_hyperparameter_fails_before_any_artifact(workdir, capsys, key):
+    """The embedding's hyperparameters are gone: a config file that still
+    sets one exits 2 with one line naming the key, before any artifact."""
     cfgfile = workdir / "hp.ini"
-    cfgfile.write_text(f"[hyperparameters]\n{key} = 0\n")
+    cfgfile.write_text(f"[hyperparameters]\n{key} = 1\n")
     kg = workdir / "pipe_kg.tsv"
     kg.write_text("a\tmust_precede\tb\n")
     out = workdir / "hp_out"
     assert run("pipeline", "--config", cfgfile, "--log", workdir / "log.csv",
                "--kg", kg, "--out", out) == 2
-    assert capsys.readouterr().err.strip().splitlines() == [message]
-    assert not (out / "rules.jsonl").exists()
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: unknown key {key!r} in [hyperparameters]"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[paths]\nlog = a%20b.csv\n",
+     "error: [Errno 2] No such file or directory: 'a%20b.csv'"),
+    ("log = x.csv\n", "error: {cfg}: File contains no section headers."),
+    ("[paths]\nlog = x.csv\nlog = y.csv\n",
+     "error: {cfg}: While reading from {cfg!r} [line  3]: option 'log' in "
+     "section 'paths' already exists"),
+    (b"[paths]\nlog = \xff.csv\n",
+     "error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 14: "
+     "invalid start byte"),
+], ids=["percent-in-path", "no-section-header", "duplicate-key",
+        "not-utf-8"])
+def test_malformed_config_file_fails_before_any_artifact(workdir, capsys,
+                                                         text, message):
+    """A config file configparser cannot read, or whose % would be an
+    interpolation, exits 2 with one stderr line and no --out. The % is
+    read literally, so that file names a log that is not there."""
+    cfgfile = workdir / "bad.ini"
+    if isinstance(text, bytes):
+        cfgfile.write_bytes(text)
+    else:
+        cfgfile.write_text(text)
+    out = workdir / "cfg_out"
+    capsys.readouterr()
+    assert run("stats", "--config", cfgfile, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        message.format(cfg=str(cfgfile))]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["pipeline", "augment"])
@@ -664,30 +694,6 @@ def test_bad_synth_arguments_fail_before_any_artifact(workdir, capsys, flags,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("learning_rate", "0", "learning_rate must be finite and > 0"),
-    ("learning_rate", "-0.5", "learning_rate must be finite and > 0"),
-    ("learning_rate", "nan", "learning_rate must be finite and > 0"),
-    ("learning_rate", "inf", "learning_rate must be finite and > 0"),
-    ("margin", "nan", "margin must be finite"),
-    ("margin", "-inf", "margin must be finite"),
-    ("negatives", "0", "negatives must be >= 1"),
-], ids=["lr-zero", "lr-negative", "lr-nan", "lr-inf", "margin-nan",
-        "margin-minus-inf", "no-negatives"])
-def test_untrainable_hyperparameter_fails_before_any_artifact(
-        variant_inputs, tmp_path, capsys, key, value, message):
-    work, _ = variant_inputs
-    cfgfile = tmp_path / "bad.ini"
-    cfgfile.write_text(f"[hyperparameters]\n{key} = {value}\n")
-    out = tmp_path / "vt"
-    capsys.readouterr()
-    assert run("variants-train", "--log", work / "log.csv", "--kg",
-               work / "kg.tsv", "--labels", work / "labels.csv",
-               "--config", cfgfile, "--out", out) == 2
-    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
-    assert not out.exists()
-
-
 @pytest.fixture(scope="module")
 def ward_inputs(tmp_path_factory):
     from test_acceptance import NOISE_LABELS, precedence_kb_lines, ward_model
@@ -703,13 +709,28 @@ def ward_inputs(tmp_path_factory):
     return work
 
 
+@pytest.fixture
+def trained(monkeypatch):
+    """The calls to the fallback's trainer, which still trains."""
+    calls = []
+    train = temporal.train_temporal_scorer
+
+    def counting(*args):
+        calls.append(None)
+        return train(*args)
+
+    monkeypatch.setattr(temporal, "train_temporal_scorer", counting)
+    return calls
+
+
 @pytest.mark.parametrize("command", ["pipeline", "augment"])
-def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs, command):
+def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs,
+                                                          command, trained):
     """Every must_precede confidence of the ward KB is 1.0: at the default
-    theta_aug of 0.5, or at 1.0, no insertion can ask the scorer, so none
-    is trained and the run equals one with --no-embedding. At 1.5 the
-    rule is unsure, but no degree the scorer gives can reach 1.5, so it
-    is not trained either."""
+    theta_aug of 0.5, or at 1.0, the rule alone accepts every candidate,
+    so the fallback is not counted and the run equals one with
+    --no-embedding. At 1.5 the rule is unsure, but no share, which is
+    at most 1, can reach 1.5, so it is not counted either."""
     def artifacts(name, *flags):
         out = ward_inputs / command / name
         assert run(command, "--log", ward_inputs / "log.csv",
@@ -718,18 +739,22 @@ def test_scorer_is_trained_only_where_it_can_be_consulted(ward_inputs, command):
         return {p.name: p.read_bytes() for p in out.iterdir()
                 if p.name != "manifest.json"}
 
-    default = artifacts("default")
-    assert "scorer.json" not in default
-    assert default == artifacts("no_embedding", "--no-embedding")
-    assert "scorer.json" not in artifacts("theta_1.0", "--theta-aug", 1.0)
-    assert "scorer.json" not in artifacts("theta_1.5", "--theta-aug", 1.5)
+    assert artifacts("default") == artifacts("no_embedding", "--no-embedding")
+    for theta in (1.0, 1.5):
+        got = artifacts(f"theta_{theta}", "--theta-aug", theta)
+        assert got == artifacts(f"theta_{theta}_no_embedding",
+                                "--theta-aug", theta, "--no-embedding")
+    assert b'"inserted": []' in got["augment_report.json"]
+    assert trained == []
 
 
-def test_scorer_is_trained_only_below_the_degree_ceiling(workdir):
+def test_scorer_is_trained_only_below_the_degree_ceiling(workdir, trained):
     """A must_precede fact at confidence 0.2 leaves the rule unsure at
-    theta_aug 0.4 and 0.6. A degree can reach 0.4, so the scorer is
-    trained there; no degree exceeds 0.5, so at 0.6 it is not, and the
-    run equals one with --no-embedding."""
+    every theta_aug above it. In 30 of 31 traces x is followed by a, so
+    the fallback inserts the missing a at 0.4 and at 0.6, which the
+    embedding's ceiling of 0.5 ruled out; at 1.0 it is counted and
+    rejects, and the run equals one with --no-embedding; above 1 it is
+    not counted."""
     (workdir / "hint_kg.tsv").write_text("a\thint\tb\n")
     rule = {"body": [{"predicate": "hint", "subject": "x", "object": "y"}],
             "head": {"predicate": "must_precede", "subject": "x",
@@ -749,14 +774,20 @@ def test_scorer_is_trained_only_below_the_degree_ceiling(workdir):
         return {p.name: p.read_bytes() for p in out.iterdir()
                 if p.name != "manifest.json"}
 
-    assert "scorer.json" in artifacts("theta_0.4", "--theta-aug", 0.4)
-    above = artifacts("theta_0.6", "--theta-aug", 0.6)
-    assert "scorer.json" not in above
-    assert above == artifacts("theta_0.6_no_embedding", "--theta-aug", 0.6,
-                              "--no-embedding")
+    for theta in (0.4, 0.6):
+        report = json.loads(artifacts(f"theta_{theta}", "--theta-aug",
+                                      theta)["augment_report.json"])
+        assert [(i["activity"], i["provenance"], i["score"])
+                for i in report["inserted"]] == [("a", "embedding", 30 / 31)]
+    assert len(trained) == 2
+    for theta in (1.0, 1.5):
+        assert artifacts(f"theta_{theta}", "--theta-aug", theta) == artifacts(
+            f"theta_{theta}_no_embedding", "--theta-aug", theta,
+            "--no-embedding")
+    assert len(trained) == 3
 
 
-@pytest.mark.parametrize("theta", [0.5000001, 0.6, 1.0, 1.5])
+@pytest.mark.parametrize("theta", [1.0000001, 1.5, 2.0])
 def test_cli_scorer_factory_trains_nothing_above_the_ceiling(workdir,
                                                             monkeypatch,
                                                             theta):
@@ -768,7 +799,7 @@ def test_cli_scorer_factory_trains_nothing_above_the_ceiling(workdir,
     assert cli._train_scorer_or_none(PipelineConfig(theta_aug=theta),
                                      log, kg) is None
     assert trained == []
-    cli._train_scorer_or_none(PipelineConfig(theta_aug=0.5), log, kg)
+    cli._train_scorer_or_none(PipelineConfig(theta_aug=1.0), log, kg)
     assert len(trained) == 1
 
 
@@ -823,40 +854,70 @@ def test_strict_ordering_config_key_is_refused(ward_inputs, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_numpy_is_imported_only_to_train_a_scorer(ward_inputs, tmp_path):
-    """Importing the CLI, and full pipeline runs on the ward inputs, with
-    the embedding on (no fact leaves the rule unsure) and off, load no
-    numpy."""
-    from test_acceptance import ward_model
-
-    with open(tmp_path / "model.json", "w") as fh:
-        write_model(ward_model(), fh)
+def test_every_subcommand_runs_without_numpy(workdir, variant_inputs):
+    """With numpy's import refused by a meta-path finder, the CLI imports
+    and every subcommand runs, among them an augment whose directly-
+    follows fallback decides an insertion."""
+    vwork, _ = variant_inputs
+    (workdir / "hint_kg.tsv").write_text("a\thint\tb\n")
+    rule = {"body": [{"predicate": "hint", "subject": "x", "object": "y"}],
+            "head": {"predicate": "must_precede", "subject": "x",
+                     "object": "y"},
+            "support": 1, "std_confidence": 0.2, "pca_confidence": 0.2}
+    (workdir / "rules.jsonl").write_text(json.dumps(rule) + "\n")
+    with open(workdir / "hint_log.csv", "w", newline="") as fh:
+        write_csv(log_from_sequences([["x", "b"]] + [["x", "a", "b"]] * 3),
+                  fh)
+    out = workdir / "nonumpy"
+    w, v = str(workdir), str(vwork)
+    runs = [
+        ["ingest", "--log", f"{w}/log.xes"],
+        ["stats", "--log", f"{w}/log.csv"],
+        ["mine-rules", "--kg", f"{w}/kg.tsv"],
+        ["mine-dfg", "--log", f"{w}/log.csv"],
+        ["filter", "--dfg", f"{out}/mine-dfg/dfg.json",
+         "--rules", f"{w}/rules.jsonl", "--kg", f"{w}/kg.tsv"],
+        ["augment", "--log", f"{w}/hint_log.csv", "--kg", f"{w}/hint_kg.tsv",
+         "--rules", f"{w}/rules.jsonl", "--theta-aug", "0.6"],
+        ["variants-train", "--log", f"{v}/log.csv", "--kg", f"{v}/kg.tsv",
+         "--labels", f"{v}/labels.csv"],
+        ["variants-classify", "--log", f"{v}/log.csv", "--kg", f"{v}/kg.tsv",
+         "--model", f"{out}/variants-train/variant_model.json"],
+        ["conform", "--log", f"{w}/log.csv", "--model", f"{w}/model.json"],
+        ["synth", "--model", f"{w}/model.json", "--cases", "5"],
+        ["pipeline", "--log", f"{w}/log.csv", "--kg", f"{w}/kg.tsv",
+         "--model", f"{w}/model.json"],
+    ]
+    assert sorted(r[0] for r in runs) == sorted(cli._COMMANDS)
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
         "from kcpm.cli import main\n"
-        "assert 'numpy' not in sys.modules, 'import kcpm.cli'\n"
-        "log, kg, model, out = sys.argv[1:]\n"
-        "for flags in ([], ['--no-embedding']):\n"
-        "    assert main(['pipeline', '--log', log, '--kg', kg, '--model',\n"
-        "                 model, '--out', out + str(len(flags)), *flags]) == 0\n"
-        "    assert 'numpy' not in sys.modules, flags\n")
+        "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+        "for argv in runs:\n"
+        "    assert main([*argv, '--out', f'{out}/{argv[0]}']) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n")
     src = str(Path(kcpm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(ward_inputs / "log.csv"),
-         str(ward_inputs / "kg.tsv"), str(tmp_path / "model.json"),
-         str(tmp_path / "run")], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, str(out),
+                           json.dumps(runs)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "run1" / "table.txt").read_text()
+    report = load_json(out / "augment" / "augment_report.json")
+    assert [i["provenance"] for i in report["inserted"]] == ["embedding"]
 
 
 def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
     """In a fresh interpreter, importing the CLI loads neither the repair,
-    rule, dependency-graph, conformance, simulation and embedding modules
-    nor numpy and the INI and XML parsers; a variants-train and a
+    rule, dependency-graph, conformance, simulation and fallback modules
+    nor the INI and XML parsers; a variants-train and a
     variants-classify run load neither repair, rules, dependency graphs
-    and conformance nor simulation, nor numpy and the temporal scorer's
-    training. A pipeline run then loads rules, dependency graphs and
+    and conformance nor simulation, nor the directly-follows fallback.
+    A pipeline run then loads rules, dependency graphs and
     conformance. No step loads dataclasses or inspect: every record is
     a NamedTuple or a plain class. The manifest still names the
     interpreter's version."""
@@ -870,13 +931,13 @@ def test_cli_imports_only_what_a_subcommand_runs(variant_inputs, tmp_path):
         "stages = ('kcpm.rules', 'kcpm.dfg', 'kcpm.conformance')\n"
         "records = ('dataclasses', 'inspect')\n"
         "lazy = ('kcpm.augment', 'kcpm.synth', 'kcpm.temporal',\n"
-        "        'kcpm.variants', 'numpy', 'configparser',\n"
+        "        'kcpm.variants', 'configparser',\n"
         "        'xml.etree.ElementTree', *stages, *records)\n"
         "loaded = [m for m in lazy if m in set(sys.modules) - before]\n"
         "assert not loaded, ('import kcpm.cli', loaded)\n"
         "log, kg, labels, out = sys.argv[1:]\n"
-        "unused = ('kcpm.augment', 'kcpm.synth', 'numpy', 'kcpm._training',\n"
-        "          'kcpm.temporal', *stages, *records)\n"
+        "unused = ('kcpm.augment', 'kcpm.synth', 'kcpm.temporal', *stages,\n"
+        "          *records)\n"
         "assert main(['variants-train', '--log', log, '--kg', kg,\n"
         "             '--labels', labels, '--out', out + '/vt']) == 0\n"
         "assert main(['variants-classify', '--log', log, '--kg', kg,\n"

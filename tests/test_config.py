@@ -26,7 +26,6 @@ filter_mode = strict
 use_embedding = off
 
 [hyperparameters]
-dim = 32
 seed = 99
 """))
     assert cfg.log == "corrupted.csv"
@@ -35,7 +34,6 @@ seed = 99
     assert cfg.theta_aug == 0.3
     assert cfg.filter_mode == "strict"
     assert cfg.use_embedding is False
-    assert cfg.dim == 32
     assert cfg.seed == 99
 
 
@@ -47,6 +45,11 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="typo_threshold"):
         load_config(write(tmp_path, "[thresholds]\ntypo_threshold = 0.5\n"))
+
+
+def test_percent_sign_is_read_literally(tmp_path):
+    cfg = load_config(write(tmp_path, "[paths]\nlog = a%20b.csv\nkg = %(x)s\n"))
+    assert (cfg.log, cfg.kg) == ("a%20b.csv", "%(x)s")
 
 
 def test_out_of_range_value_rejected(tmp_path):

@@ -1,11 +1,10 @@
 """The package's records: equal and hashed by their fields, in the order
 they declare them, so that set and dict orders, and with them the bytes
 of every artifact, do not depend on how a record is implemented; frozen
-unless they are the two mutable ones; with their custom repr and str."""
+unless it is the mutable one; with their custom repr and str."""
 import copy
 from datetime import datetime
 
-import numpy as np
 import pytest
 
 from kcpm.augment import AugmentationReport
@@ -17,9 +16,8 @@ from kcpm.dfg import (DependencyEdge, DependencyGraph, FilterReport,
 from kcpm.eventlog import ContextTable, Event, EventLog, Trace
 from kcpm.kg import TemporalTriple, Triple
 from kcpm.logio import CsvMapping
-from kcpm.rules import Atom, ClosedPathRule, EntailmentResult, RuleBase
+from kcpm.rules import Atom, ClosedPathRule, RuleBase
 from kcpm.synth import CorruptionSpec, GroundTruthModel
-from kcpm.temporal import ScorerParams, TemporalScorer, _Batch
 from kcpm.variants import VariantModel, VariantPartition
 
 T0 = datetime(2024, 3, 1, 9)
@@ -27,11 +25,9 @@ EVENT = Event("c", "a", T0)
 HEAD = Atom("q", "x", "y")
 RULE = ClosedPathRule((Atom("p", "x", "y"),), HEAD, 2, 0.5, 0.75)
 EDGE = DependencyEdge("a", "b", 1, 0.5)
-VECS = np.zeros((2, 2)), np.zeros(2), np.zeros((1, 2))
-ARRAYS = tuple(np.zeros(1) for _ in range(6))
 
 # kind: "hash" is frozen and hashed by its fields; "unhashable" is frozen
-# with a dict or array field, which no hash takes; "mutable" sets fields
+# with a dict field, which no hash takes; "mutable" sets fields
 RECORDS = {
     "Trace": (lambda: Trace("c", (EVENT,)), ("case_id", "events"),
               "unhashable"),
@@ -57,8 +53,6 @@ RECORDS = {
     "RuleBase": (lambda: RuleBase((RULE,), 1, 0.5, 2),
                  ("rules", "min_support", "min_pca_conf", "max_body_len"),
                  "hash"),
-    "EntailmentResult": (lambda: EntailmentResult(True, 0.5, "p=>q"),
-                         ("entailed", "confidence", "via_rule"), "hash"),
     "AugmentationReport": (lambda: AugmentationReport((), ()),
                            ("removed_events", "inserted", "thresholds"),
                            "hash"),
@@ -101,16 +95,6 @@ RECORDS = {
     "CorruptionSpec": (lambda: CorruptionSpec(0.1, 0.2, frozenset("n"), 3),
                        ("drop_rate", "noise_rate", "noise_alphabet", "seed"),
                        "hash"),
-    "ScorerParams": (lambda: ScorerParams(dim=4, seed=7),
-                     ("dim", "margin", "learning_rate", "epochs", "negatives",
-                      "time_buckets", "seed"), "hash"),
-    "TemporalScorer": (lambda: TemporalScorer(("a", "b"), *VECS,
-                                              ScorerParams(dim=2), (0.5,)),
-                       ("activities", "entity_vecs", "relation_vec",
-                        "time_vecs", "params", "loss_history"), "mutable"),
-    "_Batch": (lambda: _Batch(*ARRAYS, 4),
-               ("heads", "tails", "buckets", "pair_pos", "pair_neg",
-                "pair_count", "n_pairs"), "unhashable"),
 }
 
 

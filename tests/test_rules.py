@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.kg import KnowledgeGraph, Triple
-from kcpm.rules import (Atom, ClosedPathRule, Closure, EntailmentResult,
-                        RuleBase, _base_rows, _joinable, _step, chain_body,
+from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, _base_rows, _joinable, _step, chain_body,
                         mine_rules, read_rules_jsonl, write_rules_jsonl)
 
 from oracles import (naive_body_confidences, naive_closure, naive_mine,
@@ -202,29 +201,26 @@ def test_rule_text_format():
 
 
 # ---------------------------------------------------------------------------
-# Entailment
+# Entailment, read through Closure.lookup
 # ---------------------------------------------------------------------------
 
-def test_entails_fact_in_kg():
-    res = Closure(RuleBase(()), WORK_KG).entails(Triple("al", "livesIn", "wgg"))
-    assert res.entailed and res.confidence == 1.0 and res.via_rule is None
+def test_lookup_fact_in_kg():
+    closure = Closure(RuleBase(()), WORK_KG)
+    assert closure.lookup("livesIn", "al", "wgg") == (1.0, None)
 
 
-def test_entails_one_step_derivation():
+def test_lookup_one_step_derivation():
     kg = KnowledgeGraph([
         Triple("al", "worksAt", "uow"),
         Triple("uow", "locatedIn", "wgg"),
     ])
     rb = RuleBase((WORK_RULE,))
-    res = Closure(rb, kg).entails(Triple("al", "livesIn", "wgg"))
-    assert res.entailed
-    assert res.confidence == 1.0
-    assert res.via_rule == WORK_RULE.rule_id
+    assert Closure(rb, kg).lookup("livesIn", "al", "wgg") == (
+        1.0, WORK_RULE.rule_id)
 
 
-def test_entails_unrelated_fact():
-    res = Closure(RuleBase((WORK_RULE,)), WORK_KG).entails(Triple("q", "p", "r"))
-    assert not res.entailed
+def test_lookup_unrelated_fact():
+    assert Closure(RuleBase((WORK_RULE,)), WORK_KG).lookup("p", "q", "r") is None
 
 
 def test_derived_confidence_is_product_max():
@@ -233,13 +229,12 @@ def test_derived_confidence_is_product_max():
     r2 = ClosedPathRule(chain_body(("q",)), Atom("r", "x", "y"), 1, 0.5, 0.5)
     kg = KnowledgeGraph([Triple("a", "p", "b")])
     closure = Closure(RuleBase((r1, r2), min_pca_conf=0.0), kg)
-    res = closure.entails(Triple("a", "r", "b"))
-    assert res.entailed
-    assert res.confidence == pytest.approx(0.8 * 0.5)
+    conf, via = closure.lookup("r", "a", "b")
+    assert conf == pytest.approx(0.8 * 0.5) and via == r2.rule_id
     # a direct route with higher confidence wins the max
     r3 = ClosedPathRule(chain_body(("p",)), Atom("r", "x", "y"), 1, 0.9, 0.9)
     closure = Closure(RuleBase((r1, r2, r3), min_pca_conf=0.0), kg)
-    assert closure.entails(Triple("a", "r", "b")).confidence == pytest.approx(0.9)
+    assert closure.lookup("r", "a", "b")[0] == pytest.approx(0.9)
 
 
 def test_entailment_monotone_in_kg():
@@ -253,7 +248,8 @@ def test_entailment_monotone_in_kg():
         bigger = KnowledgeGraph(set(kg.all_triples()) | {extra})
         closure2 = Closure(rb, bigger)
         for fact in derived:
-            assert closure2.entails(fact).entailed
+            assert closure2.lookup(fact.predicate, fact.subject,
+                                   fact.object) is not None
 
 
 def test_recursive_rules_terminate():
@@ -262,7 +258,7 @@ def test_recursive_rules_terminate():
     kg = KnowledgeGraph([Triple("a", "p", "b"), Triple("b", "p", "c"),
                          Triple("c", "p", "a")])
     closure = Closure(RuleBase((r,), min_pca_conf=0.0), kg)
-    assert closure.entails(Triple("a", "p", "c")).entailed
+    assert closure.lookup("p", "a", "c") is not None
 
 
 def _rule(body, head, pca=1.0):
@@ -311,17 +307,17 @@ def test_closure_matches_naive_fixpoint(triples, rules):
     for fact, c in expected.items():
         assert got[fact] == pytest.approx(c, abs=1e-12)
     for (s, p, o), c in got.items():
-        res = closure.entails(Triple(s, p, o))
+        _, via_rule = closure.lookup(p, s, o)
         if (s, p, o) in triples:
-            assert res.via_rule is None and c == 1.0
+            assert via_rule is None and c == 1.0
             continue
         # a rule with the named id, applied once to the final closure,
         # reaches c (two rules may share an id and differ in confidence)
         reached = [
             naive_body_confidences(r.body_predicates, got).get((s, o), 0.0)
             * r.pca_confidence
-            for r in rb if r.rule_id == res.via_rule]
-        assert res.via_rule.endswith("=>" + p)
+            for r in rb if r.rule_id == via_rule]
+        assert via_rule.endswith("=>" + p)
         assert any(v == pytest.approx(c, abs=1e-12) for v in reached)
 
 
@@ -338,7 +334,7 @@ def test_closure_leaves_the_kg_index_unchanged(triples, rules):
     for p in "pqr":
         list(closure.facts(p))
     for s, p, o in itertools.product("abcde", "pqr", "abcde"):
-        closure.entails(Triple(s, p, o))
+        closure.lookup(p, s, o)
     assert len(list(closure.confidence.items())) == len(closure.confidence)
     assert kg.index == before
 
@@ -357,8 +353,7 @@ def test_facts_give_base_facts_at_one_and_derived_facts_with_their_rule(
             (s, o) for s, q, o in expected if q == p)
         for s, o, c, via in rows:
             got[(s, p, o)] = c
-            assert closure.entails(Triple(s, p, o)) == EntailmentResult(
-                True, c, via)
+            assert closure.lookup(p, s, o) == (c, via)
             if (s, p, o) in triples:
                 assert (c, via) == (1.0, None)
             else:

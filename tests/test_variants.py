@@ -247,6 +247,12 @@ def _checkpoint(**changes):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("not json\n", "variant profile checkpoint is not valid JSON"),
+    ("[1, 2]\n", "not a variant profile checkpoint: None"),
+    ('{"format": "other", "version": 1}\n',
+     "not a variant profile checkpoint: 'other'"),
+    ('{"format": "kcpm-variant-profile", "version": 99}\n',
+     "unsupported checkpoint version 99"),
     (_checkpoint(format="kcpm-variant-model", version=2),
      "not a variant profile checkpoint: 'kcpm-variant-model'"),
     (_checkpoint(version=2), "unsupported checkpoint version 2"),
