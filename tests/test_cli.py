@@ -595,8 +595,13 @@ def test_bad_hyperparameter_fails_before_any_artifact(workdir, capsys, key):
     (b"[paths]\nlog = \xff.csv\n",
      "error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 14: "
      "invalid start byte"),
+    ("[paths]\nlog = x.csv\n[paths]\nkg = y.tsv\n",
+     "error: {cfg}: While reading from {cfg!r} [line  3]: section 'paths' "
+     "already exists"),
+    ("[paths]\njusttext\n",
+     "error: {cfg}: Source contains parsing errors: {cfg!r}"),
 ], ids=["percent-in-path", "no-section-header", "duplicate-key",
-        "not-utf-8"])
+        "not-utf-8", "duplicate-section", "line-without-value"])
 def test_malformed_config_file_fails_before_any_artifact(workdir, capsys,
                                                          text, message):
     """A config file configparser cannot read, or whose % would be an
@@ -801,6 +806,33 @@ def test_cli_scorer_factory_trains_nothing_above_the_ceiling(workdir,
     assert trained == []
     cli._train_scorer_or_none(PipelineConfig(theta_aug=1.0), log, kg)
     assert len(trained) == 1
+
+
+@pytest.mark.parametrize("theta", [0, 0.5000001, 0.6, 1.0])
+def test_cli_scorer_factory_trains_up_to_the_ceiling(monkeypatch, theta):
+    """A share can reach 1, so the fallback is counted at every theta_aug
+    from 0 to 1, above the embedding's old ceiling of 0.5 too."""
+    trained = []
+    monkeypatch.setattr(temporal, "train_temporal_scorer",
+                        lambda *a: trained.append(a) or "share")
+    log = log_from_sequences([["a", "b"], ["b", "a"]])
+    kg = KnowledgeGraph()
+    assert cli._train_scorer_or_none(PipelineConfig(theta_aug=theta),
+                                     log, kg) == "share"
+    assert trained == [(log, kg)]
+
+
+def test_manifest_records_every_config_field_but_out(workdir):
+    """manifest.json's config holds each PipelineConfig field but the
+    output directory, sorted: 15 of 16, and none of the embedding's six
+    removed hyperparameters."""
+    out = workdir / "manifest_fields"
+    assert run("stats", "--log", workdir / "log.csv", "--out", out) == 0
+    config = load_json(out / "manifest.json")["config"]
+    assert list(config) == sorted(set(PipelineConfig.FIELDS) - {"out"})
+    assert len(config) == 15
+    assert not {"dim", "epochs", "margin", "learning_rate", "negatives",
+                "time_buckets"} & config.keys()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])

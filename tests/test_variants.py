@@ -253,6 +253,12 @@ def _checkpoint(**changes):
      "not a variant profile checkpoint: 'other'"),
     ('{"format": "kcpm-variant-profile", "version": 99}\n',
      "unsupported checkpoint version 99"),
+    ("", "variant profile checkpoint is not valid JSON"),
+    ('{"version": 1}\n', "not a variant profile checkpoint: None"),
+    ('{"format": "kcpm-variant-profile"}\n',
+     "unsupported checkpoint version None"),
+    ('{"format": "kcpm-variant-profile", "version": "1"}\n',
+     "unsupported checkpoint version '1'"),
     (_checkpoint(format="kcpm-variant-model", version=2),
      "not a variant profile checkpoint: 'kcpm-variant-model'"),
     (_checkpoint(version=2), "unsupported checkpoint version 2"),
