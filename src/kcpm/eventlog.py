@@ -72,16 +72,9 @@ class Trace(_TraceFields):
                 raise ValueError(
                     f"trace {case_id!r} contains event of case {e.case_id!r}"
                 )
-        try:
-            ordered = tuple(sorted(events, key=itemgetter(2)))
-        except TypeError:
-            # a sort compares every pair that ends up adjacent, so a trace
-            # mixing naive and offset-aware timestamps always lands here
-            if len({e.timestamp.utcoffset() is None for e in events}) > 1:
-                raise DataError(f"trace {case_id!r} mixes naive and "
-                                "offset-aware timestamps") from None
-            raise
-        return tuple.__new__(cls, (case_id, ordered))
+        ordered = list(events)
+        _sort_by_time(case_id, ordered)
+        return tuple.__new__(cls, (case_id, tuple(ordered)))
 
     @classmethod
     def _make(cls, iterable) -> Trace:
@@ -158,6 +151,36 @@ class ContextTable(_ContextFields):
         return cls(*iterable)
 
 
+def _sort_by_time(case_id: str, events: list[Event]) -> None:
+    """Stably sort one case's events by timestamp, in place."""
+    try:
+        events.sort(key=itemgetter(2))
+    except TypeError:
+        # a sort compares every pair that ends up adjacent, so a trace
+        # mixing naive and offset-aware timestamps always lands here
+        if len({e.timestamp.utcoffset() is None for e in events}) > 1:
+            raise DataError(f"trace {case_id!r} mixes naive and "
+                            "offset-aware timestamps") from None
+        raise
+
+
+def _build_log(by_case: dict[str, list[Event]],
+               meta: dict[str, Scalar]) -> EventLog:
+    """The log of by_case, which maps each case id to a nonempty list of
+    that case's events: one trace per case, in the dict's order, each
+    list stably sorted by timestamp in place. by_case is emptied as the
+    traces are made, so the lists and the traces are never all alive at
+    once. Grouping by case already meets every check of Trace and
+    EventLog, so both are made without them."""
+    new = tuple.__new__
+    traces = []
+    for case_id in list(by_case):  # in order: the first mixed trace raises
+        events = by_case.pop(case_id)
+        _sort_by_time(case_id, events)
+        traces.append(new(Trace, (case_id, tuple(events))))
+    return new(EventLog, (tuple(traces), meta))
+
+
 def make_log(
     events: list[Event], meta: dict[str, Scalar] | None = None
 ) -> EventLog:
@@ -166,8 +189,7 @@ def make_log(
     by_case: dict[str, list[Event]] = {}
     for e in events:
         by_case.setdefault(e.case_id, []).append(e)
-    traces = tuple(Trace(cid, tuple(evs)) for cid, evs in by_case.items())
-    return EventLog(traces, dict(meta or {}))
+    return _build_log(by_case, dict(meta or {}))
 
 
 def directly_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:
@@ -199,6 +221,9 @@ def annotate_context(log: EventLog, ctx: ContextTable) -> tuple[EventLog, int]:
 
     Returns the annotated log and the number of log cases that have no
     context row."""
+    # only attributes change: the events, their order and the cases stay
+    # as the log's constructors checked them, so none is checked again
+    new = tuple.__new__
     unmatched = 0
     traces = []
     for t in log.traces:
@@ -207,18 +232,12 @@ def annotate_context(log: EventLog, ctx: ContextTable) -> tuple[EventLog, int]:
             unmatched += 1
             traces.append(t)
             continue
-        events = tuple(
-            Event(
-                e.case_id,
-                e.activity,
-                e.timestamp,
-                e.resource,
-                {**row, **e.attributes},
-            )
-            for e in t.events
-        )
-        traces.append(Trace(t.case_id, events))
-    return EventLog(tuple(traces), dict(log.meta)), unmatched
+        events = tuple([new(Event, (case_id, activity, ts, resource,
+                                    {**row, **attributes}))
+                        for case_id, activity, ts, resource, attributes
+                        in t.events])
+        traces.append(new(Trace, (t.case_id, events)))
+    return new(EventLog, (tuple(traces), dict(log.meta))), unmatched
 
 
 def start_activity_counts(log: EventLog) -> dict[str, int]:

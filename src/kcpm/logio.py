@@ -10,6 +10,7 @@ import contextlib
 import csv
 import io
 import os
+from array import array
 from datetime import datetime
 from itertools import chain, islice
 from operator import itemgetter
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, DataError, KcpmError, ParseError
 from .eventlog import (EVENT_FIELDS, ContextTable, Event, EventLog, Scalar,
-                       Trace, make_log)
+                       Trace, _build_log)
 
 # "string" first; the others in the order _typed tries them
 _KIND_NAMES = ("string", "int", "float", "bool", "timestamp")
@@ -343,22 +344,28 @@ def _read_events(columns: dict[str, int], width: int, reader,
                  mapping: CsvMapping,
                  kinds: dict[str, str | None]) -> EventLog:
     """The log in the rows of reader, read in one pass from row 2, blank
-    lines skipped. kinds maps each attribute column to its kind, or to
-    None for the kind _typed gives the column's cells. Each distinct
-    timestamp, activity and attribute cell is decoded once, and case ids
-    and activities are interned. A row of another width than the
-    header's is a ParseError at once. A bad timestamp, attribute cell or
-    activity is a ParseError naming the first row that has one; it is
+    lines skipped: each row's event goes to its case's list as the row is
+    read. kinds maps each attribute column to its kind, or to None for
+    the kind _typed gives the column's cells. Each distinct timestamp,
+    activity and combination of attribute cells is decoded once, and
+    case ids and activities are interned. A row of another width than
+    the header's is a ParseError at once. A bad timestamp, attribute cell
+    or activity is a ParseError naming the first row that has one; it is
     raised once every row is read, so a ragged row anywhere is reported
-    first."""
+    first.
+
+    At the end of the pass the events, grouped by case, are alive with
+    the timestamp-text cache and, for each row with an attribute cell,
+    its still empty attribute map and the number of its combination of
+    cells. The cache is dropped then, and the maps are filled once the
+    traces are made."""
     case, activity = columns[mapping.case], columns[mapping.activity]
     when = columns[mapping.timestamp]
     resource = None if mapping.resource is None else columns[mapping.resource]
     names = list(kinds)
     index = [columns[name] for name in names]
-    # a tuple of the attribute cells, or a list where there is one
-    cells_of = (itemgetter(*index) if len(index) > 1 else
-                itemgetter(slice(index[0], index[0] + 1)) if index else None)
+    # a row's attribute cells: one cell, or a tuple of them
+    cells_of = itemgetter(*index) if index else None
     blank = cells_of([""] * (max(index) + 1)) if index else None
     fmt = mapping.timestamp_format
     if fmt == ISO_FORMAT:
@@ -370,8 +377,12 @@ def _read_events(columns: dict[str, int], width: int, reader,
     new_event = tuple.__new__
     stamps: dict[str, datetime] = {}
     labels: dict[str, str] = {}
-    events: list[Event] = []
-    attributed = []  # (attributes, cells, row number) of rows with a cell
+    by_case: dict[str, list[Event]] = {}
+    # each distinct combination of cells -> its number, in row order
+    combos: dict[str | tuple[str, ...], int] = {}
+    first_rows = array("q")  # by number, the row a combination is first in
+    attributed: list[dict[str, Scalar]] = []  # maps of rows with a cell
+    codes = array("q")  # by row in attributed, its combination's number
     first_bad = None  # (row number, rank in the row, message)
     for rownum, row in enumerate(reader, start=2):
         if len(row) != width:
@@ -396,7 +407,12 @@ def _read_events(columns: dict[str, int], width: int, reader,
         if cells_of is not None:
             cells = cells_of(row)
             if cells != blank:
-                attributed.append((attrs, cells, rownum))
+                code = combos.get(cells)
+                if code is None:
+                    code = combos[cells] = len(first_rows)
+                    first_rows.append(rownum)
+                attributed.append(attrs)
+                codes.append(code)
         label = row[activity]
         act = labels.get(label)
         if act is None:
@@ -405,12 +421,19 @@ def _read_events(columns: dict[str, int], width: int, reader,
             first_bad = (rownum, len(names) + 1,
                          f"row {rownum}: event activity must be nonempty")
             continue
+        case_id = intern(row[case])
+        events = by_case.get(case_id)
+        if events is None:
+            events = by_case[case_id] = []
         res = row[resource] if resource is not None else None
-        events.append(new_event(Event, (intern(row[case]), act, ts,
+        events.append(new_event(Event, (case_id, act, ts,
                                         intern(res) if res else None, attrs)))
+    del stamps
+    if len(names) == 1:  # as tuples, like the combinations of more columns
+        combos = {(cells,): code for cells, code in combos.items()}
     tables = []
     for j, (name, kind) in enumerate(kinds.items()):
-        cells = dict.fromkeys(c[j] for _, c, _ in attributed)  # row order
+        cells = dict.fromkeys(c[j] for c in combos)  # row order
         cells.pop("", None)
         if kind is None:
             tables.append(_typed(cells))
@@ -420,18 +443,22 @@ def _read_events(columns: dict[str, int], width: int, reader,
             try:
                 table[cell] = parse_scalar(cell, kind)
             except (ParseError, ValueError) as exc:
-                rownum = next(r for _, c, r in attributed if c[j] == cell)
+                rownum = next(first_rows[code] for c, code in combos.items()
+                              if c[j] == cell)
                 bad = (rownum, j + 1, f"row {rownum}, column {name!r}: {exc}")
                 first_bad = min(first_bad, bad) if first_bad else bad
                 break
         tables.append(table)
     if first_bad:
         raise ParseError(first_bad[2])
-    for attrs, cells, _ in attributed:
-        for name, table, cell in zip(names, tables, cells):
-            if cell:
-                attrs[name] = table[cell]
-    return make_log(events)
+    log = _build_log(by_case, {})
+    values = [{name: table[cell]
+               for name, table, cell in zip(names, tables, c) if cell}
+              for c in combos]
+    del combos  # before the maps grow
+    for attrs, code in zip(attributed, codes):
+        attrs.update(values[code])
+    return log
 
 
 def parse_csv(source, mapping: CsvMapping) -> EventLog:

@@ -3,7 +3,10 @@ from collections import Counter
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kcpm.errors import DataError
 from kcpm.eventlog import (ContextTable, Event, EventLog, Trace,
                            annotate_context, directly_follows_counts,
                            end_activity_counts, eventually_follows_counts,
@@ -183,3 +186,88 @@ def test_make_log_groups_interleaved_cases():
     assert [t.case_id for t in log.traces] == ["x", "y"]
     assert log.traces[0].activities == ("a", "b")
     assert log.traces[1].activities == ("a", "b")
+
+
+_CASES = ["c0", "c1", "c2", "c3"]
+
+
+@st.composite
+def tied_events(draw, naive=False):
+    """Events of a few cases in any order, whose timestamps tie often and
+    whose attributes share keys with the context rows below; with naive,
+    some timestamps are naive."""
+    stamps = [T0 + timedelta(minutes=m) for m in range(3)]
+    if naive:
+        stamps.append(T0.replace(tzinfo=None))
+    return [Event(draw(st.sampled_from(_CASES)), draw(st.sampled_from("abc")),
+                  draw(st.sampled_from(stamps)), draw(st.none() | st.just("r")),
+                  draw(st.dictionaries(st.sampled_from(["k", "n"]),
+                                       st.integers(0, 3), max_size=2)))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+def _constructed_log(events):
+    """events grouped by case in order of first appearance, each trace
+    and the log made by their checking constructors."""
+    return EventLog(tuple(
+        Trace(case, tuple(e for e in events if e.case_id == case))
+        for case in dict.fromkeys(e.case_id for e in events)))
+
+
+def _outcome(build, events):
+    try:
+        return build(events)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_events(naive=True))
+def test_make_log_equals_the_constructor_built_log(events):
+    got = _outcome(make_log, events)
+    assert got == _outcome(_constructed_log, events)
+    if not isinstance(got, str):
+        assert all(type(t) is Trace for t in got.traces)
+
+
+def test_make_log_reports_the_first_trace_that_mixes_naive_and_aware():
+    naive = T0.replace(tzinfo=None)
+    events = [Event("x", "a", T0), Event("y", "a", T0), Event("y", "b", naive),
+              Event("x", "b", naive)]
+    with pytest.raises(DataError, match="^trace 'x' mixes naive and "
+                                        "offset-aware timestamps$"):
+        make_log(events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_events(), st.dictionaries(
+    st.sampled_from(_CASES + ["elsewhere"]),
+    st.dictionaries(st.sampled_from(["k", "age"]), st.integers(10, 20),
+                    max_size=2)))
+def test_annotate_context_equals_the_constructor_built_log(events, rows):
+    log = _constructed_log(events)
+    want, unmatched = [], 0
+    for t in log.traces:
+        row = rows.get(t.case_id)
+        if row is None:
+            unmatched += 1
+            want.append(t)
+            continue
+        want.append(Trace(t.case_id, tuple(
+            Event(e.case_id, e.activity, e.timestamp, e.resource,
+                  {**row, **e.attributes})
+            for e in t.events)))
+    got, got_unmatched = annotate_context(log, ContextTable(rows))
+    assert (got, got_unmatched) == (EventLog(tuple(want)), unmatched)
+    assert type(got) is EventLog
+    for t, g, w in zip(log.traces, got.traces, want):
+        row = rows.get(t.case_id)
+        if row is None:
+            assert g is t
+            continue
+        assert type(g) is Trace
+        for e, a, b in zip(t.events, g.events, w.events):
+            assert type(a) is Event and list(a.attributes) == list(b.attributes)
+            # a key both in the context and on the event keeps the event's value
+            assert a.attributes == {**row, **e.attributes}
+            assert a.attributes is not e.attributes

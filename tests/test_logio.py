@@ -464,6 +464,20 @@ def test_an_attribute_error_names_its_first_row_before_a_later_timestamp():
         parse_csv(io.StringIO(text), mapping)
 
 
+def test_a_ragged_row_is_reported_before_a_trace_mixing_naive_and_aware():
+    text = ("case_id,activity,timestamp\n"
+            "c1,a,2024-03-01T09:00:00\n"
+            "c2,a,2024-03-01T09:00:00\n"
+            "c1,b,2024-03-01T08:00:00+00:00\n"
+            "c2,b\n")
+    with pytest.raises(ParseError, match=r"^row 5: 2 fields, header has 3$"):
+        parse_csv_auto(io.StringIO(text))
+    fixed = text.replace("c2,b\n", "c2,b,2024-03-01T09:01:00\n")
+    with pytest.raises(DataError, match="^trace 'c1' mixes naive and "
+                                        "offset-aware timestamps$"):
+        parse_csv_auto(io.StringIO(fixed))
+
+
 def test_the_reader_shares_one_object_per_distinct_value():
     text = ("case_id,activity,timestamp\n"
             "c1,a,2024-03-01T09:00:00Z\n"
@@ -613,3 +627,36 @@ def test_write_csv_holds_one_chunk_at_a_time():
     one = _write_csv_peak(logio._WRITE_CHUNK)
     eight = _write_csv_peak(8 * logio._WRITE_CHUNK)
     assert eight - one < one
+
+
+def _cohort_csv(path, cases: int) -> int:
+    """Write a log shaped like the variant workload's cohort log: five
+    events per case, every timestamp distinct, no resource, and a
+    profile cell on every row. Returns the number of events."""
+    flow = ("intake", "screen", "course", "review", "done")
+    profiles = ("effective", "preference", "supply")
+    lines = ["case_id,activity,timestamp,resource,profile"]
+    for i in range(cases):
+        base = T0 + timedelta(hours=i)
+        lines += [f"h{i:04d},{act},{(base + timedelta(minutes=j)).isoformat()},,"
+                  f"{profiles[i % 3]}" for j, act in enumerate(flow)]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    return cases * len(flow)
+
+
+def test_the_log_reader_peaks_near_the_log_it_keeps(tmp_path):
+    # beyond the log, the reader holds the timestamp-text cache, each
+    # case's list of events and a few bytes per row with an attribute
+    # cell; tracemalloc counts allocations, not pages, so the bound is exact
+    path = tmp_path / "cohort.csv"
+    n_events = _cohort_csv(path, 3000)
+    parse_csv_auto(io.StringIO("case_id,activity,timestamp,n\n"
+                               "c,a,2024-03-01T09:00:00Z,x\n"))  # first-call allocations
+    tracemalloc.start()
+    try:
+        log = parse_csv_auto(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.n_events == n_events
+    assert peak - kept <= 0.6 * kept, (peak, kept)
