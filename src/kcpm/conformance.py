@@ -59,12 +59,18 @@ class FootprintMatrix(_FootprintFields):
         return Relation.REVERSE if ba else Relation.UNRELATED
 
 
+def footprint_of_counts(activities, df: dict[tuple[str, str], int]
+                        ) -> FootprintMatrix:
+    """The footprint of a log from its alphabet and its directly-follows
+    counts, such as a DependencyGraph mined from it holds."""
+    return FootprintMatrix(tuple(sorted(activities)),
+                           frozenset(p for p, n in df.items() if n > 0))
+
+
 def footprint_of_log(log: EventLog) -> FootprintMatrix:
     if not log.traces:
         raise DataError("cannot compute the footprint of an empty log")
-    df = directly_follows_counts(log)
-    return FootprintMatrix(tuple(sorted(log.alphabet)),
-                           frozenset(p for p, n in df.items() if n > 0))
+    return footprint_of_counts(log.alphabet, directly_follows_counts(log))
 
 
 def footprint_of_model(dg: DependencyGraph) -> FootprintMatrix:

@@ -24,6 +24,10 @@ from .kg import Index, KnowledgeGraph, Triple
 
 _EPS = 1e-12
 
+# body predicates -> x -> {y: 1.0}: the base joins that mine_rules
+# records and a Closure's first pass takes
+BodyJoins = dict[tuple[str, ...], dict[str, dict[str, float]]]
+
 
 class _AtomFields(NamedTuple):
     predicate: str
@@ -167,21 +171,31 @@ class RuleBase:
         return iter(self.rules)
 
 
-def _body_pairs(predicates, succ) -> dict[str, set[str]]:
-    """x -> the distinct y with some chain-variable assignment satisfying
-    the body, joining successor maps left to right."""
-    pairs = succ.get(predicates[0], {})
-    for pred in predicates[1:]:
-        rel = succ.get(pred, {})
-        nxt: dict[str, set[str]] = {}
-        for x, mids in pairs.items():
-            ys = set().union(*[rel.get(mid, ()) for mid in mids])
-            if ys:
-                nxt[x] = ys
-        pairs = nxt
-        if not pairs:
-            break
-    return pairs
+def _extend(pairs: dict[str, set[str]], rel: dict[str, set[str]]
+            ) -> dict[str, set[str]]:
+    """x -> the distinct y reached from x's body pairs by one more atom,
+    whose successor map is rel."""
+    nxt: dict[str, set[str]] = {}
+    for x, mids in pairs.items():
+        ys = set().union(*[rel.get(mid, ()) for mid in mids])
+        if ys:
+            nxt[x] = ys
+    return nxt
+
+
+def _bodies(body: tuple[str, ...], pairs: dict[str, set[str]], succ,
+            follows, max_body_len: int):
+    """(body predicates, x -> the distinct y satisfying the body) of the
+    body and of every longer body up to max_body_len atoms that starts
+    with it and whose joins are not known to be empty, depth first. Each
+    body is joined from the pairs of its prefix one atom shorter, so a
+    prefix is joined once for all the bodies that extend it (AMIE's
+    prefix sharing), and only the prefixes of the current body are kept."""
+    yield body, pairs
+    if len(body) < max_body_len and pairs:
+        for pred in sorted(follows[body[-1]]):
+            yield from _bodies(body + (pred,), _extend(pairs, succ[pred]),
+                               succ, follows, max_body_len)
 
 
 def _joinable(succ) -> dict[str, set[str]]:
@@ -211,6 +225,7 @@ def mine_rules(
     max_body_len: int = 2,
     min_support: int = 1,
     min_pca_conf: float = 0.0,
+    joins: BodyJoins | None = None,
 ) -> RuleBase:
     """Enumerate every closed-path rule up to max_body_len body atoms and
     keep those meeting both thresholds.
@@ -218,6 +233,12 @@ def mine_rules(
     Tautologies (single-atom body with the head's own predicate) are
     excluded. Output order is deterministic: head predicate, body
     predicates, then descending PCA confidence.
+
+    Given a dict as joins, this also stores there, under its body
+    predicates, the base join of every kept body of two or more atoms,
+    as x -> {y: 1.0}: the rows a Closure's first run of such a rule
+    joins when its body predicates have no derived fact yet. Handing the
+    dict to Closure joins each body over the KG once per run.
     """
     if max_body_len not in (1, 2, 3):
         raise ValueError("max_body_len must be 1, 2 or 3")
@@ -227,17 +248,15 @@ def mine_rules(
     preds = sorted(succ)
     follows = _joinable(succ)
     kept: list[ClosedPathRule] = []
-    for n in range(1, max_body_len + 1):
-        for body_preds in itertools.product(preds, repeat=n):
-            if not all(b in follows[a]
-                       for a, b in zip(body_preds, body_preds[1:])):
-                continue  # some join is empty, so the body has no pair
-            pairs = _body_pairs(body_preds, succ)
+    for first in preds:
+        for body_preds, pairs in _bodies((first,), succ[first], succ,
+                                         follows, max_body_len):
             n_pairs = sum(len(ys) for ys in pairs.values())
             if n_pairs < min_support:
                 continue
+            n_kept = len(kept)
             for head in preds:
-                if n == 1 and head == body_preds[0]:
+                if len(body_preds) == 1 and head == first:
                     continue
                 head_map = succ[head]
                 if pairs.keys().isdisjoint(head_map.keys()):
@@ -249,6 +268,9 @@ def mine_rules(
                     chain_body(body_preds), Atom(head, "x", "y"),
                     sup, std, pca,
                 ))
+            if joins is not None and len(body_preds) > 1 and len(kept) > n_kept:
+                joins[body_preds] = {x: dict.fromkeys(ys, 1.0)
+                                     for x, ys in pairs.items()}
     kept.sort(key=lambda r: (r.head.predicate, r.body_predicates,
                              -r.pca_confidence))
     return RuleBase(tuple(kept), min_support, min_pca_conf, max_body_len)
@@ -282,6 +304,15 @@ class Closure:
     already offered to the head at that run and cannot beat it now, so
     every run makes exactly the updates a full join would.
 
+    joins, if given, maps body predicates to the base join that
+    mine_rules recorded for them over the same KG, x -> {y: 1.0}. A
+    rule's first run takes that join, instead of joining again, when
+    none of its body predicates has a derived fact yet: the body then
+    joins base facts only, each product is 1.0, and the rows are the
+    same. The first pass takes each join out of the dict at the last
+    rule with its body, so none outlives the pass, and a dict that
+    mine_rules filled for these rules is empty afterward.
+
     There is no derivation cap. Every confidence lies in [0, 1], so a
     product is never larger than any of its factors, even after
     floating-point rounding: going round a cycle of rules never raises a
@@ -291,7 +322,8 @@ class Closure:
     loop reaches the true fixpoint.
     """
 
-    def __init__(self, rb: RuleBase, kg: KnowledgeGraph):
+    def __init__(self, rb: RuleBase, kg: KnowledgeGraph,
+                 joins: BodyJoins | None = None):
         self._base = kg.index
         # predicate -> subject -> object -> confidence, of derived facts
         self._derived: dict[str, dict[str, dict[str, float]]] = {}
@@ -301,6 +333,9 @@ class Closure:
         self.confidence = _ConfidenceView(self._base, self._derived)
         # per rule: change-list lengths when it last joined; None before
         last_seen: list[dict[str, int] | None] = [None] * len(rb.rules)
+        if joins is None:
+            joins = {}
+        last_use = {rule.body_predicates: k for k, rule in enumerate(rb)}
         changed = True
         while changed:
             changed = False
@@ -309,8 +344,9 @@ class Closure:
                 now = {p: len(self._changes.get(p, ())) for p in preds}
                 seen = last_seen[k]
                 if seen is None:
-                    rows = self._join(_base_rows(*self.relation(preds[0])),
-                                      preds[1:])
+                    # the last rule with this body takes its join out
+                    take = joins.pop if last_use[preds] == k else joins.get
+                    rows = self._first_rows(preds, now, take(preds, None))
                 else:
                     delta = {p: self._changes[p][seen[p]:n]
                              for p, n in now.items() if n > seen[p]}
@@ -326,6 +362,15 @@ class Closure:
         confidence, and every row of either holds at least one fact.
         Both are the closure's own maps, to be read, not changed."""
         return self._base.get(pred, {}), self._derived.get(pred, {})
+
+    def _first_rows(self, preds, now, join):
+        """The rows of a rule's first run: the recorded base join of its
+        body where there is one and no body predicate has a derived fact
+        yet (now holds their change counts), else the whole body joined.
+        Only the rows refer to the join, until _apply has read them."""
+        if join is not None and not any(now.values()):
+            return _rows(join)
+        return self._join(_base_rows(*self.relation(preds[0])), preds[1:])
 
     def _join(self, rows, preds):
         """The rows of a relation extended by each of preds in turn."""

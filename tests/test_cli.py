@@ -198,6 +198,46 @@ def test_augment_subcommand(workdir, capsys):
     assert (out / "augmented.xes").exists()
 
 
+def test_augment_with_mined_rules_equals_augment_with_their_file(
+        workdir, monkeypatch):
+    """augment that mines its rules hands the closure the joins mining
+    recorded; augment reading the same rules from mine-rules' file hands
+    it none. Both write the same bytes."""
+    stages = "abcdef"
+    pairs = [(x, y) for i, x in enumerate(stages) for y in stages[i + 1:]
+             if (x, y) not in {("a", "e"), ("b", "f"), ("a", "f")}]
+    kg = workdir / "chain_kg.tsv"
+    kg.write_text("".join(f"{x}\tmust_precede\t{y}\n" for x, y in pairs)
+                  + "n\tforbidden_before\tc\n")
+    log = log_from_sequences([["a", "c", "f"], ["b", "n", "c", "e", "f"],
+                              ["a", "b", "d", "f"], ["f", "a"]])
+    log_path = workdir / "chain_log.csv"
+    with open(log_path, "w", newline="") as fh:
+        write_csv(log, fh)
+    handed = []
+    init = rules.Closure.__init__
+
+    def spy(self, rb, kg, joins=None):
+        handed.append(len(joins or ()))
+        init(self, rb, kg, joins)
+
+    monkeypatch.setattr(rules.Closure, "__init__", spy)
+    flags = ["--kg", kg, "--min-pca-conf", 0.5]
+    assert run("mine-rules", *flags, "--out", workdir / "rules") == 0
+    rule_file = workdir / "rules" / "rules.jsonl"
+    assert '"predicate": "must_precede", "subject": "z1"' in rule_file.read_text()
+    for name, extra in (("mined", []), ("file", ["--rules", rule_file])):
+        assert run("augment", "--log", log_path, *flags, *extra,
+                   "--no-embedding", "--out", workdir / name) == 0
+    assert handed[0] > 0 and handed[1:] == [0]
+    # a derived fact decides an insertion
+    report = load_json(workdir / "mined" / "augment_report.json")
+    assert any(e["rule_id"] for e in report["inserted"])
+    for artifact in ("augmented.csv", "augment_report.json"):
+        assert ((workdir / "mined" / artifact).read_bytes()
+                == (workdir / "file" / artifact).read_bytes())
+
+
 def test_synth_subcommand(workdir, capsys):
     out = workdir / "synth"
     assert run("synth", "--model", workdir / "model.json", "--cases", 25,
@@ -512,9 +552,9 @@ def test_pipeline_builds_one_closure(workdir, monkeypatch):
     built = []
     init = rules.Closure.__init__
 
-    def counting_init(self, rb, kg):
+    def counting_init(self, rb, kg, joins=None):
         built.append(kg)
-        init(self, rb, kg)
+        init(self, rb, kg, joins)
 
     monkeypatch.setattr(rules.Closure, "__init__", counting_init)
     kg = workdir / "pipe_kg.tsv"
@@ -1003,7 +1043,7 @@ _TRACED_CLI_NAMES = ("load_triples", "mine_rules", "build_lpg",
 
 
 @pytest.mark.parametrize("command, calls", [
-    ("pipeline", {"load_triples": 1, "mine_rules": 1, "footprint_of_log": 2,
+    ("pipeline", {"load_triples": 1, "mine_rules": 1, "footprint_of_log": 1,
                   "footprint_of_model": 1, "conformance": 2,
                   "write_manifest": 1}),
     ("variants-train", {"load_triples": 1, "build_lpg": 1,
@@ -1015,7 +1055,8 @@ def test_subcommands_call_traced_names_through_the_cli_module(
         workdir, variant_inputs, monkeypatch, command, calls):
     """Each name that bench/tracing.py wraps on kcpm.cli, replaced there by
     a counting wrapper, is called as often as the subcommand runs its
-    layer: a pipeline with a reference model takes two log footprints."""
+    layer: a pipeline with a reference model takes the raw log's footprint
+    there, and the repaired log's from the counts of its mined graph."""
     counted = dict.fromkeys(_TRACED_CLI_NAMES, 0)
 
     def counting(name, fn):

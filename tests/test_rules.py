@@ -2,6 +2,7 @@ import copy
 import io
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from kcpm.kg import KnowledgeGraph, Triple
 from kcpm.rules import (Atom, ClosedPathRule, Closure, RuleBase, _base_rows, _joinable, _step, chain_body,
                         mine_rules, read_rules_jsonl, write_rules_jsonl)
 
-from oracles import (naive_body_confidences, naive_closure, naive_mine,
-                     naive_step)
+from oracles import (naive_body_confidences, naive_body_pairs, naive_closure,
+                     naive_mine, naive_step)
 
 WORK_KG = KnowledgeGraph([
     Triple("al", "worksAt", "uow"),
@@ -361,6 +362,136 @@ def test_facts_give_base_facts_at_one_and_derived_facts_with_their_rule(
     assert got.keys() == expected.keys()
     for fact, c in expected.items():
         assert got[fact] == pytest.approx(c, abs=1e-12)
+
+
+def _base_join(body, triples):
+    """A body's join over the base facts as mine_rules records it,
+    x -> {y: 1.0}, from the exhaustive enumeration."""
+    rows = {}
+    for x, y in naive_body_pairs(body, triples):
+        rows.setdefault(x, {})[y] = 1.0
+    return rows
+
+
+def _state(closure):
+    """(s, p, o) -> (confidence, via rule) of every fact of a closure."""
+    return {(t.subject, t.predicate, t.object):
+            closure.lookup(t.predicate, t.subject, t.object)
+            for t in closure.confidence}
+
+
+# a few bodies of 1 to 3 atoms and rules drawn over them, so that two
+# rules often share one body and a rule's body predicate is often the
+# head of a rule before it
+_BODY = st.lists(_PREDICATES, min_size=1, max_size=3).map(tuple)
+_SHARED_RULES = st.lists(_BODY, min_size=1, max_size=3).flatmap(
+    lambda bodies: st.lists(st.tuples(st.sampled_from(bodies), _PREDICATES,
+                                      _CONFIDENCES), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=_TRIPLES, rules=_SHARED_RULES)
+def test_closure_with_recorded_joins_equals_the_closure_without(triples,
+                                                                rules):
+    kg = KnowledgeGraph(Triple(*t) for t in triples)
+    rb = RuleBase(tuple(_rule(b, h, c) for b, h, c in rules))
+    joins = {b: _base_join(b, triples) for b, _, _ in rules if len(b) > 1}
+    handed = Closure(rb, kg, joins)
+    assert joins == {}
+    got = _state(handed)
+    assert got == _state(Closure(rb, kg))  # exact confidences, same rule
+    expected = naive_closure(rules, triples)
+    assert got.keys() == expected.keys()
+    for fact, c in expected.items():
+        assert got[fact][0] == pytest.approx(c, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=_TRIPLES, min_support=st.integers(1, 2),
+       min_pca=st.sampled_from([0.0, 0.5]))
+def test_mining_records_the_base_join_of_every_kept_body(triples,
+                                                         min_support,
+                                                         min_pca):
+    kg = KnowledgeGraph(Triple(*t) for t in triples)
+    joins = {}
+    rb = mine_rules(kg, 3, min_support, min_pca, joins)
+    assert rb == mine_rules(kg, 3, min_support, min_pca)
+    bodies = {r.body_predicates for r in rb if len(r.body) > 1}
+    assert joins == {b: _base_join(b, triples) for b in bodies}
+    closure = Closure(rb, kg, joins)
+    assert joins == {}
+    assert _state(closure) == _state(Closure(rb, kg))
+
+
+_CHAIN = KnowledgeGraph([Triple("a", "p", "b"), Triple("b", "p", "c"),
+                         Triple("c", "p", "d")])
+
+
+@pytest.mark.parametrize("body", [("p", "p"), ("p", "p", "p")])
+def test_rules_sharing_a_body_both_take_its_recorded_join(body):
+    # a marker row in place of the true join shows which rules took it
+    joins = {body: {"a": {"m": 1.0}}}
+    rb = RuleBase((_rule(body, "q", 0.5), _rule(body, "r", 0.5)))
+    closure = Closure(rb, _CHAIN, joins)
+    assert joins == {}
+    assert closure.lookup("q", "a", "m") == (0.5, ",".join(body) + "=>q")
+    assert closure.lookup("r", "a", "m") == (0.5, ",".join(body) + "=>r")
+    assert closure.lookup("q", "a", "c") is None
+
+
+def test_a_recorded_join_is_not_taken_once_its_body_has_a_derived_fact():
+    # p,p=>q runs first and derives q(a,c), so q,p=>s joins for itself
+    # and finds q(a,c) & p(c,d); the marker row must not be read
+    joins = {("p", "p"): _base_join(("p", "p"), [("a", "p", "b"),
+                                                 ("b", "p", "c"),
+                                                 ("c", "p", "d")]),
+             ("q", "p"): {"a": {"m": 1.0}}}
+    rb = RuleBase((_rule(("p", "p"), "q"), _rule(("q", "p"), "s")))
+    closure = Closure(rb, _CHAIN, joins)
+    assert joins == {}
+    assert closure.lookup("s", "a", "m") is None
+    assert closure.lookup("s", "a", "d") == (1.0, "q,p=>s")
+    assert _state(closure) == _state(Closure(rb, _CHAIN))
+
+
+def test_no_recorded_join_outlives_the_first_pass(monkeypatch):
+    class Rows(dict):  # a dict that a weak reference can watch
+        pass
+
+    chain = [(a, "p", b) for a, b in zip("abcde", "bcde")]
+    rows = Rows(_base_join(("p", "p"), chain))
+    alive = weakref.ref(rows)
+    joins = {("p", "p"): rows}
+    del rows
+    seen = []
+    apply = Closure._apply
+
+    def spy(self, rule, rows):
+        seen.append(alive() is not None)
+        return apply(self, rule, rows)
+
+    monkeypatch.setattr(Closure, "_apply", spy)
+    # p,p=>p derives p facts, so a second pass runs
+    Closure(RuleBase((_rule(("p", "p"), "p", 0.5),)),
+            KnowledgeGraph(Triple(*t) for t in chain), joins)
+    assert seen[0] and len(seen) > 1 and not any(seen[1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=st.sets(st.tuples(_ENTITIES, _PREDICATES, _ENTITIES),
+                       max_size=14),
+       min_support=st.integers(1, 2), min_pca=st.sampled_from([0.0, 0.5]))
+def test_prefix_shared_mining_equals_the_unshared_miner(triples, min_support,
+                                                        min_pca):
+    # naive_mine joins every body from its first atom over the raw
+    # triples; mine_rules joins each body from its prefix's pairs
+    found = sorted(naive_mine(sorted(triples), 3, min_support, min_pca),
+                   key=lambda r: (r[1], r[0], -r[4]))
+    expected = RuleBase(tuple(
+        ClosedPathRule(chain_body(body), Atom(head, "x", "y"), *stats)
+        for body, head, *stats in found), min_support, min_pca, 3)
+    kg = KnowledgeGraph(Triple(*t) for t in triples)
+    assert mine_rules(kg, 3, min_support, min_pca) == expected
 
 
 # few nodes and a few repeated confidences, so one product often reaches
