@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import json
-from datetime import datetime, timedelta
+from datetime import timedelta
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
-from .eventlog import Event, EventLog, Trace
+from .eventlog import Event, EventLog, Trace, insertion_time
 from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
 from .rules import Closure
 
@@ -154,8 +154,8 @@ def infer_missing_events(
 
     inserted: list[CandidateInsertion] = []
     traces = []
-    # each insertion is timed between its neighbours (_midpoint), so the
-    # trace stays in order with ties in place: made without a re-sort
+    # each insertion is timed between its neighbours (insertion_time), so
+    # the trace stays in order with ties in place: made without a re-sort
     new_trace = tuple.__new__
     for t in log.traces:
         work = list(t.events)
@@ -191,7 +191,7 @@ def infer_missing_events(
                         continue
                     work.insert(insert_at, Event(
                         t.case_id, accepted.activity,
-                        _midpoint(work, insert_at),
+                        insertion_time(work, insert_at),
                         attributes={"synthetic": True}))
                     inserted.append(accepted)
                     done |= bit[p]
@@ -260,15 +260,6 @@ class _Precedence:
             ordered.append(p)
             pending ^= low
         return ordered
-
-
-def _midpoint(events, pos: int) -> datetime:
-    if pos == 0:
-        return events[0].timestamp - timedelta(seconds=1)
-    before = events[pos - 1].timestamp
-    if pos >= len(events):
-        return before + timedelta(seconds=1)
-    return before + (events[pos].timestamp - before) / 2
 
 
 def check_guideline_latency(

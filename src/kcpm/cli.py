@@ -238,7 +238,7 @@ def _cmd_filter(cfg: PipelineConfig, args) -> None:
     rb = _read_rules(args.rules)
     alias = read_alias(cfg.alias)
     filtered, report = dfgmod.filter_dependency_graph(
-        dg, dfgmod.Closure(rb, kg), alias, cfg.filter_mode)
+        dg, dfgmod.Closure(rb, kg), alias)
     _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(filtered))
     _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(filtered, fh))
     _json_out(cfg.out, "filter_report.json",
@@ -396,7 +396,7 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
                                  cfg.all_tasks_connected)
     dg_aug = dfgmod.mine_dependency_graph(augmented, th)
     dg_filtered, filter_report = dfgmod.filter_dependency_graph(
-        dg_aug, closure, alias, cfg.filter_mode)
+        dg_aug, closure, alias)
     _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(dg_filtered))
     _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(dg_filtered, fh))
     _json_out(cfg.out, "filter_report.json",
@@ -455,7 +455,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "frequency_threshold": ("--frequency-threshold", dict(type=int)),
     "all_tasks_connected": ("--all-tasks-connected",
                             dict(action="store_const", const=True)),
-    "filter_mode": ("--mode", dict(choices=("strict", "permissive"))),
     "theta_aug": ("--theta-aug", dict(type=float)),
     "use_embedding": ("--no-embedding",
                       dict(action="store_const", const=False,
@@ -502,8 +501,7 @@ _COMMANDS = {
          "long_distance")),
     "filter": _Command(
         _cmd_filter, "filter a dependency graph against rules",
-        ("dfg", "rules", "kg", "alias"), ("dfg", "rules", "kg"),
-        ("filter_mode",)),
+        ("dfg", "rules", "kg", "alias"), ("dfg", "rules", "kg")),
     "augment": _Command(
         _cmd_augment, "repair a log: drop chaotic events, insert missing ones",
         ("log", "kg", "context", "alias", "rules"), ("log", "kg"),
@@ -525,16 +523,17 @@ _COMMANDS = {
         _cmd_pipeline, "ingest, mine rules, repair, mine DFG, filter, and "
                        "compare raw vs augmented",
         ("log", "kg", "model", "context", "alias"), ("log", "kg"),
-        (*_REPAIR_FLAGS, "dependency_threshold", "frequency_threshold",
-         "filter_mode")),
+        (*_REPAIR_FLAGS, "dependency_threshold", "frequency_threshold")),
 }
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="kcpm", description=__doc__)
+    # no option is read from a prefix of its name: a removed flag, such
+    # as --mode, would otherwise be taken as the option it begins (--model)
+    parser = _Parser(prog="kcpm", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for dest in ("config", "out", *command.paths, *command.flags):
             option, kwargs = _FLAGS[dest]
             p.add_argument(option, dest=dest, **kwargs)

@@ -14,8 +14,7 @@ _SECTIONS = {
                             "model", "out")),
     "thresholds": {"dependency_threshold": 0.5, "frequency_threshold": 1,
                    "min_support": 1, "min_pca_conf": 0.8, "theta_aug": 0.5},
-    "modes": {"filter_mode": "permissive", "use_embedding": True,
-              "all_tasks_connected": False},
+    "modes": {"use_embedding": True, "all_tasks_connected": False},
     "hyperparameters": {"seed": 0},
 }
 _DEFAULTS = {name: default for fields in _SECTIONS.values()
@@ -59,8 +58,6 @@ class PipelineConfig:
             raise ConfigError("min_pca_conf must be in [0, 1]")
         if not 0.0 <= self.theta_aug < math.inf:
             raise ConfigError("theta_aug must be finite and >= 0")
-        if self.filter_mode not in ("strict", "permissive"):
-            raise ConfigError("filter_mode must be 'strict' or 'permissive'")
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}

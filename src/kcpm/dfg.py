@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import DataError
 from .eventlog import (EventLog, directly_follows_counts, end_activity_counts,
                        eventually_follows_counts, start_activity_counts)
-from .kg import DIRECTLY_FOLLOWS, FORBIDDEN_BEFORE, MUST_PRECEDE
+from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
 from .rules import Closure
 
 
@@ -197,34 +197,25 @@ def mine_dependency_graph(log: EventLog, th: MiningThresholds) -> DependencyGrap
 class RemovedEdge(NamedTuple):
     source: str
     target: str
-    reason: str  # "not_entailed" | "contradicted"
     rule_id: str | None
 
 
 class FilterReport(NamedTuple):
     removed_edges: tuple[RemovedEdge, ...]
     kept_edges: int
-    mode: str
 
 
 def filter_dependency_graph(
     dg: DependencyGraph,
     closure: Closure,
     alias: dict[str, str] | None = None,
-    mode: str = "permissive",
 ) -> tuple[DependencyGraph, FilterReport]:
-    """Drop mined edges that conflict with the closure of the rule base.
-
-    strict mode keeps a mapped edge (a, b) only when directly_follows
-    between the aliased entities is entailed; permissive mode removes an
-    edge only when it is contradicted, i.e. must_precede(b, a) or
-    forbidden_before(a, b) is entailed. Edges touching an activity with
-    no entity mapping always pass through. alias=None maps every
+    """Drop mined edges that the closure of the rule base contradicts:
+    an edge (a, b) goes when must_precede(b, a) or forbidden_before(a, b)
+    is entailed between the aliased entities. Edges touching an activity
+    with no entity mapping always pass through. alias=None maps every
     activity to itself.
     """
-    if mode not in ("strict", "permissive"):
-        raise ValueError(f"mode must be 'strict' or 'permissive', got {mode!r}")
-
     def entity(act: str) -> str | None:
         return act if alias is None else alias.get(act)
 
@@ -233,14 +224,10 @@ def filter_dependency_graph(
         ea, eb = entity(a), entity(b)
         if ea is None or eb is None:
             return None
-        if mode == "strict":
-            if closure.lookup(DIRECTLY_FOLLOWS, ea, eb) is None:
-                return RemovedEdge(a, b, "not_entailed", None)
-            return None
         found = (closure.lookup(MUST_PRECEDE, eb, ea)
                  or closure.lookup(FORBIDDEN_BEFORE, ea, eb))
         if found is not None:
-            return RemovedEdge(a, b, "contradicted", found[1])
+            return RemovedEdge(a, b, found[1])
         return None
 
     pairs = sorted(dg.edges)
@@ -250,7 +237,7 @@ def filter_dependency_graph(
     out = DependencyGraph(dg.activities, kept, dg.l1_loops, dg.l2_loops,
                           dg.start_activities, dg.end_activities, dg.df_counts,
                           dg.long_deps)
-    return out, FilterReport(removed, len(kept), mode)
+    return out, FilterReport(removed, len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +308,21 @@ def dfg_to_dot(dg: DependencyGraph, stream) -> None:
 
 def filter_report_to_json(report: FilterReport) -> dict:
     return {
-        "mode": report.mode,
         "kept_edges": report.kept_edges,
         "removed_edges": [
-            {"source": r.source, "target": r.target, "reason": r.reason,
-             "rule_id": r.rule_id}
+            {"source": r.source, "target": r.target, "rule_id": r.rule_id}
             for r in report.removed_edges
         ],
     }
 
 
 def filter_report_table(report: FilterReport) -> str:
-    lines = [f"mode: {report.mode}   kept: {report.kept_edges}   "
+    lines = [f"kept: {report.kept_edges}   "
              f"removed: {len(report.removed_edges)}"]
     if report.removed_edges:
-        lines.append(f"{'source':<24} {'target':<24} {'reason':<14} rule")
+        lines.append(f"{'source':<24} {'target':<24} rule")
         for r in report.removed_edges:
-            lines.append(f"{r.source:<24} {r.target:<24} {r.reason:<14} "
-                         f"{r.rule_id or '-'}")
+            lines.append(f"{r.source:<24} {r.target:<24} {r.rule_id or '-'}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ restricted to scalar values (str, int, float, bool, datetime).
 from __future__ import annotations
 
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timedelta
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -190,6 +190,19 @@ def make_log(
     for e in events:
         by_case.setdefault(e.case_id, []).append(e)
     return _build_log(by_case, dict(meta or {}))
+
+
+def insertion_time(events, pos: int) -> datetime:
+    """The timestamp of an event inserted at pos of a nonempty event
+    sequence: the first event's minus 1 s at position 0, the last
+    event's plus 1 s at the end, else the midpoint of its neighbours.
+    The sequence stays in time order with ties in place."""
+    if pos == 0:
+        return events[0].timestamp - timedelta(seconds=1)
+    before = events[pos - 1].timestamp
+    if pos == len(events):
+        return before + timedelta(seconds=1)
+    return before + (events[pos].timestamp - before) / 2
 
 
 def directly_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:

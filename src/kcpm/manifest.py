@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+from .config import _SECTIONS
+
 
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
@@ -19,7 +21,8 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-_PATH_KEYS = {"log", "kg", "context", "labels", "alias", "model"}
+# the input paths; the output directory is dropped before this is read
+_PATH_KEYS = _SECTIONS["paths"]
 
 
 def build_manifest(command: str, config: dict, inputs: dict[str, str],

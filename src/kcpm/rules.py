@@ -171,10 +171,11 @@ class RuleBase:
         return iter(self.rules)
 
 
-def _extend(pairs: dict[str, set[str]], rel: dict[str, set[str]]
-            ) -> dict[str, set[str]]:
+def _extend(pairs: dict[str, set[str] | dict[str, float]],
+            rel: dict[str, set[str]]) -> dict[str, set[str]]:
     """x -> the distinct y reached from x's body pairs by one more atom,
-    whose successor map is rel."""
+    whose successor map is rel. A row may be a set or a dict keyed by
+    its set's members in their order."""
     nxt: dict[str, set[str]] = {}
     for x, mids in pairs.items():
         ys = set().union(*[rel.get(mid, ()) for mid in mids])
@@ -269,8 +270,11 @@ def mine_rules(
                     sup, std, pca,
                 ))
             if joins is not None and len(body_preds) > 1 and len(kept) > n_kept:
-                joins[body_preds] = {x: dict.fromkeys(ys, 1.0)
-                                     for x, ys in pairs.items()}
+                # the pairs of a body of two or more atoms are its own,
+                # not the KG's rows: they become the join in place
+                for x, ys in pairs.items():
+                    pairs[x] = dict.fromkeys(ys, 1.0)
+                joins[body_preds] = pairs
     kept.sort(key=lambda r: (r.head.predicate, r.body_predicates,
                              -r.pca_confidence))
     return RuleBase(tuple(kept), min_support, min_pca_conf, max_body_len)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .dfg import DependencyEdge, DependencyGraph, dependency_measure
 from .errors import DataError
-from .eventlog import Event, EventLog, Trace
+from .eventlog import Event, EventLog, Trace, insertion_time
 
 MAX_TRACE_LEN = 200
 _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0, tzinfo=timezone.utc)
@@ -219,23 +219,13 @@ def corrupt(log: EventLog, spec: CorruptionSpec) -> EventLog:
         for _ in range(n_noise):
             pos = rng.randrange(len(kept) + 1)
             label = noise_labels[rng.randrange(len(noise_labels))]
-            ts = _insertion_time(kept, pos)
+            # a trace whose events were all dropped starts at the base time
+            ts = insertion_time(kept, pos) if kept else _BASE_TIME
             kept.insert(pos, Event(t.case_id, label, ts,
                                    attributes={"injected": True}))
         if kept:
             traces.append(Trace(t.case_id, tuple(kept)))
     return EventLog(tuple(traces), dict(log.meta))
-
-
-def _insertion_time(events, pos: int) -> datetime:
-    if not events:
-        return _BASE_TIME
-    if pos == 0:
-        return events[0].timestamp - timedelta(seconds=1)
-    if pos == len(events):
-        return events[-1].timestamp + timedelta(seconds=1)
-    before, after = events[pos - 1].timestamp, events[pos].timestamp
-    return before + (after - before) / 2
 
 
 def dropped_events(source: EventLog, corrupted: EventLog) -> dict[str, Counter]:

@@ -218,9 +218,8 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
     predecessor. Prerequisites are sets of entity names, found missing by
     set difference and ordered by _order_by_precedence below. Returns
     the log, the report, and how many candidates reached the fallback."""
-    from kcpm.augment import (AugmentationReport, CandidateInsertion,
-                              _midpoint)
-    from kcpm.eventlog import Event, EventLog, Trace
+    from kcpm.augment import AugmentationReport, CandidateInsertion
+    from kcpm.eventlog import Event, EventLog, Trace, insertion_time
     from kcpm.kg import MUST_PRECEDE
 
     prereq_facts = {}
@@ -262,7 +261,7 @@ def eager_infer_missing_events(log, closure, scorer, theta, alias=None):
                 if accepted is None:
                     continue
                 work.insert(insert_at, Event(t.case_id, accepted.activity,
-                                             _midpoint(work, insert_at),
+                                             insertion_time(work, insert_at),
                                              attributes={"synthetic": True}))
                 inserted.append(accepted)
                 inserted_here.add(p)

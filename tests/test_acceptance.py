@@ -375,7 +375,7 @@ def test_criterion_9_invariant_sweep():
     rng = random.Random(909)
     acts = list("abcde")
 
-    for _ in range(200):  # filtering only shrinks edge sets, both modes
+    for _ in range(200):  # filtering only shrinks edge sets
         seqs = random_sequences(rng, rng.randint(1, 8), 8, acts)
         log = log_from_sequences(seqs)
         dg = mine_dependency_graph(log, MiningThresholds(0.0, 0))
@@ -383,10 +383,8 @@ def test_criterion_9_invariant_sweep():
             [MUST_PRECEDE, FORBIDDEN_BEFORE]), rng.choice(acts))
             for _ in range(rng.randint(0, 4))}
         kg = KnowledgeGraph(facts)
-        for mode in ("strict", "permissive"):
-            out, _ = filter_dependency_graph(dg, Closure(RuleBase(()), kg),
-                                             mode=mode)
-            assert set(out.edges) <= set(dg.edges)
+        out, _ = filter_dependency_graph(dg, Closure(RuleBase(()), kg))
+        assert set(out.edges) <= set(dg.edges)
 
     for _ in range(200):  # repaired traces keep the original as subsequence
         seqs = random_sequences(rng, rng.randint(1, 6), 7, acts)

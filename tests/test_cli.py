@@ -864,13 +864,13 @@ def test_cli_scorer_factory_trains_up_to_the_ceiling(monkeypatch, theta):
 
 def test_manifest_records_every_config_field_but_out(workdir):
     """manifest.json's config holds each PipelineConfig field but the
-    output directory, sorted: 15 of 16, and none of the embedding's six
+    output directory, sorted: 14 of 15, and none of the embedding's six
     removed hyperparameters."""
     out = workdir / "manifest_fields"
     assert run("stats", "--log", workdir / "log.csv", "--out", out) == 0
     config = load_json(out / "manifest.json")["config"]
     assert list(config) == sorted(set(PipelineConfig.FIELDS) - {"out"})
-    assert len(config) == 15
+    assert len(config) == 14
     assert not {"dim", "epochs", "margin", "learning_rate", "negatives",
                 "time_buckets"} & config.keys()
 
@@ -923,6 +923,72 @@ def test_strict_ordering_config_key_is_refused(ward_inputs, tmp_path, capsys):
                "--no-embedding", "--out", out) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: unknown key 'strict_ordering' in [modes]"]
+    assert not out.exists()
+
+
+@pytest.fixture
+def contradicted(tmp_path):
+    """A log of b then a, which must_precede(a, b) contradicts, and the
+    argv of filter and of pipeline over it. theta_aug 2 accepts no
+    insertion, so the pipeline's repair leaves the log as it is."""
+    (tmp_path / "kg.tsv").write_text("a\tmust_precede\tb\n")
+    with open(tmp_path / "log.csv", "w", newline="") as fh:
+        write_csv(log_from_sequences([["b", "a"]] * 3), fh)
+    assert run("mine-dfg", "--log", tmp_path / "log.csv",
+               "--out", tmp_path / "dfg") == 0
+    assert run("mine-rules", "--kg", tmp_path / "kg.tsv",
+               "--out", tmp_path / "rules") == 0
+    return {
+        "filter": ["filter", "--dfg", tmp_path / "dfg" / "dfg.json",
+                   "--rules", tmp_path / "rules" / "rules.jsonl",
+                   "--kg", tmp_path / "kg.tsv"],
+        "pipeline": ["pipeline", "--log", tmp_path / "log.csv",
+                     "--kg", tmp_path / "kg.tsv", "--theta-aug", 2,
+                     "--no-embedding"],
+    }
+
+
+@pytest.mark.parametrize("command", ["filter", "pipeline"])
+def test_filter_report_names_each_removed_edge(contradicted, tmp_path,
+                                               command):
+    """Both commands write the same filter_report.json: the kept count
+    and each removed edge with the rule that contradicts it (null for a
+    KG fact), and no mode or reason."""
+    out = tmp_path / "out"
+    assert run(*contradicted[command], "--out", out) == 0
+    report = load_json(out / "filter_report.json")
+    validate("filter_report", report)
+    assert report == {"kept_edges": 0, "removed_edges": [
+        {"source": "b", "target": "a", "rule_id": None}]}
+
+
+@pytest.mark.parametrize("command", ["filter", "pipeline"])
+def test_mode_flag_is_a_usage_error(contradicted, tmp_path, capsys, command):
+    """Edge filtering has one policy, so --mode is an unknown flag: exit
+    1 with the usage line, and no --out."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*contradicted[command], "--mode", "permissive",
+               "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "usage error: unrecognized arguments: --mode permissive"
+    assert err[1].startswith("usage: kcpm ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "pipeline"])
+def test_filter_mode_config_key_is_refused(contradicted, tmp_path, capsys,
+                                           command):
+    """A config file that still names filter_mode, even as permissive,
+    exits 2 with one line naming the key, and leaves no --out."""
+    cfgfile = tmp_path / "old.ini"
+    cfgfile.write_text("[modes]\nfilter_mode = permissive\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*contradicted[command], "--config", cfgfile,
+               "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown key 'filter_mode' in [modes]"]
     assert not out.exists()
 
 

@@ -22,8 +22,8 @@ min_pca_conf = 0.75
 theta_aug = 0.3
 
 [modes]
-filter_mode = strict
 use_embedding = off
+all_tasks_connected = yes
 
 [hyperparameters]
 seed = 99
@@ -32,8 +32,8 @@ seed = 99
     assert cfg.dependency_threshold == 0.4
     assert cfg.min_pca_conf == 0.75
     assert cfg.theta_aug == 0.3
-    assert cfg.filter_mode == "strict"
     assert cfg.use_embedding is False
+    assert cfg.all_tasks_connected is True
     assert cfg.seed == 99
 
 
@@ -70,7 +70,7 @@ def test_missing_file_rejected():
 def test_defaults_validate():
     cfg = PipelineConfig()
     cfg.validate()
-    assert cfg.filter_mode == "permissive"
+    assert cfg.use_embedding is True
     assert cfg.min_pca_conf == 0.8
 
 
@@ -123,4 +123,4 @@ def test_embedding_hyperparameter_is_no_field(tmp_path, key):
     with pytest.raises(TypeError, match=key):
         PipelineConfig(**{key: 1})
     assert key not in PipelineConfig.FIELDS
-    assert len(PipelineConfig.FIELDS) == 16
+    assert len(PipelineConfig.FIELDS) == 15

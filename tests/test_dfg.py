@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from kcpm.dfg import (MiningThresholds, dependency_measure, dfg_from_json,
-                      dfg_to_dot, dfg_to_json, filter_dependency_graph,
-                      mine_dependency_graph)
+from kcpm.dfg import (MiningThresholds, RemovedEdge, dependency_measure,
+                      dfg_from_json, dfg_to_dot, dfg_to_json,
+                      filter_dependency_graph, mine_dependency_graph)
 from kcpm.errors import DataError
 from kcpm.eventlog import EventLog
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
@@ -129,19 +129,14 @@ def test_permissive_empty_rulebase_keeps_all():
     assert report.kept_edges == len(dg.edges)
 
 
-def test_strict_empty_rulebase_removes_all_mapped():
-    dg = _mined(log_from_sequences([["a", "b", "c"]] * 3))
-    out, report = filter_dependency_graph(
-        dg, Closure(RuleBase(()), KnowledgeGraph()), mode="strict")
-    assert out.edges == {}
-    assert {r.reason for r in report.removed_edges} == {"not_entailed"}
-
-
-def test_strict_keeps_unmapped_edges():
+def test_unmapped_edges_pass_through():
+    # forbidden_before(a, b) would remove a -> b, but no activity is mapped
     dg = _mined(log_from_sequences([["a", "b"]] * 3))
-    out, _ = filter_dependency_graph(
-        dg, Closure(RuleBase(()), KnowledgeGraph()), alias={}, mode="strict")
-    assert set(out.edges) == set(dg.edges)  # nothing mapped, all pass
+    kg = KnowledgeGraph([Triple("a", FORBIDDEN_BEFORE, "b")])
+    out, report = filter_dependency_graph(
+        dg, Closure(RuleBase(()), kg), alias={})
+    assert set(out.edges) == set(dg.edges) == {("a", "b")}
+    assert report.removed_edges == ()
 
 
 def test_permissive_removes_contradicted_edge():
@@ -152,7 +147,8 @@ def test_permissive_removes_contradicted_edge():
     alias = {"ER Registration": "reg", "ER Triage": "triage"}
     out, report = filter_dependency_graph(dg, Closure(RuleBase(()), kg), alias)
     assert ("ER Triage", "ER Registration") not in out.edges
-    assert report.removed_edges[0].reason == "contradicted"
+    assert report.removed_edges == (
+        RemovedEdge("ER Triage", "ER Registration", None),)
 
 
 def test_permissive_removes_forbidden_edge():
@@ -189,11 +185,9 @@ def test_filter_shrinks_only():
         facts = {Triple(rng.choice("abcd"), MUST_PRECEDE, rng.choice("abcd"))
                  for _ in range(rng.randint(0, 4))}
         kg = KnowledgeGraph(facts)
-        for mode in ("strict", "permissive"):
-            out, report = filter_dependency_graph(
-                dg, Closure(RuleBase(()), kg), mode=mode)
-            assert set(out.edges) <= set(dg.edges)
-            assert report.kept_edges + len(report.removed_edges) == len(dg.edges)
+        out, report = filter_dependency_graph(dg, Closure(RuleBase(()), kg))
+        assert set(out.edges) <= set(dg.edges)
+        assert report.kept_edges + len(report.removed_edges) == len(dg.edges)
 
 
 def test_dfg_json_round_trip():
@@ -221,6 +215,7 @@ def test_filter_report_table_lists_removals():
     log = log_from_sequences([["x", "y"]] * 2)
     kg = KnowledgeGraph([Triple("x", FORBIDDEN_BEFORE, "y")])
     _, report = filter_dependency_graph(_mined(log), Closure(RuleBase(()), kg))
-    table = filter_report_table(report)
-    assert "kept: 0" in table and "removed: 1" in table
-    assert "contradicted" in table
+    assert filter_report_table(report).splitlines() == [
+        "kept: 0   removed: 1",
+        f"{'source':<24} {'target':<24} rule",
+        f"{'x':<24} {'y':<24} -"]

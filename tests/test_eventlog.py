@@ -10,7 +10,7 @@ from kcpm.errors import DataError
 from kcpm.eventlog import (ContextTable, Event, EventLog, Trace,
                            annotate_context, directly_follows_counts,
                            end_activity_counts, eventually_follows_counts,
-                           log_statistics, make_log)
+                           insertion_time, log_statistics, make_log)
 
 from conftest import T0, log_from_sequences, random_sequences
 from oracles import naive_df_counts, naive_ef_counts
@@ -56,6 +56,18 @@ def test_trace_sorts_by_timestamp_stably():
     t = Trace("c1", (e1, e2, e3, e4))
     assert [e.activity for e in t.events] == ["early", "tie-first",
                                               "tie-second", "late"]
+
+
+@pytest.mark.parametrize("pos, expected", [
+    (0, T0 - timedelta(seconds=1)),     # before the first event
+    (1, T0 + timedelta(seconds=60)),    # the midpoint of its neighbours
+    (2, T0 + timedelta(seconds=120)),   # a tie stays a tie
+    (3, T0 + timedelta(seconds=121)),   # after the last event
+])
+def test_insertion_time(pos, expected):
+    events = [Event("c", a, T0 + timedelta(seconds=s))
+              for a, s in (("a", 0), ("b", 120), ("c", 120))]
+    assert insertion_time(events, pos) == expected
 
 
 def test_trace_rejects_foreign_events_and_empty():

@@ -68,10 +68,10 @@ RECORDS = {
                         ("activities", "edges", "l1_loops", "l2_loops",
                          "start_activities", "end_activities", "df_counts",
                          "long_deps"), "unhashable"),
-    "RemovedEdge": (lambda: RemovedEdge("a", "b", "contradicted", None),
-                    ("source", "target", "reason", "rule_id"), "hash"),
-    "FilterReport": (lambda: FilterReport((), 3, "permissive"),
-                     ("removed_edges", "kept_edges", "mode"), "hash"),
+    "RemovedEdge": (lambda: RemovedEdge("a", "b", None),
+                    ("source", "target", "rule_id"), "hash"),
+    "FilterReport": (lambda: FilterReport((), 3),
+                     ("removed_edges", "kept_edges"), "hash"),
     "FootprintMatrix": (lambda: FootprintMatrix(("a", "b"),
                                                 frozenset({("a", "b")})),
                         ("activities", "pairs"), "hash"),

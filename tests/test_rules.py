@@ -413,8 +413,12 @@ def test_mining_records_the_base_join_of_every_kept_body(triples,
                                                          min_support,
                                                          min_pca):
     kg = KnowledgeGraph(Triple(*t) for t in triples)
+    index = {p: {s: set(objs) for s, objs in rel.items()}
+             for p, rel in kg.index.items()}
     joins = {}
     rb = mine_rules(kg, 3, min_support, min_pca, joins)
+    # a join is made in place of its body's own pairs, never of KG rows
+    assert kg.index == index
     assert rb == mine_rules(kg, 3, min_support, min_pca)
     bodies = {r.body_predicates for r in rb if len(r.body) > 1}
     assert joins == {b: _base_join(b, triples) for b in bodies}
