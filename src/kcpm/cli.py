@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: ingest, stats, mine-rules, mine-dfg, filter, augment,
-variants-train, variants-classify, conform, synth and pipeline. Every
-run writes its artifacts plus a manifest.json into --out. Exit codes:
+variants-train, variants-classify, conform, synth and pipeline. Each
+returns its artifacts, written into --out with a manifest.json only
+after every stage has run: a failed run leaves no --out. Exit codes:
 0 success, 1 usage error, 2 data/config error.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ import gc
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
 
 from . import logio
 from .config import PipelineConfig, load_config
@@ -94,21 +95,14 @@ def read_alias(path: str | None) -> dict[str, str] | None:
         return alias
 
 
-def _write(out_dir: str, name: str, writer) -> str:
-    """Write one artifact, creating out_dir first: a run refused before
-    its first artifact leaves no output directory behind."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer(fh)
-    return path
+# each artifact's file name in --out and the writer of its text stream
+_Artifacts = list[tuple[str, Callable[[TextIO], object]]]
 
 
-def _json_out(out_dir: str, name: str, payload) -> str:
-    """payload as one line of JSON with sorted keys, through the C
-    encoder, which json.dump and any indent would not use."""
-    return _write(out_dir, name, lambda fh: fh.write(
-        json.dumps(payload, sort_keys=True) + "\n"))
+def _json(payload) -> Callable[[TextIO], object]:
+    """A writer of payload as one line of JSON with sorted keys, through
+    the C encoder, which json.dump and any indent would not use."""
+    return lambda fh: fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -188,35 +182,44 @@ def _read_repair_log(cfg: PipelineConfig) -> EventLog:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies: each writes its artifacts; main writes the manifest
+# Subcommand bodies: each computes, prints its summary and returns its
+# artifacts in write order; _run writes them, then the manifest
 # ---------------------------------------------------------------------------
 
-def _cmd_ingest(cfg: PipelineConfig, args) -> None:
+def _cmd_ingest(cfg: PipelineConfig, args) -> _Artifacts:
     log = read_log(cfg.log, cfg.context, args.xes_on_malformed)
-    _write(cfg.out, "log.csv", lambda fh: logio.write_csv(log, fh))
-    _json_out(cfg.out, "stats.json", log_statistics(log))
+    return [("log.csv", lambda fh: logio.write_csv(log, fh)),
+            ("stats.json", _json(log_statistics(log)))]
 
 
-def _cmd_stats(cfg: PipelineConfig, args) -> None:
+def _cmd_stats(cfg: PipelineConfig, args) -> _Artifacts:
     log = read_log(cfg.log, cfg.context)
     stats = log_statistics(log)
-    _json_out(cfg.out, "stats.json", stats)
     print(json.dumps(stats, indent=2, sort_keys=True))
+    return [("stats.json", _json(stats))]
 
 
-def _cmd_mine_rules(cfg: PipelineConfig, args) -> None:
+def _cmd_mine_rules(cfg: PipelineConfig, args) -> _Artifacts:
     from .rules import write_rules_jsonl, write_rules_text
 
     kg = load_triples(cfg.kg)
     rb = mine_rules(kg, max_body_len=args.max_body_len,
                     min_support=cfg.min_support,
                     min_pca_conf=cfg.min_pca_conf)
-    _write(cfg.out, "rules.jsonl", lambda fh: write_rules_jsonl(rb, fh))
-    _write(cfg.out, "rules.txt", lambda fh: write_rules_text(rb, fh))
     print(f"mined {len(rb)} rules")
+    return [("rules.jsonl", lambda fh: write_rules_jsonl(rb, fh)),
+            ("rules.txt", lambda fh: write_rules_text(rb, fh))]
 
 
-def _cmd_mine_dfg(cfg: PipelineConfig, args) -> None:
+def _dfg_artifacts(dg: DependencyGraph) -> _Artifacts:
+    """dfg.json and dfg.dot, as mine-dfg, filter and pipeline write them."""
+    from . import dfg as dfgmod
+
+    return [("dfg.json", _json(dfgmod.dfg_to_json(dg))),
+            ("dfg.dot", lambda fh: dfgmod.dfg_to_dot(dg, fh))]
+
+
+def _cmd_mine_dfg(cfg: PipelineConfig, args) -> _Artifacts:
     from . import dfg as dfgmod
 
     log = read_log(cfg.log, cfg.context)
@@ -225,12 +228,11 @@ def _cmd_mine_dfg(cfg: PipelineConfig, args) -> None:
                                  cfg.all_tasks_connected,
                                  args.long_distance)
     dg = dfgmod.mine_dependency_graph(log, th)
-    _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(dg))
-    _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(dg, fh))
     print(f"{len(dg.edges)} edges over {len(dg.activities)} activities")
+    return _dfg_artifacts(dg)
 
 
-def _cmd_filter(cfg: PipelineConfig, args) -> None:
+def _cmd_filter(cfg: PipelineConfig, args) -> _Artifacts:
     from . import dfg as dfgmod
 
     dg = _read_json(args.dfg, dfgmod.dfg_from_json)
@@ -239,11 +241,10 @@ def _cmd_filter(cfg: PipelineConfig, args) -> None:
     alias = read_alias(cfg.alias)
     filtered, report = dfgmod.filter_dependency_graph(
         dg, dfgmod.Closure(rb, kg), alias)
-    _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(filtered))
-    _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(filtered, fh))
-    _json_out(cfg.out, "filter_report.json",
-              dfgmod.filter_report_to_json(report))
     print(dfgmod.filter_report_table(report), end="")
+    return [*_dfg_artifacts(filtered),
+            ("filter_report.json",
+             _json(dfgmod.filter_report_to_json(report)))]
 
 
 def _augment_log(cfg: PipelineConfig, log: EventLog, kg: KnowledgeGraph,
@@ -259,7 +260,7 @@ def _augment_log(cfg: PipelineConfig, log: EventLog, kg: KnowledgeGraph,
     return augmented, aug.merge_reports(removal_report, insert_report)
 
 
-def _cmd_augment(cfg: PipelineConfig, args) -> None:
+def _cmd_augment(cfg: PipelineConfig, args) -> _Artifacts:
     from . import augment as aug
 
     log = _read_repair_log(cfg)
@@ -268,15 +269,15 @@ def _cmd_augment(cfg: PipelineConfig, args) -> None:
     alias = read_alias(cfg.alias)
     augmented, report = _augment_log(cfg, log, kg,
                                      aug.Closure(rb, kg, joins), alias)
-    _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
-    _write(cfg.out, "augmented.xes", lambda fh: logio.write_xes(augmented, fh))
-    _write(cfg.out, "augment_report.json",
-           lambda fh: aug.write_report_json(report, fh))
     print(f"removed {len(report.removed_events)} events, "
           f"inserted {len(report.inserted)}")
+    return [("augmented.csv", lambda fh: logio.write_csv(augmented, fh)),
+            ("augmented.xes", lambda fh: logio.write_xes(augmented, fh)),
+            ("augment_report.json",
+             lambda fh: aug.write_report_json(report, fh))]
 
 
-def _cmd_variants_train(cfg: PipelineConfig, args) -> None:
+def _cmd_variants_train(cfg: PipelineConfig, args) -> _Artifacts:
     from . import variants
 
     log = read_log(cfg.log, cfg.context)
@@ -284,13 +285,12 @@ def _cmd_variants_train(cfg: PipelineConfig, args) -> None:
     labels = variants.read_labels_csv(cfg.labels)
     graph = build_lpg(log, kg, read_alias(cfg.alias))
     model = variants.train_variant_model(graph, labels)
-    _write(cfg.out, "variant_model.json",
-           lambda fh: variants.save_model(model, fh))
     print(f"trained on {len(labels)} labeled cases, "
           f"final loss {model.loss_history[-1]:.4f}")
+    return [("variant_model.json", lambda fh: variants.save_model(model, fh))]
 
 
-def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
+def _cmd_variants_classify(cfg: PipelineConfig, args) -> _Artifacts:
     from . import variants
 
     log = read_log(cfg.log, cfg.context)
@@ -298,27 +298,28 @@ def _cmd_variants_classify(cfg: PipelineConfig, args) -> None:
     model = variants.load_model(cfg.model)
     graph = build_lpg(log, kg, read_alias(cfg.alias))
     partition = variants.classify_log(model, graph)
-    _write(cfg.out, "variants.json",
-           lambda fh: variants.write_partition_json(partition, fh))
-    _write(cfg.out, "variants.csv",
-           lambda fh: variants.partition_to_csv(partition, fh))
     sizes = {cid: len(partition.cases_of(cid)) for cid in model.class_ids()}
     print(json.dumps(sizes, sort_keys=True))
+    return [("variants.json",
+             lambda fh: variants.write_partition_json(partition, fh)),
+            ("variants.csv",
+             lambda fh: variants.partition_to_csv(partition, fh))]
 
 
-def _cmd_conform(cfg: PipelineConfig, args) -> None:
-    from .conformance import comparison_table
+def _cmd_conform(cfg: PipelineConfig, args) -> _Artifacts:
+    from .conformance import comparison_table, write_report_json
 
     log = read_log(cfg.log, cfg.context)
     model = _read_json(cfg.model, _reference_graph)
     report = conformance(footprint_of_log(log), footprint_of_model(model))
-    _write(cfg.out, "report.json", lambda fh: _write_conformance(fh, report))
     table = comparison_table([(os.path.basename(cfg.log), report)])
-    _write(cfg.out, "table.txt", lambda fh: fh.write(table))
     print(table, end="")
+    return [("report.json",
+             lambda fh: (write_report_json(report, fh), fh.write("\n"))),
+            ("table.txt", lambda fh: fh.write(table))]
 
 
-def _cmd_synth(cfg: PipelineConfig, args) -> None:
+def _cmd_synth(cfg: PipelineConfig, args) -> _Artifacts:
     from . import synth
 
     if args.cases < 1:
@@ -330,25 +331,18 @@ def _cmd_synth(cfg: PipelineConfig, args) -> None:
         raise ConfigError(str(exc)) from None
     model = _read_json(cfg.model, synth.model_from_json)
     log = synth.simulate(model, args.cases, cfg.seed)
-    _write(cfg.out, "log.csv", lambda fh: logio.write_csv(log, fh))
+    artifacts = [("log.csv", lambda fh: logio.write_csv(log, fh))]
     if args.drop > 0 or args.noise > 0:
         corrupted = synth.corrupt(log, spec)
-        _write(cfg.out, "corrupted.csv",
-               lambda fh: logio.write_csv(corrupted, fh))
+        artifacts.append(
+            ("corrupted.csv", lambda fh: logio.write_csv(corrupted, fh)))
     print(f"simulated {len(log)} cases, {log.n_events} events")
-
-
-def _write_conformance(fh, report) -> None:
-    """conform's report.json, one deviation at a time."""
-    from .conformance import write_report_json
-
-    write_report_json(report, fh)
-    fh.write("\n")
+    return artifacts
 
 
 def _write_pipeline_report(fh, counts: dict, reports: dict) -> None:
-    """The pipeline's report.json, byte for byte as _json_out would
-    write {"augmentation": counts, **reports}: the counts, then each
+    """The pipeline's report.json, byte for byte as _json would write
+    {"augmentation": counts, **reports}: the counts, then each
     conformance report in key order, one deviation at a time."""
     from .conformance import write_report_json
 
@@ -359,7 +353,7 @@ def _write_pipeline_report(fh, counts: dict, reports: dict) -> None:
     fh.write("}\n")
 
 
-def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
+def _cmd_pipeline(cfg: PipelineConfig, args) -> _Artifacts:
     # every stage's module is loaded before the log is read, so the
     # memory that compiling them takes is freed before the log is built
     from . import augment as aug
@@ -379,7 +373,6 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
                  else None)
 
     rb, joins = _load_rules(cfg, args, kg)
-    _write(cfg.out, "rules.jsonl", lambda fh: write_rules_jsonl(rb, fh))
 
     # one closure serves removal, insertion and edge filtering; building it
     # through the name kcpm.augment imports lets a wrapper there (such as
@@ -387,9 +380,6 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     # that mining recorded and empties the dict.
     closure = aug.Closure(rb, kg, joins)
     augmented, report = _augment_log(cfg, log, kg, closure, alias)
-    _write(cfg.out, "augmented.csv", lambda fh: logio.write_csv(augmented, fh))
-    _write(cfg.out, "augment_report.json",
-           lambda fh: aug.write_report_json(report, fh))
 
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
                                  cfg.frequency_threshold,
@@ -397,10 +387,6 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
     dg_aug = dfgmod.mine_dependency_graph(augmented, th)
     dg_filtered, filter_report = dfgmod.filter_dependency_graph(
         dg_aug, closure, alias)
-    _json_out(cfg.out, "dfg.json", dfgmod.dfg_to_json(dg_filtered))
-    _write(cfg.out, "dfg.dot", lambda fh: dfgmod.dfg_to_dot(dg_filtered, fh))
-    _json_out(cfg.out, "filter_report.json",
-              dfgmod.filter_report_to_json(filter_report))
 
     counts = {"inserted": len(report.inserted),
               "removed": len(report.removed_events)}
@@ -416,11 +402,17 @@ def _cmd_pipeline(cfg: PipelineConfig, args) -> None:
             model_fp)
         table = comparison_table([("raw", raw_rep), ("augmented", aug_rep)])
         reports = {"raw": raw_rep, "augmented": aug_rep}
-    _write(cfg.out, "report.json",
-           lambda fh: _write_pipeline_report(fh, counts, reports))
-    _write(cfg.out, "table.txt", lambda fh: fh.write(table))
-    if table:
-        print(table, end="")
+    print(table, end="")
+    return [("rules.jsonl", lambda fh: write_rules_jsonl(rb, fh)),
+            ("augmented.csv", lambda fh: logio.write_csv(augmented, fh)),
+            ("augment_report.json",
+             lambda fh: aug.write_report_json(report, fh)),
+            *_dfg_artifacts(dg_filtered),
+            ("filter_report.json",
+             _json(dfgmod.filter_report_to_json(filter_report))),
+            ("report.json",
+             lambda fh: _write_pipeline_report(fh, counts, reports)),
+            ("table.txt", lambda fh: fh.write(table))]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +467,7 @@ _FLAGS: dict[str, tuple[str, dict]] = {
 
 
 class _Command(NamedTuple):
-    run: Callable[[PipelineConfig, argparse.Namespace], None]
+    run: Callable[[PipelineConfig, argparse.Namespace], _Artifacts]
     help: str
     paths: tuple[str, ...]     # input files; each one given is digested
     required: tuple[str, ...]  # paths that a flag or --config must give
@@ -568,8 +560,12 @@ def _run(argv: list[str] | None) -> int:
         if missing:
             raise _UsageError("missing required option(s): "
                               + ", ".join("--" + m for m in missing))
-        command.run(cfg, args)
+        artifacts = command.run(cfg, args)
         os.makedirs(cfg.out, exist_ok=True)
+        for name, writer in artifacts:
+            with open(os.path.join(cfg.out, name), "w", encoding="utf-8",
+                      newline="") as fh:
+                writer(fh)
         write_manifest(os.path.join(cfg.out, "manifest.json"), args.command,
                        cfg.as_dict(),
                        {name: given[name] for name in command.paths

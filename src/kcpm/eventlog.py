@@ -196,13 +196,20 @@ def insertion_time(events, pos: int) -> datetime:
     """The timestamp of an event inserted at pos of a nonempty event
     sequence: the first event's minus 1 s at position 0, the last
     event's plus 1 s at the end, else the midpoint of its neighbours.
-    The sequence stays in time order with ties in place."""
-    if pos == 0:
-        return events[0].timestamp - timedelta(seconds=1)
-    before = events[pos - 1].timestamp
-    if pos == len(events):
-        return before + timedelta(seconds=1)
-    return before + (events[pos].timestamp - before) / 2
+    The sequence stays in time order with ties in place. A second
+    before the year 1 or after the year 9999 is a DataError naming the
+    case."""
+    try:
+        if pos == 0:
+            return events[0].timestamp - timedelta(seconds=1)
+        before = events[pos - 1].timestamp
+        if pos == len(events):
+            return before + timedelta(seconds=1)
+        return before + (events[pos].timestamp - before) / 2
+    except OverflowError:
+        raise DataError(f"case {events[0].case_id!r}: an event inserted "
+                        f"at position {pos} would be timed outside the "
+                        "years 1 to 9999") from None
 
 
 def directly_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:

@@ -36,14 +36,14 @@ class _AtomFields(NamedTuple):
 
 
 class Atom(_AtomFields):
-    """One body or head atom. Every way of making one rejects an empty
-    predicate."""
+    """One body or head atom. Every way of making one rejects a predicate
+    that is not a nonempty string."""
 
     __slots__ = ()
 
     def __new__(cls, predicate: str, subject_var: str, object_var: str):
-        if not predicate:
-            raise ValueError("atom predicate must be nonempty")
+        if not isinstance(predicate, str) or not predicate:
+            raise ValueError("atom predicate must be a nonempty string")
         return tuple.__new__(cls, (predicate, subject_var, object_var))
 
     @classmethod
@@ -74,8 +74,9 @@ class _RuleFields(NamedTuple):
 class ClosedPathRule(_RuleFields):
     """One rule with its statistics. Every way of making one rejects a
     head other than P(x,y), a body that is not an x..z_i..y chain, a
-    negative support and confidences outside [0, 1] or with the PCA one
-    below the standard one."""
+    support that is not a nonnegative int, and confidences that are
+    bools, lie outside [0, 1] or have the PCA one below the standard
+    one."""
 
     __slots__ = ()
 
@@ -87,11 +88,15 @@ class ClosedPathRule(_RuleFields):
             raise ValueError("body must have at least one atom")
         if tuple(body) != chain_body([a.predicate for a in body]):
             raise ValueError("body is not a connected x..z_i..y chain")
+        if not isinstance(support, int) or isinstance(support, bool):
+            raise ValueError("support must be an integer")
         if support < 0:
             raise ValueError("support must be nonnegative")
         # the uncapped closure terminates only with confidences in [0, 1]
         for name, value in (("std_confidence", std_confidence),
                             ("pca_confidence", pca_confidence)):
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a bool")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if pca_confidence < std_confidence - _EPS:

@@ -15,6 +15,7 @@ import kcpm
 from kcpm import cli, rules, temporal
 from kcpm.cli import main
 from kcpm.config import PipelineConfig
+from kcpm.errors import DataError
 from kcpm.logio import write_csv
 from kcpm.kg import KnowledgeGraph
 from kcpm.synth import GroundTruthModel, write_model
@@ -565,6 +566,43 @@ def test_pipeline_builds_one_closure(workdir, monkeypatch):
     assert len(built) == 1
 
 
+def test_pipeline_that_fails_late_writes_no_artifact(workdir, monkeypatch,
+                                                      capsys):
+    """Every artifact is written after the last stage: a failure in
+    conformance, after rule mining and repair, leaves no --out."""
+    def refuse(model):
+        raise DataError("refused by the test")
+
+    monkeypatch.setattr(cli, "footprint_of_model", refuse)
+    out = workdir / "late"
+    assert run("pipeline", "--log", workdir / "log.csv",
+               "--kg", workdir / "kg.tsv", "--model", workdir / "model.json",
+               "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: refused by the test"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["augment", "pipeline"])
+def test_insertion_before_the_year_1_is_data_error(workdir, capsys, command):
+    """must_precede(a, b) inserts a before c0's first event, at
+    0001-01-01T00:00:00: there is no second before it."""
+    log = workdir / "year1.csv"
+    log.write_text("case_id,activity,timestamp\n"
+                   "c0,b,0001-01-01T00:00:00\n"
+                   "c1,a,2024-01-01T00:00:00\n"
+                   "c1,b,2024-01-01T00:01:00\n")
+    kg = workdir / "year1_kg.tsv"
+    kg.write_text("a\tmust_precede\tb\n")
+    out = workdir / "year1_out"
+    assert run(command, "--log", log, "--kg", kg, "--min-pca-conf", 0,
+               "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: case 'c0': an event inserted at position 0 would be timed "
+        "outside the years 1 to 9999"]
+    assert not out.exists()
+
+
 _RULE = {"body": [{"predicate": "worksAt", "subject": "x", "object": "z1"},
                   {"predicate": "locatedIn", "subject": "z1", "object": "y"}],
          "head": {"predicate": "livesIn", "subject": "x", "object": "y"},
@@ -584,6 +622,20 @@ _RULE = {"body": [{"predicate": "worksAt", "subject": "x", "object": "z1"},
     (json.dumps(dict(_RULE, body=[])),
      "error: rules line 1: body must have at least one atom"),
     ("[1, 2]", "error: rules line 1: a rule must be a JSON object"),
+    (json.dumps(dict(_RULE, body=[dict(_RULE["body"][0], predicate=5),
+                                  _RULE["body"][1]])),
+     "error: rules line 1: atom predicate must be a nonempty string"),
+    (json.dumps(dict(_RULE, body=[dict(_RULE["body"][0], predicate=["x"]),
+                                  _RULE["body"][1]])),
+     "error: rules line 1: atom predicate must be a nonempty string"),
+    (json.dumps(dict(_RULE, head=dict(_RULE["head"], predicate=5))),
+     "error: rules line 1: atom predicate must be a nonempty string"),
+    (json.dumps(dict(_RULE, support=True)),
+     "error: rules line 1: support must be an integer"),
+    (json.dumps(dict(_RULE, support=1.5)),
+     "error: rules line 1: support must be an integer"),
+    (json.dumps(dict(_RULE, pca_confidence=True)),
+     "error: rules line 1: pca_confidence must be a number, not a bool"),
 ])
 def test_bad_rules_file_is_data_error(workdir, capsys, line, message):
     dfg_dir = workdir / "dfg"
@@ -1304,12 +1356,31 @@ _PATH_OPTIONS = {
 _OTHER_OPTIONS = {"synth": ["--cases", 2]}
 
 
+# the files each subcommand writes into --out, given every path option
+_ARTIFACTS = {
+    "ingest": ["log.csv", "stats.json"],
+    "stats": ["stats.json"],
+    "mine-rules": ["rules.jsonl", "rules.txt"],
+    "mine-dfg": ["dfg.dot", "dfg.json"],
+    "filter": ["dfg.dot", "dfg.json", "filter_report.json"],
+    "augment": ["augment_report.json", "augmented.csv", "augmented.xes"],
+    "variants-train": ["variant_model.json"],
+    "variants-classify": ["variants.csv", "variants.json"],
+    "conform": ["report.json", "table.txt"],
+    "synth": ["log.csv"],
+    "pipeline": ["augment_report.json", "augmented.csv", "dfg.dot",
+                 "dfg.json", "filter_report.json", "report.json",
+                 "rules.jsonl", "table.txt"],
+}
+
+
 def test_path_options_cover_every_subcommand():
-    assert sorted(_PATH_OPTIONS) == sorted(cli._COMMANDS)
+    assert sorted(_PATH_OPTIONS) == sorted(cli._COMMANDS) == sorted(_ARTIFACTS)
 
 
-@pytest.mark.parametrize("command", sorted(_PATH_OPTIONS))
-def test_manifest_digests_every_input_given(workdir, command):
+def run_with_every_path(workdir, command):
+    """Run command with each of its path options given; return its
+    --out and the file given to each option."""
     (workdir / "ctx.csv").write_text("case_id,age\nc0,30\nc1,41\nc2,52\n")
     (workdir / "alias.csv").write_text("activity,entity\na,ent_a\nb,ent_b\n")
     (workdir / "labels.csv").write_text(
@@ -1325,6 +1396,19 @@ def test_manifest_digests_every_input_given(workdir, command):
     out = workdir / "digested"
     assert run(command, *(a for pair in files.items() for a in pair),
                *_OTHER_OPTIONS.get(command, ()), "--out", out) == 0
+    return out, files
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_OPTIONS))
+def test_each_subcommand_writes_its_artifacts_and_manifest(workdir, command):
+    out, _ = run_with_every_path(workdir, command)
+    assert sorted(os.listdir(out)) == sorted(
+        [*_ARTIFACTS[command], "manifest.json"])
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_OPTIONS))
+def test_manifest_digests_every_input_given(workdir, command):
+    out, files = run_with_every_path(workdir, command)
     manifest = load_json(out / "manifest.json")
     validate("manifest", manifest)
     assert manifest["version"] == 2
@@ -1377,7 +1461,7 @@ def test_main_restores_the_collector_state(workdir, monkeypatch, enabled):
 
     def spy(cfg, args):
         during.append(gc.isenabled())
-        stats.run(cfg, args)
+        return stats.run(cfg, args)
 
     monkeypatch.setitem(cli._COMMANDS, "stats", stats._replace(run=spy))
     was = gc.isenabled()

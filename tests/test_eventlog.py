@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +68,17 @@ def test_insertion_time(pos, expected):
     events = [Event("c", a, T0 + timedelta(seconds=s))
               for a, s in (("a", 0), ("b", 120), ("c", 120))]
     assert insertion_time(events, pos) == expected
+
+
+@pytest.mark.parametrize("stamp, pos", [
+    (datetime.min, 0),   # a second before the year 1
+    (datetime.max, 1),   # a second after the year 9999
+], ids=["start", "end"])
+def test_insertion_time_out_of_range_names_the_case(stamp, pos):
+    with pytest.raises(DataError, match="^case 'c7': an event inserted at "
+                                        f"position {pos} would be timed "
+                                        "outside the years 1 to 9999$"):
+        insertion_time([Event("c7", "a", stamp)], pos)
 
 
 def test_trace_rejects_foreign_events_and_empty():
