@@ -188,6 +188,9 @@ def _read_repair_log(cfg: PipelineConfig) -> EventLog:
 
 def _cmd_ingest(cfg: PipelineConfig, args) -> _Artifacts:
     log = read_log(cfg.log, cfg.context, args.xes_on_malformed)
+    # printed, since no artifact holds the count
+    if args.xes_on_malformed == "skip" and log.meta.get("skipped_events"):
+        print(f"skipped {log.meta['skipped_events']} malformed events")
     return [("log.csv", lambda fh: logio.write_csv(log, fh)),
             ("stats.json", _json(log_statistics(log)))]
 
@@ -225,8 +228,7 @@ def _cmd_mine_dfg(cfg: PipelineConfig, args) -> _Artifacts:
     log = read_log(cfg.log, cfg.context)
     th = dfgmod.MiningThresholds(cfg.dependency_threshold,
                                  cfg.frequency_threshold,
-                                 cfg.all_tasks_connected,
-                                 args.long_distance)
+                                 cfg.all_tasks_connected)
     dg = dfgmod.mine_dependency_graph(log, th)
     print(f"{len(dg.edges)} edges over {len(dg.activities)} activities")
     return _dfg_artifacts(dg)
@@ -456,7 +458,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
                          dict(choices=("fail", "skip"), default="fail")),
     "max_body_len": ("--max-body-len",
                      dict(type=int, default=2, choices=(1, 2, 3))),
-    "long_distance": ("--long-distance", dict(action="store_true")),
     "cases": ("--cases", dict(type=int, required=True)),
     "drop": ("--drop", dict(type=float, default=0.0)),
     "noise": ("--noise", dict(type=float, default=0.0)),
@@ -489,8 +490,7 @@ _COMMANDS = {
     "mine-dfg": _Command(
         _cmd_mine_dfg, "mine the dependency graph of a log",
         ("log", "context"), ("log",),
-        ("dependency_threshold", "frequency_threshold", "all_tasks_connected",
-         "long_distance")),
+        ("dependency_threshold", "frequency_threshold", "all_tasks_connected")),
     "filter": _Command(
         _cmd_filter, "filter a dependency graph against rules",
         ("dfg", "rules", "kg", "alias"), ("dfg", "rules", "kg")),

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .eventlog import (EventLog, directly_follows_counts, end_activity_counts,
-                       eventually_follows_counts, start_activity_counts)
+                       start_activity_counts)
 from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
 from .rules import Closure
 
@@ -34,7 +34,6 @@ class _ThresholdFields(NamedTuple):
     dependency_threshold: float
     frequency_threshold: int
     all_tasks_connected: bool
-    long_distance: bool
 
 
 class MiningThresholds(_ThresholdFields):
@@ -45,14 +44,13 @@ class MiningThresholds(_ThresholdFields):
 
     def __new__(cls, dependency_threshold: float = 0.5,
                 frequency_threshold: int = 1,
-                all_tasks_connected: bool = False,
-                long_distance: bool = False):
+                all_tasks_connected: bool = False):
         if not 0.0 <= dependency_threshold < 1.0:
             raise ValueError("dependency_threshold must be in [0, 1)")
         if frequency_threshold < 0:
             raise ValueError("frequency_threshold must be nonnegative")
         return tuple.__new__(cls, (dependency_threshold, frequency_threshold,
-                                   all_tasks_connected, long_distance))
+                                   all_tasks_connected))
 
     @classmethod
     def _make(cls, iterable) -> MiningThresholds:
@@ -74,13 +72,13 @@ class _GraphFields(NamedTuple):
     start_activities: dict[str, int]
     end_activities: dict[str, int]
     df_counts: dict[tuple[str, str], int]
-    long_deps: dict[tuple[str, str], float]
 
 
 class DependencyGraph(_GraphFields):
-    """A mined dependency graph; df_counts and long_deps default to new
-    empty dicts. Every way of making one rejects an edge over an unknown
-    activity or with a dependency that its counts do not give."""
+    """A mined dependency graph; df_counts defaults to a new empty dict.
+    Every way of making one rejects an activity that is not a nonempty
+    string, and an edge over an unknown activity or with a dependency
+    that its counts do not give."""
 
     __slots__ = ()
 
@@ -90,10 +88,12 @@ class DependencyGraph(_GraphFields):
                 l2_loops: dict[tuple[str, str], float],
                 start_activities: dict[str, int],
                 end_activities: dict[str, int],
-                df_counts: dict[tuple[str, str], int] | None = None,
-                long_deps: dict[tuple[str, str], float] | None = None):
+                df_counts: dict[tuple[str, str], int] | None = None):
         if df_counts is None:
             df_counts = {}
+        for act in activities:
+            if not isinstance(act, str) or not act:
+                raise ValueError(f"activity {act!r} is not a nonempty string")
         for (a, b), e in edges.items():
             if a not in activities or b not in activities:
                 raise ValueError(f"edge ({a!r}, {b!r}) uses unknown activity")
@@ -102,8 +102,7 @@ class DependencyGraph(_GraphFields):
             if abs(e.dependency - expect) > 1e-9:
                 raise ValueError(f"edge ({a!r}, {b!r}) dependency does not match counts")
         return tuple.__new__(cls, (activities, edges, l1_loops, l2_loops,
-                                   start_activities, end_activities, df_counts,
-                                   {} if long_deps is None else long_deps))
+                                   start_activities, end_activities, df_counts))
 
     @classmethod
     def _make(cls, iterable) -> DependencyGraph:
@@ -147,27 +146,20 @@ def mine_dependency_graph(log: EventLog, th: MiningThresholds) -> DependencyGrap
             edges[(a, b)] = DependencyEdge(a, b, n, m)
 
     if th.all_tasks_connected:
-        def best(candidates):
-            # strongest measure, then higher count; lexicographic pair on ties
-            return max(sorted(candidates),
-                       key=lambda ab: (dependency_measure(df[ab], df.get((ab[1], ab[0]), 0)),
-                                       df[ab]))
-
         for act in sorted(activities):
-            if act not in starts:
-                incoming = [p for p in df if p[1] == act and p[0] != act]
-                if incoming and not any(p in edges for p in incoming):
-                    a, b = best(incoming)
-                    edges[(a, b)] = DependencyEdge(
-                        a, b, df[(a, b)],
-                        dependency_measure(df[(a, b)], df.get((b, a), 0)))
-            if act not in ends:
-                outgoing = [p for p in df if p[0] == act and p[1] != act]
-                if outgoing and not any(p in edges for p in outgoing):
-                    a, b = best(outgoing)
-                    edges[(a, b)] = DependencyEdge(
-                        a, b, df[(a, b)],
-                        dependency_measure(df[(a, b)], df.get((b, a), 0)))
+            # a non-start activity's incoming pairs (act at index 1), then
+            # a non-end activity's outgoing pairs (act at index 0)
+            for side, exempt in ((1, starts), (0, ends)):
+                if act in exempt:
+                    continue
+                pairs = sorted(p for p in df if p[side] == act and p[0] != p[1])
+                if pairs and not any(p in edges for p in pairs):
+                    measure = {p: dependency_measure(df[p], df.get(p[::-1], 0))
+                               for p in pairs}
+                    # strongest measure, then higher count; lexicographic
+                    # pair on ties
+                    best = max(pairs, key=lambda p: (measure[p], df[p]))
+                    edges[best] = DependencyEdge(*best, df[best], measure[best])
 
     l1 = {
         a: df[(a, a)] / (df[(a, a)] + 1)
@@ -178,16 +170,7 @@ def mine_dependency_graph(log: EventLog, th: MiningThresholds) -> DependencyGrap
     for a, b in sorted(set(two) | {(b, a) for a, b in two}):
         total = two.get((a, b), 0) + two.get((b, a), 0)
         l2[(a, b)] = total / (total + 1)
-
-    long_deps: dict[tuple[str, str], float] = {}
-    if th.long_distance:
-        ef = eventually_follows_counts(log)
-        for (a, b), n in sorted(ef.items()):
-            m = dependency_measure(n, ef.get((b, a), 0))
-            if n >= th.frequency_threshold and m > 0 and m >= th.dependency_threshold:
-                long_deps[(a, b)] = m
-    return DependencyGraph(activities, edges, l1, l2, starts, ends, dict(df),
-                           long_deps)
+    return DependencyGraph(activities, edges, l1, l2, starts, ends, dict(df))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +218,7 @@ def filter_dependency_graph(
     removed_pairs = {(r.source, r.target) for r in removed}
     kept = {p: e for p, e in dg.edges.items() if p not in removed_pairs}
     out = DependencyGraph(dg.activities, kept, dg.l1_loops, dg.l2_loops,
-                          dg.start_activities, dg.end_activities, dg.df_counts,
-                          dg.long_deps)
+                          dg.start_activities, dg.end_activities, dg.df_counts)
     return out, FilterReport(removed, len(kept))
 
 
@@ -245,7 +227,7 @@ def filter_dependency_graph(
 # ---------------------------------------------------------------------------
 
 def dfg_to_json(dg: DependencyGraph) -> dict:
-    payload = {
+    return {
         "activities": sorted(dg.activities),
         "edges": [
             {"source": a, "target": b, "df_count": e.df_count,
@@ -264,12 +246,6 @@ def dfg_to_json(dg: DependencyGraph) -> dict:
             for (a, b), n in sorted(dg.df_counts.items())
         ],
     }
-    if dg.long_deps:
-        payload["long_deps"] = [
-            {"source": a, "target": b, "dependency": m}
-            for (a, b), m in sorted(dg.long_deps.items())
-        ]
-    return payload
 
 
 def dfg_from_json(obj: dict) -> DependencyGraph:
@@ -289,8 +265,6 @@ def dfg_from_json(obj: dict) -> DependencyGraph:
         dict(obj.get("start_activities", {})),
         dict(obj.get("end_activities", {})),
         df_counts,
-        {(d["source"], d["target"]): d["dependency"]
-         for d in obj.get("long_deps", [])},
     )
 
 

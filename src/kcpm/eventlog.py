@@ -221,20 +221,6 @@ def directly_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:
     return dict(counts)
 
 
-def eventually_follows_counts(log: EventLog) -> dict[tuple[str, str], int]:
-    """Count ordered position pairs i < j within a trace with activities (a, b).
-
-    Uses a suffix-occurrence counter per trace, O(len * |alphabet|)."""
-    counts: Counter = Counter()
-    for t in log.traces:
-        suffix: Counter = Counter()
-        for a in reversed(t.activities):
-            for b, n in suffix.items():
-                counts[(a, b)] += n
-            suffix[a] += 1
-    return dict(counts)
-
-
 def annotate_context(log: EventLog, ctx: ContextTable) -> tuple[EventLog, int]:
     """Merge per-case context attributes into every event of the matching
     trace. Pre-existing event attributes win on key collision.

@@ -7,7 +7,6 @@ control flow: ``directly_follows``, ``must_precede`` and
 """
 from __future__ import annotations
 
-import re
 from datetime import datetime
 from functools import cached_property
 from sys import intern
@@ -124,29 +123,13 @@ class KnowledgeGraph:
         return frozenset(names)
 
 
-_NT_LINE = re.compile(
-    r'^\s*(<[^>]*>|[^\s<"][^\s]*)\s+(<[^>]*>|[^\s<"][^\s]*)\s+'
-    r'(<[^>]*>|"[^"]*"|[^\s<"][^\s]*)\s*\.\s*$'
-)
-
-
-def _strip_term(term: str) -> str:
-    if term.startswith("<") and term.endswith(">"):
-        return term[1:-1]
-    if term.startswith('"') and term.endswith('"'):
-        return term[1:-1]
-    return term
-
-
-def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
-    """Load a knowledge graph from TSV (3 columns, or 4 with an ISO-8601
-    timestamp) or an N-Triples subset (IRIs and plain literals, no blank
-    nodes). Duplicates collapse under set semantics. Names are interned,
-    as the CSV reader interns activities, so the KG stores each once and
-    shares it with the log. When source is a path, every ParseError
-    names it: ``<path>: line N: ...``."""
-    if format not in ("tsv", "ntriples"):
-        raise ParseError(f"unknown triple format {format!r}")
+def load_triples(source) -> KnowledgeGraph:
+    """Load a knowledge graph from TSV: 3 columns, or 4 with an ISO-8601
+    timestamp; blank lines and lines starting with '#' are skipped.
+    Duplicates collapse under set semantics. Names are interned, as the
+    CSV reader interns activities, so the KG stores each once and shares
+    it with the log. When source is a path, every ParseError names it:
+    ``<path>: line N: ...``."""
     index: Index = {}
     temporal: list[TemporalTriple] = []
     with _open_text(source) as stream:
@@ -154,21 +137,12 @@ def load_triples(source, format: str = "tsv") -> KnowledgeGraph:
             stripped = line.strip()
             if not stripped or stripped[0] == "#":
                 continue
-            if format == "tsv":
-                cols = line.rstrip("\r\n").split("\t")
-                if len(cols) not in (3, 4):
-                    raise ParseError(
-                        f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}"
-                    )
-                s, p, o = cols[0].strip(), cols[1].strip(), cols[2].strip()
-            else:
-                m = _NT_LINE.match(line.rstrip("\r\n"))
-                if m is None:
-                    raise ParseError(f"line {lineno}: not a supported N-Triples statement")
-                if any(g.startswith("_:") for g in m.groups()):
-                    raise ParseError(f"line {lineno}: blank nodes are not supported")
-                cols = m.groups()
-                s, p, o = (_strip_term(g) for g in cols)
+            cols = line.rstrip("\r\n").split("\t")
+            if len(cols) not in (3, 4):
+                raise ParseError(
+                    f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}"
+                )
+            s, p, o = cols[0].strip(), cols[1].strip(), cols[2].strip()
             if not (s and p and o):
                 raise ParseError(
                     f"line {lineno}: triple components must be nonempty: {p}({s}, {o})")

@@ -1,8 +1,11 @@
 """Readers and writers for event logs: IEEE-XES XML, RFC-4180 CSV, and
 context tables.
 
-The CSV layer is round-trip safe: ``write_csv`` + ``mapping_for_log`` +
-``parse_csv`` reproduces an equal ``EventLog``.
+``parse_csv_auto`` reads back what ``write_csv`` writes. It types each
+attribute column as the first of int, float, bool and timestamp that
+decodes all of the column's cells, else as string, so a log whose every
+attribute column holds values of one kind reads back equal, provided a
+string column has a cell that no other kind decodes.
 """
 from __future__ import annotations
 
@@ -15,14 +18,10 @@ from datetime import datetime
 from itertools import chain, islice
 from operator import itemgetter
 from sys import intern
-from typing import NamedTuple
 
 from .errors import ConfigError, DataError, KcpmError, ParseError
 from .eventlog import (EVENT_FIELDS, ContextTable, Event, EventLog, Scalar,
                        Trace, _build_log)
-
-# "string" first; the others in the order _typed tries them
-_KIND_NAMES = ("string", "int", "float", "bool", "timestamp")
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -113,7 +112,9 @@ def parse_xes(source, on_malformed: str = "fail") -> EventLog:
     are merged into each event, the event's own keys winning.
 
     on_malformed: "fail" raises on an event without concept:name or
-    time:timestamp; "skip" drops it and counts it in meta["skipped_events"].
+    time:timestamp; "skip" drops it, and meta["skipped_events"] holds the
+    number dropped, even where that is 0 or the log has an attribute of
+    that name.
     """
     import xml.etree.ElementTree as ET
 
@@ -172,7 +173,7 @@ def parse_xes(source, on_malformed: str = "fail") -> EventLog:
         if events:
             traces.append(Trace(case_id, tuple(events)))
     meta.update(_collect_attrs(root))
-    if skipped:
+    if on_malformed == "skip":
         meta["skipped_events"] = skipped
     return EventLog(tuple(traces), meta)
 
@@ -209,51 +210,6 @@ def write_xes(log: EventLog, stream) -> None:
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
-
-ISO_FORMAT = "iso"
-
-
-class _CsvMappingFields(NamedTuple):
-    case: str
-    activity: str
-    timestamp: str
-    timestamp_format: str
-    resource: str | None
-    attributes: dict[str, str]
-
-
-class CsvMapping(_CsvMappingFields):
-    """Column-role assignment for tabular event logs.
-
-    timestamp_format is a strptime pattern, or "iso" for ISO-8601.
-    attributes maps extra column names to scalar kinds
-    ({string,int,float,bool,timestamp}), a new empty dict by default;
-    empty cells mean "absent". Every way of making one rejects an
-    unknown kind and an attribute column named after an event field.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, case: str = "case_id", activity: str = "activity",
-                timestamp: str = "timestamp",
-                timestamp_format: str = ISO_FORMAT,
-                resource: str | None = "resource",
-                attributes: dict[str, str] | None = None):
-        if attributes is None:
-            attributes = {}
-        for col, kind in attributes.items():
-            if kind not in _KIND_NAMES:
-                raise ConfigError(f"column {col!r}: unknown kind {kind!r}")
-            if col in EVENT_FIELDS:
-                raise ConfigError(f"attribute column {col!r} has the name "
-                                  "of an event field")
-        return tuple.__new__(cls, (case, activity, timestamp,
-                                   timestamp_format, resource, attributes))
-
-    @classmethod
-    def _make(cls, iterable) -> CsvMapping:
-        return cls(*iterable)
-
 
 @contextlib.contextmanager
 def _open_text(source):
@@ -332,7 +288,7 @@ def _typed(cells) -> dict[str, Scalar]:
     """Each of a column's distinct non-empty cells decoded as the first of
     int, float, bool and timestamp that decodes all of them, else kept as
     a string."""
-    for kind in _KIND_NAMES[1:]:
+    for kind in ("int", "float", "bool", "timestamp"):
         try:
             return {cell: parse_scalar(cell, kind) for cell in cells}
         except (ParseError, ValueError):
@@ -340,38 +296,29 @@ def _typed(cells) -> dict[str, Scalar]:
     return {cell: cell for cell in cells}
 
 
-def _read_events(columns: dict[str, int], width: int, reader,
-                 mapping: CsvMapping,
-                 kinds: dict[str, str | None]) -> EventLog:
+def _read_events(columns: dict[str, int], width: int, reader) -> EventLog:
     """The log in the rows of reader, read in one pass from row 2, blank
     lines skipped: each row's event goes to its case's list as the row is
-    read. kinds maps each attribute column to its kind, or to None for
-    the kind _typed gives the column's cells. Each distinct timestamp,
-    activity and combination of attribute cells is decoded once, and
-    case ids and activities are interned. A row of another width than
-    the header's is a ParseError at once. A bad timestamp, attribute cell
-    or activity is a ParseError naming the first row that has one; it is
-    raised once every row is read, so a ragged row anywhere is reported
-    first.
+    read. Every column but the event fields is an attribute of the kind
+    _typed gives its cells. Each distinct timestamp, activity and
+    combination of attribute cells is decoded once, and case ids and
+    activities are interned. A row of another width than the header's is
+    a ParseError at once. A bad timestamp or activity is a ParseError
+    naming the first row that has one; it is raised once every row is
+    read, so a ragged row anywhere is reported first.
 
     At the end of the pass the events, grouped by case, are alive with
     the timestamp-text cache and, for each row with an attribute cell,
     its still empty attribute map and the number of its combination of
     cells. The cache is dropped then, and the maps are filled once the
     traces are made."""
-    case, activity = columns[mapping.case], columns[mapping.activity]
-    when = columns[mapping.timestamp]
-    resource = None if mapping.resource is None else columns[mapping.resource]
-    names = list(kinds)
+    case, activity = columns["case_id"], columns["activity"]
+    when, resource = columns["timestamp"], columns.get("resource")
+    names = [name for name in columns if name not in EVENT_FIELDS]
     index = [columns[name] for name in names]
     # a row's attribute cells: one cell, or a tuple of them
     cells_of = itemgetter(*index) if index else None
     blank = cells_of([""] * (max(index) + 1)) if index else None
-    fmt = mapping.timestamp_format
-    if fmt == ISO_FORMAT:
-        fast, slow = datetime.fromisoformat, parse_timestamp
-    else:
-        fast = slow = lambda text: datetime.strptime(text, fmt)
     # activities are stripped and checked once per distinct label, below,
     # so events are made as the tuples they are, without Event.__new__
     new_event = tuple.__new__
@@ -380,10 +327,9 @@ def _read_events(columns: dict[str, int], width: int, reader,
     by_case: dict[str, list[Event]] = {}
     # each distinct combination of cells -> its number, in row order
     combos: dict[str | tuple[str, ...], int] = {}
-    first_rows = array("q")  # by number, the row a combination is first in
     attributed: list[dict[str, Scalar]] = []  # maps of rows with a cell
     codes = array("q")  # by row in attributed, its combination's number
-    first_bad = None  # (row number, rank in the row, message)
+    first_bad = None  # the message of the first bad row
     for rownum, row in enumerate(reader, start=2):
         if len(row) != width:
             if not row:
@@ -396,11 +342,11 @@ def _read_events(columns: dict[str, int], width: int, reader,
         if ts is None:
             try:
                 try:
-                    ts = fast(text)
+                    ts = datetime.fromisoformat(text)
                 except ValueError:
-                    ts = slow(text)
-            except (ParseError, ValueError) as exc:
-                first_bad = (rownum, 0, f"row {rownum}: {exc}")
+                    ts = parse_timestamp(text)
+            except ParseError as exc:
+                first_bad = f"row {rownum}: {exc}"
                 continue
             stamps[text] = ts
         attrs = {}
@@ -409,8 +355,7 @@ def _read_events(columns: dict[str, int], width: int, reader,
             if cells != blank:
                 code = combos.get(cells)
                 if code is None:
-                    code = combos[cells] = len(first_rows)
-                    first_rows.append(rownum)
+                    code = combos[cells] = len(combos)
                 attributed.append(attrs)
                 codes.append(code)
         label = row[activity]
@@ -418,8 +363,7 @@ def _read_events(columns: dict[str, int], width: int, reader,
         if act is None:
             act = labels[label] = intern(label.strip())
         if not act:
-            first_bad = (rownum, len(names) + 1,
-                         f"row {rownum}: event activity must be nonempty")
+            first_bad = f"row {rownum}: event activity must be nonempty"
             continue
         case_id = intern(row[case])
         events = by_case.get(case_id)
@@ -429,28 +373,13 @@ def _read_events(columns: dict[str, int], width: int, reader,
         events.append(new_event(Event, (case_id, act, ts,
                                         intern(res) if res else None, attrs)))
     del stamps
+    if first_bad:
+        raise ParseError(first_bad)
     if len(names) == 1:  # as tuples, like the combinations of more columns
         combos = {(cells,): code for cells, code in combos.items()}
-    tables = []
-    for j, (name, kind) in enumerate(kinds.items()):
-        cells = dict.fromkeys(c[j] for c in combos)  # row order
-        cells.pop("", None)
-        if kind is None:
-            tables.append(_typed(cells))
-            continue
-        table = {}
-        for cell in cells:
-            try:
-                table[cell] = parse_scalar(cell, kind)
-            except (ParseError, ValueError) as exc:
-                rownum = next(first_rows[code] for c, code in combos.items()
-                              if c[j] == cell)
-                bad = (rownum, j + 1, f"row {rownum}, column {name!r}: {exc}")
-                first_bad = min(first_bad, bad) if first_bad else bad
-                break
-        tables.append(table)
-    if first_bad:
-        raise ParseError(first_bad[2])
+    # each column's distinct non-empty cells, in row order
+    tables = [_typed(dict.fromkeys(c[j] for c in combos if c[j]))
+              for j in range(len(names))]
     log = _build_log(by_case, {})
     values = [{name: table[cell]
                for name, table, cell in zip(names, tables, c) if cell}
@@ -461,31 +390,15 @@ def _read_events(columns: dict[str, int], width: int, reader,
     return log
 
 
-def parse_csv(source, mapping: CsvMapping) -> EventLog:
-    """Parse a CSV event log with the given column-role mapping.
-
-    Traces are keyed by case in order of first appearance and internally
-    time-sorted (stable in file order on timestamp ties).
-    """
-    required = [mapping.case, mapping.activity, mapping.timestamp,
-                *mapping.attributes]
-    if mapping.resource is not None:
-        required.append(mapping.resource)
-    with _csv_reader(source, required) as (columns, width, reader):
-        return _read_events(columns, width, reader, mapping,
-                            mapping.attributes)
-
-
 def parse_csv_auto(source) -> EventLog:
-    """Parse a CSV written by write_csv without an explicit mapping: ISO
-    timestamps, a resource column if there is one, and every other
-    column typed by _typed."""
+    """Parse a CSV event log with the columns write_csv writes: case_id,
+    activity and ISO-8601 timestamp, a resource column if there is one,
+    and every other column an attribute typed by _typed. Traces are keyed
+    by case in order of first appearance and internally time-sorted
+    (stable in file order on timestamp ties)."""
     with _csv_reader(source, EVENT_FIELDS[:3],
                      all_used=True) as (columns, width, reader):
-        mapping = CsvMapping(resource="resource" if "resource" in columns
-                             else None)
-        return _read_events(columns, width, reader, mapping, {
-            name: None for name in columns if name not in EVENT_FIELDS})
+        return _read_events(columns, width, reader)
 
 
 # events per chunk of write_csv: only one chunk's rows are alive at once
@@ -519,9 +432,9 @@ def write_csv(log: EventLog, stream) -> None:
     Each row is built as one string, and the rows go to the stream
     _WRITE_CHUNK events at a time, one write per chunk. The quoted text
     of each activity and resource is kept for the whole write, and the
-    case id's once per trace. A log read by parse_csv shares one object
-    per distinct timestamp, so each timestamp object is formatted once
-    per chunk; the cache is keyed on the object, not its value, which
+    case id's once per trace. A log read by parse_csv_auto shares one
+    object per distinct timestamp, so each timestamp object is formatted
+    once per chunk; the cache is keyed on the object, not its value, which
     keeps equal instants at different UTC offsets apart without hashing
     either, and is dropped at each chunk edge."""
     names: set[str] = set()
@@ -557,16 +470,6 @@ def _row_end(attributes: dict[str, Scalar], attr_cols: list[str]) -> str:
     absent or None attribute is an empty cell."""
     return "," + ",".join(["" if value is None else _field(format_scalar(value))
                            for value in map(attributes.get, attr_cols)]) + "\r\n"
-
-
-def mapping_for_log(log: EventLog) -> CsvMapping:
-    """Mapping that re-parses write_csv output into an equal log."""
-    kinds: dict[str, str] = {}
-    for t in log.traces:
-        for e in t.events:
-            for k, v in e.attributes.items():
-                kinds.setdefault(k, kind_of(v))
-    return CsvMapping(attributes=dict(sorted(kinds.items())))
 
 
 def read_context_csv(source) -> ContextTable:

@@ -12,9 +12,10 @@ from contextlib import contextmanager
 from datetime import datetime
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from kcpm.errors import ConfigError, ParseError
-from kcpm.logio import CsvMapping, format_scalar, parse_scalar, parse_timestamp
+from kcpm.logio import format_scalar, parse_scalar, parse_timestamp
 
 
 def naive_df_counts(traces):
@@ -23,15 +24,6 @@ def naive_df_counts(traces):
     for acts in traces:
         for i in range(len(acts) - 1):
             counts[(acts[i], acts[i + 1])] += 1
-    return dict(counts)
-
-
-def naive_ef_counts(traces):
-    counts = Counter()
-    for acts in traces:
-        for i in range(len(acts)):
-            for j in range(i + 1, len(acts)):
-                counts[(acts[i], acts[j])] += 1
     return dict(counts)
 
 
@@ -61,15 +53,37 @@ def naive_l2_measures(traces):
     return measures
 
 
-def naive_edges(traces, dependency_threshold, frequency_threshold):
+def naive_edges(traces, dependency_threshold, frequency_threshold,
+                all_tasks_connected=False):
     """Edge set per the mining contract: df count at threshold, positive
-    measure at threshold."""
+    measure at threshold. With all_tasks_connected, then, activity by
+    activity in name order: unless the activity starts a trace and none
+    of its incoming pairs (its self-loop aside) is an edge yet, the
+    strongest of them becomes one; then likewise for its outgoing pairs
+    unless it ends a trace. The strongest pair has the highest measure,
+    then the highest count, then is the least."""
     df = naive_df_counts(traces)
+
+    def measure(pair):
+        return naive_dependency(df[pair], df.get((pair[1], pair[0]), 0))
+
     edges = set()
     for (a, b), n in df.items():
-        m = naive_dependency(n, df.get((b, a), 0))
+        m = measure((a, b))
         if n >= frequency_threshold and m > 0 and m >= dependency_threshold:
             edges.add((a, b))
+    if not all_tasks_connected:
+        return edges
+    starts = {acts[0] for acts in traces}
+    ends = {acts[-1] for acts in traces}
+    for act in sorted({a for acts in traces for a in acts}):
+        incoming = [(a, b) for (a, b) in df if b == act and a != act]
+        outgoing = [(a, b) for (a, b) in df if a == act and b != act]
+        for exempt, pairs in ((starts, incoming), (ends, outgoing)):
+            if act in exempt or not pairs or any(p in edges for p in pairs):
+                continue
+            top = max((measure(p), df[p]) for p in pairs)
+            edges.add(min(p for p in pairs if (measure(p), df[p]) == top))
     return edges
 
 
@@ -492,22 +506,26 @@ def per_cell_parse_csv_auto(text):
 # The CSV reader and writer before the one-pass reader: a list of every
 # row, kinds from a set of each column's cells, one parse per cell, one
 # writerow per event. Verbatim but for _open_text, which here only wraps
-# CSV text, and the names of the imports.
+# CSV text, the names of the imports, CsvMapping, which here stands in for
+# the package's former record, and the parts only declared column roles,
+# kinds and timestamp formats reached.
 # ---------------------------------------------------------------------------
 
-ISO_FORMAT = "iso"
 _KIND_NAMES = ("string", "int", "float", "bool", "timestamp")
+
+
+class CsvMapping(NamedTuple):
+    """The column roles parse_csv_auto read a log with."""
+    resource: str | None
+    attributes: dict[str, str]
+    case: str = "case_id"
+    activity: str = "activity"
+    timestamp: str = "timestamp"
 
 
 @contextmanager
 def _open_text(source):
     yield io.StringIO(source, newline="")
-
-
-def _parse_ts(text: str, fmt: str) -> datetime:
-    if fmt == ISO_FORMAT:
-        return parse_timestamp(text)
-    return datetime.strptime(text, fmt)
 
 
 @contextmanager
@@ -570,7 +588,7 @@ def _events(columns: dict[str, int], rows, mapping: CsvMapping):
     events: list[Event] = []
     for rownum, row in rows:
         try:
-            ts = _parse_ts(row[when], mapping.timestamp_format)
+            ts = parse_timestamp(row[when])
         except (ParseError, ValueError) as exc:
             raise ParseError(f"row {rownum}: {exc}") from None
         attrs = {}
@@ -588,20 +606,6 @@ def _events(columns: dict[str, int], rows, mapping: CsvMapping):
         except ValueError as exc:
             raise ParseError(f"row {rownum}: {exc}") from None
     return make_log(events)
-
-
-def parse_csv(source, mapping: CsvMapping):
-    """Parse a CSV event log with the given column-role mapping.
-
-    Traces are keyed by case in order of first appearance and internally
-    time-sorted (stable in file order on timestamp ties).
-    """
-    required = [mapping.case, mapping.activity, mapping.timestamp,
-                *mapping.attributes]
-    if mapping.resource is not None:
-        required.append(mapping.resource)
-    with csv_rows(source, required) as (columns, rows):
-        return _events(columns, rows, mapping)
 
 
 _CANONICAL = ("case_id", "activity", "timestamp", "resource")

@@ -736,8 +736,12 @@ _UNKNOWN_EDGE = {"activities": ["a"], "edges": [
     # a --dfg file is always a dependency graph
     (json.dumps({"transitions": 5}), "missing key 'activities'"),
     (json.dumps(_UNKNOWN_EDGE), "edge ('a', 'z') uses unknown activity"),
+    (json.dumps({"activities": [1, 2], "edges": []}),
+     "activity 1 is not a nonempty string"),
+    (json.dumps({"activities": ["a", ""], "edges": []}),
+     "activity '' is not a nonempty string"),
 ], ids=["not-json", "no-edges", "transitions-without-activities",
-        "unknown-activity"])
+        "unknown-activity", "non-string-activities", "empty-activity"])
 def test_bad_graph_file_fails_before_any_artifact(workdir, capsys, command,
                                                   text, message):
     if command == "filter" and "transitions" in text:
@@ -1028,6 +1032,36 @@ def test_mode_flag_is_a_usage_error(contradicted, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_long_distance_flag_is_a_usage_error(contradicted, tmp_path, capsys):
+    """mine-dfg mines no long-distance dependencies, so --long-distance
+    is an unknown flag: exit 1 with the usage line, and no --out."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("mine-dfg", "--log", tmp_path / "log.csv", "--long-distance",
+               "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "usage error: unrecognized arguments: --long-distance"
+    assert err[1].startswith("usage: kcpm ")
+    assert not out.exists()
+
+
+def test_a_graph_with_long_deps_filters_as_without(contradicted, tmp_path):
+    """A dfg.json written with long-distance dependencies still loads
+    through filter --dfg; the key is ignored, and every artifact is the
+    one the graph without it gives."""
+    graph = tmp_path / "dfg" / "dfg.json"
+    old = tmp_path / "old_dfg.json"
+    old.write_text(json.dumps({**load_json(graph), "long_deps": [
+        {"source": "b", "target": "a", "dependency": 0.75}]}))
+    argv = contradicted["filter"]
+    assert run(*argv, "--out", tmp_path / "new") == 0
+    assert run(*[old if a == graph else a for a in argv],
+               "--out", tmp_path / "old") == 0
+    for name in ("dfg.json", "dfg.dot", "filter_report.json"):
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (tmp_path / "new" / name).read_bytes()), name
+
+
 @pytest.mark.parametrize("command", ["filter", "pipeline"])
 def test_filter_mode_config_key_is_refused(contradicted, tmp_path, capsys,
                                            command):
@@ -1316,14 +1350,25 @@ def test_cyclic_simulated_model_is_a_reference(workdir, capsys, transitions):
     assert load_json(out / "report.json")["fitness"] == 1.0
 
 
-def test_ingest_reads_xes_through_the_skip_option(workdir):
+def test_ingest_reads_xes_through_the_skip_option(workdir, capsys):
     xes = workdir / "malformed.xes"
     xes.write_text(XES.replace('<string key="concept:name" value="A"/>', ""))
     assert run("ingest", "--log", xes, "--out", workdir / "fail") == 2
+    assert capsys.readouterr().out == ""
     out = workdir / "skip"
     assert run("ingest", "--log", xes, "--out", out,
                "--xes-on-malformed", "skip") == 0
     assert load_json(out / "stats.json")["n_events"] == 1
+    assert capsys.readouterr().out == "skipped 1 malformed events\n"
+    # nothing skipped, nothing said, although the log has an attribute
+    # named like the count
+    named = workdir / "named.xes"
+    named.write_text(XES.replace(
+        "<log>", '<log><int key="skipped_events" value="7"/>'))
+    for flag in ("fail", "skip"):
+        assert run("ingest", "--log", named, "--out", workdir / flag / "ok",
+                   "--xes-on-malformed", flag) == 0
+        assert capsys.readouterr().out == ""
 
 
 def sha256_of(path) -> str:

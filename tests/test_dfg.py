@@ -3,10 +3,13 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kcpm.dfg import (MiningThresholds, RemovedEdge, dependency_measure,
-                      dfg_from_json, dfg_to_dot, dfg_to_json,
-                      filter_dependency_graph, mine_dependency_graph)
+from kcpm.dfg import (DependencyEdge, DependencyGraph, MiningThresholds,
+                      RemovedEdge, dependency_measure, dfg_from_json,
+                      dfg_to_dot, dfg_to_json, filter_dependency_graph,
+                      mine_dependency_graph)
 from kcpm.errors import DataError
 from kcpm.eventlog import EventLog
 from kcpm.kg import FORBIDDEN_BEFORE, MUST_PRECEDE, KnowledgeGraph, Triple
@@ -104,12 +107,35 @@ def test_all_tasks_connected_restores_edges():
     assert ("c", "d") in dg.edges
 
 
-def test_long_distance_flag():
-    log = log_from_sequences([["a", "x", "b"]] * 3)
-    dg = mine_dependency_graph(log, MiningThresholds(0.5, 1, long_distance=True))
-    assert dg.long_deps[("a", "b")] == pytest.approx(3 / 4)
-    dg2 = mine_dependency_graph(log, MiningThresholds(0.5, 1))
-    assert dg2.long_deps == {}
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=7),
+                min_size=1, max_size=8),
+       st.sampled_from([0.0, 0.3, 0.5, 0.8, 0.95]) | st.floats(0, 0.99),
+       st.integers(0, 3))
+# b's incoming pairs tie at measure 0, and so do its outgoing ones: the
+# higher count decides, (c, b) and (b, c)
+@example([["a", "b", "a"], ["c", "b", "c", "b", "c"]], 0.5, 1)
+def test_all_tasks_connected_matches_the_oracle(seqs, dependency_threshold,
+                                                frequency_threshold):
+    """Small alphabets and short traces make ties in measure and count
+    between the candidates of one activity common."""
+    dg = mine_dependency_graph(log_from_sequences(seqs), MiningThresholds(
+        dependency_threshold, frequency_threshold, all_tasks_connected=True))
+    assert set(dg.edges) == naive_edges(seqs, dependency_threshold,
+                                        frequency_threshold,
+                                        all_tasks_connected=True)
+    df = naive_df_counts(seqs)
+    for (a, b), e in dg.edges.items():
+        assert e == DependencyEdge(a, b, df[(a, b)],
+                                   naive_dependency(df[(a, b)],
+                                                    df.get((b, a), 0)))
+
+
+@pytest.mark.parametrize("activities", [[1, 2], ["a", ""], ["a", None]])
+def test_a_graph_activity_must_be_a_nonempty_string(activities):
+    graph = DependencyGraph(frozenset("a"), {}, {}, {}, {}, {})
+    with pytest.raises(ValueError, match="is not a nonempty string"):
+        graph._replace(activities=frozenset(activities))
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +218,16 @@ def test_filter_shrinks_only():
 
 def test_dfg_json_round_trip():
     log = log_from_sequences([["a", "b", "a", "c"]] * 4)
-    dg = mine_dependency_graph(log, MiningThresholds(0.2, 1, long_distance=True))
+    dg = mine_dependency_graph(log, MiningThresholds(0.2, 1))
     obj = json.loads(json.dumps(dfg_to_json(dg)))
     again = dfg_from_json(obj)
     assert set(again.edges) == set(dg.edges)
     assert again.df_counts == dg.df_counts
     assert again.l1_loops == dg.l1_loops
     assert again.l2_loops == dg.l2_loops
-    assert again.long_deps == dg.long_deps
+    # a graph written with long-distance dependencies reads as without
+    obj["long_deps"] = [{"source": "a", "target": "c", "dependency": 0.75}]
+    assert dfg_from_json(obj) == again
 
 
 def test_dot_output_contains_label():

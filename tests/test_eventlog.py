@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from kcpm.errors import DataError
 from kcpm.eventlog import (ContextTable, Event, EventLog, Trace,
                            annotate_context, directly_follows_counts,
-                           end_activity_counts, eventually_follows_counts,
-                           insertion_time, log_statistics, make_log)
+                           end_activity_counts, insertion_time, log_statistics,
+                           make_log)
 
 from conftest import T0, log_from_sequences, random_sequences
-from oracles import naive_df_counts, naive_ef_counts
+from oracles import naive_df_counts
 
 
 def test_event_rejects_blank_activity():
@@ -110,21 +110,12 @@ def test_df_counts_multiset():
     assert directly_follows_counts(log) == {("a", "b"): 2, ("b", "a"): 1}
 
 
-def test_ef_counts_basics():
-    log = log_from_sequences([["a", "b", "c"]])
-    assert eventually_follows_counts(log) == {
-        ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-    assert eventually_follows_counts(log_from_sequences([["a", "a"]])) == {
-        ("a", "a"): 1}
-
-
 def test_counts_match_bruteforce_on_random_logs():
     rng = random.Random(7)
     for _ in range(60):
         seqs = random_sequences(rng, rng.randint(1, 20), 15, list("abcde"))
         log = log_from_sequences(seqs)
         assert directly_follows_counts(log) == naive_df_counts(seqs)
-        assert eventually_follows_counts(log) == naive_ef_counts(seqs)
 
 
 def test_df_row_sums_property():
@@ -139,16 +130,6 @@ def test_df_row_sums_property():
         for a in log.alphabet:
             row = sum(n for (x, _), n in df.items() if x == a)
             assert row + ends.get(a, 0) == totals[a]
-
-
-def test_df_bounded_by_ef_property():
-    rng = random.Random(17)
-    for _ in range(200):
-        seqs = random_sequences(rng, rng.randint(1, 8), 10, list("abcd"))
-        log = log_from_sequences(seqs)
-        ef = eventually_follows_counts(log)
-        for pair, n in directly_follows_counts(log).items():
-            assert n <= ef[pair]
 
 
 def test_annotate_context_merges_rows():

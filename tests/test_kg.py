@@ -75,27 +75,6 @@ def test_empty_component_reports_line():
         load_triples(io.StringIO("A\tp\tB\nA\tp\t \n"))
 
 
-def test_ntriples_subset():
-    text = '<http://x/a> <http://x/p> "literal" .\n<http://x/a> <http://x/q> <http://x/b> .\n'
-    kg = load_triples(io.StringIO(text), format="ntriples")
-    assert kg.index == {"http://x/p": {"http://x/a": {"literal"}},
-                        "http://x/q": {"http://x/a": {"http://x/b"}}}
-    assert len(kg) == 2
-
-
-def test_ntriples_empty_term_reports_line():
-    text = '<http://x/a> <http://x/q> <http://x/b> .\n<http://x/a> <http://x/p> "" .\n'
-    with pytest.raises(ParseError, match=r"^line 2: triple components must "
-                                         r"be nonempty"):
-        load_triples(io.StringIO(text), format="ntriples")
-
-
-def test_unknown_format_raises_before_reading():
-    for text in ("", "A\tp\tB\n"):
-        with pytest.raises(ParseError, match="unknown triple format 'csv'"):
-            load_triples(io.StringIO(text), format="csv")
-
-
 def test_query_by_predicate():
     kg = kg3()
     assert kg.index["locatedIn"] == {"uow": {"wgg"}}
@@ -149,19 +128,15 @@ def test_fact_stated_plain_and_temporal_is_one_plain_triple():
                                                  Triple("A", "q", "C")}
 
 
-@pytest.mark.parametrize("format, text", [
-    ("tsv", "# comment\nA\tp\tB\nB\tq\tC\t2014-10-22T11:15:41Z\n\nC\tr\tD\n"),
-    ("ntriples", '<http://x/a> <http://x/p> "literal" .\n'
-                 "<http://x/a> <http://x/q> <http://x/b> .\n"),
-])
-def test_crlf_file_loads_as_lf_text(tmp_path, format, text):
+def test_crlf_file_loads_as_lf_text(tmp_path):
+    text = "# comment\nA\tp\tB\nB\tq\tC\t2014-10-22T11:15:41Z\n\nC\tr\tD\n"
     path = tmp_path / "kg.txt"
     path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-    lf = load_triples(io.StringIO(text), format=format)
+    lf = load_triples(io.StringIO(text))
     for source in (path, str(path), path.read_bytes()):
-        crlf = load_triples(source, format=format)
+        crlf = load_triples(source)
         assert (crlf.triples, crlf.temporal) == (lf.triples, lf.temporal)
-    assert len(lf) == (3 if format == "tsv" else 2)
+    assert len(lf) == 3
 
 
 _STAMPS = [None, datetime(2024, 1, 1, tzinfo=timezone.utc),

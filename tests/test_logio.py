@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from kcpm import logio
 from kcpm.errors import ConfigError, DataError, KcpmError, ParseError
 from kcpm.eventlog import Event, EventLog, Trace, make_log
-from kcpm.logio import (CsvMapping, mapping_for_log, parse_csv, parse_csv_auto,
-                        parse_timestamp, parse_xes, read_context_csv,
-                        write_csv, write_xes)
+from kcpm.logio import (parse_csv_auto, parse_timestamp, parse_xes,
+                        read_context_csv, write_csv, write_xes)
 
 from conftest import T0, log_from_sequences
 import oracles
@@ -108,50 +107,49 @@ def test_xes_round_trip():
 
 
 CSV_3ROWS = (
-    "case,task,when\n"
-    "c1,A,2024-03-01 09:00:00\n"
-    "c1,B,2024-03-01 09:05:00\n"
-    "c1,C,2024-03-01 09:10:00\n"
+    "case_id,activity,timestamp\n"
+    "c1,A,2024-03-01T09:00:00\n"
+    "c1,B,2024-03-01T09:05:00\n"
+    "c1,C,2024-03-01T09:10:00\n"
 )
-CSV_MAPPING = CsvMapping(case="case", activity="task", timestamp="when",
-                         timestamp_format="%Y-%m-%d %H:%M:%S", resource=None)
 
 
 def test_parse_csv_single_case():
-    log = parse_csv(io.StringIO(CSV_3ROWS), CSV_MAPPING)
+    log = parse_csv_auto(io.StringIO(CSV_3ROWS))
     assert len(log.traces) == 1
     assert log.traces[0].activities == ("A", "B", "C")
 
 
 def test_parse_csv_interleaved_cases_sorted_per_case():
     text = (
-        "case,task,when\n"
-        "c1,A,2024-03-01 09:02:00\n"
-        "c2,X,2024-03-01 09:00:00\n"
-        "c1,B,2024-03-01 09:01:00\n"
-        "c2,Y,2024-03-01 09:03:00\n"
+        "case_id,activity,timestamp\n"
+        "c1,A,2024-03-01T09:02:00\n"
+        "c2,X,2024-03-01T09:00:00\n"
+        "c1,B,2024-03-01T09:01:00\n"
+        "c2,Y,2024-03-01T09:03:00\n"
     )
-    log = parse_csv(io.StringIO(text), CSV_MAPPING)
+    log = parse_csv_auto(io.StringIO(text))
     assert [t.case_id for t in log.traces] == ["c1", "c2"]
     assert log.traces[0].activities == ("B", "A")  # time-sorted within case
     assert log.traces[1].activities == ("X", "Y")
 
 
 def test_parse_csv_header_only_gives_empty_log():
-    log = parse_csv(io.StringIO("case,task,when\n"), CSV_MAPPING)
+    log = parse_csv_auto(io.StringIO("case_id,activity,timestamp,resource,n\n"))
     assert len(log.traces) == 0
     assert log.alphabet == frozenset()
 
 
 def test_parse_csv_missing_column_is_config_error():
-    with pytest.raises(ConfigError, match="missing"):
-        parse_csv(io.StringIO("case,task\nc1,A\n"), CSV_MAPPING)
+    for header in ("case_id,activity", "activity,timestamp", "case_id,timestamp"):
+        with pytest.raises(ConfigError, match="missing"):
+            parse_csv_auto(io.StringIO(header + "\nc1,A\n"))
 
 
 def test_parse_csv_bad_timestamp_names_row():
-    text = "case,task,when\nc1,A,not-a-time\n"
-    with pytest.raises(ParseError, match="row 2"):
-        parse_csv(io.StringIO(text), CSV_MAPPING)
+    text = CSV_3ROWS.replace("2024-03-01T09:05:00", "not-a-time")
+    with pytest.raises(ParseError, match=r"^row 3: bad timestamp 'not-a-time'"):
+        parse_csv_auto(io.StringIO(text))
 
 
 def _attribute_heavy_log():
@@ -163,14 +161,6 @@ def _attribute_heavy_log():
               {"flag": False, "when": t0}),
     )
     return EventLog((Trace("c1", events),))
-
-
-def test_csv_round_trip_identity():
-    log = _attribute_heavy_log()
-    buf = io.StringIO()
-    write_csv(log, buf)
-    again = parse_csv(io.StringIO(buf.getvalue()), mapping_for_log(log))
-    assert again == log
 
 
 def test_csv_round_trip_identity_random_logs():
@@ -193,7 +183,7 @@ def test_csv_round_trip_identity_random_logs():
             for cid in dict.fromkeys(e.case_id for e in events)))
         buf = io.StringIO()
         write_csv(log, buf)
-        assert parse_csv(io.StringIO(buf.getvalue()), mapping_for_log(log)) == log
+        assert parse_csv_auto(io.StringIO(buf.getvalue())) == log
 
 
 def test_parse_csv_auto_infers_types():
@@ -327,7 +317,7 @@ def test_read_context_csv_rejects_empty_case_id_and_ragged_rows():
 
 # ---------------------------------------------------------------------------
 # The one-pass reader and the column-wise writer against the code they
-# replaced (oracles.parse_csv_auto, oracles.parse_csv, oracles.write_csv)
+# replaced (oracles.parse_csv_auto, oracles.write_csv)
 # ---------------------------------------------------------------------------
 
 _BAD_TS_CELLS = ["2024-03-01T09:00:00z", "2024-13-01T00:00:00", "nope", "",
@@ -367,20 +357,19 @@ def _role_cells(hostile: bool, naive: bool):
 
 
 @st.composite
-def csv_texts(draw, ragged=True, ignored=()):
+def csv_texts(draw):
     """CSV text: the required columns, maybe a resource column, up to
     three extra columns in any order, and rows of cells drawn to hit
-    every decoding path, good and bad; maybe blank lines and, if ragged,
-    maybe rows of the wrong width."""
+    every decoding path, good and bad; maybe blank lines and maybe rows
+    of the wrong width."""
     extras = draw(st.lists(st.sampled_from(["n", "m", "p q", "r,s"]),
                            max_size=3, unique=True))
     roles = ["case_id", "activity", "timestamp",
-             *(["resource"] if draw(st.booleans()) else []), *extras,
-             *ignored]
+             *(["resource"] if draw(st.booleans()) else []), *extras]
     header = draw(st.permutations(roles))
     cells = _role_cells(draw(st.booleans()), draw(st.booleans()))
     shapes = ["row"] * 8 + ["blank"]
-    if ragged and draw(st.integers(0, 3)) == 0:
+    if draw(st.integers(0, 3)) == 0:
         shapes += ["short", "long"]
     lines = [header]
     for _ in range(draw(st.integers(0, 10))):
@@ -423,45 +412,18 @@ def test_parse_csv_auto_matches_the_former_reader(text):
             == _outcome(oracles.parse_csv_auto, text))
 
 
-@settings(max_examples=400, deadline=None)
-@given(csv_texts(ragged=False, ignored=("z", "z")), st.data())
-def test_parse_csv_matches_the_former_reader(text, data):
-    """With declared kinds an attribute cell can fail to decode: the
-    error names the first row with a bad timestamp, attribute cell or
-    activity, and in that row the first of them in that order. (A file
-    with a ragged row reports it first, where the former reader streamed,
-    so no row here is ragged.)"""
-    header = next(csv.reader(io.StringIO(text)))
-    extras = [col for col in header if col in ("n", "m", "p q", "r,s")]
-    kind = st.sampled_from(["string", "int", "float", "bool", "timestamp"])
-    mapping = CsvMapping(
-        resource="resource" if "resource" in header else None,
-        timestamp_format=data.draw(st.sampled_from(["iso"] * 4
-                                                   + ["%Y-%m-%d %H:%M:%S"])),
-        attributes={col: data.draw(kind) for col in data.draw(
-            st.lists(st.sampled_from(extras), unique=True) if extras
-            else st.just([]))})
-    assert (_outcome(lambda src: parse_csv(src, mapping),
-                     io.StringIO(text, newline=""))
-            == _outcome(lambda src: oracles.parse_csv(src, mapping), text))
-
-
-def test_an_attribute_error_names_its_first_row_before_a_later_timestamp():
+def test_the_first_bad_row_is_named_and_in_it_the_timestamp_first():
     text = ("case_id,activity,timestamp,n\n"
             "c1,a,2024-03-01T09:00:00,1\n"
-            "c1,b,2024-03-01T09:01:00,x\n"
+            "c1, ,2024-03-01T09:01:00,x\n"
             "c1,,nope,x\n")
-    mapping = CsvMapping(resource=None, attributes={"n": "int"})
-    with pytest.raises(ParseError, match=r"^row 3, column 'n': invalid"):
-        parse_csv(io.StringIO(text), mapping)
-    # in one row a bad timestamp comes first, then a bad cell, then an
-    # empty activity
+    with pytest.raises(ParseError, match=r"^row 3: event activity must be "
+                                         "nonempty$"):
+        parse_csv_auto(io.StringIO(text))
+    # in one row a bad timestamp comes before an empty activity
     text = "case_id,activity,timestamp,n\nc1,,nope,x\n"
-    with pytest.raises(ParseError, match=r"^row 2: bad timestamp"):
-        parse_csv(io.StringIO(text), mapping)
-    text = "case_id,activity,timestamp,n\nc1,,2024-03-01T09:00:00,x\n"
-    with pytest.raises(ParseError, match=r"^row 2, column 'n'"):
-        parse_csv(io.StringIO(text), mapping)
+    with pytest.raises(ParseError, match=r"^row 2: bad timestamp 'nope'"):
+        parse_csv_auto(io.StringIO(text))
 
 
 def test_a_ragged_row_is_reported_before_a_trace_mixing_naive_and_aware():
@@ -503,11 +465,9 @@ def test_a_repeated_column_of_a_log_is_a_parse_error(header):
         parse_csv_auto(io.StringIO(text))
 
 
-def test_an_unused_repeated_column_is_ignored_by_an_explicit_mapping():
-    text = "case,task,when,z,z\nc1,A,2024-03-01 09:00:00,1,2\n"
-    assert parse_csv(io.StringIO(text), CSV_MAPPING).traces[0].activities == ("A",)
-    with pytest.raises(ParseError, match="'task' is named more than once"):
-        parse_csv(io.StringIO("case,task,when,task\n"), CSV_MAPPING)
+def test_a_required_column_named_twice_is_an_error_without_rows():
+    with pytest.raises(ParseError, match="'activity' is named more than once"):
+        parse_csv_auto(io.StringIO("case_id,activity,timestamp,activity\n"))
 
 
 @pytest.mark.parametrize("name", ["activity", "timestamp", "resource"])
@@ -527,12 +487,10 @@ def test_an_xes_attribute_named_after_an_event_field_is_a_parse_error():
         parse_xes(XES_MINIMAL.replace(b'value="A"', b'value=" "'))
 
 
-def test_write_csv_and_the_mapping_refuse_an_attribute_named_after_a_field():
+def test_write_csv_refuses_an_attribute_named_after_a_field():
     log = EventLog((Trace("c", (Event("c", "a", T0, None, {"resource": "x"}),)),))
     with pytest.raises(DataError, match="'resource'"):
         write_csv(log, io.StringIO())
-    with pytest.raises(ConfigError, match="'activity'"):
-        CsvMapping(activity="task", attributes={"activity": "string"})
 
 
 _OFFSETS = [timezone.utc, timezone(timedelta(hours=1)),

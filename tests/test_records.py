@@ -15,7 +15,6 @@ from kcpm.dfg import (DependencyEdge, DependencyGraph, FilterReport,
                       MiningThresholds, RemovedEdge)
 from kcpm.eventlog import ContextTable, Event, EventLog, Trace
 from kcpm.kg import TemporalTriple, Triple
-from kcpm.logio import CsvMapping
 from kcpm.rules import Atom, ClosedPathRule, RuleBase
 from kcpm.synth import CorruptionSpec, GroundTruthModel
 from kcpm.variants import VariantModel, VariantPartition
@@ -39,9 +38,6 @@ RECORDS = {
                ("subject", "predicate", "object"), "hash"),
     "TemporalTriple": (lambda: TemporalTriple(Triple("s", "p", "o"), T0),
                        ("triple", "timestamp"), "hash"),
-    "CsvMapping": (lambda: CsvMapping(attributes={"n": "int"}),
-                   ("case", "activity", "timestamp", "timestamp_format",
-                    "resource", "attributes"), "unhashable"),
     "PipelineConfig": (lambda: PipelineConfig(log="l.csv", theta_aug=0.3),
                        PipelineConfig.FIELDS, "mutable"),
     "Atom": (lambda: Atom("p", "x", "y"),
@@ -58,7 +54,7 @@ RECORDS = {
                            "hash"),
     "MiningThresholds": (lambda: MiningThresholds(0.4, 2),
                          ("dependency_threshold", "frequency_threshold",
-                          "all_tasks_connected", "long_distance"), "hash"),
+                          "all_tasks_connected"), "hash"),
     "DependencyEdge": (lambda: DependencyEdge("a", "b", 1, 0.5),
                        ("source", "target", "df_count", "dependency"),
                        "hash"),
@@ -66,8 +62,8 @@ RECORDS = {
                             frozenset("ab"), {("a", "b"): EDGE}, {}, {},
                             {"a": 1}, {"b": 1}),
                         ("activities", "edges", "l1_loops", "l2_loops",
-                         "start_activities", "end_activities", "df_counts",
-                         "long_deps"), "unhashable"),
+                         "start_activities", "end_activities", "df_counts"),
+                        "unhashable"),
     "RemovedEdge": (lambda: RemovedEdge("a", "b", None),
                     ("source", "target", "rule_id"), "hash"),
     "FilterReport": (lambda: FilterReport((), 3),
