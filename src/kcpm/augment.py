@@ -19,7 +19,7 @@ from datetime import timedelta
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
-from .eventlog import Event, EventLog, Trace, insertion_time
+from .eventlog import Event, EventLog, ReadOnlyMap, Trace, insertion_time
 from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
 from .rules import Closure
 
@@ -116,6 +116,10 @@ def filter_chaotic_events(
             AugmentationReport(removed_events=tuple(removed)))
 
 
+# the attribute map every inserted event shares
+_SYNTHETIC = ReadOnlyMap(synthetic=True)
+
+
 def infer_missing_events(
     log: EventLog,
     closure: Closure,
@@ -192,7 +196,7 @@ def infer_missing_events(
                     work.insert(insert_at, Event(
                         t.case_id, accepted.activity,
                         insertion_time(work, insert_at),
-                        attributes={"synthetic": True}))
+                        attributes=_SYNTHETIC))
                     inserted.append(accepted)
                     done |= bit[p]
                     insert_at += 1

@@ -125,7 +125,7 @@ def _read_json(path: str, decode):
             raise ParseError(f"{path}: not JSON: {exc.msg}") from None
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"{path}: {exc}") from None
 
 
@@ -515,7 +515,8 @@ _COMMANDS = {
         _cmd_pipeline, "ingest, mine rules, repair, mine DFG, filter, and "
                        "compare raw vs augmented",
         ("log", "kg", "model", "context", "alias"), ("log", "kg"),
-        (*_REPAIR_FLAGS, "dependency_threshold", "frequency_threshold")),
+        (*_REPAIR_FLAGS, "dependency_threshold", "frequency_threshold",
+         "all_tasks_connected")),
 }
 
 

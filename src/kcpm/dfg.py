@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .eventlog import (EventLog, directly_follows_counts, end_activity_counts,
                        start_activity_counts)
 from .kg import FORBIDDEN_BEFORE, MUST_PRECEDE
@@ -248,16 +248,37 @@ def dfg_to_json(dg: DependencyGraph) -> dict:
     }
 
 
+def _is_count(n) -> bool:
+    return type(n) is int and n >= 0
+
+
+def _is_measure(m) -> bool:
+    return type(m) in (int, float) and 0 <= m <= 1
+
+
+_COUNT, _MEASURE = "a nonnegative integer", "a number in [0, 1]"
+
+
 def dfg_from_json(obj: dict) -> DependencyGraph:
+    """The graph that dfg_to_json wrote. Beyond what DependencyGraph
+    checks, a count that is not a nonnegative integer, a dependency that
+    is not a number, a loop measure that is not a number in [0, 1], and
+    an activity of a loop, a start or end count or a df count that is not
+    in "activities" are each a ParseError naming their key."""
     df_counts = {(d["source"], d["target"]): d["count"]
                  for d in obj.get("df_counts", [])}
     edges = {}
     for d in obj["edges"]:
         pair = (d["source"], d["target"])
-        edges[pair] = DependencyEdge(d["source"], d["target"],
-                                     d["df_count"], d["dependency"])
-        df_counts.setdefault(pair, d["df_count"])
-    return DependencyGraph(
+        n, m = d["df_count"], d["dependency"]
+        if not _is_count(n):
+            raise ParseError(f"edges: df_count {n!r} of {pair} is not {_COUNT}")
+        if type(m) not in (int, float):
+            raise ParseError(f"edges: dependency {m!r} of {pair} is not a "
+                             "number")
+        edges[pair] = DependencyEdge(*pair, n, m)
+        df_counts.setdefault(pair, n)
+    dg = DependencyGraph(
         frozenset(obj["activities"]),
         edges,
         dict(obj.get("l1_loops", {})),
@@ -266,6 +287,19 @@ def dfg_from_json(obj: dict) -> DependencyGraph:
         dict(obj.get("end_activities", {})),
         df_counts,
     )
+    for key, valid, what in (("l1_loops", _is_measure, _MEASURE),
+                             ("l2_loops", _is_measure, _MEASURE),
+                             ("start_activities", _is_count, _COUNT),
+                             ("end_activities", _is_count, _COUNT),
+                             ("df_counts", _is_count, _COUNT)):
+        for acts, value in getattr(dg, key).items():
+            unknown = [a for a in ((acts,) if isinstance(acts, str) else acts)
+                       if a not in dg.activities]
+            if unknown:
+                raise ParseError(f"{key}: {unknown[0]!r} is not an activity")
+            if not valid(value):
+                raise ParseError(f"{key}: {value!r} of {acts!r} is not {what}")
+    return dg
 
 
 def dfg_to_dot(dg: DependencyGraph, stream) -> None:

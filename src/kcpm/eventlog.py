@@ -17,6 +17,32 @@ from .errors import DataError
 Scalar = str | int | float | bool | datetime
 
 
+class ReadOnlyMap(dict):
+    """An attribute map that many events share: every mutator raises
+    TypeError, so a write through one event cannot reach the others;
+    dict(m) is a writable copy. It is a dict in every other way: equal to
+    a dict of its items, JSON-encoded as one, merged by {**m} as fast.
+    pickle, copy and deepcopy rebuild it from a plain dict. Whoever makes
+    one fills it with dict.update before it is shared."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared attribute map is read-only; dict(m) is "
+                        "a writable copy")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+    del _refuse
+
+    def __reduce__(self):
+        return ReadOnlyMap, (dict(self),)
+
+
+# the attribute map of every event made without one
+NO_ATTRIBUTES = ReadOnlyMap()
+
+
 class _EventFields(NamedTuple):
     case_id: str
     activity: str
@@ -28,8 +54,11 @@ class _EventFields(NamedTuple):
 class Event(_EventFields):
     """One immutable event, a tuple of its five fields. Every way of
     making one (positional, keyword, _make, _replace) strips the
-    activity and rejects an empty one; attributes default to a new
-    empty dict."""
+    activity and rejects an empty one. A map given as attributes is kept
+    as it is, neither copied nor made read-only; without one, the event
+    gets NO_ATTRIBUTES, the read-only empty map every such event shares.
+    The CSV log reader, annotate_context, repair and the simulator share
+    one ReadOnlyMap per distinct content among the events they make."""
 
     __slots__ = ()
 
@@ -40,7 +69,8 @@ class Event(_EventFields):
         if not activity:
             raise ValueError("event activity must be nonempty")
         return tuple.__new__(cls, (case_id, activity, timestamp, resource,
-                                   {} if attributes is None else attributes))
+                                   NO_ATTRIBUTES if attributes is None
+                                   else attributes))
 
     @classmethod
     def _make(cls, iterable) -> Event:
@@ -226,23 +256,31 @@ def annotate_context(log: EventLog, ctx: ContextTable) -> tuple[EventLog, int]:
     trace. Pre-existing event attributes win on key collision.
 
     Returns the annotated log and the number of log cases that have no
-    context row."""
+    context row. Each pair of a context row and an event's map gives one
+    ReadOnlyMap, which every event with that pair shares."""
     # only attributes change: the events, their order and the cases stay
     # as the log's constructors checked them, so none is checked again
     new = tuple.__new__
     unmatched = 0
     traces = []
+    # (id of a context row, id of an event's map) -> their merged map; both
+    # are alive until the call returns, so no id is reused
+    merged: dict[tuple[int, int], ReadOnlyMap] = {}
     for t in log.traces:
         row = ctx.rows.get(t.case_id)
         if row is None:
             unmatched += 1
             traces.append(t)
             continue
-        events = tuple([new(Event, (case_id, activity, ts, resource,
-                                    {**row, **attributes}))
-                        for case_id, activity, ts, resource, attributes
-                        in t.events])
-        traces.append(new(Trace, (t.case_id, events)))
+        events = []
+        for case_id, activity, ts, resource, attributes in t.events:
+            key = (id(row), id(attributes))
+            attrs = merged.get(key)
+            if attrs is None:
+                attrs = merged[key] = ReadOnlyMap({**row, **attributes})
+            events.append(new(Event, (case_id, activity, ts, resource,
+                                      attrs)))
+        traces.append(new(Trace, (t.case_id, tuple(events))))
     return new(EventLog, (tuple(traces), dict(log.meta))), unmatched
 
 

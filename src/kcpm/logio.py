@@ -13,15 +13,14 @@ import contextlib
 import csv
 import io
 import os
-from array import array
 from datetime import datetime
 from itertools import chain, islice
 from operator import itemgetter
 from sys import intern
 
 from .errors import ConfigError, DataError, KcpmError, ParseError
-from .eventlog import (EVENT_FIELDS, ContextTable, Event, EventLog, Scalar,
-                       Trace, _build_log)
+from .eventlog import (EVENT_FIELDS, NO_ATTRIBUTES, ContextTable, Event,
+                       EventLog, ReadOnlyMap, Scalar, Trace, _build_log)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -299,36 +298,33 @@ def _typed(cells) -> dict[str, Scalar]:
 def _read_events(columns: dict[str, int], width: int, reader) -> EventLog:
     """The log in the rows of reader, read in one pass from row 2, blank
     lines skipped: each row's event goes to its case's list as the row is
-    read. Every column but the event fields is an attribute of the kind
-    _typed gives its cells. Each distinct timestamp, activity and
-    combination of attribute cells is decoded once, and case ids and
-    activities are interned. A row of another width than the header's is
-    a ParseError at once. A bad timestamp or activity is a ParseError
-    naming the first row that has one; it is raised once every row is
-    read, so a ragged row anywhere is reported first.
+    read, and every column but the event fields is an attribute typed by
+    _typed. Activities and combinations of attribute cells are decoded
+    once each, and a timestamp once per text among the last 4,096
+    distinct ones; case ids and activities are interned. A ragged row is
+    a ParseError at once; a bad timestamp or activity is one naming the
+    first row that has one, raised once every row is read, so a ragged
+    row anywhere is reported first.
 
-    At the end of the pass the events, grouped by case, are alive with
-    the timestamp-text cache and, for each row with an attribute cell,
-    its still empty attribute map and the number of its combination of
-    cells. The cache is dropped then, and the maps are filled once the
-    traces are made."""
+    Events share one ReadOnlyMap per distinct content, NO_ATTRIBUTES
+    without an attribute cell. The pass ends with the events, grouped by
+    case, alive beside the timestamp-text cache and each combination's
+    cells and empty map; the cache goes then, and the maps are filled
+    once the traces are made."""
     case, activity = columns["case_id"], columns["activity"]
     when, resource = columns["timestamp"], columns.get("resource")
     names = [name for name in columns if name not in EVENT_FIELDS]
     index = [columns[name] for name in names]
-    # a row's attribute cells: one cell, or a tuple of them
-    cells_of = itemgetter(*index) if index else None
-    blank = cells_of([""] * (max(index) + 1)) if index else None
+    # a row's attribute cells: one cell, or a tuple of none or several
+    cells_of = itemgetter(*index) if index else lambda row: ()
     # activities are stripped and checked once per distinct label, below,
     # so events are made as the tuples they are, without Event.__new__
     new_event = tuple.__new__
     stamps: dict[str, datetime] = {}
     labels: dict[str, str] = {}
     by_case: dict[str, list[Event]] = {}
-    # each distinct combination of cells -> its number, in row order
-    combos: dict[str | tuple[str, ...], int] = {}
-    attributed: list[dict[str, Scalar]] = []  # maps of rows with a cell
-    codes = array("q")  # by row in attributed, its combination's number
+    # each distinct combination of cells -> its map, in row order
+    shared = {cells_of([""] * width): NO_ATTRIBUTES}
     first_bad = None  # the message of the first bad row
     for rownum, row in enumerate(reader, start=2):
         if len(row) != width:
@@ -348,16 +344,13 @@ def _read_events(columns: dict[str, int], width: int, reader) -> EventLog:
             except ParseError as exc:
                 first_bad = f"row {rownum}: {exc}"
                 continue
+            if len(stamps) == 4096:  # a text recurs within a few traces
+                stamps.clear()
             stamps[text] = ts
-        attrs = {}
-        if cells_of is not None:
-            cells = cells_of(row)
-            if cells != blank:
-                code = combos.get(cells)
-                if code is None:
-                    code = combos[cells] = len(combos)
-                attributed.append(attrs)
-                codes.append(code)
+        cells = cells_of(row)
+        attrs = shared.get(cells)
+        if attrs is None:
+            attrs = shared[cells] = ReadOnlyMap()
         label = row[activity]
         act = labels.get(label)
         if act is None:
@@ -376,17 +369,28 @@ def _read_events(columns: dict[str, int], width: int, reader) -> EventLog:
     if first_bad:
         raise ParseError(first_bad)
     if len(names) == 1:  # as tuples, like the combinations of more columns
-        combos = {(cells,): code for cells, code in combos.items()}
+        shared = {(cells,): attrs for cells, attrs in shared.items()}
     # each column's distinct non-empty cells, in row order
-    tables = [_typed(dict.fromkeys(c[j] for c in combos if c[j]))
+    tables = [_typed(dict.fromkeys(c[j] for c in shared if c[j]))
               for j in range(len(names))]
+    # cells read alike ("true", "TRUE") share the first combination's map;
+    # no map is made from here on, so a dropped map's id stays its own
+    if any(v is not c and format_scalar(v) != c
+           for t in tables for c, v in t.items()):
+        first, moved = {}, {}  # values as written -> map; id -> stand-in
+        for cells in list(shared):
+            key = tuple(format_scalar(t[c]) if c else None
+                        for t, c in zip(tables, cells))
+            if first.setdefault(key, shared[cells]) is not shared[cells]:
+                moved[id(shared.pop(cells))] = first[key]
+        for events in by_case.values() if moved else ():
+            events[:] = [new_event(Event, (*e[:4], moved[id(e[4])]))
+                         if id(e[4]) in moved else e for e in events]
     log = _build_log(by_case, {})
-    values = [{name: table[cell]
-               for name, table, cell in zip(names, tables, c) if cell}
-              for c in combos]
-    del combos  # before the maps grow
-    for attrs, code in zip(attributed, codes):
-        attrs.update(values[code])
+    while shared:
+        cells, attrs = shared.popitem()
+        dict.update(attrs, {name: table[cell] for name, table, cell
+                            in zip(names, tables, cells) if cell})
     return log
 
 
@@ -432,8 +436,8 @@ def write_csv(log: EventLog, stream) -> None:
     Each row is built as one string, and the rows go to the stream
     _WRITE_CHUNK events at a time, one write per chunk. The quoted text
     of each activity and resource is kept for the whole write, and the
-    case id's once per trace. A log read by parse_csv_auto shares one
-    object per distinct timestamp, so each timestamp object is formatted
+    case id's once per trace. A log read by parse_csv_auto shares a
+    timestamp object between rows of one text, so each is formatted
     once per chunk; the cache is keyed on the object, not its value, which
     keeps equal instants at different UTC offsets apart without hashing
     either, and is dropped at each chunk edge."""

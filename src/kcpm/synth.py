@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .dfg import DependencyEdge, DependencyGraph, dependency_measure
 from .errors import DataError
-from .eventlog import Event, EventLog, Trace, insertion_time
+from .eventlog import Event, EventLog, ReadOnlyMap, Trace, insertion_time
 
 MAX_TRACE_LEN = 200
 _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0, tzinfo=timezone.utc)
@@ -137,6 +137,12 @@ def _pick(rng: random.Random, choices: list[tuple[str, float]]) -> str:
     return act  # guard against float round-off at the top end
 
 
+# the attribute maps that every truncated trace's last event and every
+# injected event share
+_TRUNCATED = ReadOnlyMap(truncated=True)
+_INJECTED = ReadOnlyMap(injected=True)
+
+
 def simulate(model: GroundTruthModel, n_cases: int, seed: int = 0) -> EventLog:
     """Sample n_cases traces by random walk. Deterministic per seed; each
     trace draws from its own generator seeded with seed XOR case index,
@@ -167,8 +173,7 @@ def simulate(model: GroundTruthModel, n_cases: int, seed: int = 0) -> EventLog:
             truncated += 1
             last = events[-1]
             events[-1] = Event(last.case_id, last.activity, last.timestamp,
-                               last.resource,
-                               {**last.attributes, "truncated": True})
+                               attributes=_TRUNCATED)
         traces.append(Trace(case_id, tuple(events)))
     meta = {"generator_seed": seed}
     if truncated:
@@ -222,7 +227,7 @@ def corrupt(log: EventLog, spec: CorruptionSpec) -> EventLog:
             # a trace whose events were all dropped starts at the base time
             ts = insertion_time(kept, pos) if kept else _BASE_TIME
             kept.insert(pos, Event(t.case_id, label, ts,
-                                   attributes={"injected": True}))
+                                   attributes=_INJECTED))
         if kept:
             traces.append(Trace(t.case_id, tuple(kept)))
     return EventLog(tuple(traces), dict(log.meta))

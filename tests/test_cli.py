@@ -458,6 +458,31 @@ def test_pipeline_byte_identical_across_runs(workdir):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_pipeline_takes_all_tasks_connected_as_flag_or_config(workdir):
+    kg = workdir / "pipe_kg.tsv"
+    kg.write_text("a\tmust_precede\tb\n")
+    cfgfile = workdir / "connected.ini"
+    cfgfile.write_text("[modes]\nall_tasks_connected = true\n")
+    # at this threshold no edge of the log is kept but by the setting
+    given = ["--log", workdir / "log.csv", "--kg", kg,
+             "--model", workdir / "model.json", "--dependency-threshold", 0.9]
+    outs = {}
+    for name, extra in (("flag", ["--all-tasks-connected"]),
+                        ("config", ["--config", cfgfile]), ("off", [])):
+        outs[name] = workdir / f"connected-{name}"
+        assert run("pipeline", *given, *extra, "--out", outs[name]) == 0
+    names = sorted(os.listdir(outs["flag"]))
+    assert "manifest.json" in names
+    assert names == sorted(os.listdir(outs["config"]))
+    for name in names:
+        assert ((outs["flag"] / name).read_bytes()
+                == (outs["config"] / name).read_bytes()), name
+    manifest = load_json(outs["flag"] / "manifest.json")
+    assert manifest["config"]["all_tasks_connected"] is True
+    assert (load_json(outs["off"] / "dfg.json")["edges"] == []
+            != load_json(outs["flag"] / "dfg.json")["edges"])
+
+
 def test_unknown_flag_is_usage_error(workdir, capsys):
     assert run("conform", "--bogus") == 1
     err = capsys.readouterr().err
@@ -740,8 +765,25 @@ _UNKNOWN_EDGE = {"activities": ["a"], "edges": [
      "activity 1 is not a nonempty string"),
     (json.dumps({"activities": ["a", ""], "edges": []}),
      "activity '' is not a nonempty string"),
+    (json.dumps({"activities": ["a", "b"], "edges": [],
+                 "l1_loops": {"a": "x"}}),
+     "l1_loops: 'x' of 'a' is not a number in [0, 1]"),
+    (json.dumps({"activities": ["a", "b"], "edges": [],
+                 "start_activities": {"zz": 1}}),
+     "start_activities: 'zz' is not an activity"),
+    (json.dumps({"activities": ["a", "b"], "edges": [],
+                 "end_activities": {"b": 1.5}}),
+     "end_activities: 1.5 of 'b' is not a nonnegative integer"),
+    (json.dumps({"activities": ["a", "b"], "edges": [], "df_counts": [
+        {"source": "a", "target": "b", "count": -3}]}),
+     "df_counts: -3 of ('a', 'b') is not a nonnegative integer"),
+    (json.dumps({"activities": ["a", "b"], "edges": [
+        {"source": "a", "target": "b", "df_count": "1", "dependency": 0.5}]}),
+     "edges: df_count '1' of ('a', 'b') is not a nonnegative integer"),
 ], ids=["not-json", "no-edges", "transitions-without-activities",
-        "unknown-activity", "non-string-activities", "empty-activity"])
+        "unknown-activity", "non-string-activities", "empty-activity",
+        "non-number-loop", "unknown-start-activity", "non-integer-end-count",
+        "negative-df-count", "string-edge-count"])
 def test_bad_graph_file_fails_before_any_artifact(workdir, capsys, command,
                                                   text, message):
     if command == "filter" and "transitions" in text:

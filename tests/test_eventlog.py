@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 from collections import Counter
 from datetime import datetime, timedelta
@@ -7,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpm.errors import DataError
-from kcpm.eventlog import (ContextTable, Event, EventLog, Trace,
-                           annotate_context, directly_follows_counts,
-                           end_activity_counts, insertion_time, log_statistics,
-                           make_log)
+from kcpm.eventlog import (NO_ATTRIBUTES, ContextTable, Event, EventLog,
+                           ReadOnlyMap, Trace, annotate_context,
+                           directly_follows_counts, end_activity_counts,
+                           insertion_time, log_statistics, make_log)
 
 from conftest import T0, log_from_sequences, random_sequences
 from oracles import naive_df_counts
@@ -34,18 +37,80 @@ def test_every_way_of_making_an_event_strips_and_checks_the_activity(make):
         make(" \n ")
 
 
-def test_events_are_immutable_tuples_with_their_own_attribute_maps():
+def test_events_are_immutable_tuples_that_share_the_empty_map():
     e = Event("c1", "a", T0)
     with pytest.raises(AttributeError):
         e.activity = "b"
     with pytest.raises(AttributeError):
         e.note = "x"
     assert e == ("c1", "a", T0, None, {})
-    assert e.attributes is not Event("c1", "a", T0).attributes
+    # every event made without a map shares one, which refuses changes
+    assert e.attributes is Event("c1", "a", T0).attributes is NO_ATTRIBUTES
+    with pytest.raises(TypeError):
+        e.attributes["k"] = 1
+    assert NO_ATTRIBUTES == {}
+    # a map given is kept as it is, neither copied nor made read-only
+    given = {"n": 1}
+    kept = Event("c1", "a", T0, attributes=given).attributes
+    assert kept is given and type(kept) is dict
     moved = e._replace(resource="r")
     assert (type(moved), moved.resource, e.resource) == (Event, "r", None)
     with pytest.raises(ValueError):
         e._replace(colour="red")
+
+
+def _setitem(m):
+    m["k"] = 1
+
+
+def _delitem(m):
+    del m["n"]
+
+
+def _ior(m):
+    m |= {"k": 1}
+
+
+@pytest.mark.parametrize("mutate", [
+    _setitem, _delitem, _ior, lambda m: m.clear(), lambda m: m.pop("n"),
+    lambda m: m.pop("k", None), lambda m: m.popitem(),
+    lambda m: m.setdefault("k", 1), lambda m: m.update(k=1),
+    lambda m: m.update({}),
+], ids=["setitem", "delitem", "ior", "clear", "pop", "pop-default",
+        "popitem", "setdefault", "update", "update-nothing"])
+def test_a_read_only_map_refuses_every_mutator(mutate):
+    m = ReadOnlyMap(n=1)
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(m)
+    assert m == {"n": 1}
+
+
+def test_a_read_only_map_is_a_dict_in_every_other_way():
+    m = ReadOnlyMap(n=1, when=T0)
+    assert m == {"n": 1, "when": T0} and isinstance(m, dict)
+    # its copies are plain writable dicts
+    for mine in (dict(m), {**m}, m.copy(), m | {"k": 2}):
+        assert type(mine) is dict
+        mine["k"] = 3
+    assert m == {"n": 1, "when": T0}
+    assert json.dumps(ReadOnlyMap(b=True, s="x")) == '{"b": true, "s": "x"}'
+
+
+@pytest.mark.parametrize("clone", [
+    *(lambda e, p=p: pickle.loads(pickle.dumps(e, p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.deepcopy, copy.copy,
+], ids=[*(f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        "deepcopy", "copy"])
+def test_an_event_with_a_read_only_map_survives_pickle_and_copy(clone):
+    e = Event("c1", "a", T0, "r", ReadOnlyMap(n=1, flag=True, when=T0))
+    got = clone(e)
+    assert got == e and type(got) is Event
+    assert type(got.attributes) is ReadOnlyMap
+    assert list(got.attributes) == ["n", "flag", "when"]
+    with pytest.raises(TypeError):
+        got.attributes["k"] = 1
+    assert clone(Event("c1", "a", T0)).attributes == {}
 
 
 def test_trace_sorts_by_timestamp_stably():
@@ -198,15 +263,18 @@ _CASES = ["c0", "c1", "c2", "c3"]
 @st.composite
 def tied_events(draw, naive=False):
     """Events of a few cases in any order, whose timestamps tie often and
-    whose attributes share keys with the context rows below; with naive,
-    some timestamps are naive."""
+    whose attributes share keys with the context rows below and are
+    shared among the events; with naive, some timestamps are naive."""
     stamps = [T0 + timedelta(minutes=m) for m in range(3)]
     if naive:
         stamps.append(T0.replace(tzinfo=None))
+    # a few maps, each shared by the events that draw it, as a reader's are
+    maps = draw(st.lists(st.dictionaries(st.sampled_from(["k", "n"]),
+                                         st.integers(0, 3), max_size=2),
+                         min_size=1, max_size=3))
     return [Event(draw(st.sampled_from(_CASES)), draw(st.sampled_from("abc")),
                   draw(st.sampled_from(stamps)), draw(st.none() | st.just("r")),
-                  draw(st.dictionaries(st.sampled_from(["k", "n"]),
-                                       st.integers(0, 3), max_size=2)))
+                  draw(st.sampled_from(maps)))
             for _ in range(draw(st.integers(0, 12)))]
 
 
@@ -261,9 +329,12 @@ def test_annotate_context_equals_the_constructor_built_log(events, rows):
             Event(e.case_id, e.activity, e.timestamp, e.resource,
                   {**row, **e.attributes})
             for e in t.events)))
+    before = [dict(e.attributes) for t in log.traces for e in t.events]
     got, got_unmatched = annotate_context(log, ContextTable(rows))
     assert (got, got_unmatched) == (EventLog(tuple(want)), unmatched)
     assert type(got) is EventLog
+    # one read-only map per pair of a context row and an event's map
+    merged = {}
     for t, g, w in zip(log.traces, got.traces, want):
         row = rows.get(t.case_id)
         if row is None:
@@ -274,4 +345,9 @@ def test_annotate_context_equals_the_constructor_built_log(events, rows):
             assert type(a) is Event and list(a.attributes) == list(b.attributes)
             # a key both in the context and on the event keeps the event's value
             assert a.attributes == {**row, **e.attributes}
-            assert a.attributes is not e.attributes
+            assert type(a.attributes) is ReadOnlyMap
+            assert merged.setdefault((id(row), id(e.attributes)),
+                                     a.attributes) is a.attributes
+    assert len({id(m) for m in merged.values()}) == len(merged)
+    # the log's own maps are untouched
+    assert [e.attributes for t in log.traces for e in t.events] == before

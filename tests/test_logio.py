@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from kcpm import logio
 from kcpm.errors import ConfigError, DataError, KcpmError, ParseError
-from kcpm.eventlog import Event, EventLog, Trace, make_log
+from kcpm.eventlog import (NO_ATTRIBUTES, Event, EventLog, ReadOnlyMap,
+                           Trace, make_log)
 from kcpm.logio import (parse_csv_auto, parse_timestamp, parse_xes,
                         read_context_csv, write_csv, write_xes)
 
@@ -386,6 +387,17 @@ def csv_texts(draw):
     return buf.getvalue()
 
 
+def _value(v):
+    """A scalar as a plain value that tells types and UTC offsets apart."""
+    return type(v).__name__, (v.isoformat() if isinstance(v, datetime)
+                              else repr(v))
+
+
+def _content(attributes) -> tuple:
+    """An attribute map's items in order, as plain values."""
+    return tuple((k, _value(v)) for k, v in attributes.items())
+
+
 def _outcome(read, source):
     """The log read, as plain values that tell types and UTC offsets
     apart, or the error's type and message."""
@@ -394,13 +406,9 @@ def _outcome(read, source):
     except KcpmError as exc:
         return type(exc).__name__, str(exc)
 
-    def value(v):
-        return type(v).__name__, (v.isoformat() if isinstance(v, datetime)
-                                  else repr(v))
-
-    return [(t.case_id, [(e.case_id, e.activity, value(e.timestamp),
-                          e.resource, list(map(value, e.attributes)),
-                          sorted((k, value(v)) for k, v in e.attributes.items()))
+    return [(t.case_id, [(e.case_id, e.activity, _value(e.timestamp),
+                          e.resource, list(map(_value, e.attributes)),
+                          sorted(_content(e.attributes)))
                          for e in t.events])
             for t in log.traces]
 
@@ -410,6 +418,35 @@ def _outcome(read, source):
 def test_parse_csv_auto_matches_the_former_reader(text):
     assert (_outcome(parse_csv_auto, io.StringIO(text, newline=""))
             == _outcome(oracles.parse_csv_auto, text))
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+def test_the_reader_shares_one_read_only_map_per_distinct_content(text):
+    try:
+        log = parse_csv_auto(io.StringIO(text, newline=""))
+    except KcpmError:
+        return  # the test above compares the error with the oracle's
+    maps = [e.attributes for t in log.traces for e in t.events]
+    want = oracles.parse_csv_auto(text)
+    assert (list(map(_content, maps))
+            == [_content(e.attributes) for t in want.traces for e in t.events])
+    assert all(type(m) is ReadOnlyMap for m in maps)
+    assert len({id(m) for m in maps}) == len(set(map(_content, maps)))
+
+
+def test_cells_read_alike_share_one_map():
+    text = ("case_id,activity,timestamp,flag,n\n"
+            "c1,a,2024-03-01T09:00:00Z,true,1\n"
+            "c1,b,2024-03-01T09:01:00Z,TRUE, 1\n"
+            "c1,c,2024-03-01T09:02:00Z,True,2\n"
+            "c1,d,2024-03-01T09:03:00Z,,\n"
+            "c2,a,2024-03-01T09:00:00Z,true,1\n")
+    (c1, c2) = parse_csv_auto(io.StringIO(text)).traces
+    a, b, c, d = (e.attributes for e in c1.events)
+    assert a is b is c2.events[0].attributes == {"flag": True, "n": 1}
+    assert c == {"flag": True, "n": 2} and c is not a
+    assert d is NO_ATTRIBUTES
 
 
 def test_the_first_bad_row_is_named_and_in_it_the_timestamp_first():
@@ -449,6 +486,16 @@ def test_the_reader_shares_one_object_per_distinct_value():
     assert c1.events[0].activity is c2.events[0].activity
     assert c1.events[0].timestamp is c2.events[0].timestamp
     assert c1.events[0].case_id is c1.events[1].case_id
+
+
+def test_a_timestamp_text_read_again_after_the_cache_starts_over():
+    # the reader remembers 4,096 timestamp texts; the first three recur
+    # after 5,000 others
+    stamps = [(T0 + timedelta(minutes=i)).isoformat() for i in range(5000)]
+    text = "case_id,activity,timestamp\n" + "".join(
+        f"c{i % 7},a,{stamp}\n" for i, stamp in enumerate(stamps + stamps[:3]))
+    assert (_outcome(parse_csv_auto, io.StringIO(text, newline=""))
+            == _outcome(oracles.parse_csv_auto, text))
 
 
 @pytest.mark.parametrize("header", [
@@ -604,8 +651,8 @@ def _cohort_csv(path, cases: int) -> int:
 
 def test_the_log_reader_peaks_near_the_log_it_keeps(tmp_path):
     # beyond the log, the reader holds the timestamp-text cache, each
-    # case's list of events and a few bytes per row with an attribute
-    # cell; tracemalloc counts allocations, not pages, so the bound is exact
+    # case's list of events and each combination of attribute cells;
+    # tracemalloc counts allocations, not pages, so the bound is exact
     path = tmp_path / "cohort.csv"
     n_events = _cohort_csv(path, 3000)
     parse_csv_auto(io.StringIO("case_id,activity,timestamp,n\n"
